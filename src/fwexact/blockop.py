@@ -101,6 +101,11 @@ def beta_matrix(internal_dim: int, floquet_copies: int = 1) -> BetaMatrix:
     return BetaMatrix(np.diag(diag).astype(complex), internal_dim, floquet_copies)
 
 
+def identity_defect(x: np.ndarray) -> float:
+    """Frobenius norm scaled by ||identity||_F of the same side."""
+    return float(np.linalg.norm(x)) / np.sqrt(x.shape[0])
+
+
 def _check_same_shape(a: BlockOperator, b: BlockOperator) -> None:
     if (a.internal_dim, a.floquet_copies) != (b.internal_dim, b.floquet_copies):
         raise StructureError(

@@ -35,7 +35,6 @@ from .errors import (
     FwExactError,
     SpectralGapError,
 )
-from .expgen import generator_from_lambda, verify_exp_equivalence
 from .floquet import demonstrate_nonevenness, transform_nonstationary
 from .models import MODEL_CATALOG, ModelSpec, TimePeriodicHamiltonian
 from .tolerances import Tolerances
@@ -292,52 +291,35 @@ def _print_verdicts(diagnostics: dict[str, float], verdicts: dict[str, str]) -> 
 def _run_chain(
     config: RunConfig,
 ) -> tuple[dict[str, float], Metric, dict[str, BlockOperator], dict[str, float]]:
-    """Model -> transform -> generator; returns diagnostics, metric,
-    dumpable operators and stage timings (ms)."""
+    """Model -> transform; returns diagnostics, metric, dumpable
+    operators and stage timings (ms)."""
     timings: dict[str, float] = {}
     start = time.perf_counter()
     built = config.model.build()
     timings["build_ms"] = (time.perf_counter() - start) * 1e3
 
+    tol = config.tolerances
     start = time.perf_counter()
     if isinstance(built, TimePeriodicHamiltonian):
+        diagnostics: dict[str, float] = {}
         nf = max(config.floquet_nf)
         result = transform_nonstationary(
-            built, nf, config.tolerances.gap_tol, config.floquet_window
+            built, nf, tol.gap_tol, config.floquet_window, tol.eps_clamp
         )
-        metric = built.metric
-        diagnostics = dict(result.diagnostics)
-        operators = {
-            "lambda": result.sign_op,
-            "u": result.u,
-            "h_fw": result.h_fw,
-            "s": result.s,
-        }
     else:
         split_h: SplitHamiltonian = built
-        metric = split_h.metric
-        diagnostics = dict(split_h.validate(config.tolerances.tol_struct))
-        result = transform_stationary(split_h, config.tolerances.gap_tol)
-        diagnostics.update(result.diagnostics)
-        generator = generator_from_lambda(
-            result.sign_op,
-            split_h.beta,
-            metric,
-            eps_clamp=config.tolerances.eps_clamp,
-        )
-        diagnostics.update(generator.diagnostics)
-        diagnostics["exp_equivalence_defect"] = verify_exp_equivalence(
-            generator, result.u, metric
-        )
-        operators = {
-            "lambda": result.sign_op,
-            "u": result.u,
-            "h_fw": result.h_fw,
-            "s": generator.s,
-        }
+        diagnostics = dict(split_h.validate(tol.tol_struct))
+        result = transform_stationary(split_h, tol.gap_tol, tol.eps_clamp)
+    diagnostics.update(result.diagnostics)
     timings["transform_ms"] = (time.perf_counter() - start) * 1e3
+    operators = {
+        "lambda": result.sign_op,
+        "u": result.u,
+        "h_fw": result.h_fw,
+        "s": result.s,
+    }
     diagnostics = {k: float(v) for k, v in diagnostics.items()}
-    return diagnostics, metric, operators, timings
+    return diagnostics, built.metric, operators, timings
 
 
 def _dump_operators(
@@ -349,10 +331,7 @@ def _dump_operators(
     directory.mkdir(parents=True, exist_ok=True)
     written = []
     for name in sorted(operators):
-        op = operators[name]
-        if op is None:
-            continue
-        written.append(str(dump_matrix(op, directory / f"{name}.csv")))
+        written.append(str(dump_matrix(operators[name], directory / f"{name}.csv")))
     return written
 
 
@@ -439,7 +418,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         diagnostics, metric, operators, _ = _run_chain(point)
         for key, v in diagnostics.items():
             worst[key] = max(worst.get(key, 0.0), v)
-        s_norm = float(np.linalg.norm(operators["s"].data, 2)) if operators["s"] is not None else float("nan")
+        s_norm = float(np.linalg.norm(operators["s"].data, 2))
         dispersion = _dispersion(point)
         measured = float(np.linalg.norm(operators["h_fw"].data, 2))
         row = {

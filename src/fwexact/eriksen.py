@@ -15,6 +15,11 @@ is kept as a cross-check.  Every identity involved is measured and
 reported as a dimensionless defect norm; identity-type defects are
 Frobenius norms divided by ||1||_F = sqrt(n), so a clean result sits at
 machine precision and a violation of size eps shows up as roughly eps.
+
+The stationary H and the Floquet operator K = H(t) - i d/dt, which is
+static on the extended space, share one pipeline that decomposes each
+distinct matrix once: the decomposition of H gives lambda, the spectrum
+and the scale, and one decomposition of S gives sin 2S, cos 2S, exp(iS).
 """
 
 from __future__ import annotations
@@ -30,11 +35,13 @@ from .blockop import (
     Metric,
     SplitHamiltonian,
     adjoint_m,
+    identity_defect,
     odd_part,
 )
 from .errors import DomainError
-from .matfun import decompose, inv_sqrt_spd, sign_of
-from .tolerances import GAP_TOL
+from .expgen import exp_defect, generator_from_lambda, trig_defects
+from .matfun import check_involution, decompose, inv_sqrt_spd, sign_of
+from .tolerances import EPS_CLAMP, GAP_TOL
 
 
 @dataclass(frozen=True)
@@ -42,8 +49,8 @@ class FWResult:
     """Transformation bundle: sign operator, unitary, transformed
     Hamiltonian (or transformed Floquet operator) and defect norms.
 
-    ``s`` is the exponential generator when the caller computed one
-    (the nonstationary pipeline always does), else None.
+    ``s`` is the exponential generator; both transforms fill it, and it
+    is None only in a bundle assembled by hand.
     """
 
     sign_op: BlockOperator
@@ -52,22 +59,6 @@ class FWResult:
     h_fw: BlockOperator
     diagnostics: dict[str, float]
     s: Optional[BlockOperator] = None
-
-
-def _identity_defect(x: np.ndarray) -> float:
-    """Frobenius norm scaled by ||identity||_F of the same side."""
-    return float(np.linalg.norm(x)) / np.sqrt(x.shape[0])
-
-
-def _check_involution(lam: BlockOperator, tol: float) -> float:
-    eye = np.eye(lam.side)
-    defect = _identity_defect(lam.data @ lam.data - eye)
-    if defect > tol:
-        raise DomainError(
-            f"sign operator is not an involution: ||lambda^2 - 1|| = {defect:.3e} "
-            f"(tolerance {tol:.1e})"
-        )
-    return defect
 
 
 def eriksen_unitary(
@@ -87,7 +78,7 @@ def eriksen_unitary(
     sign eigenvector is orthogonal to the upper-block subspace.
     """
     if lambda_sq_tol is not None:
-        _check_involution(lam, lambda_sq_tol)
+        check_involution(lam, lambda_sq_tol)
     b = beta.data
     eye = np.eye(lam.side)
     denominator = lam.like(2.0 * eye + b @ lam.data + lam.data @ b)
@@ -112,7 +103,7 @@ def eriksen_unitary_alt(
     pseudo-unitary polar factor.
     """
     if lambda_sq_tol is not None:
-        _check_involution(lam, lambda_sq_tol)
+        check_involution(lam, lambda_sq_tol)
     numerator = lam.like(np.eye(lam.side) + beta.data @ lam.data)
     gram = lam.like(adjoint_m(numerator, metric).data @ numerator.data)
     try:
@@ -140,18 +131,18 @@ def verify_eriksen_identities(
     eye = np.eye(result.sign_op.side)
     bl, lb = b @ lam, lam @ b
     out = {
-        "lambda_sq_defect": _identity_defect(lam @ lam - eye),
-        "sign_products_commute_defect": _identity_defect(bl @ lb - lb @ bl),
-        "anticommutator_even_defect": _identity_defect(
+        "lambda_sq_defect": identity_defect(lam @ lam - eye),
+        "sign_products_commute_defect": identity_defect(bl @ lb - lb @ bl),
+        "anticommutator_even_defect": identity_defect(
             b @ (bl + lb) - (bl + lb) @ b
         ),
-        "eriksen_defect": _identity_defect(b @ u - u.conj().T @ b),
-        "unitarity_defect": _identity_defect(
+        "eriksen_defect": identity_defect(b @ u - u.conj().T @ b),
+        "unitarity_defect": identity_defect(
             u @ adjoint_m(result.u, metric).data - eye
         ),
     }
     if metric is Metric.BETA_PSEUDO:
-        out["pseudo_unitarity_defect"] = _identity_defect(
+        out["pseudo_unitarity_defect"] = identity_defect(
             b @ u.conj().T @ b @ u - eye
         )
     return out
@@ -162,48 +153,72 @@ def verify_even_transformed(h_fw: BlockOperator, beta: BetaMatrix) -> float:
     return odd_part(h_fw, beta).norm() / max(h_fw.norm(), 1e-300)
 
 
-def _spectrum_defect(h: BlockOperator, h_fw: BlockOperator, metric: Metric) -> float:
-    """Largest displacement between the sorted spectra, relative to ||H||_2."""
-    before = np.sort(decompose(h, metric).eigenvalues.real)
-    after = np.sort(decompose(h_fw, metric).eigenvalues.real)
-    scale = max(float(np.linalg.norm(h.data, 2)), 1e-300)
-    return float(np.abs(before - after).max()) / scale
-
-
-def transform_stationary(
-    split_h: SplitHamiltonian, gap_tol: float = GAP_TOL
+def _transform(
+    h: BlockOperator,
+    beta: BetaMatrix,
+    metric: Metric,
+    gap_tol: float,
+    eps_clamp: float,
 ) -> FWResult:
-    """Run the full stationary transformation H -> U H U^{-1}.
+    """Sign operator, unitary, U H U^{-1} and generator of a graded
+    operator, with the diagnostics every transform shares.
 
-    U^{-1} is taken as the metric adjoint of U (unitarity makes them
-    equal; the residual is recorded as unitarity_defect).  Diagnostics
-    include the relative odd norm of the transformed Hamiltonian, the
-    agreement of the two unitary forms and the spectrum displacement
-    under the similarity.
+    U^{-1} is the metric adjoint of U (the residual is unitarity_defect).
+    Diagnostics: the unitary identities, spectrum_defect (largest shift
+    of the sorted spectrum under the similarity, relative to ||H||_2),
+    the generator defects, the doubling identities and
+    exp_equivalence_defect.
     """
-    h = split_h.total
-    beta, metric = split_h.beta, split_h.metric
-    lam = sign_of(h, metric, gap_tol)
+    dec = decompose(h, metric)
+    lam = sign_of(h, metric, gap_tol, dec)
+    before, scale = np.sort(dec.eigenvalues.real), max(dec.scale, 1e-300)
+    del dec
     u = eriksen_unitary(lam, beta, metric)
-    u_alt = eriksen_unitary_alt(lam, beta, metric)
     u_inverse = adjoint_m(u, metric)
     h_fw = h.like(u.data @ h.data @ u_inverse.data)
+    after = np.sort(decompose(h_fw, metric).eigenvalues.real)
+    generator = generator_from_lambda(lam, beta, metric, eps_clamp=eps_clamp)
     result = FWResult(
         sign_op=lam,
         u=u,
         u_inverse=u_inverse,
         h_fw=h_fw,
         diagnostics={},
+        s=generator.s,
     )
-    diagnostics = verify_eriksen_identities(result, beta, metric)
-    diagnostics["odd_norm"] = verify_even_transformed(h_fw, beta)
-    diagnostics["alt_form_defect"] = float(
+    result.diagnostics.update(verify_eriksen_identities(result, beta, metric))
+    result.diagnostics["spectrum_defect"] = float(np.abs(before - after).max()) / scale
+    result.diagnostics.update(generator.diagnostics)
+    # one decomposition of S serves sin 2S, cos 2S and exp(iS)
+    dec_s = decompose(generator.s, metric, allow_complex=True)
+    result.diagnostics.update(trig_defects(dec_s, lam, beta))
+    exponential = dec_s.apply(lambda w: np.exp(1j * w))
+    result.diagnostics["exp_equivalence_defect"] = exp_defect(exponential, u)
+    return result
+
+
+def transform_stationary(
+    split_h: SplitHamiltonian,
+    gap_tol: float = GAP_TOL,
+    eps_clamp: float = EPS_CLAMP,
+) -> FWResult:
+    """Run the full stationary transformation H -> U H U^{-1}.
+
+    On top of the shared diagnostics (see :func:`_transform`): the
+    relative odd norm of the transformed Hamiltonian, the agreement of
+    the two unitary forms and the odd norm of sqrt(H^2) = lambda H.
+    """
+    h = split_h.total
+    beta, metric = split_h.beta, split_h.metric
+    result = _transform(h, beta, metric, gap_tol, eps_clamp)
+    u, lam = result.u, result.sign_op
+    u_alt = eriksen_unitary_alt(lam, beta, metric)
+    result.diagnostics["odd_norm"] = verify_even_transformed(result.h_fw, beta)
+    result.diagnostics["alt_form_defect"] = float(
         np.linalg.norm(u_alt.data - u.data) / max(u.norm(), 1e-300)
     )
-    diagnostics["spectrum_defect"] = _spectrum_defect(h, h_fw, metric)
     # sqrt(H^2) is even when the mass is constant and the even term
     # vanishes, but not in general; reported, never asserted
-    abs_h = h.like(decompose(h, metric).apply(lambda w: np.abs(w.real).astype(complex)))
-    diagnostics["sqrt_h2_odd_norm"] = verify_even_transformed(abs_h, beta)
-    result.diagnostics.update(diagnostics)
+    abs_h = h.like(lam.data @ h.data)
+    result.diagnostics["sqrt_h2_odd_norm"] = verify_even_transformed(abs_h, beta)
     return result

@@ -19,7 +19,7 @@ form here.  Two cross-checks are computed alongside:
   S = -arcsin(D^{-1/2} i(beta lambda - lambda beta) D^{-1/2}) with
   D = 2 sqrt(2 + beta lambda + lambda beta), evaluated symmetrically
   (numerator and denominator commute; the residual commutator is
-  recorded, not assumed);
+  recorded, not assumed), with D and D^{-1/2} from one decomposition;
 * the beta-factored variant, which pulls beta out of the odd arcsine
   series: the argument i(lambda - beta lambda beta)/2 equals beta M, so
   the series evaluates to beta arcsin(M) in the eigenbasis of the
@@ -29,7 +29,9 @@ form here.  Two cross-checks are computed alongside:
 
 In the beta-pseudo metric the doubling argument has an imaginary
 spectrum (arcsin(ix) = i arcsinh x), so the general-eigenbasis arcsine
-is used there.
+is used there; only real eigenvalues are subject to the arcsine clamp.
+The doubling identities and exp(iS) = U are checked from one
+decomposition of S.
 """
 
 from __future__ import annotations
@@ -38,14 +40,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockop import BetaMatrix, BlockOperator, Metric, adjoint_m
-from .errors import DomainError
+from .blockop import BetaMatrix, BlockOperator, Metric, adjoint_m, identity_defect
 from .matfun import (
-    arcsin_general,
-    arcsin_herm,
+    SpectralDecomposition,
+    arcsin_m,
+    check_involution,
     decompose,
     exp_i,
-    sqrt_spd,
 )
 from .tolerances import EPS_CLAMP
 
@@ -60,16 +61,6 @@ class GeneratorResult:
     diagnostics: dict[str, float]
 
 
-def _identity_defect(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x)) / np.sqrt(x.shape[0])
-
-
-def _arcsin(m: BlockOperator, metric: Metric, eps_clamp: float) -> BlockOperator:
-    if metric is Metric.HERMITIAN:
-        return arcsin_herm(m, eps_clamp)
-    return arcsin_general(m, eps_clamp)
-
-
 def generator_from_lambda(
     lam: BlockOperator,
     beta: BetaMatrix,
@@ -82,49 +73,43 @@ def generator_from_lambda(
 
     Diagnostics: oddness_defect (beta S + S beta), hermiticity_defect
     (S - S^adj), form_agreement_defect (largest pairwise disagreement of
-    the three forms, scaled by max(1, ||S||_F)), sin2s_defect /
-    cos2s_defect (doubling identities), denominator_commutator_defect
-    (form A symmetrization assumption) and clamp_excess (how far the
-    doubling argument's spectral radius pokes past 1; positive values
-    mean the arcsine clamp was active).
+    the three forms, scaled by max(1, ||S||_F)),
+    denominator_commutator_defect (form A symmetrization assumption) and
+    clamp_excess (how far a real eigenvalue of the doubling argument
+    pokes past 1; positive values mean the arcsine clamp was active).
+    The doubling identities are checked by :func:`verify_trig_identities`.
     """
-    eye = np.eye(lam.side)
-    involution = _identity_defect(lam.data @ lam.data - eye)
-    if involution > lambda_sq_tol:
-        raise DomainError(
-            f"sign operator is not an involution: defect {involution:.3e}"
-        )
+    check_involution(lam, lambda_sq_tol)
     b = beta.data
     bl, lb = b @ lam.data, lam.data @ b
 
+    # each temporary below is a full matrix; the large ones are released
+    # as soon as they are used
+
     # canonical route: half-angle arcsine of the doubling argument
     doubling = lam.like(0.5j * (bl - lb))
-    s_form_b = lam.like(-0.5 * _arcsin(doubling, metric, eps_clamp).data)
+    arc, clamp_excess = arcsin_m(doubling, metric, eps_clamp)
+    s_form_b = lam.like(-0.5 * arc.data)
 
     # beta-factored variant: same half-angle formula reached through the
     # independent lambda - beta lambda beta path (beta from the odd
     # series cancels the prefactor)
     companion = lam.like(b @ (0.5j * (lam.data - b @ lam.data @ b)))
-    s = lam.like(-0.5 * _arcsin(companion, metric, eps_clamp).data)
+    s = lam.like(-0.5 * arcsin_m(companion, metric, eps_clamp)[0].data)
+    del arc, companion
 
-    # form A: full-angle arcsine with the square-root denominator,
-    # evaluated as D^{-1/2} (2M) D^{-1/2}
-    anticomm = lam.like(2.0 * eye + bl + lb)
-    root = sqrt_spd(anticomm, metric)
-    d_op = lam.like(2.0 * root.data)
-    half = decompose(d_op, metric).apply(lambda w: 1.0 / np.sqrt(w.real))
+    # form A: full-angle arcsine with the square-root denominator
+    # D = 2 sqrt(2 + beta lambda + lambda beta), evaluated as
+    # D^{-1/2} (2M) D^{-1/2}; D and D^{-1/2} share one eigenbasis
+    dec = decompose(lam.like(2.0 * np.eye(lam.side) + bl + lb), metric)
+    d_op = dec.positive(lambda w: 2.0 * np.sqrt(w))
+    half = dec.positive(lambda w: 1.0 / np.sqrt(2.0 * np.sqrt(w)))
+    del dec, bl, lb
     arg_a = lam.like(half @ (2.0 * doubling.data) @ half)
-    s_form_a = lam.like(-_arcsin(arg_a, metric, eps_clamp).data)
+    del half
+    s_form_a = lam.like(-arcsin_m(arg_a, metric, eps_clamp)[0].data)
 
-    radius = float(np.linalg.norm(doubling.data, 2))
     s_scale = max(1.0, s.norm())
-    dec_s = (
-        decompose(s, metric, allow_complex=True)
-        if metric is Metric.BETA_PSEUDO
-        else decompose(s, metric)
-    )
-    sin_2s = dec_s.apply(lambda w: np.sin(2.0 * w))
-    cos_2s = dec_s.apply(lambda w: np.cos(2.0 * w))
     diagnostics = {
         "oddness_defect": float(
             np.linalg.norm(b @ s.data + s.data @ b) / s_scale
@@ -140,15 +125,35 @@ def generator_from_lambda(
             )
             / s_scale
         ),
-        "sin2s_defect": _identity_defect(sin_2s + doubling.data),
-        "cos2s_defect": _identity_defect(cos_2s - 0.5 * (bl + lb)),
         "denominator_commutator_defect": float(
-            np.linalg.norm(doubling.data @ d_op.data - d_op.data @ doubling.data)
-            / max(float(np.linalg.norm(d_op.data)), 1e-300)
+            np.linalg.norm(doubling.data @ d_op - d_op @ doubling.data)
+            / max(float(np.linalg.norm(d_op)), 1e-300)
         ),
-        "clamp_excess": max(0.0, radius - 1.0),
+        "clamp_excess": clamp_excess,
     }
     return GeneratorResult(s=s, s_form_a=s_form_a, s_form_b=s_form_b, diagnostics=diagnostics)
+
+
+def trig_defects(
+    dec_s: SpectralDecomposition, lam: BlockOperator, beta: BetaMatrix
+) -> dict[str, float]:
+    """sin2s_defect and cos2s_defect (see :func:`verify_trig_identities`)
+    from a decomposition of S."""
+    b = beta.data
+    bl, lb = b @ lam.data, lam.data @ b
+    return {
+        "sin2s_defect": identity_defect(
+            dec_s.apply(lambda w: np.sin(2.0 * w)) + 0.5j * (bl - lb)
+        ),
+        "cos2s_defect": identity_defect(
+            dec_s.apply(lambda w: np.cos(2.0 * w)) - 0.5 * (bl + lb)
+        ),
+    }
+
+
+def exp_defect(exponential: np.ndarray, u: BlockOperator) -> float:
+    """||exponential - U||_F / ||U||_F."""
+    return float(np.linalg.norm(exponential - u.data) / max(u.norm(), 1e-300))
 
 
 def verify_trig_identities(
@@ -163,27 +168,11 @@ def verify_trig_identities(
     sin 2S + i(beta lambda - lambda beta)/2 and
     cos 2S - (beta lambda + lambda beta)/2, scaled by sqrt(n).
     """
-    b = beta.data
-    dec = (
-        decompose(g.s, metric, allow_complex=True)
-        if metric is Metric.BETA_PSEUDO
-        else decompose(g.s, metric)
-    )
-    sin_2s = dec.apply(lambda w: np.sin(2.0 * w))
-    cos_2s = dec.apply(lambda w: np.cos(2.0 * w))
-    return {
-        "sin2s_defect": _identity_defect(
-            sin_2s + 0.5j * (b @ lam.data - lam.data @ b)
-        ),
-        "cos2s_defect": _identity_defect(
-            cos_2s - 0.5 * (b @ lam.data + lam.data @ b)
-        ),
-    }
+    return trig_defects(decompose(g.s, metric, allow_complex=True), lam, beta)
 
 
 def verify_exp_equivalence(
     g: GeneratorResult, u: BlockOperator, metric: Metric
 ) -> float:
     """Relative disagreement ||exp(iS) - U||_F / ||U||_F."""
-    exponential = exp_i(g.s, metric)
-    return float(np.linalg.norm(exponential.data - u.data) / max(u.norm(), 1e-300))
+    return exp_defect(exp_i(g.s, metric).data, u)

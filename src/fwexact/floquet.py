@@ -7,9 +7,10 @@ matrix
     K[m, n] = H_{m-n} - m w delta_{mn},     m, n in [-nf, nf],
 
 truncated at order nf.  The diagonal ladder -m w realizes -i d/dt and
-commutes with the extended grading matrix, so K carries the same
-even/odd structure as a stationary Hamiltonian and the whole stationary
-machinery applies with the sign operator
+commutes with the extended grading matrix, so K is a static graded
+operator on the extended space (Shirley, Phys. Rev. 138, B979 (1965)):
+:func:`transform_nonstationary` runs it through the same pipeline as a
+stationary Hamiltonian, with the sign operator
 
     Lambda = K / sqrt(K^2)
 
@@ -29,18 +30,18 @@ the spectral gap (a quasienergy resonance) this surfaces as an error.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .blockop import BetaMatrix, BlockOperator, Metric, adjoint_m, beta_matrix, odd_part
 from .errors import SpectralGapError, StructureError
-from .eriksen import FWResult, eriksen_unitary, verify_eriksen_identities
-from .expgen import generator_from_lambda, verify_exp_equivalence
+from .eriksen import FWResult, _transform, eriksen_unitary
 from .matfun import sign_of
 from .models import TimePeriodicHamiltonian
-from .tolerances import GAP_TOL
+from .tolerances import EPS_CLAMP, GAP_TOL
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,18 @@ class FloquetReport:
             raise StructureError("decay table truncation orders must strictly increase")
 
 
+def _block_toeplitz(
+    band: Callable[[int], np.ndarray], d: int, nf: int
+) -> np.ndarray:
+    """Extended-space matrix whose (m, n) block is band(m - n)."""
+    copies = 2 * nf + 1
+    data = np.zeros((d * copies, d * copies), dtype=complex)
+    for i in range(copies):
+        for j in range(copies):
+            data[i * d : (i + 1) * d, j * d : (j + 1) * d] = band(i - j)
+    return data
+
+
 def build_extended(model: TimePeriodicHamiltonian, nf: int) -> ExtendedOperator:
     """Assemble the truncated extended-space matrix of H(t) - i d/dt."""
     if nf < 1:
@@ -93,27 +106,28 @@ def build_extended(model: TimePeriodicHamiltonian, nf: int) -> ExtendedOperator:
             f"representable range is |n| <= {2 * nf}"
         )
     d = model.internal_dim
-    copies = 2 * nf + 1
-    data = np.zeros((d * copies, d * copies), dtype=complex)
-    for i, m in enumerate(range(-nf, nf + 1)):
-        for j, n in enumerate(range(-nf, nf + 1)):
-            block = model.mode(m - n)
-            if m == n:
-                block = block - m * model.omega * np.eye(d)
-            data[i * d : (i + 1) * d, j * d : (j + 1) * d] = block
-    return ExtendedOperator(BlockOperator(data, d, copies), model.omega, nf)
+    data = _block_toeplitz(model.mode, d, nf)
+    data[np.diag_indices_from(data)] -= np.repeat(np.arange(-nf, nf + 1) * model.omega, d)
+    return ExtendedOperator(BlockOperator(data, d, 2 * nf + 1), model.omega, nf)
+
+
+@contextmanager
+def _quasienergy_resonance() -> Iterator[None]:
+    """Name a gap violation of the extended operator for what it is."""
+    try:
+        yield
+    except SpectralGapError as exc:
+        raise SpectralGapError(
+            f"{exc} [quasienergy resonance: adjust omega or add detuning]"
+        ) from exc
 
 
 def lambda_capital(
     k: ExtendedOperator, gap_tol: float = GAP_TOL, metric: Metric = Metric.HERMITIAN
 ) -> BlockOperator:
     """Sign operator of the extended operator, Lambda = K / sqrt(K^2)."""
-    try:
+    with _quasienergy_resonance():
         return sign_of(k.op, metric, gap_tol)
-    except SpectralGapError as exc:
-        raise SpectralGapError(
-            f"{exc} [quasienergy resonance: adjust omega or add detuning]"
-        ) from exc
 
 
 def lambda_naive(
@@ -148,11 +162,7 @@ def lambda_naive(
     for q in range(-2 * nf, 2 * nf + 1):
         phases = np.exp(1j * q * model.omega * times)
         bands[q] = sum(s * ph for s, ph in zip(signs, phases)) / samples
-    data = np.zeros((d * copies, d * copies), dtype=complex)
-    for i, m in enumerate(range(-nf, nf + 1)):
-        for j, n in enumerate(range(-nf, nf + 1)):
-            data[i * d : (i + 1) * d, j * d : (j + 1) * d] = bands[m - n]
-    return BlockOperator(data, d, copies)
+    return BlockOperator(_block_toeplitz(bands.__getitem__, d, nf), d, copies)
 
 
 def central_window(a: BlockOperator, window: int) -> BlockOperator:
@@ -242,39 +252,20 @@ def transform_nonstationary(
     nf: int,
     gap_tol: float = GAP_TOL,
     window: Optional[int] = None,
+    eps_clamp: float = EPS_CLAMP,
 ) -> FWResult:
     """Full nonstationary pipeline on the extended space.
 
-    Builds K, the extended sign operator Lambda, the unitary, the
-    transformed extended operator and the exponential generator; the
-    diagnostics merge the unitary identities, the central-window odd
-    norm, the spectrum displacement and the generator defects.
+    Builds K and runs it through the pipeline shared with the stationary
+    transform, with the extended sign operator Lambda; the diagnostics are the shared ones
+    (unitary identities, spectrum displacement, generator defects,
+    exp(iS) = U) plus the central-window odd norm of U K U^{-1}.
     """
     if window is None:
         window = max(nf // 2, 1)
     window = min(window, nf)
     k = build_extended(model, nf)
-    beta, metric = k.beta, model.metric
-    lam = lambda_capital(k, gap_tol, metric)
-    u = eriksen_unitary(lam, beta, metric)
-    u_inverse = adjoint_m(u, metric)
-    h_fw = k.op.like(u.data @ k.op.data @ u_inverse.data)
-    generator = generator_from_lambda(lam, beta, metric)
-    result = FWResult(
-        sign_op=lam,
-        u=u,
-        u_inverse=u_inverse,
-        h_fw=h_fw,
-        diagnostics={},
-        s=generator.s,
-    )
-    diagnostics = verify_eriksen_identities(result, beta, metric)
-    diagnostics["odd_norm"] = central_odd_norm(h_fw, window)
-    before = np.sort(np.linalg.eigvalsh(k.op.data))
-    after = np.sort(np.linalg.eigvalsh(h_fw.data))
-    scale = max(float(np.linalg.norm(k.op.data, 2)), 1e-300)
-    diagnostics["spectrum_defect"] = float(np.abs(before - after).max()) / scale
-    diagnostics.update(generator.diagnostics)
-    diagnostics["exp_equivalence_defect"] = verify_exp_equivalence(generator, u, metric)
-    result.diagnostics.update(diagnostics)
+    with _quasienergy_resonance():
+        result = _transform(k.op, k.beta, model.metric, gap_tol, eps_clamp)
+    result.diagnostics["odd_norm"] = central_odd_norm(result.h_fw, window)
     return result

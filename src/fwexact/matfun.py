@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .blockop import BlockOperator, Metric, adjoint_m
+from .blockop import BlockOperator, Metric, adjoint_m, identity_defect
 from .errors import (
     DomainError,
     EigendecompositionError,
@@ -39,12 +39,15 @@ class SpectralDecomposition:
 
     ``eigenvalues`` are complex (real up to roundoff for self-adjoint
     inputs), ascending by real part.  For the Hermitian path
-    ``inverse_vectors`` is exactly ``right_vectors``^dag.
+    ``inverse_vectors`` is exactly ``right_vectors``^dag.  ``scale`` is
+    ||A||_2: max |w| on the Hermitian path, the largest singular value
+    otherwise.
     """
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     inverse_vectors: np.ndarray
+    scale: float
 
     def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Evaluate the matrix function V f(w) V^{-1}."""
@@ -52,6 +55,17 @@ class SpectralDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         return self.apply(lambda w: w)
+
+    def positive(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """Apply f to the spectrum, which must be positive real."""
+        min_real = float(self.eigenvalues.real.min())
+        threshold = 1e-12 * max(self.scale, 1e-300)
+        if min_real <= threshold:
+            raise DomainError(
+                f"not positive definite: min eigenvalue {min_real:.3e} "
+                f"(threshold {threshold:.3e})"
+            )
+        return self.apply(lambda w: f(w.real).astype(complex))
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -69,7 +83,8 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 def _decompose_hermitian(a: np.ndarray) -> SpectralDecomposition:
     w, v = np.linalg.eigh(a)
     v = _fix_phases(v)
-    return SpectralDecomposition(w.astype(complex), v, v.conj().T)
+    scale = float(np.abs(w).max(initial=0.0))
+    return SpectralDecomposition(w.astype(complex), v, v.conj().T, scale)
 
 
 def _decompose_general(a: np.ndarray) -> SpectralDecomposition:
@@ -83,7 +98,8 @@ def _decompose_general(a: np.ndarray) -> SpectralDecomposition:
         raise EigendecompositionError(
             f"ill-conditioned eigenbasis: cond(V) = {cond:.3e} > {_COND_LIMIT:.0e}"
         )
-    return SpectralDecomposition(w, v, np.linalg.inv(v))
+    scale = float(np.linalg.norm(a, 2))
+    return SpectralDecomposition(w, v, np.linalg.inv(v), scale)
 
 
 def decompose(
@@ -111,7 +127,7 @@ def decompose(
         return _decompose_hermitian(data)
     dec = _decompose_general(data)
     if not allow_complex:
-        scale = max(float(np.linalg.norm(data, 2)), 1e-300)
+        scale = max(dec.scale, 1e-300)
         max_imag = float(np.abs(dec.eigenvalues.imag).max(initial=0.0))
         if max_imag > _IMAG_TOL * scale:
             raise EigendecompositionError(
@@ -122,89 +138,80 @@ def decompose(
 
 
 def sign_of(
-    h: BlockOperator, metric: Metric, gap_tol: float = GAP_TOL
+    h: BlockOperator,
+    metric: Metric,
+    gap_tol: float = GAP_TOL,
+    dec: SpectralDecomposition | None = None,
 ) -> BlockOperator:
     """Sign operator H / sqrt(H^2), evaluated as V sign(Re w) V^{-1}.
 
     Requires the spectrum to stay away from zero: min |w| must exceed
-    ``gap_tol`` times the spectral norm of H.
+    ``gap_tol`` times the spectral norm of H.  ``dec`` is the
+    decomposition of h when the caller already holds it.
     """
-    dec = decompose(h, metric)
-    scale = float(np.linalg.norm(h.data, 2))
+    if dec is None:
+        dec = decompose(h, metric)
     min_abs = float(np.abs(dec.eigenvalues.real).min())
-    if min_abs <= gap_tol * scale:
+    if min_abs <= gap_tol * dec.scale:
         raise SpectralGapError(
             f"spectral gap violation: min |eigenvalue| = {min_abs:.3e} "
-            f"<= {gap_tol:.1e} * ||H||_2 = {gap_tol * scale:.3e}; "
+            f"<= {gap_tol:.1e} * ||H||_2 = {gap_tol * dec.scale:.3e}; "
             "the sign operator is undefined"
         )
     return h.like(dec.apply(lambda w: np.sign(w.real).astype(complex)))
 
 
-def _positive_function(
-    a: BlockOperator,
-    metric: Metric,
-    f: Callable[[np.ndarray], np.ndarray],
-) -> BlockOperator:
-    """Apply f to the (required positive real) spectrum of a."""
-    dec = decompose(a, metric)
-    scale = max(float(np.linalg.norm(a.data, 2)), 1e-300)
-    min_real = float(dec.eigenvalues.real.min())
-    if min_real <= 1e-12 * scale:
+def check_involution(lam: BlockOperator, tol: float) -> None:
+    """Raise unless the sign operator squares to one within ``tol``."""
+    defect = identity_defect(lam.data @ lam.data - np.eye(lam.side))
+    if defect > tol:
         raise DomainError(
-            f"not positive definite: min eigenvalue {min_real:.3e} "
-            f"(threshold {1e-12 * scale:.3e})"
+            f"sign operator is not an involution: ||lambda^2 - 1|| = {defect:.3e} "
+            f"(tolerance {tol:.1e})"
         )
-    return a.like(dec.apply(lambda w: f(w.real).astype(complex)))
 
 
 def sqrt_spd(a: BlockOperator, metric: Metric) -> BlockOperator:
     """Principal square root of a positive-definite operator."""
-    return _positive_function(a, metric, np.sqrt)
+    return a.like(decompose(a, metric).positive(np.sqrt))
 
 
 def inv_sqrt_spd(a: BlockOperator, metric: Metric) -> BlockOperator:
     """Principal inverse square root of a positive-definite operator."""
-    return _positive_function(a, metric, lambda w: 1.0 / np.sqrt(w))
+    return a.like(decompose(a, metric).positive(lambda w: 1.0 / np.sqrt(w)))
+
+
+def arcsin_m(
+    m: BlockOperator, metric: Metric, eps_clamp: float = EPS_CLAMP
+) -> tuple[BlockOperator, float]:
+    """Principal arcsine, eigenvalue-wise, and the clamp excess.
+
+    The beta-pseudo metric uses the general decomposition: there the
+    doubling argument has an imaginary spectrum (arcsin(i x) =
+    i arcsinh(x), away from the real branch cuts).  Real eigenvalues
+    (imaginary part within ``eps_clamp``) must lie in [-1 - eps_clamp,
+    1 + eps_clamp]; the clamp snaps them to +-1 and the excess is how
+    far the largest |eigenvalue| among them pokes past 1.
+    """
+    if metric is Metric.HERMITIAN:
+        dec = decompose(m, metric)
+    else:
+        dec = _decompose_general(m.data)
+    w = dec.eigenvalues
+    real_like = np.abs(w.imag) <= eps_clamp
+    excess = max(0.0, float(np.abs(w.real[real_like]).max(initial=0.0)) - 1.0)
+    if excess > eps_clamp:
+        raise DomainError(
+            f"arcsin domain violation: |eigenvalue| exceeds 1 by {excess:.3e} "
+            f"(clamp band {eps_clamp:.1e})"
+        )
+    arc = np.where(real_like, np.arcsin(np.clip(w.real, -1.0, 1.0)), np.arcsin(w))
+    return m.like(dec.apply(lambda _: arc)), excess
 
 
 def arcsin_herm(m: BlockOperator, eps_clamp: float = EPS_CLAMP) -> BlockOperator:
-    """Principal arcsine of a Hermitian matrix, eigenvalue-wise.
-
-    Eigenvalues must lie in [-1 - eps_clamp, 1 + eps_clamp]; values in
-    the clamp band are snapped to +-1, anything further out raises.
-    """
-    dec = decompose(m, Metric.HERMITIAN)
-    w = dec.eigenvalues.real
-    overshoot = float(np.abs(w).max(initial=0.0)) - 1.0
-    if overshoot > eps_clamp:
-        raise DomainError(
-            f"arcsin domain violation: |eigenvalue| exceeds 1 by {overshoot:.3e} "
-            f"(clamp band {eps_clamp:.1e})"
-        )
-    clamped = np.clip(w, -1.0, 1.0)
-    return m.like(dec.apply(lambda _: np.arcsin(clamped).astype(complex)))
-
-
-def arcsin_general(m: BlockOperator, eps_clamp: float = EPS_CLAMP) -> BlockOperator:
-    """Principal arcsine of a diagonalizable matrix.
-
-    Used for the beta-pseudo metric, where the doubling-formula argument
-    has an imaginary spectrum (arcsin(i x) = i arcsinh(x), away from the
-    real branch cuts).  Real eigenvalues get the same clamp policy as
-    the Hermitian version.
-    """
-    dec = _decompose_general(m.data)
-    w = dec.eigenvalues
-    real_like = np.abs(w.imag) <= eps_clamp
-    beyond = real_like & (np.abs(w.real) > 1.0 + eps_clamp)
-    if beyond.any():
-        overshoot = float(np.abs(w.real[beyond]).max()) - 1.0
-        raise DomainError(
-            f"arcsin domain violation: real eigenvalue exceeds 1 by {overshoot:.3e}"
-        )
-    w = np.where(real_like, np.clip(w.real, -1.0, 1.0).astype(complex), w)
-    return m.like(dec.apply(lambda _: np.arcsin(w)))
+    """Principal arcsine of a Hermitian matrix (see :func:`arcsin_m`)."""
+    return arcsin_m(m, Metric.HERMITIAN, eps_clamp)[0]
 
 
 def exp_i(s: BlockOperator, metric: Metric) -> BlockOperator:

@@ -45,6 +45,11 @@ BETA4 = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
 TAU1, TAU2, TAU3 = SIGMA  # Pauli-like matrices of the two-component boson form
 
 
+def _check_grid_size(n: int) -> None:
+    if n < 8 or (n & (n - 1)) != 0:
+        raise StructureError(f"grid size must be a power of two >= 8, got {n}")
+
+
 def free_dirac(m: float, p: tuple[float, float, float]) -> SplitHamiltonian:
     """Free Dirac Hamiltonian alpha.p + beta m (4x4).
 
@@ -87,12 +92,12 @@ def dirac_1d(
     The odd part is alpha_x (x) P with P the spectral momentum matrix,
     the even part is 1_4 (x) diag(V(x_j)), and mass = m*1.  Kronecker
     order is spinor-major, so the grading matrix is the side-4n one with
-    the grid factor folded into each spinor block.
+    the grid factor folded into each spinor block.  n must be a power of
+    two >= 8.
     """
     if m <= 0:
         raise StructureError(f"mass must be positive, got {m}")
-    if n < 8 or n % 2 != 0:
-        raise StructureError(f"grid size must be even and >= 8, got {n}")
+    _check_grid_size(n)
     x = np.arange(n) * (length / n)
     v = np.asarray(potential(x), dtype=complex)
     if np.abs(v.imag).max(initial=0.0) > 0:
@@ -289,9 +294,7 @@ class ModelSpec:
         if params.get("m", 1.0) <= 0:
             raise StructureError("mass must be positive")
         if self.name == "dirac_1d":
-            n = int(params.get("N", 32))
-            if n < 8 or (n & (n - 1)) != 0:
-                raise StructureError(f"grid size must be a power of two >= 8, got {n}")
+            _check_grid_size(int(params.get("N", 32)))
         if self.kind == "floquet":
             if params.get("omega", 1.0) <= 0:
                 raise StructureError("drive frequency must be positive")

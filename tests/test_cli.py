@@ -1,9 +1,12 @@
 import json
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fwexact.expgen
 from fwexact import BlockOperator, beta_matrix
 from fwexact.cli import dump_matrix, load_matrix, main
 
@@ -189,6 +192,28 @@ class TestSweep:
         rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert len(rows) == 2  # header + one row
 
+    def test_pseudo_metric_past_unit_doubling_norm_passes(self, tmp_path):
+        # the feshbach_villars doubling argument is non-normal with an
+        # imaginary spectrum (+-1.16i at p = 2.5): its 2-norm exceeds 1
+        # although the arcsine clamp never acts
+        report_path = tmp_path / "sweep.json"
+        code = run(
+            [
+                "sweep",
+                "--set", "model.name=feshbach_villars",
+                "--set", "sweep.parameter=p",
+                "--set", "sweep.values=[2.5,4.0]",
+                "--report", str(report_path),
+            ]
+        )
+        assert code == 0
+        report = json.loads(report_path.read_text())
+        diagnostics = report["diagnostics"]
+        tol_generator = report["config"]["tolerances"]["tol_generator"]
+        assert diagnostics["clamp_excess"] == 0.0
+        assert diagnostics["form_agreement_defect"] <= tol_generator
+        assert diagnostics["exp_equivalence_defect"] <= tol_generator
+
     def test_non_numeric_value_usage_error(self, tmp_path):
         code = run(
             [
@@ -308,6 +333,95 @@ class TestFloquet:
             ]
         )
         assert code == 3
+
+
+    def test_transform_passes_eps_clamp_to_generator(self, tmp_path, monkeypatch):
+        original = fwexact.expgen.generator_from_lambda
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("eps_clamp"))
+            return original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if (
+                getattr(module, "__name__", "").startswith("fwexact")
+                and getattr(module, "generator_from_lambda", None) is original
+            ):
+                monkeypatch.setattr(module, "generator_from_lambda", spy)
+        code = run(
+            [
+                "transform",
+                "--set", "model.name=floquet_dirac_vector",
+                "--set", "model.params.pz=0.5",
+                "--set", "model.params.A1=0.2",
+                "--set", "model.params.omega=0.08",
+                "--set", "floquet.nf=[4]",
+                "--set", "tolerances.eps_clamp=3e-11",
+                "--report", str(tmp_path / "report.json"),
+            ]
+        )
+        assert code == 0
+        assert seen == [3e-11]
+
+
+class TestDecompositionCounts:
+    """One eigendecomposition per distinct matrix in a CLI transform; no
+    spectral norm, since every scale comes from known eigenvalues."""
+
+    @staticmethod
+    def count(monkeypatch, argv):
+        calls = Counter()
+        linalg = np.linalg
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(linalg, name, counted)
+        norm = linalg.norm
+
+        def counted_norm(x, ord=None, *args, **kwargs):
+            if ord == 2 and np.ndim(x) == 2:
+                calls["spectral_norm"] += 1
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "norm", counted_norm)
+        assert run(argv) == 0
+        return calls
+
+    def test_stationary_transform(self, tmp_path, monkeypatch):
+        calls = self.count(
+            monkeypatch,
+            [
+                "transform",
+                "--set", "model.name=dirac_1d",
+                "--set", "model.params.N=8",
+                "--set", "model.params.V1=0.2",
+                "--report", str(tmp_path / "report.json"),
+            ],
+        )
+        assert 0 < calls["eigh"] <= 9
+        assert calls["spectral_norm"] == 0
+
+    def test_floquet_transform(self, tmp_path, monkeypatch):
+        calls = self.count(
+            monkeypatch,
+            [
+                "transform",
+                "--set", "model.name=floquet_dirac_vector",
+                "--set", "model.params.pz=0.5",
+                "--set", "model.params.A1=0.2",
+                "--set", "model.params.omega=0.08",
+                "--set", "floquet.nf=[4]",
+                "--report", str(tmp_path / "report.json"),
+            ],
+        )
+        assert 0 < calls["eigh"] <= 8
+        assert calls["eigvalsh"] == 0
+        assert calls["spectral_norm"] == 0
 
 
 class TestMatrixDump:

@@ -102,6 +102,11 @@ class TestDirac1D:
         with pytest.raises(MetricViolationError):
             dirac_1d(1.0, 8, 1.0, lambda x: 1j * x)
 
+    def test_grid_size_must_be_power_of_two(self):
+        # the same rule as the run-config check in ModelSpec
+        with pytest.raises(StructureError, match="power of two"):
+            dirac_1d(1.0, 12, 1.0, lambda x: np.zeros_like(x))
+
 
 class TestFeshbachVillars:
     def test_at_rest(self):
