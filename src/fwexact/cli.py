@@ -89,8 +89,15 @@ class RunConfig:
     def from_dict(raw: dict) -> "RunConfig":
         if "model" not in raw or "name" not in raw["model"]:
             raise UsageError("config must contain model.name")
+        params = raw["model"].get("params", {})
+        if not isinstance(params, dict):
+            raise UsageError(f"model.params {params!r} is not a mapping")
+        for key, v in params.items():
+            # bool is a subclass of int, hence the exact type test
+            if type(v) is not int and (type(v) is not float or not math.isfinite(v)):
+                raise UsageError(f"model.params.{key} {v!r} is not a finite number")
         try:
-            model = ModelSpec(raw["model"]["name"], raw["model"].get("params", {}))
+            model = ModelSpec(raw["model"]["name"], params)
         except FwExactError as exc:
             raise UsageError(str(exc)) from exc
         try:
@@ -119,6 +126,8 @@ class RunConfig:
         if any(n < 1 for n in nf_tuple):
             raise UsageError("floquet.nf entries must be >= 1")
         window = floquet.get("window")
+        if window is not None and (type(window) is not int or window < 0):
+            raise UsageError(f"floquet.window {window!r} is not an integer >= 0")
         return RunConfig(
             model=model,
             tolerances=tolerances,
@@ -128,7 +137,7 @@ class RunConfig:
             sweep_parameter=sweep.get("parameter"),
             sweep_values=tuple(values),
             floquet_nf=nf_tuple,
-            floquet_window=None if window is None else int(window),
+            floquet_window=window,
         )
 
     def echo(self) -> dict:

@@ -19,7 +19,8 @@ machine precision and a violation of size eps shows up as roughly eps.
 The stationary H and the Floquet operator K = H(t) - i d/dt, which is
 static on the extended space, share one pipeline that decomposes each
 distinct matrix once: the decomposition of H gives lambda, the spectrum
-and the scale, and one decomposition of S gives sin 2S, cos 2S, exp(iS).
+and the scale, that of 2 + beta lambda + lambda beta gives U and form A
+of S, and one decomposition of S gives sin 2S, cos 2S, exp(iS).
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .blockop import (
     odd_part,
 )
 from .errors import DomainError
-from .expgen import exp_defect, generator_from_lambda, trig_defects
-from .matfun import check_involution, decompose, inv_sqrt_spd, sign_of
+from .expgen import denominator_decomposition, exp_defect, generator_from_lambda, trig_defects
+from .matfun import SpectralDecomposition, check_involution, decompose, inv_sqrt_spd, sign_of
 from .tolerances import EPS_CLAMP, GAP_TOL
 
 
@@ -67,26 +68,26 @@ def eriksen_unitary(
     metric: Metric,
     *,
     lambda_sq_tol: float | None = 1e-8,
+    dec: SpectralDecomposition | None = None,
 ) -> BlockOperator:
     """U = (1 + beta lambda) (2 + beta lambda + lambda beta)^{-1/2}.
 
     ``lambda_sq_tol`` bounds the allowed involution defect of the input
     sign operator; pass None to skip the check (used when deliberately
     feeding an approximate sign operator to measure how it fails).
+    ``dec`` is the :func:`~fwexact.expgen.denominator_decomposition` when
+    the caller already holds it (the check ran when it was made).
     Raises "eriksen denominator degenerate" when the operator under the
     square root is not positive definite, which happens exactly when a
     sign eigenvector is orthogonal to the upper-block subspace.
     """
-    if lambda_sq_tol is not None:
-        check_involution(lam, lambda_sq_tol)
-    b = beta.data
-    eye = np.eye(lam.side)
-    denominator = lam.like(2.0 * eye + b @ lam.data + lam.data @ b)
+    if dec is None:
+        dec = denominator_decomposition(lam, beta, metric, lambda_sq_tol)
     try:
-        inv_root = inv_sqrt_spd(denominator, metric)
+        inv_root = dec.positive(lambda w: 1.0 / np.sqrt(w))
     except DomainError as exc:
         raise DomainError(f"eriksen denominator degenerate: {exc}") from exc
-    return lam.like((eye + b @ lam.data) @ inv_root.data)
+    return lam.like((np.eye(lam.side) + beta.data @ lam.data) @ inv_root)
 
 
 def eriksen_unitary_alt(
@@ -173,11 +174,15 @@ def _transform(
     lam = sign_of(h, metric, gap_tol, dec)
     before, scale = np.sort(dec.eigenvalues.real), max(dec.scale, 1e-300)
     del dec
-    u = eriksen_unitary(lam, beta, metric)
+    # one decomposition of the denominator serves U and form A; it is
+    # released before U H U^{-1} and its eigh, which set the peak memory
+    den = denominator_decomposition(lam, beta, metric)
+    u = eriksen_unitary(lam, beta, metric, dec=den)
+    generator = generator_from_lambda(lam, beta, metric, eps_clamp=eps_clamp, dec=den)
+    del den
     u_inverse = adjoint_m(u, metric)
     h_fw = h.like(u.data @ h.data @ u_inverse.data)
     after = np.sort(decompose(h_fw, metric).eigenvalues.real)
-    generator = generator_from_lambda(lam, beta, metric, eps_clamp=eps_clamp)
     result = FWResult(
         sign_op=lam,
         u=u,
@@ -212,11 +217,9 @@ def transform_stationary(
     beta, metric = split_h.beta, split_h.metric
     result = _transform(h, beta, metric, gap_tol, eps_clamp)
     u, lam = result.u, result.sign_op
-    u_alt = eriksen_unitary_alt(lam, beta, metric)
+    u_alt = eriksen_unitary_alt(lam, beta, metric, lambda_sq_tol=None)
     result.diagnostics["odd_norm"] = verify_even_transformed(result.h_fw, beta)
-    result.diagnostics["alt_form_defect"] = float(
-        np.linalg.norm(u_alt.data - u.data) / max(u.norm(), 1e-300)
-    )
+    result.diagnostics["alt_form_defect"] = exp_defect(u_alt.data, u)
     # sqrt(H^2) is even when the mass is constant and the even term
     # vanishes, but not in general; reported, never asserted
     abs_h = h.like(lam.data @ h.data)

@@ -13,19 +13,13 @@ argument
     M = i (beta lambda - lambda beta) / 2,      S = -(1/2) arcsin(M),
 
 which is exactly Hermitian in the Hermitian metric; it is the canonical
-form here.  Two cross-checks are computed alongside:
-
-* form A: full-angle arcsine with the square-root denominator,
-  S = -arcsin(D^{-1/2} i(beta lambda - lambda beta) D^{-1/2}) with
-  D = 2 sqrt(2 + beta lambda + lambda beta), evaluated symmetrically
-  (numerator and denominator commute; the residual commutator is
-  recorded, not assumed), with D and D^{-1/2} from one decomposition;
-* the beta-factored variant, which pulls beta out of the odd arcsine
-  series: the argument i(lambda - beta lambda beta)/2 equals beta M, so
-  the series evaluates to beta arcsin(M) in the eigenbasis of the
-  companion M, and the leading beta cancels it back to -(1/2) arcsin of
-  the companion computed through the independent lambda - beta lambda
-  beta path.
+form here.  Form A is computed alongside as a cross-check: the
+full-angle arcsine with the square-root denominator,
+S = -arcsin(D^{-1/2} i(beta lambda - lambda beta) D^{-1/2}) with
+D = 2 sqrt(2 + beta lambda + lambda beta), evaluated symmetrically
+(numerator and denominator commute; the residual commutator is
+recorded, not assumed).  D and D^{-1/2} come from the one decomposition
+of 2 + beta lambda + lambda beta that also gives the Eriksen unitary.
 
 In the beta-pseudo metric the doubling argument has an imaginary
 spectrum (arcsin(ix) = i arcsinh x), so the general-eigenbasis arcsine
@@ -53,12 +47,25 @@ from .tolerances import EPS_CLAMP
 
 @dataclass(frozen=True)
 class GeneratorResult:
-    """Canonical generator, both cross-forms, and defect norms."""
+    """Canonical generator, the form-A cross-check, and defect norms."""
 
     s: BlockOperator
     s_form_a: BlockOperator
-    s_form_b: BlockOperator
     diagnostics: dict[str, float]
+
+
+def denominator_decomposition(
+    lam: BlockOperator, beta: BetaMatrix, metric: Metric, lambda_sq_tol: float | None = 1e-8
+) -> SpectralDecomposition:
+    """Decomposition of 2 + beta lambda + lambda beta, under the square
+    root of both the Eriksen unitary and form A, made after checking that
+    lambda squares to one within ``lambda_sq_tol`` (None skips it)."""
+    if lambda_sq_tol is not None:
+        check_involution(lam, lambda_sq_tol)
+    b = beta.data
+    return decompose(
+        lam.like(2.0 * np.eye(lam.side) + b @ lam.data + lam.data @ b), metric
+    )
 
 
 def generator_from_lambda(
@@ -67,44 +74,41 @@ def generator_from_lambda(
     metric: Metric,
     *,
     eps_clamp: float = EPS_CLAMP,
-    lambda_sq_tol: float = 1e-8,
+    lambda_sq_tol: float | None = 1e-8,
+    dec: SpectralDecomposition | None = None,
 ) -> GeneratorResult:
-    """Compute S from the sign operator through all three routes.
+    """Compute S from the sign operator through both forms.
+
+    ``dec`` is the :func:`denominator_decomposition` when the caller
+    already holds it; otherwise it is made here, with ``lambda_sq_tol``.
 
     Diagnostics: oddness_defect (beta S + S beta), hermiticity_defect
-    (S - S^adj), form_agreement_defect (largest pairwise disagreement of
-    the three forms, scaled by max(1, ||S||_F)),
+    (S - S^adj), form_agreement_defect (disagreement of the two forms,
+    scaled by max(1, ||S||_F)),
     denominator_commutator_defect (form A symmetrization assumption) and
     clamp_excess (how far a real eigenvalue of the doubling argument
     pokes past 1; positive values mean the arcsine clamp was active).
     The doubling identities are checked by :func:`verify_trig_identities`.
     """
-    check_involution(lam, lambda_sq_tol)
+    if dec is None:
+        dec = denominator_decomposition(lam, beta, metric, lambda_sq_tol)
     b = beta.data
-    bl, lb = b @ lam.data, lam.data @ b
 
     # each temporary below is a full matrix; the large ones are released
     # as soon as they are used
 
     # canonical route: half-angle arcsine of the doubling argument
-    doubling = lam.like(0.5j * (bl - lb))
+    doubling = lam.like(0.5j * (b @ lam.data - lam.data @ b))
     arc, clamp_excess = arcsin_m(doubling, metric, eps_clamp)
-    s_form_b = lam.like(-0.5 * arc.data)
-
-    # beta-factored variant: same half-angle formula reached through the
-    # independent lambda - beta lambda beta path (beta from the odd
-    # series cancels the prefactor)
-    companion = lam.like(b @ (0.5j * (lam.data - b @ lam.data @ b)))
-    s = lam.like(-0.5 * arcsin_m(companion, metric, eps_clamp)[0].data)
-    del arc, companion
+    s = lam.like(-0.5 * arc.data)
+    del arc
 
     # form A: full-angle arcsine with the square-root denominator
     # D = 2 sqrt(2 + beta lambda + lambda beta), evaluated as
     # D^{-1/2} (2M) D^{-1/2}; D and D^{-1/2} share one eigenbasis
-    dec = decompose(lam.like(2.0 * np.eye(lam.side) + bl + lb), metric)
     d_op = dec.positive(lambda w: 2.0 * np.sqrt(w))
     half = dec.positive(lambda w: 1.0 / np.sqrt(2.0 * np.sqrt(w)))
-    del dec, bl, lb
+    del dec
     arg_a = lam.like(half @ (2.0 * doubling.data) @ half)
     del half
     s_form_a = lam.like(-arcsin_m(arg_a, metric, eps_clamp)[0].data)
@@ -117,21 +121,14 @@ def generator_from_lambda(
         "hermiticity_defect": float(
             np.linalg.norm(s.data - adjoint_m(s, metric).data) / s_scale
         ),
-        "form_agreement_defect": float(
-            max(
-                np.linalg.norm(s_form_a.data - s_form_b.data),
-                np.linalg.norm(s.data - s_form_b.data),
-                np.linalg.norm(s_form_a.data - s.data),
-            )
-            / s_scale
-        ),
+        "form_agreement_defect": float(np.linalg.norm(s_form_a.data - s.data) / s_scale),
         "denominator_commutator_defect": float(
             np.linalg.norm(doubling.data @ d_op - d_op @ doubling.data)
             / max(float(np.linalg.norm(d_op)), 1e-300)
         ),
         "clamp_excess": clamp_excess,
     }
-    return GeneratorResult(s=s, s_form_a=s_form_a, s_form_b=s_form_b, diagnostics=diagnostics)
+    return GeneratorResult(s=s, s_form_a=s_form_a, diagnostics=diagnostics)
 
 
 def trig_defects(
@@ -152,7 +149,7 @@ def trig_defects(
 
 
 def exp_defect(exponential: np.ndarray, u: BlockOperator) -> float:
-    """||exponential - U||_F / ||U||_F."""
+    """||exponential - U||_F / ||U||_F (also the polar form against U)."""
     return float(np.linalg.norm(exponential - u.data) / max(u.norm(), 1e-300))
 
 

@@ -198,10 +198,7 @@ def arcsin_m(
     1 + eps_clamp]; the clamp snaps them to +-1 and the excess is how
     far the largest |eigenvalue| among them pokes past 1.
     """
-    if metric is Metric.HERMITIAN:
-        dec = decompose(m, metric)
-    else:
-        dec = _decompose_general(m.data)
+    dec = decompose(m, metric, allow_complex=True)
     w = dec.eigenvalues
     real_like = np.abs(w.imag) <= eps_clamp
     excess = max(0.0, float(np.abs(w.real[real_like]).max(initial=0.0)) - 1.0)

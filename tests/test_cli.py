@@ -365,6 +365,34 @@ class TestFloquet:
         assert seen == [3e-11]
 
 
+class TestMalformedConfigValues:
+    """A malformed value is a usage error (exit 2), not a traceback or a
+    structure error."""
+
+    @pytest.mark.parametrize(
+        "command, assignment",
+        [
+            ("floquet", "floquet.window=abc"),
+            ("floquet", "floquet.window=-1"),
+            ("transform", "model.params.m=abc"),
+            ("transform", "model.params.pz=abc"),
+        ],
+    )
+    def test_usage_error(self, tmp_path, capsys, command, assignment):
+        name = "floquet_dirac_vector" if command == "floquet" else "free_dirac"
+        code = run(
+            [
+                command,
+                "--set", f"model.name={name}",
+                "--set", assignment,
+                "--report", str(tmp_path / "report.json"),
+            ]
+        )
+        assert code == 2
+        assert assignment.partition("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+
 class TestDecompositionCounts:
     """One eigendecomposition per distinct matrix in a CLI transform; no
     spectral norm, since every scale comes from known eigenvalues."""
@@ -403,7 +431,7 @@ class TestDecompositionCounts:
                 "--report", str(tmp_path / "report.json"),
             ],
         )
-        assert 0 < calls["eigh"] <= 9
+        assert 0 < calls["eigh"] <= 7
         assert calls["spectral_norm"] == 0
 
     def test_floquet_transform(self, tmp_path, monkeypatch):
@@ -419,7 +447,7 @@ class TestDecompositionCounts:
                 "--report", str(tmp_path / "report.json"),
             ],
         )
-        assert 0 < calls["eigh"] <= 8
+        assert 0 < calls["eigh"] <= 6
         assert calls["eigvalsh"] == 0
         assert calls["spectral_norm"] == 0
 

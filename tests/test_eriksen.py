@@ -110,6 +110,23 @@ class TestTransformStationary:
         assert_allclose(res.h_fw.data, 1.25 * sp.beta.data, atol=1e-12)
         assert res.diagnostics["odd_norm"] <= 1e-10
 
+    def test_involution_checked_once(self, monkeypatch):
+        # U, the polar form and the generator share one check of lambda^2
+        import fwexact.eriksen
+        import fwexact.expgen
+
+        original = fwexact.expgen.check_involution
+        calls = []
+
+        def spy(lam, tol):
+            calls.append(tol)
+            return original(lam, tol)
+
+        for module in (fwexact.eriksen, fwexact.expgen):
+            monkeypatch.setattr(module, "check_involution", spy)
+        transform_stationary(free_dirac(1.0, (0.0, 0.0, 0.75)))
+        assert calls == [1e-8]
+
     def test_grid_model_even_and_isospectral(self):
         sp = dirac_1d(1.0, 32, 2 * np.pi, lambda x: 0.2 * np.cos(x))
         res = transform_stationary(sp)

@@ -9,6 +9,7 @@ from fwexact import (
     Metric,
     beta_matrix,
     dirac_1d,
+    eriksen_unitary,
     exp_i,
     feshbach_villars,
     free_dirac,
@@ -18,7 +19,7 @@ from fwexact import (
     verify_exp_equivalence,
     verify_trig_identities,
 )
-from fwexact.expgen import GeneratorResult
+from fwexact.expgen import GeneratorResult, denominator_decomposition
 
 
 def dirac_generator(pz, m=1.0):
@@ -31,7 +32,7 @@ class TestGenerator:
     def test_zero_when_sign_is_beta(self):
         beta = beta_matrix(4, 1)
         g = generator_from_lambda(beta, beta, Metric.HERMITIAN)
-        for s in (g.s, g.s_form_a, g.s_form_b):
+        for s in (g.s, g.s_form_a):
             assert np.linalg.norm(s.data) <= 1e-15
 
     def test_free_dirac_magnitude(self):
@@ -57,8 +58,7 @@ class TestGenerator:
     def test_three_forms_agree(self):
         _, _, g = dirac_generator(0.75)
         assert g.diagnostics["form_agreement_defect"] <= 1e-9
-        assert np.linalg.norm(g.s_form_a.data - g.s_form_b.data) <= 1e-9
-        assert np.linalg.norm(g.s.data - g.s_form_b.data) <= 1e-10
+        assert np.linalg.norm(g.s_form_a.data - g.s.data) <= 1e-9
 
     def test_non_involution_rejected(self):
         beta = beta_matrix(2, 1)
@@ -71,6 +71,29 @@ class TestGenerator:
         g = generator_from_lambda(lam, sp.beta, sp.metric)
         assert g.diagnostics["form_agreement_defect"] <= 1e-9
         assert g.diagnostics["oddness_defect"] <= 1e-10
+
+
+class TestSharedDenominator:
+    """One decomposition of 2 + beta lambda + lambda beta serves U and
+    form A; handing it in must not change a bit of the result."""
+
+    @pytest.mark.parametrize(
+        "sp",
+        [free_dirac(1.0, (0.0, 0.0, 0.75)), feshbach_villars(1.0, 0.75)],
+        ids=["free_dirac", "feshbach_villars"],
+    )
+    def test_handed_decomposition_is_bit_identical(self, sp):
+        lam = sign_of(sp.total, sp.metric)
+        den = denominator_decomposition(lam, sp.beta, sp.metric)
+        own = generator_from_lambda(lam, sp.beta, sp.metric)
+        handed = generator_from_lambda(lam, sp.beta, sp.metric, dec=den)
+        assert np.array_equal(own.s.data, handed.s.data)
+        assert np.array_equal(own.s_form_a.data, handed.s_form_a.data)
+        assert own.diagnostics == handed.diagnostics
+        assert np.array_equal(
+            eriksen_unitary(lam, sp.beta, sp.metric).data,
+            eriksen_unitary(lam, sp.beta, sp.metric, dec=den).data,
+        )
 
 
 class TestBosonGenerator:
@@ -146,7 +169,6 @@ class TestExpEquivalence:
         bad = GeneratorResult(
             s=g.s.like(g.s.data + 1e-4 * noise),
             s_form_a=g.s_form_a,
-            s_form_b=g.s_form_b,
             diagnostics={},
         )
         defect = verify_exp_equivalence(bad, res.u, sp.metric)
