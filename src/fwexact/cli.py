@@ -87,7 +87,10 @@ class RunConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
-        if "model" not in raw or "name" not in raw["model"]:
+        for section in ("model", "output", "sweep", "floquet"):
+            if not isinstance(raw.get(section) or {}, dict):
+                raise UsageError(f"{section} {raw[section]!r} is not a mapping")
+        if "name" not in (raw.get("model") or {}):
             raise UsageError("config must contain model.name")
         params = raw["model"].get("params", {})
         if not isinstance(params, dict):
@@ -104,7 +107,7 @@ class RunConfig:
             tolerances = Tolerances(**raw.get("tolerances", {}))
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad tolerances: {exc}") from exc
-        output = raw.get("output", {})
+        output = raw.get("output") or {}
         sweep = raw.get("sweep") or {}
         values: list[float] = []
         for v in sweep.get("values", []):

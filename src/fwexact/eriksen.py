@@ -87,7 +87,7 @@ def eriksen_unitary(
         inv_root = dec.positive(lambda w: 1.0 / np.sqrt(w))
     except DomainError as exc:
         raise DomainError(f"eriksen denominator degenerate: {exc}") from exc
-    return lam.like((np.eye(lam.side) + beta.data @ lam.data) @ inv_root)
+    return lam.like((np.eye(lam.side) + beta.flip_rows(lam.data)) @ inv_root)
 
 
 def eriksen_unitary_alt(
@@ -105,7 +105,7 @@ def eriksen_unitary_alt(
     """
     if lambda_sq_tol is not None:
         check_involution(lam, lambda_sq_tol)
-    numerator = lam.like(np.eye(lam.side) + beta.data @ lam.data)
+    numerator = lam.like(np.eye(lam.side) + beta.flip_rows(lam.data))
     gram = lam.like(adjoint_m(numerator, metric).data @ numerator.data)
     try:
         inv_root = inv_sqrt_spd(gram, metric)
@@ -128,23 +128,22 @@ def verify_eriksen_identities(
     reason to vanish for bosons.
     """
     lam, u = result.sign_op.data, result.u.data
-    b = beta.data
     eye = np.eye(result.sign_op.side)
-    bl, lb = b @ lam, lam @ b
+    bl, lb = beta.flip_rows(lam), beta.flip_cols(lam)
     out = {
         "lambda_sq_defect": identity_defect(lam @ lam - eye),
         "sign_products_commute_defect": identity_defect(bl @ lb - lb @ bl),
         "anticommutator_even_defect": identity_defect(
-            b @ (bl + lb) - (bl + lb) @ b
+            beta.flip_rows(bl + lb) - beta.flip_cols(bl + lb)
         ),
-        "eriksen_defect": identity_defect(b @ u - u.conj().T @ b),
+        "eriksen_defect": identity_defect(beta.flip_rows(u) - beta.flip_cols(u.conj().T)),
         "unitarity_defect": identity_defect(
             u @ adjoint_m(result.u, metric).data - eye
         ),
     }
     if metric is Metric.BETA_PSEUDO:
         out["pseudo_unitarity_defect"] = identity_defect(
-            b @ u.conj().T @ b @ u - eye
+            adjoint_m(result.u, metric).data @ u - eye
         )
     return out
 

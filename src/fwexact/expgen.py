@@ -62,9 +62,9 @@ def denominator_decomposition(
     lambda squares to one within ``lambda_sq_tol`` (None skips it)."""
     if lambda_sq_tol is not None:
         check_involution(lam, lambda_sq_tol)
-    b = beta.data
     return decompose(
-        lam.like(2.0 * np.eye(lam.side) + b @ lam.data + lam.data @ b), metric
+        lam.like(2.0 * np.eye(lam.side) + beta.flip_rows(lam.data) + beta.flip_cols(lam.data)),
+        metric,
     )
 
 
@@ -92,13 +92,12 @@ def generator_from_lambda(
     """
     if dec is None:
         dec = denominator_decomposition(lam, beta, metric, lambda_sq_tol)
-    b = beta.data
 
     # each temporary below is a full matrix; the large ones are released
     # as soon as they are used
 
     # canonical route: half-angle arcsine of the doubling argument
-    doubling = lam.like(0.5j * (b @ lam.data - lam.data @ b))
+    doubling = lam.like(0.5j * (beta.flip_rows(lam.data) - beta.flip_cols(lam.data)))
     arc, clamp_excess = arcsin_m(doubling, metric, eps_clamp)
     s = lam.like(-0.5 * arc.data)
     del arc
@@ -116,7 +115,7 @@ def generator_from_lambda(
     s_scale = max(1.0, s.norm())
     diagnostics = {
         "oddness_defect": float(
-            np.linalg.norm(b @ s.data + s.data @ b) / s_scale
+            np.linalg.norm(beta.flip_rows(s.data) + beta.flip_cols(s.data)) / s_scale
         ),
         "hermiticity_defect": float(
             np.linalg.norm(s.data - adjoint_m(s, metric).data) / s_scale
@@ -136,8 +135,7 @@ def trig_defects(
 ) -> dict[str, float]:
     """sin2s_defect and cos2s_defect (see :func:`verify_trig_identities`)
     from a decomposition of S."""
-    b = beta.data
-    bl, lb = b @ lam.data, lam.data @ b
+    bl, lb = beta.flip_rows(lam.data), beta.flip_cols(lam.data)
     return {
         "sin2s_defect": identity_defect(
             dec_s.apply(lambda w: np.sin(2.0 * w)) + 0.5j * (bl - lb)

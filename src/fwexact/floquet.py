@@ -144,13 +144,12 @@ def _beta_characters(
     """
     w = dec.eigenvalues.real
     v = dec.right_vectors.copy()
-    b = np.diag(beta.data).real
-    chars = np.einsum("ij,i,ij->j", v.conj(), b, v).real
+    chars = np.einsum("ij,i,ij->j", v.conj(), beta.signs, v).real
     edges = np.flatnonzero(np.diff(w) > _EIGENSPACE_TOL * dec.scale) + 1
     for cluster in np.split(np.arange(len(w)), edges):
         if len(cluster) > 1:
             block = v[:, cluster]
-            gram = block.conj().T @ (b[:, None] * block)
+            gram = block.conj().T @ beta.flip_rows(block)
             chars[cluster], rotation = np.linalg.eigh(gram)
             v[:, cluster] = block @ rotation
     return v, chars

@@ -112,6 +112,9 @@ class TestEvenOddParts:
         )
         assert np.linalg.norm(b @ ev - ev @ b) == 0.0
         assert np.linalg.norm(b @ od + od @ b) == 0.0
+        # the sign flips are the dense products with beta, exactly
+        assert_array_equal(beta.flip_rows(a.data), b @ a.data)
+        assert_array_equal(beta.flip_cols(a.data), a.data @ b)
 
 
 class TestAdjoint:
@@ -181,6 +184,13 @@ class TestSplit:
         mass = BlockOperator(np.array([[0, 1], [1, 0]], dtype=complex), 2, 1)
         h = BlockOperator(np.diag([1.0, -1.0]).astype(complex), 2, 1)
         with pytest.raises(StructureError, match="not even"):
+            split(h, mass, beta, Metric.HERMITIAN)
+
+    def test_mass_block_structure_mismatch_rejected(self):
+        beta = beta_matrix(2, 1)
+        mass = BlockOperator(np.eye(4), 4, 1)
+        h = BlockOperator(np.diag([1.0, -1.0]).astype(complex), 2, 1)
+        with pytest.raises(StructureError, match="block structure mismatch"):
             split(h, mass, beta, Metric.HERMITIAN)
 
     def test_validate_reports_defects(self):

@@ -376,6 +376,10 @@ class TestMalformedConfigValues:
             ("floquet", "floquet.window=-1"),
             ("transform", "model.params.m=abc"),
             ("transform", "model.params.pz=abc"),
+            ("transform", "floquet=abc"),
+            ("transform", "sweep=abc"),
+            ("transform", "output=abc"),
+            ("transform", "model=username"),
         ],
     )
     def test_usage_error(self, tmp_path, capsys, command, assignment):
