@@ -8,15 +8,26 @@ Fermionic Hamiltonians are self-adjoint under the plain Hermitian
 metric; bosonic first-order wave equations are self-adjoint under the
 beta-weighted metric, A -> beta A^dag beta.
 
+Every operator the transforms build after the sign operator is even or
+odd, so they work on its four parity blocks (upper-upper, upper-lower,
+lower-upper, lower-lower): :attr:`BlockOperator.blocks` gives them and
+:meth:`BlockOperator.like_blocks` puts blocks back in the original
+layout.  Only this module knows that layout: the blocks are contiguous
+slices when beta is block-ordered (stationary) and one stable gather
+when the signs interleave per Fourier copy (Floquet).
+
 Everything here is a pure function of immutable inputs; matrices are
 dense complex throughout.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -31,6 +42,52 @@ class Metric(Enum):
     BETA_PSEUDO = "beta-pseudo"
 
 
+class Blocks(NamedTuple):
+    """The four parity blocks of an operator: rows and columns split by
+    the sign of beta, upper (+) before lower (-)."""
+
+    pp: np.ndarray
+    pm: np.ndarray
+    mp: np.ndarray
+    mm: np.ndarray
+
+
+class _Parity:
+    """Index sets of the upper and lower components: slices when beta is
+    block-ordered, index arrays (in ascending order) otherwise."""
+
+    def __init__(self, signs: np.ndarray) -> None:
+        upper, lower = np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)
+        self.half = len(upper)
+        if np.array_equal(upper, np.arange(self.half)):
+            self.upper, self.lower = slice(0, self.half), slice(self.half, len(signs))
+        else:
+            self.upper, self.lower = upper, lower
+
+    def _index(self, rows, cols):
+        if isinstance(rows, slice):
+            return rows, cols
+        return np.ix_(rows, cols)
+
+    def split(self, x: np.ndarray) -> Blocks:
+        up, dn = self.upper, self.lower
+        return Blocks(*(x[self._index(r, c)] for r in (up, dn) for c in (up, dn)))
+
+    def join(self, blocks: tuple[Optional[np.ndarray], ...]) -> np.ndarray:
+        side = 2 * self.half
+        out = np.zeros((side, side), dtype=complex)
+        up, dn = self.upper, self.lower
+        for (r, c), block in zip(((up, up), (up, dn), (dn, up), (dn, dn)), blocks):
+            if block is not None:
+                out[self._index(r, c)] = block
+        return out
+
+
+@lru_cache(maxsize=32)
+def _parity(internal_dim: int, floquet_copies: int) -> _Parity:
+    return _Parity(_grading_signs(internal_dim, floquet_copies))
+
+
 @dataclass(frozen=True)
 class BlockOperator:
     """Square complex matrix tagged with its block structure.
@@ -39,6 +96,8 @@ class BlockOperator:
     ----------
     data : ndarray
         Square complex matrix of side ``internal_dim * floquet_copies``.
+        A complex array is kept as given, without a copy (operators are
+        never modified in place); anything else is converted.
     internal_dim : int
         Dimension of one time-Fourier copy.  Always even: the upper and
         lower spinor-like blocks have ``internal_dim // 2`` components
@@ -53,7 +112,7 @@ class BlockOperator:
     floquet_copies: int = 1
 
     def __post_init__(self) -> None:
-        data = np.array(self.data, dtype=complex)
+        data = np.asarray(self.data, dtype=complex)
         if data.ndim != 2 or data.shape[0] != data.shape[1]:
             raise StructureError(f"operator must be square, got shape {data.shape}")
         if self.internal_dim < 2 or self.internal_dim % 2 != 0:
@@ -76,6 +135,24 @@ class BlockOperator:
     def like(self, data: np.ndarray) -> "BlockOperator":
         """New operator with the same block tags."""
         return BlockOperator(data, self.internal_dim, self.floquet_copies)
+
+    @cached_property
+    def blocks(self) -> Blocks:
+        """The parity blocks: views of ``data`` when beta is block-ordered,
+        copies gathered once otherwise."""
+        return _parity(self.internal_dim, self.floquet_copies).split(self.data)
+
+    def like_blocks(
+        self,
+        pp: Optional[np.ndarray],
+        pm: Optional[np.ndarray],
+        mp: Optional[np.ndarray],
+        mm: Optional[np.ndarray],
+    ) -> "BlockOperator":
+        """New operator with the same block tags from its parity blocks,
+        scattered back to the original layout; None is a zero block."""
+        parity = _parity(self.internal_dim, self.floquet_copies)
+        return self.like(parity.join((pp, pm, mp, mm)))
 
     def norm(self, ord: str | int = "fro") -> float:
         return float(np.linalg.norm(self.data, ord))
@@ -123,6 +200,30 @@ def identity_defect(x: np.ndarray) -> float:
     return float(np.linalg.norm(x)) / np.sqrt(x.shape[0])
 
 
+def add_identity(x: np.ndarray, c: float) -> np.ndarray:
+    """x + c 1, in place: ``x`` must be a square temporary."""
+    x.flat[:: x.shape[0] + 1] += c
+    return x
+
+
+def frobenius(x: np.ndarray) -> float:
+    """Frobenius norm as one BLAS dot product.  The norm of an operator
+    given by blocks is math.hypot of theirs; passing each block as an
+    expression keeps one block temporary alive at a time."""
+    return float(np.sqrt(np.vdot(x, x).real))
+
+
+def relative_odd_norm(a: BlockOperator) -> float:
+    """||odd(A)||_F / ||A||_F, read off the off-diagonal parity blocks."""
+    return math.hypot(frobenius(a.blocks.pm), frobenius(a.blocks.mp)) / max(a.norm(), 1e-300)
+
+
+def adjoint_sign(metric: Metric) -> float:
+    """Sign the off-diagonal parity blocks of a metric adjoint carry:
+    (A^adj)_{+-} = sign * (A_{-+})^dag, diagonal blocks plain adjoints."""
+    return 1.0 if metric is Metric.HERMITIAN else -1.0
+
+
 def _check_same_shape(a: BlockOperator, b: BlockOperator) -> None:
     if (a.internal_dim, a.floquet_copies) != (b.internal_dim, b.floquet_copies):
         raise StructureError(
@@ -165,7 +266,9 @@ class SplitHamiltonian:
     model; the split of the even content between beta*mass and the even
     term is not unique when mass is a nonconstant operator, so it is
     never inferred).  ``even`` commutes with beta, ``odd`` anticommutes,
-    and the total is self-adjoint under ``metric``.
+    and the total is self-adjoint under ``metric``.  ``defects`` holds the
+    structural defect norms measured by :func:`split` (empty for a split
+    assembled by hand).
     """
 
     mass: BlockOperator
@@ -173,6 +276,7 @@ class SplitHamiltonian:
     odd: BlockOperator
     beta: BetaMatrix
     metric: Metric
+    defects: dict[str, float] = dataclasses.field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         for part in (self.mass, self.even, self.odd):
@@ -206,6 +310,16 @@ class SplitHamiltonian:
             )
             / scale,
         }
+        return self._check(defects, tol)
+
+    def check(self, tol: float = TOL_STRUCT) -> dict[str, float]:
+        """The defects :func:`split` measured, held to ``tol`` (measured
+        afresh by :meth:`validate` when the split was assembled by hand)."""
+        if not self.defects:
+            return self.validate(tol)
+        return self._check(dict(self.defects), tol)
+
+    def _check(self, defects: dict[str, float], tol: float) -> dict[str, float]:
         if defects["mass_even_defect"] > tol:
             raise StructureError(
                 f"mass operator is not even: defect {defects['mass_even_defect']:.3e}"
@@ -234,11 +348,11 @@ def split(
 
     The even term is even_part(H) - beta*mass and the odd term is
     odd_part(H).  :meth:`SplitHamiltonian.validate` checks that the mass
-    commutes with beta and H is self-adjoint under ``metric`` to ``tol``.
+    commutes with beta and H is self-adjoint under ``metric`` to ``tol``;
+    its defects are kept on the result.
     """
     _check_same_shape(mass, beta)
     even = h.like(even_part(h, beta).data - beta.flip_rows(mass.data))
     odd = odd_part(h, beta)
     result = SplitHamiltonian(mass=mass, even=even, odd=odd, beta=beta, metric=metric)
-    result.validate(tol)
-    return result
+    return dataclasses.replace(result, defects=result.validate(tol))

@@ -30,7 +30,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .blockop import BlockOperator, Metric, SplitHamiltonian
-from .eriksen import transform_stationary
+from .eriksen import FWResult, transform_stationary
 from .errors import (
     FwExactError,
     SpectralGapError,
@@ -302,9 +302,9 @@ def _print_verdicts(diagnostics: dict[str, float], verdicts: dict[str, str]) -> 
 
 def _run_chain(
     config: RunConfig,
-) -> tuple[dict[str, float], Metric, dict[str, BlockOperator], dict[str, float]]:
-    """Model -> transform; returns diagnostics, metric, dumpable
-    operators and stage timings (ms)."""
+) -> tuple[dict[str, float], Metric, FWResult, dict[str, float]]:
+    """Model -> transform; returns diagnostics, metric, the transform
+    bundle and stage timings (ms)."""
     timings: dict[str, float] = {}
     start = time.perf_counter()
     built = config.model.build()
@@ -320,25 +320,25 @@ def _run_chain(
         )
     else:
         split_h: SplitHamiltonian = built
-        diagnostics = dict(split_h.validate(tol.tol_struct))
+        # the split was validated when the model was built; its defects
+        # are held to the configured tolerance here
+        diagnostics = split_h.check(tol.tol_struct)
         result = transform_stationary(split_h, tol.gap_tol, tol.eps_clamp)
     diagnostics.update(result.diagnostics)
     timings["transform_ms"] = (time.perf_counter() - start) * 1e3
+    diagnostics = {k: float(v) for k, v in diagnostics.items()}
+    return diagnostics, built.metric, result, timings
+
+
+def _dump_operators(config: RunConfig, result: FWResult) -> list[str]:
+    if not config.dump:
+        return []
     operators = {
         "lambda": result.sign_op,
         "u": result.u,
         "h_fw": result.h_fw,
         "s": result.s,
     }
-    diagnostics = {k: float(v) for k, v in diagnostics.items()}
-    return diagnostics, built.metric, operators, timings
-
-
-def _dump_operators(
-    config: RunConfig, operators: dict[str, BlockOperator]
-) -> list[str]:
-    if not config.dump:
-        return []
     directory = Path(config.dump_dir)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
@@ -365,9 +365,9 @@ def cmd_transform(args: argparse.Namespace) -> int:
         config.report_path = args.report
     if args.dump:
         config.dump = True
-    diagnostics, metric, operators, timings = _run_chain(config)
+    diagnostics, metric, result, timings = _run_chain(config)
     verdicts = _verdicts(diagnostics, config.tolerances, metric)
-    dumps = _dump_operators(config, operators)
+    dumps = _dump_operators(config, result)
     report = {
         "schema_version": SCHEMA_VERSION,
         "config": config.echo(),
@@ -427,12 +427,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 floquet_nf=config.floquet_nf,
                 floquet_window=config.floquet_window,
             )
-        diagnostics, metric, operators, _ = _run_chain(point)
+        diagnostics, metric, result, _ = _run_chain(point)
         for key, v in diagnostics.items():
             worst[key] = max(worst.get(key, 0.0), v)
-        s_norm = float(np.linalg.norm(operators["s"].data, 2))
+        # spectral norms from the transform's block decompositions
+        s_norm = result.s_norm
         dispersion = _dispersion(point)
-        measured = float(np.linalg.norm(operators["h_fw"].data, 2))
+        measured = result.h_fw_norm
         row = {
             "parameter": parameter or "",
             "value": value,

@@ -17,14 +17,33 @@ Frobenius norms divided by ||1||_F = sqrt(n), so a clean result sits at
 machine precision and a violation of size eps shows up as roughly eps.
 
 The stationary H and the Floquet operator K = H(t) - i d/dt, which is
-static on the extended space, share one pipeline that decomposes each
-distinct matrix once: the decomposition of H gives lambda, the spectrum
-and the scale, that of 2 + beta lambda + lambda beta gives U and form A
-of S, and one decomposition of S gives sin 2S, cos 2S, exp(iS).
+static on the extended space, share one pipeline with one full-size
+decomposition: that of H, which gives lambda, the spectrum and the gap
+check.  Everything after it is even or odd under beta and is evaluated
+on lambda's parity blocks lambda_{++}, lambda_{+-}, lambda_{-+},
+lambda_{--} (:attr:`~fwexact.blockop.BlockOperator.blocks`), with the
+paper's formulas as the objects computed.  For an operator self-adjoint
+under either metric the diagonal blocks are Hermitian, so every later
+kernel is a half-size ``eigh``, in both metrics:
+
+* the denominator's blocks 2 + 2 lambda_{++} and 2 - 2 lambda_{--} give
+  U and form A of S;
+* the blocks of M^2, of the form-A argument squared and of S^2 give S,
+  its cross-check, sin 2S, cos 2S and exp(iS) (:mod:`fwexact.expgen`);
+* the diagonal blocks of the polar Gram matrix give the polar form;
+* the diagonal blocks of U H U^{-1} give its spectrum.
+
+lambda^2 is formed once, blockwise, for the involution pre-check,
+``lambda_sq_defect`` and ``sign_products_commute_defect``.  Every
+diagnostic is a Frobenius sum over blocks; no full-size temporary is
+held beyond the outputs.  ``anticommutator_even_defect`` is an exact
+zero: beta (beta lambda + lambda beta) and (beta lambda + lambda beta) beta
+are both lambda + beta lambda beta, and sign flips are exact.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,16 +52,35 @@ import numpy as np
 from .blockop import (
     BetaMatrix,
     BlockOperator,
+    Blocks,
     Metric,
     SplitHamiltonian,
+    add_identity,
     adjoint_m,
-    identity_defect,
-    odd_part,
+    adjoint_sign,
+    frobenius,
+    relative_odd_norm,
 )
 from .errors import DomainError
-from .expgen import denominator_decomposition, exp_defect, generator_from_lambda, trig_defects
-from .matfun import SpectralDecomposition, check_involution, decompose, inv_sqrt_spd, sign_of
+from .expgen import (
+    LAMBDA_SQ_TOL,
+    OddSquare,
+    denominator_decomposition,
+    exp_blocks,
+    exp_defect,
+    generator_from_lambda,
+    trig_defects,
+)
+from .matfun import (
+    EvenDecomposition,
+    check_involution,
+    decompose,
+    involution_defects,
+    sign_of,
+)
 from .tolerances import EPS_CLAMP, GAP_TOL
+
+_DEGENERATE = "eriksen denominator degenerate"
 
 
 @dataclass(frozen=True)
@@ -51,7 +89,10 @@ class FWResult:
     Hamiltonian (or transformed Floquet operator) and defect norms.
 
     ``s`` is the exponential generator; both transforms fill it, and it
-    is None only in a bundle assembled by hand.
+    is None only in a bundle assembled by hand.  ``h_fw_norm`` and
+    ``s_norm`` are the spectral norms of ``h_fw`` and ``s``, read off the
+    block decompositions the transforms make (None when assembled by
+    hand).
     """
 
     sign_op: BlockOperator
@@ -60,6 +101,8 @@ class FWResult:
     h_fw: BlockOperator
     diagnostics: dict[str, float]
     s: Optional[BlockOperator] = None
+    h_fw_norm: Optional[float] = None
+    s_norm: Optional[float] = None
 
 
 def eriksen_unitary(
@@ -67,8 +110,8 @@ def eriksen_unitary(
     beta: BetaMatrix,
     metric: Metric,
     *,
-    lambda_sq_tol: float | None = 1e-8,
-    dec: SpectralDecomposition | None = None,
+    lambda_sq_tol: float | None = LAMBDA_SQ_TOL,
+    dec: EvenDecomposition | None = None,
 ) -> BlockOperator:
     """U = (1 + beta lambda) (2 + beta lambda + lambda beta)^{-1/2}.
 
@@ -83,11 +126,40 @@ def eriksen_unitary(
     """
     if dec is None:
         dec = denominator_decomposition(lam, beta, metric, lambda_sq_tol)
+    root_pp, root_mm = _inverse_root(dec)
+    # 1 + beta lambda has blocks 1 + lambda_{++}, lambda_{+-}, -lambda_{-+},
+    # 1 - lambda_{--}; the inverse root is even
+    a, b, c, d = lam.blocks
+    return lam.like_blocks(
+        root_pp + a @ root_pp, b @ root_mm, -(c @ root_pp), root_mm - d @ root_mm
+    )
+
+
+def _inverse_root(dec: EvenDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks of the inverse square root under either unitary form; a
+    spectrum that is not positive is a degenerate denominator."""
     try:
-        inv_root = dec.positive(lambda w: 1.0 / np.sqrt(w))
+        return dec.positive(lambda w: 1.0 / np.sqrt(w))
     except DomainError as exc:
-        raise DomainError(f"eriksen denominator degenerate: {exc}") from exc
-    return lam.like((np.eye(lam.side) + beta.flip_rows(lam.data)) @ inv_root)
+        raise DomainError(f"{_DEGENERATE}: {exc}") from exc
+
+
+def _polar_blocks(lam: BlockOperator, metric: Metric) -> Blocks:
+    """Parity blocks of N (N^adj N)^{-1/2}, N = 1 + beta lambda.
+
+    The Gram matrix N^adj N is decomposed by its diagonal blocks; its
+    off-diagonal blocks are the odd part of lambda^2, which vanishes
+    with lambda^2 - 1 (measured by sign_products_commute_defect).
+    """
+    a, b, c, d = lam.blocks
+    sign = adjoint_sign(metric)
+    n_pp, n_mm = add_identity(a.copy(), 1.0), add_identity(-d, 1.0)
+    gram = EvenDecomposition.of(
+        n_pp.conj().T @ n_pp + sign * (c.conj().T @ c),
+        sign * (b.conj().T @ b) + n_mm.conj().T @ n_mm,
+    )
+    root_pp, root_mm = _inverse_root(gram)
+    return Blocks(n_pp @ root_pp, b @ root_mm, -(c @ root_pp), n_mm @ root_mm)
 
 
 def eriksen_unitary_alt(
@@ -95,7 +167,7 @@ def eriksen_unitary_alt(
     beta: BetaMatrix,
     metric: Metric,
     *,
-    lambda_sq_tol: float | None = 1e-8,
+    lambda_sq_tol: float | None = LAMBDA_SQ_TOL,
 ) -> BlockOperator:
     """Polar form U = N (N^adj N)^{-1/2} with N = 1 + beta lambda.
 
@@ -105,13 +177,44 @@ def eriksen_unitary_alt(
     """
     if lambda_sq_tol is not None:
         check_involution(lam, lambda_sq_tol)
-    numerator = lam.like(np.eye(lam.side) + beta.flip_rows(lam.data))
-    gram = lam.like(adjoint_m(numerator, metric).data @ numerator.data)
-    try:
-        inv_root = inv_sqrt_spd(gram, metric)
-    except DomainError as exc:
-        raise DomainError(f"eriksen denominator degenerate: {exc}") from exc
-    return lam.like(numerator.data @ inv_root.data)
+    return lam.like_blocks(*_polar_blocks(lam, metric))
+
+
+def _unitary_defects(u: BlockOperator, metric: Metric) -> dict[str, float]:
+    """eriksen_defect, unitarity_defect and (beta-pseudo metric)
+    pseudo_unitarity_defect from the parity blocks of U; the adjoint's
+    off-diagonal blocks carry :func:`~fwexact.blockop.adjoint_sign`."""
+    pp, pm, mp, mm = u.blocks
+    sign = adjoint_sign(metric)
+    root_n = math.sqrt(u.side)
+
+    def h(x: np.ndarray) -> np.ndarray:
+        return x.conj().T
+
+    out = {
+        "eriksen_defect": math.hypot(
+            frobenius(pp - h(pp)),
+            frobenius(pm + h(mp)),
+            frobenius(mp + h(pm)),
+            frobenius(mm - h(mm)),
+        )
+        / root_n,
+        "unitarity_defect": math.hypot(
+            frobenius(add_identity(pp @ h(pp) + sign * (pm @ h(pm)), -1.0)),
+            frobenius(sign * (pp @ h(mp)) + pm @ h(mm)),
+            frobenius(mp @ h(pp) + sign * (mm @ h(pm))),
+            frobenius(add_identity(sign * (mp @ h(mp)) + mm @ h(mm), -1.0)),
+        )
+        / root_n,
+    }
+    if metric is Metric.BETA_PSEUDO:
+        out["pseudo_unitarity_defect"] = math.hypot(
+            frobenius(add_identity(h(pp) @ pp + sign * (h(mp) @ mp), -1.0)),
+            frobenius(h(pp) @ pm + sign * (h(mp) @ mm)),
+            frobenius(sign * (h(pm) @ pp) + h(mm) @ mp),
+            frobenius(add_identity(sign * (h(pm) @ pm) + h(mm) @ mm, -1.0)),
+        ) / root_n
+    return out
 
 
 def verify_eriksen_identities(
@@ -121,36 +224,26 @@ def verify_eriksen_identities(
 
     Keys: lambda_sq_defect, sign_products_commute_defect (commutator of
     beta*lambda with lambda*beta), anticommutator_even_defect
-    (commutator of beta with the anticommutator), eriksen_defect
-    (beta U - U^dag beta), unitarity_defect (U U^adj - 1) and, for the
-    beta-pseudo metric, pseudo_unitarity_defect.  The raw
+    (commutator of beta with the anticommutator; zero by construction),
+    eriksen_defect (beta U - U^dag beta), unitarity_defect (U U^adj - 1)
+    and, for the beta-pseudo metric, pseudo_unitarity_defect.  The raw
     beta U - U^dag beta defect is always reported even though it has no
     reason to vanish for bosons.
     """
-    lam, u = result.sign_op.data, result.u.data
-    eye = np.eye(result.sign_op.side)
-    bl, lb = beta.flip_rows(lam), beta.flip_cols(lam)
-    out = {
-        "lambda_sq_defect": identity_defect(lam @ lam - eye),
-        "sign_products_commute_defect": identity_defect(bl @ lb - lb @ bl),
-        "anticommutator_even_defect": identity_defect(
-            beta.flip_rows(bl + lb) - beta.flip_cols(bl + lb)
-        ),
-        "eriksen_defect": identity_defect(beta.flip_rows(u) - beta.flip_cols(u.conj().T)),
-        "unitarity_defect": identity_defect(
-            u @ adjoint_m(result.u, metric).data - eye
-        ),
-    }
-    if metric is Metric.BETA_PSEUDO:
-        out["pseudo_unitarity_defect"] = identity_defect(
-            adjoint_m(result.u, metric).data @ u - eye
-        )
-    return out
+    return _identity_defects(involution_defects(result.sign_op), result.u, metric)
+
+
+def _identity_defects(
+    involution: dict[str, float], u: BlockOperator, metric: Metric
+) -> dict[str, float]:
+    """The involution defects of lambda with those of U
+    (see :func:`verify_eriksen_identities`)."""
+    return {**involution, "anticommutator_even_defect": 0.0, **_unitary_defects(u, metric)}
 
 
 def verify_even_transformed(h_fw: BlockOperator, beta: BetaMatrix) -> float:
     """Relative odd-part norm ||odd(H')||_F / ||H'||_F."""
-    return odd_part(h_fw, beta).norm() / max(h_fw.norm(), 1e-300)
+    return relative_odd_norm(h_fw)
 
 
 def _transform(
@@ -165,39 +258,41 @@ def _transform(
 
     U^{-1} is the metric adjoint of U (the residual is unitarity_defect).
     Diagnostics: the unitary identities, spectrum_defect (largest shift
-    of the sorted spectrum under the similarity, relative to ||H||_2),
-    the generator defects, the doubling identities and
-    exp_equivalence_defect.
+    of the sorted spectrum under the similarity, relative to the
+    spectral radius of H), the generator defects, the doubling
+    identities and exp_equivalence_defect.
     """
     dec = decompose(h, metric)
     lam = sign_of(h, metric, gap_tol, dec)
     before, scale = np.sort(dec.eigenvalues.real), max(dec.scale, 1e-300)
     del dec
-    # one decomposition of the denominator serves U and form A; it is
-    # released before U H U^{-1} and its eigh, which set the peak memory
-    den = denominator_decomposition(lam, beta, metric)
+    involution = check_involution(lam, LAMBDA_SQ_TOL)
+    # one decomposition of the denominator serves U and form A
+    den = denominator_decomposition(lam, beta, metric, lambda_sq_tol=None)
     u = eriksen_unitary(lam, beta, metric, dec=den)
     generator = generator_from_lambda(lam, beta, metric, eps_clamp=eps_clamp, dec=den)
-    del den
+    s, generator_defects = generator.s, generator.diagnostics
+    del den, generator
     u_inverse = adjoint_m(u, metric)
     h_fw = h.like(u.data @ h.data @ u_inverse.data)
-    after = np.sort(decompose(h_fw, metric).eigenvalues.real)
+    # U H U^{-1} is even and metric-self-adjoint: Hermitian diagonal blocks
+    after = np.sort(np.linalg.eigvalsh(np.stack((h_fw.blocks.pp, h_fw.blocks.mm))), axis=None)
+    square = OddSquare(s.blocks.pm, s.blocks.mp)
     result = FWResult(
         sign_op=lam,
         u=u,
         u_inverse=u_inverse,
         h_fw=h_fw,
-        diagnostics={},
-        s=generator.s,
+        diagnostics=_identity_defects(involution, u, metric),
+        s=s,
+        h_fw_norm=float(np.abs(after).max(initial=0.0)),
+        s_norm=square.norm_2(),
     )
-    result.diagnostics.update(verify_eriksen_identities(result, beta, metric))
     result.diagnostics["spectrum_defect"] = float(np.abs(before - after).max()) / scale
-    result.diagnostics.update(generator.diagnostics)
-    # one decomposition of S serves sin 2S, cos 2S and exp(iS)
-    dec_s = decompose(generator.s, metric, allow_complex=True)
-    result.diagnostics.update(trig_defects(dec_s, lam, beta))
-    exponential = dec_s.apply(lambda w: np.exp(1j * w))
-    result.diagnostics["exp_equivalence_defect"] = exp_defect(exponential, u)
+    result.diagnostics.update(generator_defects)
+    # one square of S serves sin 2S, cos 2S and exp(iS)
+    result.diagnostics.update(trig_defects(square, lam))
+    result.diagnostics["exp_equivalence_defect"] = exp_defect(exp_blocks(square), u)
     return result
 
 
@@ -215,12 +310,19 @@ def transform_stationary(
     h = split_h.total
     beta, metric = split_h.beta, split_h.metric
     result = _transform(h, beta, metric, gap_tol, eps_clamp)
-    u, lam = result.u, result.sign_op
-    u_alt = eriksen_unitary_alt(lam, beta, metric, lambda_sq_tol=None)
-    result.diagnostics["odd_norm"] = verify_even_transformed(result.h_fw, beta)
-    result.diagnostics["alt_form_defect"] = exp_defect(u_alt.data, u)
+    lam = result.sign_op
+    result.diagnostics["odd_norm"] = relative_odd_norm(result.h_fw)
+    result.diagnostics["alt_form_defect"] = exp_defect(_polar_blocks(lam, metric), result.u)
     # sqrt(H^2) is even when the mass is constant and the even term
     # vanishes, but not in general; reported, never asserted
-    abs_h = h.like(lam.data @ h.data)
-    result.diagnostics["sqrt_h2_odd_norm"] = verify_even_transformed(abs_h, beta)
+    result.diagnostics["sqrt_h2_odd_norm"] = _sqrt_h2_odd_norm(lam, h)
     return result
+
+
+def _sqrt_h2_odd_norm(lam: BlockOperator, h: BlockOperator) -> float:
+    """Relative odd norm of sqrt(H^2) = lambda H, one block at a time."""
+    a, b, c, d = lam.blocks
+    h_pp, h_pm, h_mp, h_mm = h.blocks
+    odd = math.hypot(frobenius(a @ h_pm + b @ h_mm), frobenius(c @ h_pp + d @ h_mp))
+    even = math.hypot(frobenius(a @ h_pp + b @ h_mp), frobenius(c @ h_pm + d @ h_mm))
+    return odd / max(math.hypot(odd, even), 1e-300)

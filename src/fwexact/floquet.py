@@ -46,11 +46,12 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .blockop import BetaMatrix, BlockOperator, Metric, adjoint_m, beta_matrix, odd_part
+from .blockop import BetaMatrix, BlockOperator, Metric, adjoint_m, beta_matrix, relative_odd_norm
 from .errors import DomainError, SpectralGapError, StructureError
 from .eriksen import FWResult, _transform, eriksen_unitary
 from .matfun import SpectralDecomposition, check_gap, decompose, sign_of
@@ -77,8 +78,9 @@ class ExtendedOperator:
     def internal_dim(self) -> int:
         return self.op.internal_dim
 
-    @property
+    @cached_property
     def beta(self) -> BetaMatrix:
+        """The extended grading matrix, built once per operator."""
         return beta_matrix(self.op.internal_dim, self.op.floquet_copies)
 
 
@@ -281,10 +283,9 @@ def central_window(a: BlockOperator, window: int) -> BlockOperator:
 
 
 def central_odd_norm(a: BlockOperator, window: int) -> float:
-    """Relative odd-part norm on the central window of Fourier copies."""
-    sub = central_window(a, window)
-    beta = beta_matrix(sub.internal_dim, sub.floquet_copies)
-    return odd_part(sub, beta).norm() / max(sub.norm(), 1e-300)
+    """Relative odd-part norm on the central window of Fourier copies,
+    from the window's parity blocks."""
+    return relative_odd_norm(central_window(a, window))
 
 
 def _transformed_odd_norm(

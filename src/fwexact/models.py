@@ -56,14 +56,18 @@ def free_dirac(m: float, p: tuple[float, float, float]) -> SplitHamiltonian:
     mass = m*1 (so the even term vanishes) and odd = alpha.p; the
     spectrum is +-sqrt(m^2 + p^2), doubly degenerate.
     """
-    if m <= 0:
-        raise StructureError(f"mass must be positive, got {m}")
-    px, py, pz = (float(c) for c in p)
-    odd = ALPHA[0] * px + ALPHA[1] * py + ALPHA[2] * pz
-    h = BETA4 * m + odd
+    h = _free_dirac_matrix(m, p)
     beta = beta_matrix(4, 1)
     mass = BlockOperator(m * np.eye(4, dtype=complex), 4, 1)
     return split(BlockOperator(h, 4, 1), mass, beta, Metric.HERMITIAN)
+
+
+def _free_dirac_matrix(m: float, p: tuple[float, float, float]) -> np.ndarray:
+    """alpha.p + beta m as a plain 4x4 matrix."""
+    if m <= 0:
+        raise StructureError(f"mass must be positive, got {m}")
+    px, py, pz = (float(c) for c in p)
+    return BETA4 * m + (ALPHA[0] * px + ALPHA[1] * py + ALPHA[2] * pz)
 
 
 def spectral_momentum(n: int, length: float) -> np.ndarray:
@@ -202,7 +206,7 @@ def floquet_dirac_scalar(
 ) -> TimePeriodicHamiltonian:
     """Dirac particle in a uniform oscillating scalar potential:
     H(t) = alpha.p + beta m + V1 cos(w t) * 1 (even drive)."""
-    h0 = free_dirac(m, p).total.data
+    h0 = _free_dirac_matrix(m, p)
     modes: list[tuple[int, np.ndarray]] = [(0, h0)]
     if v1 != 0.0:
         half = (v1 / 2.0) * np.eye(4, dtype=complex)
@@ -215,7 +219,7 @@ def floquet_dirac_vector(
 ) -> TimePeriodicHamiltonian:
     """Dirac particle in an oscillating vector potential along z:
     H(t) = alpha.(p - A1 cos(w t) z-hat) + beta m (odd drive)."""
-    h0 = free_dirac(m, p).total.data
+    h0 = _free_dirac_matrix(m, p)
     modes: list[tuple[int, np.ndarray]] = [(0, h0)]
     if a1 != 0.0:
         half = -(a1 / 2.0) * ALPHA[2]

@@ -198,3 +198,56 @@ class TestSplit:
         defects = sp.validate()
         assert all(v >= 0.0 for v in defects.values())
         assert max(defects.values()) <= 1e-12
+
+    def test_split_keeps_its_defects(self):
+        sp = free_dirac(1.0, (0.1, 0.2, 0.3))
+        assert sp.defects == sp.validate()
+        assert sp.check(1e-12) == sp.defects
+
+    def test_check_holds_kept_defects_to_the_tolerance(self):
+        import dataclasses
+
+        sp = free_dirac(1.0, (0.1, 0.2, 0.3))
+        noisy = dataclasses.replace(sp, defects={**sp.defects, "self_adjoint_defect": 1e-9})
+        assert noisy.check(1e-6)["self_adjoint_defect"] == 1e-9
+        with pytest.raises(MetricViolationError, match="not self-adjoint"):
+            noisy.check(1e-12)
+
+    def test_check_validates_a_split_assembled_by_hand(self):
+        from fwexact import SplitHamiltonian
+
+        sp = free_dirac(1.0, (0.1, 0.2, 0.3))
+        by_hand = SplitHamiltonian(sp.mass, sp.even, sp.odd, sp.beta, sp.metric)
+        assert by_hand.defects == {}
+        assert by_hand.check() == sp.defects
+
+
+class TestParityBlocks:
+    """blocks splits rows and columns by the sign of beta; like_blocks
+    scatters them back to the original layout."""
+
+    @pytest.mark.parametrize("internal_dim, copies", [(4, 1), (2, 1), (4, 3), (6, 2)])
+    def test_blocks_follow_the_signs_of_beta(self, internal_dim, copies):
+        a = random_operator(3, internal_dim, copies)
+        signs = beta_matrix(internal_dim, copies).signs
+        up, dn = np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)
+        blocks = a.blocks
+        assert_array_equal(blocks.pp, a.data[np.ix_(up, up)])
+        assert_array_equal(blocks.pm, a.data[np.ix_(up, dn)])
+        assert_array_equal(blocks.mp, a.data[np.ix_(dn, up)])
+        assert_array_equal(blocks.mm, a.data[np.ix_(dn, dn)])
+        assert_array_equal(a.like_blocks(*blocks).data, a.data)
+
+    def test_stationary_blocks_are_views(self):
+        a = random_operator(4)
+        assert all(np.shares_memory(x, a.data) for x in a.blocks)
+
+    def test_missing_blocks_are_zero(self):
+        a = random_operator(5, 4, 3)
+        beta = beta_matrix(4, 3)
+        assert_array_equal(
+            a.like_blocks(None, a.blocks.pm, a.blocks.mp, None).data, odd_part(a, beta).data
+        )
+        assert_array_equal(
+            a.like_blocks(a.blocks.pp, None, None, a.blocks.mm).data, even_part(a, beta).data
+        )

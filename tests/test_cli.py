@@ -398,19 +398,23 @@ class TestMalformedConfigValues:
 
 
 class TestDecompositionCounts:
-    """One eigendecomposition per distinct matrix in a CLI transform; no
-    spectral norm, since every scale comes from known eigenvalues."""
+    """One full-size decomposition per CLI transform, that of H (or K);
+    every later kernel is a half-size block decomposition, and no
+    spectral norm is taken, since every scale comes from known
+    eigenvalues."""
 
-    @staticmethod
-    def count(monkeypatch, argv):
+    DECOMPOSITIONS = ("eigh", "eig", "eigvalsh", "svd")
+
+    @classmethod
+    def count(cls, monkeypatch, argv):
         calls = Counter()
         linalg = np.linalg
-        for name in ("eigh", "eigvalsh"):
+        for name in cls.DECOMPOSITIONS:
             original = getattr(linalg, name)
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+            def counted(a, *args, _name=name, _original=original, **kwargs):
+                calls[_name, np.shape(a)[-1]] += 1
+                return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(linalg, name, counted)
         norm = linalg.norm
@@ -424,36 +428,122 @@ class TestDecompositionCounts:
         assert run(argv) == 0
         return calls
 
+    @staticmethod
+    def by_side(calls, side):
+        return sum(n for key, n in calls.items() if isinstance(key, tuple) and key[1] == side)
+
+    def check_transform(self, tmp_path, monkeypatch, side, assignments):
+        argv = ["transform", "--report", str(tmp_path / "report.json")]
+        for assignment in assignments:
+            argv += ["--set", assignment]
+        calls = self.count(monkeypatch, argv)
+        full, half = self.by_side(calls, side), self.by_side(calls, side // 2)
+        assert full == 1
+        assert 0 < half <= 12
+        assert sum(calls.values()) - calls["spectral_norm"] == full + half
+        assert calls["spectral_norm"] == 0
+
     def test_stationary_transform(self, tmp_path, monkeypatch):
+        self.check_transform(
+            tmp_path,
+            monkeypatch,
+            32,
+            ["model.name=dirac_1d", "model.params.N=8", "model.params.V1=0.2"],
+        )
+
+    def test_floquet_transform(self, tmp_path, monkeypatch):
+        self.check_transform(
+            tmp_path,
+            monkeypatch,
+            36,
+            [
+                "model.name=floquet_dirac_vector",
+                "model.params.pz=0.5",
+                "model.params.A1=0.2",
+                "model.params.omega=0.08",
+                "floquet.nf=[4]",
+            ],
+        )
+
+    def test_pseudo_metric_transform(self, tmp_path, monkeypatch):
+        self.check_transform(
+            tmp_path,
+            monkeypatch,
+            2,
+            ["model.name=feshbach_villars", "model.params.p=0.75"],
+        )
+
+    def test_sweep_takes_no_spectral_norm(self, tmp_path, monkeypatch):
         calls = self.count(
             monkeypatch,
             [
-                "transform",
+                "sweep",
                 "--set", "model.name=dirac_1d",
                 "--set", "model.params.N=8",
-                "--set", "model.params.V1=0.2",
-                "--report", str(tmp_path / "report.json"),
+                "--set", "sweep.parameter=V1",
+                "--set", "sweep.values=[0.1,0.2,0.3]",
+                "--report", str(tmp_path / "sweep.json"),
             ],
         )
-        assert 0 < calls["eigh"] <= 7
+        assert self.by_side(calls, 32) == 3
         assert calls["spectral_norm"] == 0
 
-    def test_floquet_transform(self, tmp_path, monkeypatch):
-        calls = self.count(
-            monkeypatch,
+
+class TestBuildCounts:
+    """The split is validated once per stationary transform, and the
+    extended grading matrix is built once per Floquet transform."""
+
+    def test_validate_once_per_transform_and_sweep_point(self, tmp_path, monkeypatch):
+        from fwexact.blockop import SplitHamiltonian
+
+        original = SplitHamiltonian.validate
+        calls = []
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SplitHamiltonian, "validate", counted)
+        base = ["--set", "model.name=dirac_1d", "--set", "model.params.N=8"]
+        assert run(["transform", *base, "--report", str(tmp_path / "t.json")]) == 0
+        assert len(calls) == 1
+        sweep = [
+            "--set", "sweep.parameter=V1",
+            "--set", "sweep.values=[0.1,0.2,0.3]",
+            "--report", str(tmp_path / "s.json"),
+        ]
+        assert run(["sweep", *base, *sweep]) == 0
+        assert len(calls) == 1 + 3
+
+    def test_floquet_transform_builds_beta_once(self, tmp_path, monkeypatch):
+        import fwexact.blockop
+
+        original = fwexact.blockop.beta_matrix
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if (
+                getattr(module, "__name__", "").startswith("fwexact")
+                and getattr(module, "beta_matrix", None) is original
+            ):
+                monkeypatch.setattr(module, "beta_matrix", counted)
+        code = run(
             [
                 "transform",
                 "--set", "model.name=floquet_dirac_vector",
                 "--set", "model.params.pz=0.5",
                 "--set", "model.params.A1=0.2",
-                "--set", "model.params.omega=0.08",
-                "--set", "floquet.nf=[4]",
+                "--set", "model.params.omega=0.03",
+                "--set", "floquet.nf=[8]",
                 "--report", str(tmp_path / "report.json"),
-            ],
+            ]
         )
-        assert 0 < calls["eigh"] <= 6
-        assert calls["eigvalsh"] == 0
-        assert calls["spectral_norm"] == 0
+        assert code == 0
+        assert len(calls) <= 1
 
 
 class TestMatrixDump:

@@ -267,3 +267,100 @@ class TestEvenness:
         sp = free_dirac(1.0, (0.0, 0.0, 0.75))
         res = transform_stationary(sp)
         assert verify_even_transformed(res.h_fw, sp.beta) <= 1e-10
+
+
+def _reference(h, signs, hermitian):
+    """Full-size Eriksen U, generator S = -(1/2) arcsin M and U H U^{-1},
+    evaluated here with numpy's own eig/eigh, independent of the library's
+    parity blocks."""
+
+    def function(a, f):
+        if hermitian:
+            w, v = np.linalg.eigh(a)
+            return (v * f(w)) @ v.conj().T
+        w, v = np.linalg.eig(a)
+        return (v * f(w)) @ np.linalg.inv(v)
+
+    n = h.shape[0]
+    beta = np.diag(signs).astype(complex)
+    lam = function(h, lambda w: np.sign(w.real))
+    bl, lb = beta @ lam, lam @ beta
+    u = (np.eye(n) + bl) @ function(2.0 * np.eye(n) + bl + lb, lambda w: 1.0 / np.sqrt(w.real))
+    s = -0.5 * function(0.5j * (bl - lb), np.arcsin)
+    u_inv = u.conj().T if hermitian else beta @ u.conj().T @ beta
+    return u, s, u @ h @ u_inv
+
+
+class TestParityRoute:
+    """The block evaluation against a test-local full-size one, on a
+    beta-pseudo Hamiltonian and on the interleaved Floquet layout."""
+
+    @pytest.mark.parametrize("side", [8, 16])
+    def test_beta_pseudo_random(self, side):
+        # H = beta K with K Hermitian positive definite is exactly
+        # beta-pseudo-Hermitian, with a real gapped spectrum
+        from fwexact import split
+
+        rng = np.random.default_rng(side)
+        x = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+        k = x @ x.conj().T / side + 0.2 * np.eye(side)
+        k = (k + k.conj().T) / 2
+        beta = beta_matrix(side, 1)
+        h = BlockOperator(beta.flip_rows(k), side, 1)
+        zero = BlockOperator(np.zeros((side, side)), side, 1)
+        res = transform_stationary(split(h, zero, beta, Metric.BETA_PSEUDO))
+        u, s, h_fw = _reference(h.data, beta.signs, hermitian=False)
+        tol = 1e-12 * np.sqrt(side)
+        assert np.linalg.norm(res.u.data - u) <= tol
+        assert np.linalg.norm(res.s.data - s) <= tol
+        assert np.linalg.norm(res.h_fw.data - h_fw) <= tol * max(np.linalg.norm(h_fw), 1.0)
+        for key in ("odd_norm", "pseudo_unitarity_defect", "hermiticity_defect",
+                    "exp_equivalence_defect", "sin2s_defect", "cos2s_defect"):
+            assert res.diagnostics[key] <= 1e-10, key
+
+    def test_interleaved_floquet_layout(self):
+        from fwexact import floquet_dirac_vector, transform_nonstationary
+        from fwexact.floquet import build_extended
+
+        model = floquet_dirac_vector(1.0, (0.0, 0.0, 0.5), 0.2, 0.08)
+        res = transform_nonstationary(model, 4)
+        k = build_extended(model, 4)
+        u, s, h_fw = _reference(k.op.data, k.beta.signs, hermitian=True)
+        tol = 1e-12 * np.sqrt(k.op.side)
+        assert np.linalg.norm(res.u.data - u) <= tol
+        assert np.linalg.norm(res.s.data - s) <= tol
+        assert np.linalg.norm(res.h_fw.data - h_fw) <= tol * np.linalg.norm(h_fw)
+
+    @pytest.mark.parametrize("internal_dim, copies", [(4, 1), (4, 2)])
+    def test_zero_denominator_block_eigenvalue(self, internal_dim, copies):
+        # lambda = beta with one upper component flipped squares to one,
+        # and 2 + 2 lambda_{++} gets one zero eigenvalue
+        beta = beta_matrix(internal_dim, copies)
+        signs = beta.signs.copy()
+        signs[-internal_dim] = -1.0
+        lam = BlockOperator(np.diag(signs), internal_dim, copies)
+        with pytest.raises(DomainError, match="eriksen denominator degenerate"):
+            eriksen_unitary(lam, beta, Metric.HERMITIAN)
+
+    def test_non_self_adjoint_sign_operator_rejected(self):
+        from fwexact import MetricViolationError
+
+        beta = beta_matrix(4, 1)
+        lam = BlockOperator(np.diag([1.0, 1.0, -1.0, -1.0]), 4, 1)
+        lam.data[0, 1] = 1e-3
+        with pytest.raises(MetricViolationError):
+            eriksen_unitary(lam, beta, Metric.HERMITIAN, lambda_sq_tol=None)
+
+    @pytest.mark.parametrize(
+        "sp",
+        [
+            free_dirac(1.0, (0.1, -0.2, 0.75)),
+            dirac_1d(1.0, 8, 2 * np.pi, lambda x: 0.3 * np.cos(x)),
+            feshbach_villars(1.0, 2.5),
+        ],
+        ids=["free_dirac", "dirac_1d", "feshbach_villars"],
+    )
+    def test_spectral_norms_from_blocks(self, sp):
+        res = transform_stationary(sp)
+        assert abs(res.h_fw_norm - np.linalg.norm(res.h_fw.data, 2)) <= 1e-12 * res.h_fw_norm
+        assert abs(res.s_norm - np.linalg.norm(res.s.data, 2)) <= 1e-12
