@@ -8,10 +8,12 @@ sweep         one transform per parameter value, CSV table of key numbers
 floquet       compare the naive and extended sign operators
 
 Each run command takes ``--config <json>``, repeated ``--set key=value``
-dotted-path overrides, ``--report <path>`` and ``--dump``.  Reports are
-JSON with schema_version "1" and are byte-identical across reruns of the
-same configuration except for the timings block.  Exit codes: 0 all
-verdicts pass, 2 usage/config error, 3 spectral gap violation,
+dotted-path overrides and ``--report <path>``.  ``--dump`` (or
+``output.dump``) writes the operator matrices of ``transform`` and is a
+usage error for the other commands.  Reports are JSON with
+schema_version "1" and are byte-identical across reruns of the same
+configuration except for the timings block.  Exit codes: 0 all verdicts
+pass, 2 usage/config error, 3 spectral gap violation,
 4 invariant or tolerance failure, 5 I/O failure.
 """
 
@@ -226,24 +228,22 @@ _HEADER_RE = re.compile(
 )
 
 
-def _format_entry(z: complex) -> str:
-    return f"{z.real:.17g}{z.imag:+.17g}j"
-
-
 def dump_matrix(a: BlockOperator, path: str | Path) -> Path:
     """Write a block operator as CSV with a shape header.
 
     Entries are ``re+imj`` with 17 significant digits, which round-trips
-    IEEE doubles bit for bit.
+    IEEE doubles bit for bit.  Each row is one ``%`` format over its
+    interleaved real and imaginary parts, written as it is formatted.
     """
     path = Path(path)
-    lines = [
-        f"# rows={a.side} cols={a.side} internal_dim={a.internal_dim} "
-        f"floquet_copies={a.floquet_copies}"
-    ]
-    for row in a.data:
-        lines.append(",".join(_format_entry(z) for z in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    row_format = ",".join(["%.17g%+.17gj"] * a.side) + "\n"
+    interleaved = np.ascontiguousarray(a.data).view(np.float64)
+    with path.open("w", encoding="utf-8") as out:
+        out.write(
+            f"# rows={a.side} cols={a.side} internal_dim={a.internal_dim} "
+            f"floquet_copies={a.floquet_copies}\n"
+        )
+        out.writelines(row_format % tuple(row.tolist()) for row in interleaved)
     return path
 
 
@@ -402,12 +402,19 @@ _IDENTITY_KEYS = tuple(
 )
 
 
+def _reject_dump(args: argparse.Namespace, config: RunConfig) -> None:
+    if args.dump or config.dump:
+        raise UsageError(
+            f"--dump / output.dump: the {args.command} command writes no "
+            "matrix dumps (only transform does)"
+        )
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config, args.set or [])
+    _reject_dump(args, config)
     if args.report:
         config.report_path = args.report
-    if args.dump:
-        config.dump = True
     parameter = config.sweep_parameter
     values: tuple[float, ...] = config.sweep_values
     if parameter is None or not values:
@@ -490,6 +497,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_floquet(args: argparse.Namespace) -> int:
     config = load_config(args.config, args.set or [])
+    _reject_dump(args, config)
     if args.report:
         config.report_path = args.report
     if config.model.kind != "floquet":
@@ -582,7 +590,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="override a config entry by dotted path (repeatable)",
         )
         cmd.add_argument("--report", help="report output path")
-        cmd.add_argument("--dump", action="store_true", help="dump operator matrices")
+        cmd.add_argument(
+            "--dump", action="store_true", help="dump operator matrices (transform only)"
+        )
         cmd.set_defaults(func=func)
     return parser
 

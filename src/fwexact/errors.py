@@ -22,7 +22,15 @@ class EigendecompositionError(FwExactError):
 
 class SpectralGapError(FwExactError):
     """Spectrum touches zero, so the sign operator is undefined.  In the
-    Floquet extended space this signals a quasienergy resonance."""
+    Floquet extended space this signals a quasienergy resonance.
+
+    ``index`` is the stack position of the first matrix without a gap
+    when a stack was checked, None for a single matrix.
+    """
+
+    def __init__(self, message: str, index: int | None = None) -> None:
+        super().__init__(message)
+        self.index = index
 
 
 class DomainError(FwExactError):

@@ -22,9 +22,16 @@ from Lambda produces an even operator; with the naive operator the
 time-derivative picks up terms proportional to d(lambda)/dt that are not
 even, and the demonstration below measures exactly that.
 
+The extended-space kernels are batched: K and the naive operator are
+assembled from their stacked bands by one strided copy, the naive
+operator's time samples H(t) go to one stacked decomposition (every
+sample still checked), and its bands come from one contraction of the
+sampled signs with the Fourier phases.
+
 Odd-part norms are measured on a central window of Fourier copies; the
 edge copies of the truncated ladder are excluded as truncation
-artifacts.  If the raw ladder closes the spectral gap (a quasienergy
+artifacts, and only the window's rows and columns of U K U^{-1} are
+formed.  If the raw ladder closes the spectral gap (a quasienergy
 resonance) this surfaces as an error.
 
 Once nf * omega exceeds the gap of H_0, the ladder folds: copies whose
@@ -47,14 +54,15 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .blockop import BetaMatrix, BlockOperator, Metric, adjoint_m, beta_matrix, relative_odd_norm
 from .errors import DomainError, SpectralGapError, StructureError
 from .eriksen import FWResult, _transform, eriksen_unitary
-from .matfun import SpectralDecomposition, check_gap, decompose, sign_of
+from .matfun import SpectralDecomposition, check_gap, decompose, decompose_array, sign_of
 from .models import TimePeriodicHamiltonian
 from .tolerances import EPS_CLAMP, GAP_TOL
 
@@ -107,16 +115,18 @@ class FloquetReport:
             raise StructureError("decay table truncation orders must strictly increase")
 
 
-def _block_toeplitz(
-    band: Callable[[int], np.ndarray], d: int, nf: int
-) -> np.ndarray:
-    """Extended-space matrix whose (m, n) block is band(m - n)."""
-    copies = 2 * nf + 1
-    data = np.zeros((d * copies, d * copies), dtype=complex)
-    for i in range(copies):
-        for j in range(copies):
-            data[i * d : (i + 1) * d, j * d : (j + 1) * d] = band(i - j)
-    return data
+def _block_toeplitz(bands: np.ndarray) -> np.ndarray:
+    """Extended-space matrix whose (m, n) block is band m - n, from the
+    bands q = -2 nf ... 2 nf stacked along axis 0.
+
+    Block row i (copy m = i - nf) lists the bands i - j for j = 0 ...
+    2 nf, a window of the reversed bands; the windows are a strided
+    view, so the matrix is one copy of it.
+    """
+    copies = (len(bands) + 1) // 2
+    d = bands.shape[-1]
+    rows = sliding_window_view(bands[::-1], copies, axis=0)[::-1]
+    return rows.transpose(0, 1, 3, 2).reshape(copies * d, copies * d)
 
 
 def build_extended(model: TimePeriodicHamiltonian, nf: int) -> ExtendedOperator:
@@ -129,7 +139,10 @@ def build_extended(model: TimePeriodicHamiltonian, nf: int) -> ExtendedOperator:
             f"representable range is |n| <= {2 * nf}"
         )
     d = model.internal_dim
-    data = _block_toeplitz(model.mode, d, nf)
+    orders, modes = model.mode_stack
+    bands = np.zeros((4 * nf + 1, d, d), dtype=complex)
+    bands[orders + 2 * nf] = modes
+    data = _block_toeplitz(bands)
     data[np.diag_indices_from(data)] -= np.repeat(np.arange(-nf, nf + 1) * model.omega, d)
     return ExtendedOperator(BlockOperator(data, d, 2 * nf + 1), model.omega, nf)
 
@@ -243,7 +256,12 @@ def lambda_naive(
     lambda(t) = H(t)/sqrt(H(t)^2) is evaluated on 4*(2*nf+1) uniform
     samples over one period (oversampled Nyquist for the bands kept) and
     assembled into the block-Toeplitz extended operator with bands
-    lambda_q for |q| <= 2*nf.  The result squares to one only up to the
+    lambda_q for |q| <= 2*nf.  The samples H(t) come from one contraction
+    of the stacked Fourier modes with their phases and go to one stacked
+    decomposition, which holds each sample to the checks of
+    :func:`~fwexact.matfun.sign_of` (a gap failure names the first
+    failing time); the bands come from one contraction of the signs with
+    the Fourier phases.  The result squares to one only up to the
     truncation error, which is the point of keeping it.
     """
     if nf < 1:
@@ -253,33 +271,36 @@ def lambda_naive(
     samples = 4 * copies
     period = 2.0 * np.pi / model.omega
     times = np.arange(samples) * (period / samples)
-    signs = []
-    for t in times:
-        h_t = BlockOperator(model.at_time(t), d, 1)
-        try:
-            signs.append(sign_of(h_t, model.metric, gap_tol).data)
-        except SpectralGapError as exc:
-            raise SpectralGapError(
-                f"adiabatic sign undefined: instantaneous spectrum closes at "
-                f"t = {t:.6g} ({exc})"
-            ) from exc
-    bands = {}
-    for q in range(-2 * nf, 2 * nf + 1):
-        phases = np.exp(1j * q * model.omega * times)
-        bands[q] = sum(s * ph for s, ph in zip(signs, phases)) / samples
-    return BlockOperator(_block_toeplitz(bands.__getitem__, d, nf), d, copies)
+    orders, modes = model.mode_stack
+    phases = np.exp(-1j * model.omega * np.outer(times, orders))
+    h_t = (phases @ modes.reshape(len(orders), d * d)).reshape(samples, d, d)
+    dec = decompose_array(h_t, model.metric)
+    try:
+        check_gap(dec, gap_tol)
+    except SpectralGapError as exc:
+        raise SpectralGapError(
+            f"adiabatic sign undefined: instantaneous spectrum closes at "
+            f"t = {times[exc.index]:.6g} ({exc})"
+        ) from exc
+    signs = dec.apply(lambda w: np.sign(w.real).astype(complex))
+    q = np.arange(-2 * nf, 2 * nf + 1)
+    fourier = np.exp(1j * model.omega * np.outer(q, times))
+    bands = (fourier @ signs.reshape(samples, d * d)).reshape(len(q), d, d) / samples
+    return BlockOperator(_block_toeplitz(bands), d, copies)
+
+
+def _window_bounds(a: BlockOperator, window: int) -> tuple[int, int]:
+    """Index range of the |m| <= window Fourier copies of ``a``."""
+    nf = (a.floquet_copies - 1) // 2
+    if window < 0 or window > nf:
+        raise StructureError(f"window must be in [0, {nf}], got {window}")
+    return (nf - window) * a.internal_dim, (nf + window + 1) * a.internal_dim
 
 
 def central_window(a: BlockOperator, window: int) -> BlockOperator:
     """Restriction to the |m| <= window Fourier copies."""
-    copies = a.floquet_copies
-    nf = (copies - 1) // 2
-    if window < 0 or window > nf:
-        raise StructureError(f"window must be in [0, {nf}], got {window}")
-    d = a.internal_dim
-    lo = (nf - window) * d
-    hi = (nf + window + 1) * d
-    return BlockOperator(a.data[lo:hi, lo:hi], d, 2 * window + 1)
+    lo, hi = _window_bounds(a, window)
+    return BlockOperator(a.data[lo:hi, lo:hi], a.internal_dim, 2 * window + 1)
 
 
 def central_odd_norm(a: BlockOperator, window: int) -> float:
@@ -289,25 +310,31 @@ def central_odd_norm(a: BlockOperator, window: int) -> float:
 
 
 def _transformed_odd_norm(
+    k: ExtendedOperator, lam: BlockOperator, metric: Metric, window: int, naive: bool
+) -> float:
+    """Central-window odd norm of U K U^{-1}, U the exact unitary of
+    ``lam``.  Only the window is measured, so only its rows of U and its
+    columns of U^{-1} enter the product."""
+    if naive:
+        u = eriksen_unitary(lam, k.beta, metric, lambda_sq_tol=None)
+    else:
+        with _extended_errors(k, metric):
+            u = eriksen_unitary(lam, k.beta, metric)
+    lo, hi = _window_bounds(k.op, window)
+    u_inv = adjoint_m(u, metric).data
+    windowed = (u.data[lo:hi] @ k.op.data) @ u_inv[:, lo:hi]
+    return relative_odd_norm(BlockOperator(windowed, k.internal_dim, 2 * window + 1))
+
+
+def _extended_odd_norm(
     model: TimePeriodicHamiltonian,
-    nf: int,
+    k: ExtendedOperator,
     window: int,
     gap_tol: float,
-    naive: bool,
-    sign: str = "quasienergy",
+    sign: str,
 ) -> float:
-    k = build_extended(model, nf)
-    beta = k.beta
-    if naive:
-        lam = lambda_naive(model, nf, gap_tol)
-        u = eriksen_unitary(lam, beta, model.metric, lambda_sq_tol=None)
-    else:
-        lam = lambda_capital(k, gap_tol, model.metric, sign)
-        with _extended_errors(k, model.metric):
-            u = eriksen_unitary(lam, beta, model.metric)
-    u_inv = adjoint_m(u, model.metric)
-    transformed = k.op.like(u.data @ k.op.data @ u_inv.data)
-    return central_odd_norm(transformed, window)
+    lam = lambda_capital(k, gap_tol, model.metric, sign)
+    return _transformed_odd_norm(k, lam, model.metric, window, naive=False)
 
 
 def demonstrate_nonevenness(
@@ -339,8 +366,12 @@ def demonstrate_nonevenness(
         notes.append(f"window {window} clamped to truncation order {nf}")
     if w == nf:
         notes.append("window equals truncation; edge effects dominate")
-    odd_naive = _transformed_odd_norm(model, nf, w, gap_tol, naive=True)
-    odd_lam = _transformed_odd_norm(model, nf, w, gap_tol, naive=False, sign=sign)
+    k = build_extended(model, nf)
+    # the naive operator is a temporary, freed before Lambda is built
+    odd_naive = _transformed_odd_norm(
+        k, lambda_naive(model, nf, gap_tol), model.metric, w, naive=True
+    )
+    odd_lam = _extended_odd_norm(model, k, w, gap_tol, sign)
     orders = sorted(set(decay_nfs)) if decay_nfs is not None else [nf]
     table = []
     for order in orders:
@@ -348,14 +379,8 @@ def demonstrate_nonevenness(
         if order == nf and w_i == w:
             table.append((order, odd_lam))
         else:
-            table.append(
-                (
-                    order,
-                    _transformed_odd_norm(
-                        model, order, w_i, gap_tol, naive=False, sign=sign
-                    ),
-                )
-            )
+            k_i = build_extended(model, order)
+            table.append((order, _extended_odd_norm(model, k_i, w_i, gap_tol, sign)))
     return FloquetReport(
         odd_norm_lambda_naive=odd_naive,
         odd_norm_lambda=odd_lam,

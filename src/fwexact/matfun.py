@@ -19,7 +19,9 @@ operator A self-adjoint under either metric those blocks are Hermitian:
 A = beta A^dag beta keeps A_{++} and A_{--} and flips the sign of the
 off-diagonal pair, A_{-+} = -A_{+-}^dag.  The two blocks go to one
 batched call, so a 4x4 or 2x2 model pays the Python overhead of one call
-per even operator.
+per even operator.  Likewise :func:`decompose_array` takes a stack of
+small matrices (the instantaneous H(t) samples of a Floquet drive) to
+one stacked call, with every check held per matrix.
 """
 
 from __future__ import annotations
@@ -45,22 +47,26 @@ _IMAG_TOL = 1e-8
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigendecomposition A = V diag(w) V^{-1}.
+    """Eigendecomposition A = V diag(w) V^{-1}, of one matrix or of a
+    stack of them (leading axes on every field).
 
     ``eigenvalues`` are complex (real up to roundoff for self-adjoint
     inputs), ascending by real part.  For the Hermitian path
     ``inverse_vectors`` is exactly ``right_vectors``^dag.  ``scale`` is
-    the spectral radius max |w| (||A||_2 on the Hermitian path).
+    the spectral radius max |w| (||A||_2 on the Hermitian path), an
+    array with one entry per matrix for a stack.  :meth:`positive`
+    takes a single matrix.
     """
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     inverse_vectors: np.ndarray
-    scale: float
+    scale: float | np.ndarray
 
     def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """Evaluate the matrix function V f(w) V^{-1}."""
-        return (self.right_vectors * f(self.eigenvalues)) @ self.inverse_vectors
+        """Evaluate the matrix function V f(w) V^{-1} (per matrix of a stack)."""
+        values = f(self.eigenvalues)[..., None, :]
+        return (self.right_vectors * values) @ self.inverse_vectors
 
     def reconstruct(self) -> np.ndarray:
         return self.apply(lambda w: w)
@@ -78,10 +84,10 @@ class SpectralDecomposition:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rescale each column, in place, so its largest-magnitude entry is
-    real > 0."""
-    columns = np.arange(vectors.shape[1])
-    pivots = vectors[np.abs(vectors).argmax(axis=0), columns]
+    """Rescale each column (of each matrix of a stack), in place, so its
+    largest-magnitude entry is real > 0."""
+    rows = np.abs(vectors).argmax(axis=-2)[..., None, :]
+    pivots = np.take_along_axis(vectors, rows, axis=-2)
     nonzero = pivots != 0
     phases = np.ones_like(pivots)
     phases[nonzero] = np.abs(pivots[nonzero]) / pivots[nonzero]
@@ -89,11 +95,18 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
+def _spectral_radius(w: np.ndarray) -> float | np.ndarray:
+    """max |w| of each matrix: a float for one, an array for a stack."""
+    radius = np.abs(w).max(axis=-1, initial=0.0)
+    return float(radius) if radius.ndim == 0 else radius
+
+
 def _decompose_hermitian(a: np.ndarray) -> SpectralDecomposition:
     w, v = np.linalg.eigh(a)
     v = _fix_phases(v)
-    scale = float(np.abs(w).max(initial=0.0))
-    return SpectralDecomposition(w.astype(complex), v, v.conj().T, scale)
+    return SpectralDecomposition(
+        w.astype(complex), v, v.conj().swapaxes(-1, -2), _spectral_radius(w)
+    )
 
 
 class EvenDecomposition(NamedTuple):
@@ -138,26 +151,30 @@ class EvenDecomposition(NamedTuple):
 
 def _decompose_general(a: np.ndarray) -> SpectralDecomposition:
     w, v = np.linalg.eig(a)
-    order = np.lexsort((w.imag, w.real))
-    w, v = w[order], v[:, order]
-    v = v / np.linalg.norm(v, axis=0)
+    order = np.lexsort((w.imag, w.real), axis=-1)
+    w = np.take_along_axis(w, order, axis=-1)
+    v = np.take_along_axis(v, order[..., None, :], axis=-1)
+    v = v / np.linalg.norm(v, axis=-2, keepdims=True)
     v = _fix_phases(v)
-    cond = np.linalg.cond(v)
+    cond = float(np.max(np.linalg.cond(v)))
     if cond > _COND_LIMIT:
         raise EigendecompositionError(
             f"ill-conditioned eigenbasis: cond(V) = {cond:.3e} > {_COND_LIMIT:.0e}"
         )
-    scale = float(np.abs(w).max(initial=0.0))
-    return SpectralDecomposition(w, v, np.linalg.inv(v), scale)
+    return SpectralDecomposition(w, v, np.linalg.inv(v), _spectral_radius(w))
 
 
 def check_hermitian(data: np.ndarray, tol: float = TOL_STRUCT) -> None:
     """Raise MetricViolationError unless ``data`` is Hermitian to ``tol``
-    relative."""
-    defect = np.linalg.norm(data - data.conj().T)
-    if defect > tol * max(np.linalg.norm(data), 1e-300):
+    relative; each matrix of a stack is held to its own norm."""
+    axes = None if data.ndim == 2 else (-2, -1)
+    defect = np.linalg.norm(data - data.conj().swapaxes(-1, -2), axis=axes)
+    scale = np.maximum(np.linalg.norm(data, axis=axes), 1e-300)
+    failing = np.flatnonzero(defect > tol * scale)
+    if failing.size:
         raise MetricViolationError(
-            f"input is not Hermitian: defect {defect:.3e} (relative tol {tol:.1e})"
+            f"input is not Hermitian: defect {np.ravel(defect)[failing[0]]:.3e} "
+            f"(relative tol {tol:.1e})"
         )
 
 
@@ -168,27 +185,40 @@ def decompose(
     tol_struct: float = TOL_STRUCT,
     allow_complex: bool = False,
 ) -> SpectralDecomposition:
-    """Metric-aware eigendecomposition.
+    """Metric-aware eigendecomposition of a block operator; see
+    :func:`decompose_array`."""
+    return decompose_array(
+        a.data, metric, tol_struct=tol_struct, allow_complex=allow_complex
+    )
+
+
+def decompose_array(
+    data: np.ndarray,
+    metric: Metric,
+    *,
+    tol_struct: float = TOL_STRUCT,
+    allow_complex: bool = False,
+) -> SpectralDecomposition:
+    """Metric-aware eigendecomposition of one matrix or of a stack of
+    matrices (shape (..., n, n)) by one stacked call.
 
     Hermitian metric: the input must be Hermitian to ``tol_struct``
     relative and the decomposition is orthonormal.  Beta-pseudo metric:
     a general diagonalization; unless ``allow_complex`` is set the
     spectrum must be real to 1e-8 times its spectral radius (unbroken
     pseudo-Hermitian phase), otherwise "broken pseudo-Hermiticity" is
-    raised.
+    raised.  Every check holds each matrix of a stack to its own scale.
     """
-    data = a.data
     if metric is Metric.HERMITIAN:
         check_hermitian(data, tol_struct)
         return _decompose_hermitian(data)
     dec = _decompose_general(data)
     if not allow_complex:
-        scale = max(dec.scale, 1e-300)
-        max_imag = float(np.abs(dec.eigenvalues.imag).max(initial=0.0))
-        if max_imag > _IMAG_TOL * scale:
+        max_imag = np.abs(dec.eigenvalues.imag).max(axis=-1, initial=0.0)
+        if np.any(max_imag > _IMAG_TOL * np.maximum(dec.scale, 1e-300)):
             raise EigendecompositionError(
                 "broken pseudo-Hermiticity: eigenvalue imaginary part "
-                f"{max_imag:.3e} exceeds {_IMAG_TOL:.0e} * max |eigenvalue|"
+                f"{np.max(max_imag):.3e} exceeds {_IMAG_TOL:.0e} * max |eigenvalue|"
             )
     return dec
 
@@ -212,13 +242,23 @@ def sign_of(
 
 
 def check_gap(dec: SpectralDecomposition, gap_tol: float = GAP_TOL) -> None:
-    """Raise unless min |eigenvalue| exceeds ``gap_tol`` times max |eigenvalue|."""
-    min_abs = float(np.abs(dec.eigenvalues.real).min())
-    if min_abs <= gap_tol * dec.scale:
+    """Raise unless min |eigenvalue| exceeds ``gap_tol`` times max |eigenvalue|.
+
+    A stacked decomposition is checked matrix by matrix against its own
+    spectral radius; the error reports the first failing matrix and
+    carries its stack position as ``index``.
+    """
+    min_abs = np.abs(dec.eigenvalues.real).min(axis=-1)
+    scale = np.asarray(dec.scale)
+    failing = np.flatnonzero(min_abs <= gap_tol * scale)
+    if failing.size:
+        i = int(failing[0])
+        bound = gap_tol * float(np.ravel(scale)[i])
         raise SpectralGapError(
-            f"spectral gap violation: min |eigenvalue| = {min_abs:.3e} "
-            f"<= {gap_tol:.1e} * ||H||_2 = {gap_tol * dec.scale:.3e}; "
-            "the sign operator is undefined"
+            f"spectral gap violation: min |eigenvalue| = {np.ravel(min_abs)[i]:.3e} "
+            f"<= {gap_tol:.1e} * ||H||_2 = {bound:.3e}; "
+            "the sign operator is undefined",
+            index=i if scale.ndim else None,
         )
 
 

@@ -15,6 +15,7 @@ time-periodic models return their Fourier modes.  Natural units
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -182,6 +183,12 @@ class TimePeriodicHamiltonian:
     @property
     def max_mode(self) -> int:
         return max(abs(n) for n, _ in self.modes)
+
+    @cached_property
+    def mode_stack(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Fourier orders n and the modes H_n stacked along axis 0."""
+        orders = np.array([n for n, _ in self.modes])
+        return orders, np.stack([h for _, h in self.modes])
 
     def mode(self, n: int) -> np.ndarray:
         for k, h in self.modes:

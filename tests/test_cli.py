@@ -319,6 +319,26 @@ class TestFloquet:
         )
         assert code == 4
 
+    def test_vector_drive_fold_exits_4_and_names_it(self, tmp_path, capsys):
+        # 16 * 0.08 = 1.28 passes the gap sqrt(1.25) = 1.118 at the
+        # largest order of the table
+        code = run(
+            [
+                "floquet",
+                "--set", "model.name=floquet_dirac_vector",
+                "--set", "model.params.pz=0.5",
+                "--set", "model.params.A1=0.2",
+                "--set", "model.params.omega=0.08",
+                "--set", "floquet.nf=[8,16]",
+                "--set", "floquet.window=6",
+                "--report", str(tmp_path / "floquet.json"),
+            ]
+        )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "eriksen denominator degenerate" in err
+        assert "Floquet ladder fold: nf*omega = 1.28 > gap" in err
+
     def test_quasienergy_resonance_exits_3(self, tmp_path):
         # omega = E/2 at p = 0 puts a ladder copy exactly at zero energy
         code = run(
@@ -553,6 +573,41 @@ class TestMatrixDump:
         assert lines[0] == "# rows=4 cols=4 internal_dim=4 floquet_copies=1"
         assert lines[1].split(",")[0] == "1+0j"
         assert lines[3].split(",")[2] == "-1+0j"
+
+    @pytest.mark.parametrize(
+        "command, model, dump",
+        [
+            ("sweep", "free_dirac", ["--dump"]),
+            ("sweep", "free_dirac", ["--set", "output.dump=true"]),
+            ("floquet", "floquet_dirac_vector", ["--dump"]),
+            ("floquet", "floquet_dirac_vector", ["--set", "output.dump=true"]),
+        ],
+    )
+    def test_dump_rejected_outside_transform(self, tmp_path, capsys, command, model, dump):
+        report = tmp_path / "report.json"
+        code = run(
+            [command, "--set", f"model.name={model}", *dump, "--report", str(report)]
+        )
+        assert code == 2
+        assert f"the {command} command writes no matrix dumps" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_bytes_match_per_entry_format(self, tmp_path):
+        # signed zeros, the smallest subnormal, huge and integral entries
+        rng = np.random.default_rng(5)
+        data = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        data[0, :3] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+        data[1, 1] = complex(5e-324, -2.2250738585072014e-308)
+        data[2, 2] = complex(1e300, -1.7976931348623157e308)
+        data[3, 3] = complex(-1.0, 3.0)
+        original = BlockOperator(data, 2, 3)
+        path = dump_matrix(original, tmp_path / "m.csv")
+        expected = ["# rows=6 cols=6 internal_dim=2 floquet_copies=3"] + [
+            ",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row) for row in data
+        ]
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+        loaded = load_matrix(path)
+        assert loaded.data.tobytes() == original.data.tobytes()
 
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(123)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from fwexact import (
     sign_of,
     transform_nonstationary,
 )
-from fwexact.blockop import BlockOperator
-from fwexact.models import BETA4
+from fwexact.blockop import BlockOperator, adjoint_m
+from fwexact.eriksen import eriksen_unitary
+from fwexact.models import ALPHA, BETA4
 
 # reference drive for the naive-vs-extended comparison: an odd (vector)
 # drive at a frequency low enough that no ladder copy crosses the gap
@@ -212,8 +214,118 @@ class TestLambdaNaive:
         # V1 = sqrt(m^2 + p^2) makes the lower branch touch zero at t = 0
         e = math.sqrt(1.25)
         model = floquet_dirac_scalar(1.0, (0, 0, 0.5), e, 0.1)
-        with pytest.raises(SpectralGapError, match="adiabatic sign undefined"):
+        with pytest.raises(
+            SpectralGapError,
+            match=r"adiabatic sign undefined: instantaneous spectrum closes at t = 0 \(",
+        ):
             lambda_naive(model, 2)
+
+
+def phased_vector_drive(omega=0.03):
+    """The reference H_0 with A_z(t) = 0.2 cos(w t - 0.7) (a term
+    -alpha_z A_z) and a mass modulation 0.1 beta sin(2 w t): H_q and H_-q
+    differ and H(t) is not even in t, so a transposed band or a
+    conjugated phase shows."""
+    h0 = reference_model().mode(0)
+    h1 = -0.1 * np.exp(0.7j) * ALPHA[2]
+    h2 = 0.05j * BETA4
+    modes = ((0, h0), (1, h1), (-1, h1.conj().T), (2, h2), (-2, h2.conj().T))
+    return TimePeriodicHamiltonian(modes, omega, 4)
+
+
+def toeplitz_by_blocks(band, d, nf):
+    """Loop-assembled extended matrix whose (m, n) block is band(m - n)."""
+    copies = 2 * nf + 1
+    data = np.zeros((d * copies, d * copies), dtype=complex)
+    for i in range(copies):
+        for j in range(copies):
+            data[i * d : (i + 1) * d, j * d : (j + 1) * d] = band(i - j)
+    return data
+
+
+def naive_by_samples(model, nf):
+    """lambda_naive sample by sample: sign_of(H(t)) at each time, each
+    band a Python sum over the samples."""
+    d, copies = model.internal_dim, 2 * nf + 1
+    samples = 4 * copies
+    times = np.arange(samples) * (2.0 * np.pi / model.omega / samples)
+    signs = [
+        sign_of(BlockOperator(model.at_time(t), d, 1), model.metric).data for t in times
+    ]
+    bands = {
+        q: sum(s * np.exp(1j * q * model.omega * t) for s, t in zip(signs, times))
+        / samples
+        for q in range(-2 * nf, 2 * nf + 1)
+    }
+    return toeplitz_by_blocks(bands.__getitem__, d, nf)
+
+
+class TestBatchedKernels:
+    """The stacked kernels against per-sample and per-block oracles."""
+
+    @pytest.mark.parametrize("nf", [3, 8])
+    @pytest.mark.parametrize(
+        "model",
+        [floquet_dirac_vector(1.0, (0, 0, 0.5), 0.2, 0.03), phased_vector_drive()],
+        ids=["vector", "phased"],
+    )
+    def test_lambda_naive_matches_per_sample_signs(self, model, nf):
+        expected = naive_by_samples(model, nf)
+        assert np.abs(lambda_naive(model, nf).data - expected).max() <= 1e-14
+
+    def test_pseudo_metric_lambda_naive_matches_per_sample_signs(self):
+        # Hermitian modes declared beta-pseudo: each sample goes through
+        # the general decomposition and its conditioning checks
+        vector = floquet_dirac_vector(1.0, (0, 0, 0.5), 0.2, 0.08)
+        model = TimePeriodicHamiltonian(
+            vector.modes, vector.omega, vector.internal_dim, Metric.BETA_PSEUDO
+        )
+        expected = naive_by_samples(model, 4)
+        assert np.abs(lambda_naive(model, 4).data - expected).max() <= 1e-13
+
+    @pytest.mark.parametrize("nf", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            floquet_dirac_scalar(1.0, (0.1, 0.0, 0.5), 0.2, 0.3),
+            floquet_dirac_vector(1.0, (0.1, 0.0, 0.5), 0.2, 0.3),
+            phased_vector_drive(0.3),
+        ],
+        ids=["scalar", "vector", "phased"],
+    )
+    def test_build_extended_equals_block_loop(self, model, nf):
+        expected = toeplitz_by_blocks(lambda n: model.mode(n), 4, nf)
+        expected[np.diag_indices_from(expected)] -= np.repeat(
+            np.arange(-nf, nf + 1) * model.omega, 4
+        )
+        assert np.array_equal(build_extended(model, nf).op.data, expected)
+
+    def test_windowed_odd_norms_equal_full_product(self):
+        model, nf, window = reference_model(), 8, 4
+        rep = demonstrate_nonevenness(model, nf, window)
+        k = build_extended(model, nf)
+        for lam, measured in (
+            (lambda_naive(model, nf), rep.odd_norm_lambda_naive),
+            (lambda_capital(k), rep.odd_norm_lambda),
+        ):
+            u = eriksen_unitary(lam, k.beta, model.metric, lambda_sq_tol=None)
+            full = u.data @ k.op.data @ adjoint_m(u, model.metric).data
+            expected = central_odd_norm(k.op.like(full), window)
+            assert measured == pytest.approx(expected, rel=1e-13, abs=1e-300)
+
+    @pytest.mark.parametrize("nf", [4, 16])
+    def test_lambda_naive_is_one_stacked_eigh(self, monkeypatch, nf):
+        calls = Counter()
+        for name in ("eigh", "eig", "eigvalsh", "svd"):
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        lambda_naive(reference_model(), nf)
+        assert calls == Counter(eigh=1)
 
 
 class TestDemonstrateNonevenness:
