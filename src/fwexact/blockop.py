@@ -16,6 +16,13 @@ layout.  Only this module knows that layout: the blocks are contiguous
 slices when beta is block-ordered (stationary) and one stable gather
 when the signs interleave per Fourier copy (Floquet).
 
+An operator's data may carry leading stack axes, shape (..., n, n): a
+stack of operators of one block structure, such as the points of a
+sweep, goes through every kernel at once.  Blocks, adjoints and sign
+flips act on the last two axes, and norms and defects reduce per matrix:
+they come back as arrays with the stack's shape, and as floats when
+there is no stack (:func:`per_matrix`).
+
 Everything here is a pure function of immutable inputs; matrices are
 dense complex throughout.
 """
@@ -23,11 +30,10 @@ dense complex throughout.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
-from typing import NamedTuple, Optional
+from functools import cached_property, lru_cache, reduce
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -66,8 +72,8 @@ class _Parity:
 
     def _index(self, rows, cols):
         if isinstance(rows, slice):
-            return rows, cols
-        return np.ix_(rows, cols)
+            return ..., rows, cols
+        return (..., *np.ix_(rows, cols))
 
     def split(self, x: np.ndarray) -> Blocks:
         up, dn = self.upper, self.lower
@@ -75,7 +81,8 @@ class _Parity:
 
     def join(self, blocks: tuple[Optional[np.ndarray], ...]) -> np.ndarray:
         side = 2 * self.half
-        out = np.zeros((side, side), dtype=complex)
+        stack = next(b.shape[:-2] for b in blocks if b is not None)
+        out = np.zeros((*stack, side, side), dtype=complex)
         up, dn = self.upper, self.lower
         for (r, c), block in zip(((up, up), (up, dn), (dn, up), (dn, dn)), blocks):
             if block is not None:
@@ -95,9 +102,10 @@ class BlockOperator:
     Parameters
     ----------
     data : ndarray
-        Square complex matrix of side ``internal_dim * floquet_copies``.
-        A complex array is kept as given, without a copy (operators are
-        never modified in place); anything else is converted.
+        Square complex matrix of side ``internal_dim * floquet_copies``,
+        or a stack of them (shape (..., side, side)).  A complex array is
+        kept as given, without a copy (operators are never modified in
+        place); anything else is converted.
     internal_dim : int
         Dimension of one time-Fourier copy.  Always even: the upper and
         lower spinor-like blocks have ``internal_dim // 2`` components
@@ -113,7 +121,7 @@ class BlockOperator:
 
     def __post_init__(self) -> None:
         data = np.asarray(self.data, dtype=complex)
-        if data.ndim != 2 or data.shape[0] != data.shape[1]:
+        if data.ndim < 2 or data.shape[-1] != data.shape[-2]:
             raise StructureError(f"operator must be square, got shape {data.shape}")
         if self.internal_dim < 2 or self.internal_dim % 2 != 0:
             raise StructureError(
@@ -121,9 +129,9 @@ class BlockOperator:
             )
         if self.floquet_copies < 1:
             raise StructureError(f"floquet_copies must be >= 1, got {self.floquet_copies}")
-        if data.shape[0] != self.internal_dim * self.floquet_copies:
+        if data.shape[-1] != self.internal_dim * self.floquet_copies:
             raise StructureError(
-                f"side {data.shape[0]} != internal_dim {self.internal_dim} "
+                f"side {data.shape[-1]} != internal_dim {self.internal_dim} "
                 f"x floquet_copies {self.floquet_copies}"
             )
         object.__setattr__(self, "data", data)
@@ -131,6 +139,11 @@ class BlockOperator:
     @property
     def side(self) -> int:
         return self.internal_dim * self.floquet_copies
+
+    @property
+    def stack_shape(self) -> tuple[int, ...]:
+        """The leading stack axes of ``data``; () for one operator."""
+        return self.data.shape[:-2]
 
     def like(self, data: np.ndarray) -> "BlockOperator":
         """New operator with the same block tags."""
@@ -154,8 +167,9 @@ class BlockOperator:
         parity = _parity(self.internal_dim, self.floquet_copies)
         return self.like(parity.join((pp, pm, mp, mm)))
 
-    def norm(self, ord: str | int = "fro") -> float:
-        return float(np.linalg.norm(self.data, ord))
+    def norm(self) -> float | np.ndarray:
+        """Frobenius norm, per matrix of a stack."""
+        return frobenius(self.data)
 
 
 class BetaMatrix(BlockOperator):
@@ -195,27 +209,66 @@ def beta_matrix(internal_dim: int, floquet_copies: int = 1) -> BetaMatrix:
     return BetaMatrix(np.diag(diag).astype(complex), internal_dim, floquet_copies)
 
 
-def identity_defect(x: np.ndarray) -> float:
-    """Frobenius norm scaled by ||identity||_F of the same side."""
-    return float(np.linalg.norm(x)) / np.sqrt(x.shape[0])
+def dagger(x: np.ndarray) -> np.ndarray:
+    """Plain adjoint (conjugate transpose) of each matrix of a stack."""
+    return x.conj().swapaxes(-1, -2)
+
+
+def per_matrix(x: np.ndarray | float) -> float | np.ndarray:
+    """A per-matrix result as returned: a float without a stack axis,
+    the array (with the stack's shape) otherwise."""
+    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
+
+
+def at_least(x: np.ndarray | float, lower: np.ndarray | float) -> float | np.ndarray:
+    """max(x, lower) per matrix (a float without a stack axis)."""
+    if isinstance(x, np.ndarray) or isinstance(lower, np.ndarray):
+        return np.maximum(x, lower)
+    return max(x, lower)
+
+
+def first_failing(failing: np.ndarray | bool) -> Optional[int]:
+    """Flat stack position of the first matrix for which a check fails
+    (``failing`` holds one flag per matrix), None when none does."""
+    positions = np.flatnonzero(failing)
+    return int(positions[0]) if positions.size else None
 
 
 def add_identity(x: np.ndarray, c: float) -> np.ndarray:
-    """x + c 1, in place: ``x`` must be a square temporary."""
-    x.flat[:: x.shape[0] + 1] += c
+    """x + c 1 (per matrix of a stack), in place: ``x`` must be a square
+    temporary."""
+    diagonal = np.arange(x.shape[-1])
+    x[..., diagonal, diagonal] += c
     return x
 
 
-def frobenius(x: np.ndarray) -> float:
-    """Frobenius norm as one BLAS dot product.  The norm of an operator
-    given by blocks is math.hypot of theirs; passing each block as an
-    expression keeps one block temporary alive at a time."""
-    return float(np.sqrt(np.vdot(x, x).real))
+def frobenius(x: np.ndarray) -> float | np.ndarray:
+    """Frobenius norm of each matrix of ``x``.  A matrix stored in one
+    piece is read as a row of real numbers (real and imaginary parts
+    side by side) whose square norm is one dot product; otherwise
+    the squares of its real and imaginary parts are summed in place.
+    The norm of an operator given by blocks is :func:`hypot` of theirs;
+    passing each block as an expression keeps one block temporary alive
+    at a time."""
+    if x.strides[-1] == x.itemsize and x.strides[-2] == x.itemsize * x.shape[-1]:
+        row = x.view(x.real.dtype).reshape(*x.shape[:-2], 1, -1)
+        square = (row @ row.swapaxes(-1, -2))[..., 0, 0]
+    else:
+        square = np.einsum("...ij,...ij->...", x.real, x.real) + np.einsum(
+            "...ij,...ij->...", x.imag, x.imag
+        )
+    return per_matrix(np.sqrt(square))
 
 
-def relative_odd_norm(a: BlockOperator) -> float:
+def hypot(*norms: float | np.ndarray) -> float | np.ndarray:
+    """sqrt of the sum of squares, elementwise over stacked norms."""
+    return per_matrix(reduce(np.hypot, norms))
+
+
+def relative_odd_norm(a: BlockOperator) -> float | np.ndarray:
     """||odd(A)||_F / ||A||_F, read off the off-diagonal parity blocks."""
-    return math.hypot(frobenius(a.blocks.pm), frobenius(a.blocks.mp)) / max(a.norm(), 1e-300)
+    odd = hypot(frobenius(a.blocks.pm), frobenius(a.blocks.mp))
+    return odd / at_least(a.norm(), 1e-300)
 
 
 def adjoint_sign(metric: Metric) -> float:
@@ -253,9 +306,9 @@ def adjoint_m(a: BlockOperator, metric: Metric) -> BlockOperator:
     """Metric adjoint: A^dag for the Hermitian metric, beta A^dag beta
     for the beta-pseudo metric.  An involution for both."""
     if metric is Metric.HERMITIAN:
-        return a.like(a.data.conj().T)
+        return a.like(dagger(a.data))
     signs = _grading_signs(a.internal_dim, a.floquet_copies)
-    return a.like(signs[:, None] * a.data.conj().T * signs)
+    return a.like(signs[:, None] * dagger(a.data) * signs)
 
 
 @dataclass(frozen=True)
@@ -289,52 +342,78 @@ class SplitHamiltonian:
             self.beta.flip_rows(self.mass.data) + self.even.data + self.odd.data
         )
 
-    def validate(self, tol: float = TOL_STRUCT) -> dict[str, float]:
-        """Relative defect norms of the structural invariants.
+    def validate(self, tol: float = TOL_STRUCT) -> dict[str, float | np.ndarray]:
+        """Relative defect norms of the structural invariants (per matrix
+        of a stack).
 
         Raises StructureError / MetricViolationError when any defect
         exceeds ``tol``.
         """
         beta, total = self.beta, self.total
         mass, even, odd = self.mass.data, self.even.data, self.odd.data
-        scale = max(total.norm(), 1e-300)
+        scale = at_least(total.norm(), 1e-300)
+        floor = at_least(scale * tol, 1e-300)
         defects = {
-            "mass_even_defect": np.linalg.norm(beta.flip_rows(mass) - beta.flip_cols(mass))
-            / max(self.mass.norm(), 1e-300),
-            "even_defect": np.linalg.norm(beta.flip_rows(even) - beta.flip_cols(even))
-            / max(self.even.norm(), scale * tol, 1e-300),
-            "odd_defect": np.linalg.norm(beta.flip_rows(odd) + beta.flip_cols(odd))
-            / max(self.odd.norm(), scale * tol, 1e-300),
-            "self_adjoint_defect": np.linalg.norm(
-                total.data - adjoint_m(total, self.metric).data
-            )
+            "mass_even_defect": frobenius(beta.flip_rows(mass) - beta.flip_cols(mass))
+            / at_least(self.mass.norm(), 1e-300),
+            "even_defect": frobenius(beta.flip_rows(even) - beta.flip_cols(even))
+            / at_least(self.even.norm(), floor),
+            "odd_defect": frobenius(beta.flip_rows(odd) + beta.flip_cols(odd))
+            / at_least(self.odd.norm(), floor),
+            "self_adjoint_defect": frobenius(total.data - adjoint_m(total, self.metric).data)
             / scale,
         }
         return self._check(defects, tol)
 
-    def check(self, tol: float = TOL_STRUCT) -> dict[str, float]:
+    def check(self, tol: float = TOL_STRUCT) -> dict[str, float | np.ndarray]:
         """The defects :func:`split` measured, held to ``tol`` (measured
         afresh by :meth:`validate` when the split was assembled by hand)."""
         if not self.defects:
             return self.validate(tol)
         return self._check(dict(self.defects), tol)
 
-    def _check(self, defects: dict[str, float], tol: float) -> dict[str, float]:
-        if defects["mass_even_defect"] > tol:
+    def _check(
+        self, defects: dict[str, float | np.ndarray], tol: float
+    ) -> dict[str, float | np.ndarray]:
+        """Raise for the first matrix with a defect above ``tol``."""
+        values = np.array(list(defects.values())).reshape(len(defects), -1)
+        i = first_failing((values > tol).any(axis=0))
+        if i is None:
+            return defects
+        failing = dict(zip(defects, values[:, i]))
+        if failing["mass_even_defect"] > tol:
             raise StructureError(
-                f"mass operator is not even: defect {defects['mass_even_defect']:.3e}"
+                f"mass operator is not even: defect {failing['mass_even_defect']:.3e}"
             )
-        if defects["even_defect"] > tol or defects["odd_defect"] > tol:
+        if failing["even_defect"] > tol or failing["odd_defect"] > tol:
             raise StructureError(
                 "even/odd split violates the beta grading: "
-                f"even {defects['even_defect']:.3e}, odd {defects['odd_defect']:.3e}"
+                f"even {failing['even_defect']:.3e}, odd {failing['odd_defect']:.3e}"
             )
-        if defects["self_adjoint_defect"] > tol:
-            raise MetricViolationError(
-                "metric violation: total Hamiltonian is not self-adjoint "
-                f"under {self.metric.value}: defect {defects['self_adjoint_defect']:.3e}"
+        raise MetricViolationError(
+            "metric violation: total Hamiltonian is not self-adjoint "
+            f"under {self.metric.value}: defect {failing['self_adjoint_defect']:.3e}"
+        )
+
+
+def stack_splits(splits: Sequence[SplitHamiltonian]) -> SplitHamiltonian:
+    """One split whose operators stack those of ``splits`` along a new
+    leading axis; all must share beta's block structure and the metric.
+    The stack keeps no defects (each split holds its own)."""
+    first = splits[0]
+    for other in splits[1:]:
+        _check_same_shape(other.beta, first.beta)
+        if other.metric is not first.metric:
+            raise StructureError(
+                f"metric mismatch: {first.metric.value} vs {other.metric.value}"
             )
-        return defects
+
+    def stacked(part: str) -> BlockOperator:
+        return first.beta.like(np.stack([getattr(s, part).data for s in splits]))
+
+    return SplitHamiltonian(
+        stacked("mass"), stacked("even"), stacked("odd"), first.beta, first.metric
+    )
 
 
 def split(

@@ -4,7 +4,8 @@ Commands
 --------
 models list   print the model catalog (``--format json`` for machines)
 transform     run the full transformation chain on one model
-sweep         one transform per parameter value, CSV table of key numbers
+sweep         transform per parameter value (points of one shape stacked
+              into one transform), CSV table of key numbers
 floquet       compare the naive and extended sign operators
 
 Each run command takes ``--config <json>``, repeated ``--set key=value``
@@ -27,18 +28,23 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from .blockop import BlockOperator, Metric, SplitHamiltonian
+from .blockop import BlockOperator, Metric, SplitHamiltonian, stack_splits
 from .eriksen import FWResult, transform_stationary
 from .errors import (
     FwExactError,
     SpectralGapError,
 )
 from .floquet import demonstrate_nonevenness, transform_nonstationary
-from .models import MODEL_CATALOG, ModelSpec, TimePeriodicHamiltonian
+from .models import (
+    MODEL_CATALOG,
+    ModelSpec,
+    TimePeriodicHamiltonian,
+    check_parameter_names,
+)
 from .tolerances import Tolerances
 
 SCHEMA_VERSION = "1"
@@ -111,6 +117,11 @@ class RunConfig:
             raise UsageError(f"bad tolerances: {exc}") from exc
         output = raw.get("output") or {}
         sweep = raw.get("sweep") or {}
+        if sweep.get("parameter") is not None:
+            try:
+                check_parameter_names(model.name, [sweep["parameter"]])
+            except FwExactError as exc:
+                raise UsageError(f"sweep.parameter: {exc}") from exc
         values: list[float] = []
         for v in sweep.get("values", []):
             try:
@@ -180,7 +191,9 @@ def _parse_set(assignments: list[str]) -> dict:
         key, _, text = item.partition("=")
         try:
             value: Any = json.loads(text)
-        except json.JSONDecodeError:
+        except json.JSONDecodeError as exc:
+            if text.lstrip().startswith(("[", "{")):
+                raise UsageError(f"--set {key}: {text!r} is not valid JSON: {exc}") from exc
             if "," in text:
                 value = [p.strip() for p in text.split(",") if p.strip()]
             else:
@@ -300,6 +313,30 @@ def _print_verdicts(diagnostics: dict[str, float], verdicts: dict[str, str]) -> 
         print(f"{verdicts[name].upper():4s} {name} = {shown}")
 
 
+def _structural_defects(
+    config: RunConfig, built: SplitHamiltonian | TimePeriodicHamiltonian
+) -> dict[str, float]:
+    """The structural defects of a stationary split, held to the
+    configured tolerance (the split was validated when the model was
+    built); none for a time-periodic model."""
+    if isinstance(built, TimePeriodicHamiltonian):
+        return {}
+    return built.check(config.tolerances.tol_struct)
+
+
+def _transform(
+    config: RunConfig, built: SplitHamiltonian | TimePeriodicHamiltonian
+) -> FWResult:
+    """The transform of one model, or of a stack of stationary splits of
+    one shape (see :func:`~fwexact.blockop.stack_splits`) in one call."""
+    tol = config.tolerances
+    if isinstance(built, TimePeriodicHamiltonian):
+        return transform_nonstationary(
+            built, max(config.floquet_nf), tol.gap_tol, config.floquet_window, tol.eps_clamp
+        )
+    return transform_stationary(built, tol.gap_tol, tol.eps_clamp)
+
+
 def _run_chain(
     config: RunConfig,
 ) -> tuple[dict[str, float], Metric, FWResult, dict[str, float]]:
@@ -310,20 +347,9 @@ def _run_chain(
     built = config.model.build()
     timings["build_ms"] = (time.perf_counter() - start) * 1e3
 
-    tol = config.tolerances
     start = time.perf_counter()
-    if isinstance(built, TimePeriodicHamiltonian):
-        diagnostics: dict[str, float] = {}
-        nf = max(config.floquet_nf)
-        result = transform_nonstationary(
-            built, nf, tol.gap_tol, config.floquet_window, tol.eps_clamp
-        )
-    else:
-        split_h: SplitHamiltonian = built
-        # the split was validated when the model was built; its defects
-        # are held to the configured tolerance here
-        diagnostics = split_h.check(tol.tol_struct)
-        result = transform_stationary(split_h, tol.gap_tol, tol.eps_clamp)
+    diagnostics = _structural_defects(config, built)
+    result = _transform(config, built)
     diagnostics.update(result.diagnostics)
     timings["transform_ms"] = (time.perf_counter() - start) * 1e3
     diagnostics = {k: float(v) for k, v in diagnostics.items()}
@@ -410,6 +436,118 @@ def _reject_dump(args: argparse.Namespace, config: RunConfig) -> None:
         )
 
 
+#: Matrix elements one stacked sweep transform may hold: those of one
+#: side-512 transform, so a stacked sweep needs no more memory than that.
+_CHUNK_ELEMENTS = 512 * 512
+
+
+def _chunk_size(side: int) -> int:
+    """Points of side ``side`` per stacked transform:
+    floor(512^2 / side^2), at least 1."""
+    return max(1, _CHUNK_ELEMENTS // (side * side))
+
+
+def _chunks(keys: Sequence[Optional[tuple[int, Metric]]]) -> list[list[int]]:
+    """Sweep points grouped for stacked transforms, ordered by their
+    first point.  ``keys`` gives each point's (side, metric), or None for
+    a point that runs alone (a time-periodic model); points of one key
+    are stacked in value order, at most :func:`_chunk_size` at a time."""
+    chunks: list[list[int]] = []
+    groups: dict[tuple[int, Metric], list[int]] = {}
+    for i, key in enumerate(keys):
+        if key is None:
+            chunks.append([i])
+        else:
+            groups.setdefault(key, []).append(i)
+    for (side, _metric), points in groups.items():
+        size = _chunk_size(side)
+        chunks += [points[k : k + size] for k in range(0, len(points), size)]
+    return sorted(chunks)
+
+
+_PointResult = tuple[dict[str, float], float, float]
+
+
+def _transform_points(
+    config: RunConfig,
+    models: Sequence[SplitHamiltonian | TimePeriodicHamiltonian],
+    timings: dict[str, float],
+) -> list[_PointResult]:
+    """One :func:`_transform` call over ``models``, stacked when there
+    are several; per model its transform diagnostics, ||S||_2 and
+    ||H_FW||_2.  The call's time and count go to ``timings``."""
+    start = time.perf_counter()
+    try:
+        result = _transform(config, models[0] if len(models) == 1 else stack_splits(models))
+    finally:
+        timings["transform_ms"] += (time.perf_counter() - start) * 1e3
+        timings["transform_calls"] += 1
+
+    def per_model(value: Any) -> list[float]:
+        return np.ravel(value).tolist()
+
+    columns = {k: per_model(v) for k, v in result.diagnostics.items()}
+    s_norms, h_fw_norms = per_model(result.s_norm), per_model(result.h_fw_norm)
+    return [
+        ({k: column[j] for k, column in columns.items()}, s_norms[j], h_fw_norms[j])
+        for j in range(len(models))
+    ]
+
+
+def _sweep_point(config: RunConfig, parameter: str, value: float) -> RunConfig:
+    """The run configuration of one sweep point."""
+    if not parameter:
+        return config
+    params = dict(config.model.params)
+    params[parameter] = value
+    return RunConfig(
+        model=ModelSpec(config.model.name, params),
+        tolerances=config.tolerances,
+        floquet_nf=config.floquet_nf,
+        floquet_window=config.floquet_window,
+    )
+
+
+def _transform_sweep(
+    config: RunConfig,
+    models: Sequence[SplitHamiltonian | TimePeriodicHamiltonian],
+    failure: Optional[tuple[int, FwExactError]],
+    timings: dict[str, float],
+) -> list[_PointResult]:
+    """The transforms of the built sweep points, in value order, run as
+    stacked chunks (:func:`_chunks`).  A chunk that raises is run again
+    one point at a time, so the sweep raises the error of its first
+    failing point, as if every point had run alone.  ``failure`` is the
+    build failure (point index and error) that ended the points, if any;
+    it is raised unless an earlier point fails."""
+    keys = [
+        (m.beta.side, m.metric) if isinstance(m, SplitHamiltonian) else None for m in models
+    ]
+    outcomes: dict[int, _PointResult] = {}
+    for chunk in _chunks(keys):
+        if failure is not None and chunk[0] > failure[0]:
+            continue
+        try:
+            done = _transform_points(config, [models[i] for i in chunk], timings)
+        except FwExactError as exc:
+            if len(chunk) == 1:  # the point ran alone already
+                failure = (chunk[0], exc)
+                continue
+            done = []
+            for i in chunk:
+                if failure is not None and i > failure[0]:
+                    break
+                try:
+                    done += _transform_points(config, [models[i]], timings)
+                except FwExactError as exc:
+                    failure = (i, exc)
+                    break
+        outcomes.update(zip(chunk, done))
+    if failure is not None:
+        raise failure[1]
+    return [outcomes[i] for i in range(len(models))]
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config, args.set or [])
     _reject_dump(args, config)
@@ -420,27 +558,35 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if parameter is None or not values:
         parameter = parameter or ""
         values = (float(config.model.params.get(parameter, 0.0)) if parameter else 0.0,)
+    timings = {"build_ms": 0.0, "transform_ms": 0.0, "transform_calls": 0}
+    points: list[RunConfig] = []
+    models: list[SplitHamiltonian | TimePeriodicHamiltonian] = []
+    structure: list[dict[str, float]] = []
+    failure: Optional[tuple[int, FwExactError]] = None
+    for value in values:
+        try:
+            point = _sweep_point(config, parameter, value)
+            start = time.perf_counter()
+            built = point.model.build()
+            timings["build_ms"] += (time.perf_counter() - start) * 1e3
+            structure.append(_structural_defects(point, built))
+        except FwExactError as exc:
+            # no later point is built
+            failure = (len(points), exc)
+            break
+        points.append(point)
+        models.append(built)
+    outcomes = _transform_sweep(config, models, failure, timings)
+
     rows = []
     worst: dict[str, float] = {}
-    metric = Metric.HERMITIAN
-    for value in values:
-        point = config
-        if parameter:
-            params = dict(config.model.params)
-            params[parameter] = value
-            point = RunConfig(
-                model=ModelSpec(config.model.name, params),
-                tolerances=config.tolerances,
-                floquet_nf=config.floquet_nf,
-                floquet_window=config.floquet_window,
-            )
-        diagnostics, metric, result, _ = _run_chain(point)
+    for point, value, structural, (transformed, s_norm, measured) in zip(
+        points, values, structure, outcomes
+    ):
+        diagnostics = {**structural, **transformed}
         for key, v in diagnostics.items():
             worst[key] = max(worst.get(key, 0.0), v)
-        # spectral norms from the transform's block decompositions
-        s_norm = result.s_norm
         dispersion = _dispersion(point)
-        measured = result.h_fw_norm
         row = {
             "parameter": parameter or "",
             "value": value,
@@ -456,7 +602,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             else float("nan"),
         }
         rows.append(row)
-    verdicts = _verdicts(worst, config.tolerances, metric)
+    verdicts = _verdicts(worst, config.tolerances, models[-1].metric)
     report_path = Path(config.report_path or "sweep_report.json")
     csv_path = report_path.with_suffix(".csv")
     header = [
@@ -483,7 +629,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "config": config.echo(),
         "diagnostics": worst,
         "verdicts": verdicts,
-        "timings": {},
+        "timings": timings,
         "matrix_dumps": [],
         "tables": [str(csv_path)],
     }

@@ -39,6 +39,13 @@ diagnostic is a Frobenius sum over blocks; no full-size temporary is
 held beyond the outputs.  ``anticommutator_even_defect`` is an exact
 zero: beta (beta lambda + lambda beta) and (beta lambda + lambda beta) beta
 are both lambda + beta lambda beta, and sign flips are exact.
+
+H may carry leading stack axes, shape (..., n, n): a stack of
+Hamiltonians of one block structure and metric (the points of a sweep)
+then runs through the same code as one transform, one stacked kernel
+call per step.  Every check holds each Hamiltonian to its own scale, and
+every diagnostic, ``h_fw_norm`` and ``s_norm`` come back as arrays with
+the stack's shape (floats without a stack).
 """
 
 from __future__ import annotations
@@ -58,7 +65,11 @@ from .blockop import (
     add_identity,
     adjoint_m,
     adjoint_sign,
+    at_least,
+    dagger,
     frobenius,
+    hypot,
+    per_matrix,
     relative_odd_norm,
 )
 from .errors import DomainError
@@ -92,17 +103,18 @@ class FWResult:
     is None only in a bundle assembled by hand.  ``h_fw_norm`` and
     ``s_norm`` are the spectral norms of ``h_fw`` and ``s``, read off the
     block decompositions the transforms make (None when assembled by
-    hand).
+    hand).  For a stacked transform the operators carry the stack axes
+    and every number is an array with the stack's shape.
     """
 
     sign_op: BlockOperator
     u: BlockOperator
     u_inverse: BlockOperator
     h_fw: BlockOperator
-    diagnostics: dict[str, float]
+    diagnostics: dict[str, float | np.ndarray]
     s: Optional[BlockOperator] = None
-    h_fw_norm: Optional[float] = None
-    s_norm: Optional[float] = None
+    h_fw_norm: Optional[float | np.ndarray] = None
+    s_norm: Optional[float | np.ndarray] = None
 
 
 def eriksen_unitary(
@@ -155,8 +167,8 @@ def _polar_blocks(lam: BlockOperator, metric: Metric) -> Blocks:
     sign = adjoint_sign(metric)
     n_pp, n_mm = add_identity(a.copy(), 1.0), add_identity(-d, 1.0)
     gram = EvenDecomposition.of(
-        n_pp.conj().T @ n_pp + sign * (c.conj().T @ c),
-        sign * (b.conj().T @ b) + n_mm.conj().T @ n_mm,
+        dagger(n_pp) @ n_pp + sign * (dagger(c) @ c),
+        sign * (dagger(b) @ b) + dagger(n_mm) @ n_mm,
     )
     root_pp, root_mm = _inverse_root(gram)
     return Blocks(n_pp @ root_pp, b @ root_mm, -(c @ root_pp), n_mm @ root_mm)
@@ -180,26 +192,24 @@ def eriksen_unitary_alt(
     return lam.like_blocks(*_polar_blocks(lam, metric))
 
 
-def _unitary_defects(u: BlockOperator, metric: Metric) -> dict[str, float]:
+def _unitary_defects(u: BlockOperator, metric: Metric) -> dict[str, float | np.ndarray]:
     """eriksen_defect, unitarity_defect and (beta-pseudo metric)
     pseudo_unitarity_defect from the parity blocks of U; the adjoint's
     off-diagonal blocks carry :func:`~fwexact.blockop.adjoint_sign`."""
     pp, pm, mp, mm = u.blocks
     sign = adjoint_sign(metric)
     root_n = math.sqrt(u.side)
-
-    def h(x: np.ndarray) -> np.ndarray:
-        return x.conj().T
+    h = dagger
 
     out = {
-        "eriksen_defect": math.hypot(
+        "eriksen_defect": hypot(
             frobenius(pp - h(pp)),
             frobenius(pm + h(mp)),
             frobenius(mp + h(pm)),
             frobenius(mm - h(mm)),
         )
         / root_n,
-        "unitarity_defect": math.hypot(
+        "unitarity_defect": hypot(
             frobenius(add_identity(pp @ h(pp) + sign * (pm @ h(pm)), -1.0)),
             frobenius(sign * (pp @ h(mp)) + pm @ h(mm)),
             frobenius(mp @ h(pp) + sign * (mm @ h(pm))),
@@ -208,7 +218,7 @@ def _unitary_defects(u: BlockOperator, metric: Metric) -> dict[str, float]:
         / root_n,
     }
     if metric is Metric.BETA_PSEUDO:
-        out["pseudo_unitarity_defect"] = math.hypot(
+        out["pseudo_unitarity_defect"] = hypot(
             frobenius(add_identity(h(pp) @ pp + sign * (h(mp) @ mp), -1.0)),
             frobenius(h(pp) @ pm + sign * (h(mp) @ mm)),
             frobenius(sign * (h(pm) @ pp) + h(mm) @ mp),
@@ -234,11 +244,15 @@ def verify_eriksen_identities(
 
 
 def _identity_defects(
-    involution: dict[str, float], u: BlockOperator, metric: Metric
-) -> dict[str, float]:
+    involution: dict[str, float | np.ndarray], u: BlockOperator, metric: Metric
+) -> dict[str, float | np.ndarray]:
     """The involution defects of lambda with those of U
     (see :func:`verify_eriksen_identities`)."""
-    return {**involution, "anticommutator_even_defect": 0.0, **_unitary_defects(u, metric)}
+    return {
+        **involution,
+        "anticommutator_even_defect": per_matrix(np.zeros(u.stack_shape)),
+        **_unitary_defects(u, metric),
+    }
 
 
 def verify_even_transformed(h_fw: BlockOperator, beta: BetaMatrix) -> float:
@@ -264,7 +278,7 @@ def _transform(
     """
     dec = decompose(h, metric)
     lam = sign_of(h, metric, gap_tol, dec)
-    before, scale = np.sort(dec.eigenvalues.real), max(dec.scale, 1e-300)
+    before, scale = np.sort(dec.eigenvalues.real), at_least(dec.scale, 1e-300)
     del dec
     involution = check_involution(lam, LAMBDA_SQ_TOL)
     # one decomposition of the denominator serves U and form A
@@ -276,7 +290,8 @@ def _transform(
     u_inverse = adjoint_m(u, metric)
     h_fw = h.like(u.data @ h.data @ u_inverse.data)
     # U H U^{-1} is even and metric-self-adjoint: Hermitian diagonal blocks
-    after = np.sort(np.linalg.eigvalsh(np.stack((h_fw.blocks.pp, h_fw.blocks.mm))), axis=None)
+    after = np.linalg.eigvalsh(np.stack((h_fw.blocks.pp, h_fw.blocks.mm), axis=-3))
+    after = np.sort(after.reshape(before.shape), axis=-1)
     square = OddSquare(s.blocks.pm, s.blocks.mp)
     result = FWResult(
         sign_op=lam,
@@ -285,10 +300,12 @@ def _transform(
         h_fw=h_fw,
         diagnostics=_identity_defects(involution, u, metric),
         s=s,
-        h_fw_norm=float(np.abs(after).max(initial=0.0)),
+        h_fw_norm=per_matrix(np.abs(after).max(axis=-1, initial=0.0)),
         s_norm=square.norm_2(),
     )
-    result.diagnostics["spectrum_defect"] = float(np.abs(before - after).max()) / scale
+    result.diagnostics["spectrum_defect"] = per_matrix(
+        np.abs(before - after).max(axis=-1) / scale
+    )
     result.diagnostics.update(generator_defects)
     # one square of S serves sin 2S, cos 2S and exp(iS)
     result.diagnostics.update(trig_defects(square, lam))
@@ -323,6 +340,6 @@ def _sqrt_h2_odd_norm(lam: BlockOperator, h: BlockOperator) -> float:
     """Relative odd norm of sqrt(H^2) = lambda H, one block at a time."""
     a, b, c, d = lam.blocks
     h_pp, h_pm, h_mp, h_mm = h.blocks
-    odd = math.hypot(frobenius(a @ h_pm + b @ h_mm), frobenius(c @ h_pp + d @ h_mp))
-    even = math.hypot(frobenius(a @ h_pp + b @ h_mp), frobenius(c @ h_pm + d @ h_mm))
-    return odd / max(math.hypot(odd, even), 1e-300)
+    odd = hypot(frobenius(a @ h_pm + b @ h_mm), frobenius(c @ h_pp + d @ h_mp))
+    even = hypot(frobenius(a @ h_pp + b @ h_mp), frobenius(c @ h_pm + d @ h_mm))
+    return odd / at_least(hypot(odd, even), 1e-300)

@@ -39,6 +39,12 @@ S is assembled from its off-diagonal blocks alone, so it is odd by
 construction and ``oddness_defect`` is an exact zero; the two
 off-diagonal blocks are computed independently, so
 ``hermiticity_defect`` stays a measurement.
+
+lambda may carry leading stack axes (one sign operator per point of a
+sweep): every block product, decomposition and defect runs over the
+stack at once, the arcsine clamp holds each operator to its own
+spectrum, and the diagnostics are arrays with the stack's shape (floats
+without a stack).
 """
 
 from __future__ import annotations
@@ -55,7 +61,12 @@ from .blockop import (
     Metric,
     add_identity,
     adjoint_sign,
+    at_least,
+    dagger,
+    first_failing,
     frobenius,
+    hypot,
+    per_matrix,
 )
 from .errors import DomainError
 from .matfun import EvenDecomposition, check_hermitian, check_involution, exp_i
@@ -116,28 +127,31 @@ class OddSquare:
         upper, lower = self.square.apply(g)
         return self.pm @ lower, self.mp @ upper
 
-    def norm_2(self) -> float:
-        """||X||_2 = sqrt(max |eig X^2|); X is normal (Hermitian or
-        skew-Hermitian) when it is metric-self-adjoint."""
-        return float(np.sqrt(np.abs(self.square.eigenvalues).max(initial=0.0)))
+    def norm_2(self) -> float | np.ndarray:
+        """||X||_2 = sqrt(max |eig X^2|) per operator; X is normal
+        (Hermitian or skew-Hermitian) when it is metric-self-adjoint."""
+        eigenvalues = np.abs(self.square.eigenvalues)
+        return per_matrix(np.sqrt(eigenvalues.max(axis=(-2, -1), initial=0.0)))
 
 
 def arcsin_odd(
     pm: np.ndarray, mp: np.ndarray, eps_clamp: float = EPS_CLAMP
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
     """Off-diagonal blocks of the principal arcsine of an odd operator,
     and the clamp excess: how far the largest real |eigenvalue|
-    sqrt(x), x >= 0 an eigenvalue of X^2, pokes past 1.  An excess above
-    ``eps_clamp`` raises; within it the clamp snaps the eigenvalue to 1."""
+    sqrt(x), x >= 0 an eigenvalue of X^2, pokes past 1 (per operator of
+    a stack).  An excess above ``eps_clamp`` raises; within it the clamp
+    snaps the eigenvalue to 1."""
     sq = OddSquare(pm, mp)
-    top = float(sq.square.eigenvalues.max(initial=0.0))
-    excess = max(0.0, float(np.sqrt(max(top, 0.0))) - 1.0)
-    if excess > eps_clamp:
+    top = sq.square.eigenvalues.max(axis=(-2, -1), initial=0.0)
+    excess = np.maximum(np.sqrt(top) - 1.0, 0.0)
+    i = first_failing(excess > eps_clamp)
+    if i is not None:
         raise DomainError(
-            f"arcsin domain violation: |eigenvalue| exceeds 1 by {excess:.3e} "
+            f"arcsin domain violation: |eigenvalue| exceeds 1 by {np.ravel(excess)[i]:.3e} "
             f"(clamp band {eps_clamp:.1e})"
         )
-    return (*sq.odd(_ARCSIN), excess)
+    return (*sq.odd(_ARCSIN), per_matrix(excess))
 
 
 @dataclass(frozen=True)
@@ -213,21 +227,22 @@ def generator_from_lambda(
     )
     del half_pp, half_mm
     d_pp, d_mm = dec.positive(lambda w: 2.0 * np.sqrt(w))
-    commutator = math.hypot(
+    commutator = hypot(
         frobenius(m_pm @ d_mm - d_pp @ m_pm), frobenius(m_mp @ d_pp - d_mm @ m_mp)
-    ) / max(math.hypot(frobenius(d_pp), frobenius(d_mm)), 1e-300)
+    ) / at_least(hypot(frobenius(d_pp), frobenius(d_mm)), 1e-300)
     del d_pp, d_mm, m_pm, m_mp
 
     sign = adjoint_sign(metric)
-    s_scale = max(1.0, math.hypot(frobenius(s_pm), frobenius(s_mp)))
+    s_scale = at_least(hypot(frobenius(s_pm), frobenius(s_mp)), 1.0)
+
     diagnostics = {
-        "oddness_defect": 0.0,
-        "hermiticity_defect": math.hypot(
-            frobenius(s_pm - sign * s_mp.conj().T), frobenius(s_mp - sign * s_pm.conj().T)
+        "oddness_defect": per_matrix(np.zeros(lam.stack_shape)),
+        "hermiticity_defect": hypot(
+            frobenius(s_pm - sign * dagger(s_mp)), frobenius(s_mp - sign * dagger(s_pm))
         )
         / s_scale,
         # S_A = -arcsin(A), so S_A - S = -(arc_a + s)
-        "form_agreement_defect": math.hypot(
+        "form_agreement_defect": hypot(
             frobenius(arc_a_pm + s_pm), frobenius(arc_a_mp + s_mp)
         )
         / s_scale,
@@ -250,9 +265,9 @@ def trig_defects(sq: OddSquare, lam: BlockOperator) -> dict[str, float]:
     cos_pp, cos_mm = sq.even(_COS2)
     root_n = math.sqrt(lam.side)
     return {
-        "sin2s_defect": math.hypot(frobenius(sin_pm + 1j * b), frobenius(sin_mp - 1j * c))
+        "sin2s_defect": hypot(frobenius(sin_pm + 1j * b), frobenius(sin_mp - 1j * c))
         / root_n,
-        "cos2s_defect": math.hypot(frobenius(cos_pp - a), frobenius(cos_mm + d)) / root_n,
+        "cos2s_defect": hypot(frobenius(cos_pp - a), frobenius(cos_mm + d)) / root_n,
     }
 
 
@@ -263,12 +278,13 @@ def exp_blocks(sq: OddSquare) -> tuple[np.ndarray, ...]:
     return cos_pp, 1j * sin_pm, 1j * sin_mp, cos_mm
 
 
-def exp_defect(exponential: tuple[np.ndarray, ...], u: BlockOperator) -> float:
+def exp_defect(
+    exponential: tuple[np.ndarray, ...], u: BlockOperator
+) -> float | np.ndarray:
     """||exponential - U||_F / ||U||_F, from parity blocks (also the
     polar form against U)."""
-    return math.hypot(*(frobenius(x - y) for x, y in zip(exponential, u.blocks))) / max(
-        u.norm(), 1e-300
-    )
+    defect = hypot(*(frobenius(x - y) for x, y in zip(exponential, u.blocks)))
+    return defect / at_least(u.norm(), 1e-300)
 
 
 def verify_trig_identities(

@@ -59,7 +59,15 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .blockop import BetaMatrix, BlockOperator, Metric, adjoint_m, beta_matrix, relative_odd_norm
+from .blockop import (
+    BetaMatrix,
+    BlockOperator,
+    Metric,
+    adjoint_m,
+    beta_matrix,
+    dagger,
+    relative_odd_norm,
+)
 from .errors import DomainError, SpectralGapError, StructureError
 from .eriksen import FWResult, _transform, eriksen_unitary
 from .matfun import SpectralDecomposition, check_gap, decompose, decompose_array, sign_of
@@ -156,17 +164,22 @@ def _beta_characters(
     Within a degenerate eigenspace the per-vector character would depend
     on the basis eigh happens to return; diagonalising V_c^dag beta V_c
     over each cluster of equal eigenvalues makes it a property of K.
+    Clusters of one size go to one stacked ``eigh``.
     """
     w = dec.eigenvalues.real
     v = dec.right_vectors.copy()
     chars = np.einsum("ij,i,ij->j", v.conj(), beta.signs, v).real
     edges = np.flatnonzero(np.diff(w) > _EIGENSPACE_TOL * dec.scale) + 1
+    by_size: dict[int, list[np.ndarray]] = {}
     for cluster in np.split(np.arange(len(w)), edges):
         if len(cluster) > 1:
-            block = v[:, cluster]
-            gram = block.conj().T @ beta.flip_rows(block)
-            chars[cluster], rotation = np.linalg.eigh(gram)
-            v[:, cluster] = block @ rotation
+            by_size.setdefault(len(cluster), []).append(cluster)
+    for clusters in by_size.values():
+        columns = np.stack(clusters)  # (clusters, size)
+        blocks = v[:, columns].transpose(1, 0, 2)  # (clusters, side, size)
+        gram = dagger(blocks) @ beta.flip_rows(blocks)
+        chars[columns], rotation = np.linalg.eigh(gram)
+        v[:, columns] = (blocks @ rotation).transpose(1, 0, 2)
     return v, chars
 
 

@@ -18,10 +18,15 @@ blocks of an even operator (:class:`EvenDecomposition`).  For an
 operator A self-adjoint under either metric those blocks are Hermitian:
 A = beta A^dag beta keeps A_{++} and A_{--} and flips the sign of the
 off-diagonal pair, A_{-+} = -A_{+-}^dag.  The two blocks go to one
-batched call, so a 4x4 or 2x2 model pays the Python overhead of one call
-per even operator.  Likewise :func:`decompose_array` takes a stack of
-small matrices (the instantaneous H(t) samples of a Floquet drive) to
-one stacked call, with every check held per matrix.
+batched call.
+
+Every kernel takes operators with leading stack axes (the points of a
+sweep, the instantaneous H(t) samples of a Floquet drive) to one stacked
+call, so a stack of 4x4 or 2x2 models pays the Python overhead of one
+call per kernel, not one per matrix.  Every check (Hermiticity, the gap,
+a real spectrum, cond(V), positive definiteness, lambda^2 = 1) holds
+each matrix of a stack to its own scale and reports the first one that
+fails; diagnostics reduce per matrix (see :mod:`fwexact.blockop`).
 """
 
 from __future__ import annotations
@@ -32,7 +37,17 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .blockop import BlockOperator, Metric, add_identity, adjoint_m, frobenius
+from .blockop import (
+    BlockOperator,
+    Metric,
+    add_identity,
+    adjoint_m,
+    dagger,
+    first_failing,
+    frobenius,
+    hypot,
+    per_matrix,
+)
 from .errors import (
     DomainError,
     EigendecompositionError,
@@ -97,15 +112,14 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 
 def _spectral_radius(w: np.ndarray) -> float | np.ndarray:
     """max |w| of each matrix: a float for one, an array for a stack."""
-    radius = np.abs(w).max(axis=-1, initial=0.0)
-    return float(radius) if radius.ndim == 0 else radius
+    return per_matrix(np.abs(w).max(axis=-1, initial=0.0))
 
 
 def _decompose_hermitian(a: np.ndarray) -> SpectralDecomposition:
     w, v = np.linalg.eigh(a)
     v = _fix_phases(v)
     return SpectralDecomposition(
-        w.astype(complex), v, v.conj().swapaxes(-1, -2), _spectral_radius(w)
+        w.astype(complex), v, dagger(v), _spectral_radius(w)
     )
 
 
@@ -113,10 +127,11 @@ class EvenDecomposition(NamedTuple):
     """An even operator by its two diagonal parity blocks, stacked and
     decomposed by one batched Hermitian ``eigh`` (lower triangles read).
 
-    ``eigenvalues`` has shape (2, half) and is real; ``vectors`` has
-    shape (2, half, half).  Only matrix functions of it are used, so the
-    eigenvector phases are left as ``eigh`` returns them.  Functions of
-    it are (upper, lower) block pairs.
+    ``eigenvalues`` has shape (..., 2, half) and is real; ``vectors`` has
+    shape (..., 2, half, half), the leading axes those of the operator's
+    stack.  Only matrix functions of it are used, so the eigenvector
+    phases are left as ``eigh`` returns them.  Functions of it are
+    (upper, lower) block pairs.
     """
 
     eigenvalues: np.ndarray
@@ -125,26 +140,29 @@ class EvenDecomposition(NamedTuple):
 
     @staticmethod
     def of(pp: np.ndarray, mm: np.ndarray) -> "EvenDecomposition":
-        w, v = np.linalg.eigh(np.stack((pp, mm)))
-        return EvenDecomposition(w, v, v.conj().swapaxes(-1, -2))
+        w, v = np.linalg.eigh(np.stack((pp, mm), axis=-3))
+        return EvenDecomposition(w, v, dagger(v))
 
     def apply(
         self, f: Callable[[np.ndarray], np.ndarray]
     ) -> tuple[np.ndarray, np.ndarray]:
-        out = (self.vectors * f(self.eigenvalues)[:, None, :]) @ self.inverse_vectors
-        return out[0], out[1]
+        out = (self.vectors * f(self.eigenvalues)[..., None, :]) @ self.inverse_vectors
+        return out[..., 0, :, :], out[..., 1, :, :]
 
     def positive(
         self, f: Callable[[np.ndarray], np.ndarray]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Apply f to both blocks, whose joint spectrum must be positive;
-        the threshold is relative to the largest eigenvalue of the two."""
+        the threshold is relative to the largest |eigenvalue| of the two
+        blocks of the same operator."""
         w = self.eigenvalues
-        threshold = 1e-12 * max(float(np.abs(w).max(initial=0.0)), 1e-300)
-        if w.min() <= threshold:
+        lowest = w.min(axis=(-2, -1))
+        threshold = 1e-12 * np.maximum(np.abs(w).max(axis=(-2, -1)), 1e-300)
+        i = first_failing(lowest <= threshold)
+        if i is not None:
             raise DomainError(
-                f"not positive definite: min eigenvalue {w.min():.3e} "
-                f"(threshold {threshold:.3e})"
+                f"not positive definite: min eigenvalue {np.ravel(lowest)[i]:.3e} "
+                f"(threshold {np.ravel(threshold)[i]:.3e})"
             )
         return self.apply(f)
 
@@ -156,10 +174,12 @@ def _decompose_general(a: np.ndarray) -> SpectralDecomposition:
     v = np.take_along_axis(v, order[..., None, :], axis=-1)
     v = v / np.linalg.norm(v, axis=-2, keepdims=True)
     v = _fix_phases(v)
-    cond = float(np.max(np.linalg.cond(v)))
-    if cond > _COND_LIMIT:
+    cond = np.linalg.cond(v)
+    i = first_failing(cond > _COND_LIMIT)
+    if i is not None:
         raise EigendecompositionError(
-            f"ill-conditioned eigenbasis: cond(V) = {cond:.3e} > {_COND_LIMIT:.0e}"
+            f"ill-conditioned eigenbasis: cond(V) = {np.ravel(cond)[i]:.3e} "
+            f"> {_COND_LIMIT:.0e}"
         )
     return SpectralDecomposition(w, v, np.linalg.inv(v), _spectral_radius(w))
 
@@ -167,13 +187,11 @@ def _decompose_general(a: np.ndarray) -> SpectralDecomposition:
 def check_hermitian(data: np.ndarray, tol: float = TOL_STRUCT) -> None:
     """Raise MetricViolationError unless ``data`` is Hermitian to ``tol``
     relative; each matrix of a stack is held to its own norm."""
-    axes = None if data.ndim == 2 else (-2, -1)
-    defect = np.linalg.norm(data - data.conj().swapaxes(-1, -2), axis=axes)
-    scale = np.maximum(np.linalg.norm(data, axis=axes), 1e-300)
-    failing = np.flatnonzero(defect > tol * scale)
-    if failing.size:
+    defect = frobenius(data - dagger(data))
+    i = first_failing(defect > tol * np.maximum(frobenius(data), 1e-300))
+    if i is not None:
         raise MetricViolationError(
-            f"input is not Hermitian: defect {np.ravel(defect)[failing[0]]:.3e} "
+            f"input is not Hermitian: defect {np.ravel(defect)[i]:.3e} "
             f"(relative tol {tol:.1e})"
         )
 
@@ -215,10 +233,11 @@ def decompose_array(
     dec = _decompose_general(data)
     if not allow_complex:
         max_imag = np.abs(dec.eigenvalues.imag).max(axis=-1, initial=0.0)
-        if np.any(max_imag > _IMAG_TOL * np.maximum(dec.scale, 1e-300)):
+        i = first_failing(max_imag > _IMAG_TOL * np.maximum(dec.scale, 1e-300))
+        if i is not None:
             raise EigendecompositionError(
                 "broken pseudo-Hermiticity: eigenvalue imaginary part "
-                f"{np.max(max_imag):.3e} exceeds {_IMAG_TOL:.0e} * max |eigenvalue|"
+                f"{np.ravel(max_imag)[i]:.3e} exceeds {_IMAG_TOL:.0e} * max |eigenvalue|"
             )
     return dec
 
@@ -250,9 +269,8 @@ def check_gap(dec: SpectralDecomposition, gap_tol: float = GAP_TOL) -> None:
     """
     min_abs = np.abs(dec.eigenvalues.real).min(axis=-1)
     scale = np.asarray(dec.scale)
-    failing = np.flatnonzero(min_abs <= gap_tol * scale)
-    if failing.size:
-        i = int(failing[0])
+    i = first_failing(min_abs <= gap_tol * scale)
+    if i is not None:
         bound = gap_tol * float(np.ravel(scale)[i])
         raise SpectralGapError(
             f"spectral gap violation: min |eigenvalue| = {np.ravel(min_abs)[i]:.3e} "
@@ -262,33 +280,34 @@ def check_gap(dec: SpectralDecomposition, gap_tol: float = GAP_TOL) -> None:
         )
 
 
-def involution_defects(lam: BlockOperator) -> dict[str, float]:
+def involution_defects(lam: BlockOperator) -> dict[str, float | np.ndarray]:
     """lambda_sq_defect, ||lambda^2 - 1|| / sqrt(n), and
     sign_products_commute_defect, ||[beta lambda, lambda beta]|| / sqrt(n),
     from one blockwise lambda^2: the commutator is beta lambda^2 beta -
     lambda^2, minus twice the odd part of lambda^2."""
     a, b, c, d = lam.blocks
-    diagonal = math.hypot(
+    diagonal = hypot(
         frobenius(add_identity(a @ a + b @ c, -1.0)),
         frobenius(add_identity(c @ b + d @ d, -1.0)),
     )
-    odd = math.hypot(frobenius(a @ b + b @ d), frobenius(c @ a + d @ c))
+    odd = hypot(frobenius(a @ b + b @ d), frobenius(c @ a + d @ c))
     root_n = math.sqrt(lam.side)
     return {
-        "lambda_sq_defect": math.hypot(diagonal, odd) / root_n,
+        "lambda_sq_defect": hypot(diagonal, odd) / root_n,
         "sign_products_commute_defect": 2.0 * odd / root_n,
     }
 
 
-def check_involution(lam: BlockOperator, tol: float) -> dict[str, float]:
-    """Raise unless the sign operator squares to one within ``tol``;
-    returns :func:`involution_defects`."""
+def check_involution(lam: BlockOperator, tol: float) -> dict[str, float | np.ndarray]:
+    """Raise unless the sign operator squares to one within ``tol`` (each
+    matrix of a stack); returns :func:`involution_defects`."""
     defects = involution_defects(lam)
     defect = defects["lambda_sq_defect"]
-    if defect > tol:
+    i = first_failing(defect > tol)
+    if i is not None:
         raise DomainError(
-            f"sign operator is not an involution: ||lambda^2 - 1|| = {defect:.3e} "
-            f"(tolerance {tol:.1e})"
+            "sign operator is not an involution: "
+            f"||lambda^2 - 1|| = {np.ravel(defect)[i]:.3e} (tolerance {tol:.1e})"
         )
     return defects
 
@@ -341,10 +360,12 @@ def exp_i(s: BlockOperator, metric: Metric) -> BlockOperator:
     complex (bosonic generators have imaginary eigenvalues), so the
     general decomposition is used.
     """
-    defect = np.linalg.norm(s.data - adjoint_m(s, metric).data)
-    if defect > 1e-8 * max(s.norm(), 1.0):
+    defect = frobenius(s.data - adjoint_m(s, metric).data)
+    i = first_failing(defect > 1e-8 * np.maximum(s.norm(), 1.0))
+    if i is not None:
         raise MetricViolationError(
-            f"generator is not self-adjoint under {metric.value}: defect {defect:.3e}"
+            f"generator is not self-adjoint under {metric.value}: "
+            f"defect {np.ravel(defect)[i]:.3e}"
         )
     if metric is Metric.HERMITIAN:
         dec = _decompose_hermitian(s.data)

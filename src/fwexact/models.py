@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -289,6 +289,18 @@ MODEL_CATALOG: dict[str, dict] = {
 }
 
 
+def check_parameter_names(name: str, keys: Iterable[str]) -> None:
+    """Raise StructureError for a key that is not a parameter of the
+    catalog model ``name``, naming the key and the model's parameters."""
+    known = MODEL_CATALOG[name]["params"]
+    unknown = sorted(set(keys) - set(known))
+    if unknown:
+        raise StructureError(
+            f"unknown parameter {unknown[0]!r} of model {name}; "
+            f"its parameters are: {', '.join(known)}"
+        )
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Named model plus parameter map, as parsed from a run config."""
@@ -301,6 +313,7 @@ class ModelSpec:
             raise StructureError(
                 f"unknown model {self.name!r}; known: {', '.join(sorted(MODEL_CATALOG))}"
             )
+        check_parameter_names(self.name, self.params)
         params = dict(self.params)
         if params.get("m", 1.0) <= 0:
             raise StructureError("mass must be positive")

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import sys
 from collections import Counter
 
@@ -6,9 +8,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fwexact.cli
 import fwexact.expgen
-from fwexact import BlockOperator, beta_matrix
-from fwexact.cli import dump_matrix, load_matrix, main
+from fwexact import BlockOperator, Metric, ModelSpec, beta_matrix, transform_stationary
+from fwexact.cli import _IDENTITY_KEYS, _chunk_size, _chunks, dump_matrix, load_matrix, main
 
 
 def run(argv):
@@ -227,6 +230,163 @@ class TestSweep:
         assert code == 2
 
 
+def sweep_argv(tmp_path, model, params, parameter, values):
+    argv = ["sweep", "--set", f"model.name={model}"]
+    for key, value in params.items():
+        argv += ["--set", f"model.params.{key}={value!r}"]
+    argv += ["--set", f"sweep.parameter={parameter}"]
+    argv += ["--set", "sweep.values=" + json.dumps(values)]
+    return argv + ["--report", str(tmp_path / "sweep.json")]
+
+
+class TestStackedSweep:
+    """A sweep transforms its points of one shape as one stack; its rows
+    and worst-case diagnostics are those of per-point transforms."""
+
+    CASES = {
+        "free_dirac": ("free_dirac", {"m": 1.0}, "pz", np.linspace(0.05, 4.0, 9).tolist()),
+        "feshbach_villars": (
+            "feshbach_villars", {"m": 1.0}, "p", np.linspace(0.05, 4.0, 9).tolist()
+        ),
+        "dirac_1d": ("dirac_1d", {"N": 8}, "V1", [0.1, 0.2, 0.3]),
+        "mixed_shapes": ("dirac_1d", {"V1": 0.2}, "N", [8, 16, 8]),
+        "one_point": ("free_dirac", {}, "pz", [0.5]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rows_and_worst_match_per_point_transforms(self, tmp_path, case):
+        model, params, parameter, values = self.CASES[case]
+        assert run(sweep_argv(tmp_path, model, params, parameter, values)) == 0
+        with open(tmp_path / "sweep.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        report = json.loads((tmp_path / "sweep.json").read_text())
+        assert len(rows) == len(values)
+        worst = {}
+        for row, value in zip(rows, values):
+            split = ModelSpec(model, {**params, parameter: value}).build()
+            result = transform_stationary(split)
+            diagnostics = {**split.check(), **result.diagnostics}
+            for key, v in diagnostics.items():
+                worst[key] = max(worst.get(key, 0.0), v)
+            assert float(row["value"]) == value
+            expected_max = max(diagnostics[k] for k in _IDENTITY_KEYS if k in diagnostics)
+            assert abs(float(row["max_identity_defect"]) - expected_max) <= 1e-14
+            assert abs(float(row["odd_norm"]) - diagnostics["odd_norm"]) <= 1e-14
+            assert float(row["s_norm_2"]) == pytest.approx(result.s_norm, rel=1e-14, abs=1e-300)
+            if model == "dirac_1d":
+                assert math.isnan(float(row["dispersion"]))
+            else:
+                assert float(row["dispersion"]) == pytest.approx(result.h_fw_norm, rel=1e-14)
+        assert report["diagnostics"].keys() == worst.keys()
+        for key, v in worst.items():
+            assert abs(report["diagnostics"][key] - v) <= 1e-14
+
+    def test_timings(self, tmp_path):
+        assert run(sweep_argv(tmp_path, "dirac_1d", {"V1": 0.2}, "N", [8, 16, 8])) == 0
+        timings = json.loads((tmp_path / "sweep.json").read_text())["timings"]
+        assert timings.keys() == {"build_ms", "transform_ms", "transform_calls"}
+        assert timings["transform_calls"] == 2  # N = 8 twice in one stack, N = 16 alone
+        assert timings["build_ms"] > 0 and timings["transform_ms"] > 0
+
+
+class TestSweepChunks:
+    def test_chunk_size(self):
+        sides = (2, 4, 32, 128, 512, 1024)
+        assert [_chunk_size(side) for side in sides] == [65536, 16384, 256, 16, 1, 1]
+
+    def test_points_group_by_shape_in_value_order(self):
+        h, p = Metric.HERMITIAN, Metric.BETA_PSEUDO
+        keys = [(32, h), (64, h), (32, h), None, (32, p), (512, h), (512, h), (32, h)]
+        assert _chunks(keys) == [[0, 2, 7], [1], [3], [4], [5], [6]]
+
+    def test_groups_split_at_the_chunk_size(self):
+        assert _chunks([(256, Metric.HERMITIAN)] * 9) == [[0, 1, 2, 3], [4, 5, 6, 7], [8]]
+
+
+class TestSweepErrorReplay:
+    """A failing sweep exits as its first failing point does alone."""
+
+    def outcome(self, capsys, tmp_path, *args):
+        code = run(sweep_argv(tmp_path, *args))
+        return code, capsys.readouterr().err
+
+    def test_build_failure(self, tmp_path, capsys):
+        code, err = self.outcome(capsys, tmp_path, "feshbach_villars", {}, "m", [1, -1])
+        assert code == 4
+        assert (code, err) == self.outcome(capsys, tmp_path, "feshbach_villars", {}, "m", [-1])
+        assert not (tmp_path / "sweep.json").exists()
+
+    def test_second_point_of_a_stack_fails(self, tmp_path, capsys, monkeypatch):
+        # V0 = -1 drags the k = 0 upper branch to zero energy
+        original = fwexact.cli.transform_stationary
+        stacks = []
+
+        def spy(split_h, *args, **kwargs):
+            stacks.append(split_h.mass.stack_shape)
+            return original(split_h, *args, **kwargs)
+
+        monkeypatch.setattr(fwexact.cli, "transform_stationary", spy)
+        code, err = self.outcome(capsys, tmp_path, "dirac_1d", {"N": 8}, "V0", [0, -1, 0, -1])
+        assert code == 3
+        # the stack, then its points one at a time up to the first failure
+        assert stacks == [(4,), (), ()]
+        alone = self.outcome(capsys, tmp_path, "dirac_1d", {"N": 8}, "V0", [-1])
+        assert (code, err) == alone
+
+    def test_transform_failure_before_build_failure(self, tmp_path, capsys):
+        # m = 1 with V0 = -1 has no gap (exit 3); m = -1 does not build (exit 4)
+        code, err = self.outcome(capsys, tmp_path, "dirac_1d", {"N": 8, "V0": -1}, "m", [1, -1])
+        assert code == 3
+        assert (code, err) == self.outcome(
+            capsys, tmp_path, "dirac_1d", {"N": 8, "V0": -1}, "m", [1]
+        )
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["transform", "--set", "model.params.foo=1"],
+            ["sweep", "--set", "sweep.parameter=foo", "--set", "sweep.values=[1,2]"],
+        ],
+        ids=["transform", "sweep"],
+    )
+    def test_unknown_model_parameter_is_usage_error(self, tmp_path, capsys, argv):
+        report = tmp_path / "report.json"
+        code = run([*argv, "--set", "model.name=free_dirac", "--report", str(report)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'foo'" in err and "m, px, py, pz" in err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("text", ["[1,nan]", "{1", "[0.25,"])
+    def test_malformed_bracketed_value_is_not_valid_json(self, tmp_path, capsys, text):
+        code = run(
+            [
+                "sweep",
+                "--set", "model.name=free_dirac",
+                "--set", "sweep.parameter=pz",
+                "--set", f"sweep.values={text}",
+                "--report", str(tmp_path / "sweep.json"),
+            ]
+        )
+        assert code == 2
+        assert "is not valid JSON" in capsys.readouterr().err
+
+    def test_comma_list_still_parsed(self, tmp_path):
+        code = run(
+            [
+                "sweep",
+                "--set", "model.name=free_dirac",
+                "--set", "sweep.parameter=pz",
+                "--set", "sweep.values=0.25,0.5",
+                "--report", str(tmp_path / "sweep.json"),
+            ]
+        )
+        assert code == 0
+        assert len((tmp_path / "sweep.csv").read_text().strip().splitlines()) == 3
+
+
 class TestFloquet:
     def test_static_model_passes(self, tmp_path):
         report_path = tmp_path / "floquet.json"
@@ -421,19 +581,24 @@ class TestDecompositionCounts:
     """One full-size decomposition per CLI transform, that of H (or K);
     every later kernel is a half-size block decomposition, and no
     spectral norm is taken, since every scale comes from known
-    eigenvalues."""
+    eigenvalues.  A sweep decomposes the H of all its points of one
+    shape in one stacked call."""
 
     DECOMPOSITIONS = ("eigh", "eig", "eigvalsh", "svd")
 
     @classmethod
     def count(cls, monkeypatch, argv):
-        calls = Counter()
+        """Calls and matrices (the product of the leading axes) per
+        decomposition and side, and the spectral norms taken."""
+        calls, matrices = Counter(), Counter()
         linalg = np.linalg
         for name in cls.DECOMPOSITIONS:
             original = getattr(linalg, name)
 
             def counted(a, *args, _name=name, _original=original, **kwargs):
-                calls[_name, np.shape(a)[-1]] += 1
+                shape = np.shape(a)
+                calls[_name, shape[-1]] += 1
+                matrices[_name, shape[-1]] += math.prod(shape[:-2])
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(linalg, name, counted)
@@ -446,7 +611,7 @@ class TestDecompositionCounts:
 
         monkeypatch.setattr(linalg, "norm", counted_norm)
         assert run(argv) == 0
-        return calls
+        return calls, matrices
 
     @staticmethod
     def by_side(calls, side):
@@ -456,7 +621,7 @@ class TestDecompositionCounts:
         argv = ["transform", "--report", str(tmp_path / "report.json")]
         for assignment in assignments:
             argv += ["--set", assignment]
-        calls = self.count(monkeypatch, argv)
+        calls, _ = self.count(monkeypatch, argv)
         full, half = self.by_side(calls, side), self.by_side(calls, side // 2)
         assert full == 1
         assert 0 < half <= 12
@@ -494,7 +659,7 @@ class TestDecompositionCounts:
         )
 
     def test_sweep_takes_no_spectral_norm(self, tmp_path, monkeypatch):
-        calls = self.count(
+        calls, matrices = self.count(
             monkeypatch,
             [
                 "sweep",
@@ -505,7 +670,8 @@ class TestDecompositionCounts:
                 "--report", str(tmp_path / "sweep.json"),
             ],
         )
-        assert self.by_side(calls, 32) == 3
+        assert self.by_side(calls, 32) == 1
+        assert self.by_side(matrices, 32) == 3
         assert calls["spectral_norm"] == 0
 
 

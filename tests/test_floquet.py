@@ -24,6 +24,8 @@ from fwexact import (
 )
 from fwexact.blockop import BlockOperator, adjoint_m
 from fwexact.eriksen import eriksen_unitary
+from fwexact.floquet import _beta_characters
+from fwexact.matfun import decompose
 from fwexact.models import ALPHA, BETA4
 
 # reference drive for the naive-vs-extended comparison: an odd (vector)
@@ -44,6 +46,24 @@ def reference_model():
 
 def block(extended_data, d, i, j):
     return extended_data[i * d : (i + 1) * d, j * d : (j + 1) * d]
+
+
+def mixed_character_k():
+    """d = 2, omega = 2/3: the upper copy m = 1 and the lower copy
+    m = -2 both sit at quasienergy 1/3 (and their partners at -1/3); an
+    even unitary hides the diagonal, so the basis eigh returns inside
+    each degenerate pair is arbitrary.  Returns K and beta's signs."""
+    nf, omega = 2, 2.0 / 3.0
+    levels = [e - m * omega for m in range(-nf, nf + 1) for e in (1.0, -1.0)]
+    b = np.tile([1.0, -1.0], 2 * nf + 1)
+    rng = np.random.default_rng(7)
+    w = np.zeros((b.size, b.size), dtype=complex)
+    for idx in (np.flatnonzero(b > 0), np.flatnonzero(b < 0)):
+        z = rng.normal(size=(idx.size, idx.size, 2)) @ [1.0, 1j]
+        w[np.ix_(idx, idx)] = np.linalg.qr(z)[0]
+    data = w @ np.diag(levels) @ w.conj().T
+    k = ExtendedOperator(BlockOperator(0.5 * (data + data.conj().T), 2, 2 * nf + 1), omega, nf)
+    return k, b
 
 
 class TestBuildExtended:
@@ -139,23 +159,8 @@ class TestLambdaCapital:
         assert np.linalg.norm(character.data - default.data) <= 1e-12 * np.sqrt(n)
 
     def test_character_sign_is_set_per_eigenspace(self):
-        # d = 2, omega = 2/3: the upper copy m = 1 and the lower copy
-        # m = -2 both sit at quasienergy 1/3 (and their partners at -1/3);
-        # an even unitary hides the diagonal, so the basis eigh returns
-        # inside each degenerate pair is arbitrary.  The character sign
-        # is beta.
-        nf, omega = 2, 2.0 / 3.0
-        levels = [e - m * omega for m in range(-nf, nf + 1) for e in (1.0, -1.0)]
-        b = np.tile([1.0, -1.0], 2 * nf + 1)
-        rng = np.random.default_rng(7)
-        w = np.zeros((b.size, b.size), dtype=complex)
-        for idx in (np.flatnonzero(b > 0), np.flatnonzero(b < 0)):
-            z = rng.normal(size=(idx.size, idx.size, 2)) @ [1.0, 1j]
-            w[np.ix_(idx, idx)] = np.linalg.qr(z)[0]
-        data = w @ np.diag(levels) @ w.conj().T
-        k = ExtendedOperator(
-            BlockOperator(0.5 * (data + data.conj().T), 2, 2 * nf + 1), omega, nf
-        )
+        # the mixed pairs of mixed_character_k: the character sign is beta
+        k, b = mixed_character_k()
         lam = lambda_capital(k, sign="character")
         assert np.linalg.norm(lam.data - np.diag(b)) <= 1e-12 * np.sqrt(b.size)
 
@@ -312,6 +317,43 @@ class TestBatchedKernels:
             full = u.data @ k.op.data @ adjoint_m(u, model.metric).data
             expected = central_odd_norm(k.op.like(full), window)
             assert measured == pytest.approx(expected, rel=1e-13, abs=1e-300)
+
+    @pytest.mark.parametrize(
+        "k",
+        [
+            # the fold point: 66 degenerate pairs
+            build_extended(floquet_dirac_vector(1.0, (0, 0, 0.5), 0.2, 0.08), 16),
+            mixed_character_k()[0],
+        ],
+        ids=["fold", "mixed"],
+    )
+    def test_beta_characters_match_per_cluster_loop(self, monkeypatch, k):
+        dec = decompose(k.op, Metric.HERMITIAN)
+        signs = k.beta.signs
+        # oracle: one eigh of V_c^dag beta V_c per cluster of equal eigenvalues
+        w, expected_v = dec.eigenvalues.real, dec.right_vectors.copy()
+        expected_chars = np.einsum("ij,i,ij->j", expected_v.conj(), signs, expected_v).real
+        edges = np.flatnonzero(np.diff(w) > 1e-12 * dec.scale) + 1
+        clusters = [c for c in np.split(np.arange(len(w)), edges) if len(c) > 1]
+        for cluster in clusters:
+            columns = expected_v[:, cluster]
+            gram = columns.conj().T @ (signs[:, None] * columns)
+            expected_chars[cluster], rotation = np.linalg.eigh(gram)
+            expected_v[:, cluster] = columns @ rotation
+
+        calls = []
+        original = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        v, chars = _beta_characters(dec, k.beta)
+        assert clusters
+        assert len(calls) == len({len(c) for c in clusters})
+        assert np.abs(chars - expected_chars).max() <= 1e-14
+        assert np.abs(v - expected_v).max() <= 1e-14
 
     @pytest.mark.parametrize("nf", [4, 16])
     def test_lambda_naive_is_one_stacked_eigh(self, monkeypatch, nf):
