@@ -48,13 +48,9 @@ from .floquet import (
 )
 from .matfun import (
     SpectralDecomposition,
-    arcsin_herm,
-    arcsin_m,
     decompose,
     exp_i,
-    inv_sqrt_spd,
     sign_of,
-    sqrt_spd,
 )
 from .models import (
     ModelSpec,
@@ -93,8 +89,6 @@ __all__ = [
     "TimePeriodicHamiltonian",
     "Tolerances",
     "adjoint_m",
-    "arcsin_herm",
-    "arcsin_m",
     "beta_matrix",
     "build_extended",
     "central_odd_norm",
@@ -112,14 +106,12 @@ __all__ = [
     "floquet_dirac_vector",
     "generator_from_lambda",
     "grid_momenta",
-    "inv_sqrt_spd",
     "lambda_capital",
     "lambda_naive",
     "odd_part",
     "sign_of",
     "spectral_momentum",
     "split",
-    "sqrt_spd",
     "transform_nonstationary",
     "transform_stationary",
     "verify_eriksen_identities",

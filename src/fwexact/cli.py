@@ -81,6 +81,12 @@ class UsageError(Exception):
     """Bad command line or configuration; maps to exit code 2."""
 
 
+def _as_list(value: Any) -> list:
+    """A config list as it is; a bare value (a number, a string) as a
+    list of that one value."""
+    return value if isinstance(value, list) else [value]
+
+
 @dataclass
 class RunConfig:
     model: ModelSpec
@@ -123,7 +129,7 @@ class RunConfig:
             except FwExactError as exc:
                 raise UsageError(f"sweep.parameter: {exc}") from exc
         values: list[float] = []
-        for v in sweep.get("values", []):
+        for v in _as_list(sweep.get("values", [])):
             try:
                 value = float(v)
             except (TypeError, ValueError) as exc:
@@ -131,12 +137,11 @@ class RunConfig:
             if not math.isfinite(value):
                 raise UsageError(f"sweep value {v!r} is not finite")
             values.append(value)
+        if values and sweep.get("parameter") is None:
+            raise UsageError("sweep.values given without sweep.parameter")
         floquet = raw.get("floquet") or {}
-        nf_list = floquet.get("nf", [4])
-        if isinstance(nf_list, (int, float)):
-            nf_list = [nf_list]
         try:
-            nf_tuple = tuple(sorted({int(n) for n in nf_list}))
+            nf_tuple = tuple(sorted({int(n) for n in _as_list(floquet.get("nf", [4]))}))
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad floquet.nf list: {exc}") from exc
         if any(n < 1 for n in nf_tuple):

@@ -137,7 +137,7 @@ def eriksen_unitary(
     sign eigenvector is orthogonal to the upper-block subspace.
     """
     if dec is None:
-        dec = denominator_decomposition(lam, beta, metric, lambda_sq_tol)
+        dec = denominator_decomposition(lam, lambda_sq_tol)
     root_pp, root_mm = _inverse_root(dec)
     # 1 + beta lambda has blocks 1 + lambda_{++}, lambda_{+-}, -lambda_{-+},
     # 1 - lambda_{--}; the inverse root is even
@@ -178,17 +178,15 @@ def eriksen_unitary_alt(
     lam: BlockOperator,
     beta: BetaMatrix,
     metric: Metric,
-    *,
-    lambda_sq_tol: float | None = LAMBDA_SQ_TOL,
 ) -> BlockOperator:
     """Polar form U = N (N^adj N)^{-1/2} with N = 1 + beta lambda.
 
     Equal to :func:`eriksen_unitary` up to roundoff; the adjoint is the
     metric adjoint, so for the beta-pseudo metric this is the
-    pseudo-unitary polar factor.
+    pseudo-unitary polar factor.  lambda must square to one within
+    ``LAMBDA_SQ_TOL``.
     """
-    if lambda_sq_tol is not None:
-        check_involution(lam, lambda_sq_tol)
+    check_involution(lam, LAMBDA_SQ_TOL)
     return lam.like_blocks(*_polar_blocks(lam, metric))
 
 
@@ -282,7 +280,7 @@ def _transform(
     del dec
     involution = check_involution(lam, LAMBDA_SQ_TOL)
     # one decomposition of the denominator serves U and form A
-    den = denominator_decomposition(lam, beta, metric, lambda_sq_tol=None)
+    den = denominator_decomposition(lam, lambda_sq_tol=None)
     u = eriksen_unitary(lam, beta, metric, dec=den)
     generator = generator_from_lambda(lam, beta, metric, eps_clamp=eps_clamp, dec=den)
     s, generator_defects = generator.s, generator.diagnostics

@@ -165,8 +165,6 @@ class GeneratorResult:
 
 def denominator_decomposition(
     lam: BlockOperator,
-    beta: BetaMatrix,
-    metric: Metric,
     lambda_sq_tol: float | None = LAMBDA_SQ_TOL,
 ) -> EvenDecomposition:
     """Decomposition of 2 + beta lambda + lambda beta, under the square
@@ -192,13 +190,13 @@ def generator_from_lambda(
     metric: Metric,
     *,
     eps_clamp: float = EPS_CLAMP,
-    lambda_sq_tol: float | None = LAMBDA_SQ_TOL,
     dec: EvenDecomposition | None = None,
 ) -> GeneratorResult:
     """Compute S from the sign operator through both forms.
 
     ``dec`` is the :func:`denominator_decomposition` when the caller
-    already holds it; otherwise it is made here, with ``lambda_sq_tol``.
+    already holds it; otherwise it is made here, after checking that
+    lambda squares to one within ``LAMBDA_SQ_TOL``.
 
     Diagnostics: oddness_defect (beta S + S beta, zero by construction),
     hermiticity_defect (S - S^adj), form_agreement_defect (disagreement
@@ -209,7 +207,7 @@ def generator_from_lambda(
     The doubling identities are checked by :func:`verify_trig_identities`.
     """
     if dec is None:
-        dec = denominator_decomposition(lam, beta, metric, lambda_sq_tol)
+        dec = denominator_decomposition(lam)
 
     # canonical route: S = -(1/2) arcsin(M) with M_{+-} = i lambda_{+-},
     # M_{-+} = -i lambda_{-+}

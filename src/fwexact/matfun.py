@@ -1,7 +1,6 @@
 """Matrix functions via metric-aware eigendecomposition.
 
-Every matrix function needed downstream (sign, principal square root
-and its inverse, arcsine, exponential) is evaluated in an eigenbasis:
+The sign and the exponential are evaluated in an eigenbasis:
 ``numpy.linalg.eigh`` for the Hermitian metric, ``numpy.linalg.eig``
 with a conditioning check for the beta-pseudo-Hermitian one.  Iterative
 sign/Newton schemes are deliberately not used: the matrices are small to
@@ -54,7 +53,7 @@ from .errors import (
     MetricViolationError,
     SpectralGapError,
 )
-from .tolerances import EPS_CLAMP, GAP_TOL, TOL_STRUCT
+from .tolerances import GAP_TOL, TOL_STRUCT
 
 _COND_LIMIT = 1e8
 _IMAG_TOL = 1e-8
@@ -69,8 +68,7 @@ class SpectralDecomposition:
     inputs), ascending by real part.  For the Hermitian path
     ``inverse_vectors`` is exactly ``right_vectors``^dag.  ``scale`` is
     the spectral radius max |w| (||A||_2 on the Hermitian path), an
-    array with one entry per matrix for a stack.  :meth:`positive`
-    takes a single matrix.
+    array with one entry per matrix for a stack.
     """
 
     eigenvalues: np.ndarray
@@ -85,17 +83,6 @@ class SpectralDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         return self.apply(lambda w: w)
-
-    def positive(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """Apply f to the spectrum, which must be positive real."""
-        min_real = float(self.eigenvalues.real.min())
-        threshold = 1e-12 * max(self.scale, 1e-300)
-        if min_real <= threshold:
-            raise DomainError(
-                f"not positive definite: min eigenvalue {min_real:.3e} "
-                f"(threshold {threshold:.3e})"
-            )
-        return self.apply(lambda w: f(w.real).astype(complex))
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -196,49 +183,34 @@ def check_hermitian(data: np.ndarray, tol: float = TOL_STRUCT) -> None:
         )
 
 
-def decompose(
-    a: BlockOperator,
-    metric: Metric,
-    *,
-    tol_struct: float = TOL_STRUCT,
-    allow_complex: bool = False,
-) -> SpectralDecomposition:
+def decompose(a: BlockOperator, metric: Metric) -> SpectralDecomposition:
     """Metric-aware eigendecomposition of a block operator; see
     :func:`decompose_array`."""
-    return decompose_array(
-        a.data, metric, tol_struct=tol_struct, allow_complex=allow_complex
-    )
+    return decompose_array(a.data, metric)
 
 
-def decompose_array(
-    data: np.ndarray,
-    metric: Metric,
-    *,
-    tol_struct: float = TOL_STRUCT,
-    allow_complex: bool = False,
-) -> SpectralDecomposition:
+def decompose_array(data: np.ndarray, metric: Metric) -> SpectralDecomposition:
     """Metric-aware eigendecomposition of one matrix or of a stack of
     matrices (shape (..., n, n)) by one stacked call.
 
-    Hermitian metric: the input must be Hermitian to ``tol_struct``
+    Hermitian metric: the input must be Hermitian to ``TOL_STRUCT``
     relative and the decomposition is orthonormal.  Beta-pseudo metric:
-    a general diagonalization; unless ``allow_complex`` is set the
-    spectrum must be real to 1e-8 times its spectral radius (unbroken
-    pseudo-Hermitian phase), otherwise "broken pseudo-Hermiticity" is
-    raised.  Every check holds each matrix of a stack to its own scale.
+    a general diagonalization; the spectrum must be real to 1e-8 times
+    its spectral radius (unbroken pseudo-Hermitian phase), otherwise
+    "broken pseudo-Hermiticity" is raised.  Every check holds each
+    matrix of a stack to its own scale.
     """
     if metric is Metric.HERMITIAN:
-        check_hermitian(data, tol_struct)
+        check_hermitian(data)
         return _decompose_hermitian(data)
     dec = _decompose_general(data)
-    if not allow_complex:
-        max_imag = np.abs(dec.eigenvalues.imag).max(axis=-1, initial=0.0)
-        i = first_failing(max_imag > _IMAG_TOL * np.maximum(dec.scale, 1e-300))
-        if i is not None:
-            raise EigendecompositionError(
-                "broken pseudo-Hermiticity: eigenvalue imaginary part "
-                f"{np.ravel(max_imag)[i]:.3e} exceeds {_IMAG_TOL:.0e} * max |eigenvalue|"
-            )
+    max_imag = np.abs(dec.eigenvalues.imag).max(axis=-1, initial=0.0)
+    i = first_failing(max_imag > _IMAG_TOL * np.maximum(dec.scale, 1e-300))
+    if i is not None:
+        raise EigendecompositionError(
+            "broken pseudo-Hermiticity: eigenvalue imaginary part "
+            f"{np.ravel(max_imag)[i]:.3e} exceeds {_IMAG_TOL:.0e} * max |eigenvalue|"
+        )
     return dec
 
 
@@ -310,46 +282,6 @@ def check_involution(lam: BlockOperator, tol: float) -> dict[str, float | np.nda
             f"||lambda^2 - 1|| = {np.ravel(defect)[i]:.3e} (tolerance {tol:.1e})"
         )
     return defects
-
-
-def sqrt_spd(a: BlockOperator, metric: Metric) -> BlockOperator:
-    """Principal square root of a positive-definite operator."""
-    return a.like(decompose(a, metric).positive(np.sqrt))
-
-
-def inv_sqrt_spd(a: BlockOperator, metric: Metric) -> BlockOperator:
-    """Principal inverse square root of a positive-definite operator."""
-    return a.like(decompose(a, metric).positive(lambda w: 1.0 / np.sqrt(w)))
-
-
-def arcsin_m(
-    m: BlockOperator, metric: Metric, eps_clamp: float = EPS_CLAMP
-) -> tuple[BlockOperator, float]:
-    """Principal arcsine, eigenvalue-wise, and the clamp excess.
-
-    The beta-pseudo metric uses the general decomposition: there the
-    doubling argument has an imaginary spectrum (arcsin(i x) =
-    i arcsinh(x), away from the real branch cuts).  Real eigenvalues
-    (imaginary part within ``eps_clamp``) must lie in [-1 - eps_clamp,
-    1 + eps_clamp]; the clamp snaps them to +-1 and the excess is how
-    far the largest |eigenvalue| among them pokes past 1.
-    """
-    dec = decompose(m, metric, allow_complex=True)
-    w = dec.eigenvalues
-    real_like = np.abs(w.imag) <= eps_clamp
-    excess = max(0.0, float(np.abs(w.real[real_like]).max(initial=0.0)) - 1.0)
-    if excess > eps_clamp:
-        raise DomainError(
-            f"arcsin domain violation: |eigenvalue| exceeds 1 by {excess:.3e} "
-            f"(clamp band {eps_clamp:.1e})"
-        )
-    arc = np.where(real_like, np.arcsin(np.clip(w.real, -1.0, 1.0)), np.arcsin(w))
-    return m.like(dec.apply(lambda _: arc)), excess
-
-
-def arcsin_herm(m: BlockOperator, eps_clamp: float = EPS_CLAMP) -> BlockOperator:
-    """Principal arcsine of a Hermitian matrix (see :func:`arcsin_m`)."""
-    return arcsin_m(m, Metric.HERMITIAN, eps_clamp)[0]
 
 
 def exp_i(s: BlockOperator, metric: Metric) -> BlockOperator:

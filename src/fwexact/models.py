@@ -21,7 +21,6 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .blockop import (
-    BetaMatrix,
     BlockOperator,
     Metric,
     SplitHamiltonian,
@@ -203,10 +202,6 @@ class TimePeriodicHamiltonian:
             out += h * np.exp(-1j * n * self.omega * t)
         return out
 
-    @property
-    def beta(self) -> BetaMatrix:
-        return beta_matrix(self.internal_dim, 1)
-
 
 def floquet_dirac_scalar(
     m: float, p: tuple[float, float, float], v1: float, omega: float
@@ -233,12 +228,6 @@ def floquet_dirac_vector(
         modes += [(1, half), (-1, half)]
     return TimePeriodicHamiltonian(tuple(modes), omega, 4)
 
-
-_STATIONARY_BUILDERS = {
-    "free_dirac": free_dirac,
-    "dirac_1d": dirac_1d,
-    "feshbach_villars": feshbach_villars,
-}
 
 MODEL_CATALOG: dict[str, dict] = {
     "free_dirac": {

@@ -195,6 +195,20 @@ class TestSweep:
         rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert len(rows) == 2  # header + one row
 
+    def test_bare_number_is_one_value(self, tmp_path):
+        code = run(
+            [
+                "sweep",
+                "--set", "model.name=free_dirac",
+                "--set", "sweep.parameter=pz",
+                "--set", "sweep.values=0.5",
+                "--report", str(tmp_path / "sweep.json"),
+            ]
+        )
+        assert code == 0
+        rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("pz,0.5,")
+
     def test_pseudo_metric_past_unit_doubling_norm_passes(self, tmp_path):
         # the feshbach_villars doubling argument is non-normal with an
         # imaginary spectrum (+-1.16i at p = 2.5): its 2-norm exceeds 1
@@ -560,6 +574,7 @@ class TestMalformedConfigValues:
             ("transform", "sweep=abc"),
             ("transform", "output=abc"),
             ("transform", "model=username"),
+            ("sweep", "sweep.values=[1,2]"),
         ],
     )
     def test_usage_error(self, tmp_path, capsys, command, assignment):
@@ -575,6 +590,23 @@ class TestMalformedConfigValues:
         assert code == 2
         assert assignment.partition("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, assignment", [("sweep", "sweep.values=abc"), ("floquet", "floquet.nf=abc")]
+    )
+    def test_bare_string_is_one_value(self, tmp_path, capsys, command, assignment):
+        name = "floquet_dirac_vector" if command == "floquet" else "free_dirac"
+        code = run(
+            [
+                command,
+                "--set", f"model.name={name}",
+                "--set", "sweep.parameter=pz",
+                "--set", assignment,
+                "--report", str(tmp_path / "report.json"),
+            ]
+        )
+        assert code == 2
+        assert "'abc'" in capsys.readouterr().err
 
 
 class TestDecompositionCounts:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fwexact import (
@@ -19,13 +21,55 @@ from fwexact import (
     verify_exp_equivalence,
     verify_trig_identities,
 )
-from fwexact.expgen import GeneratorResult, denominator_decomposition
+from fwexact.expgen import GeneratorResult, arcsin_odd, denominator_decomposition
 
 
 def dirac_generator(pz, m=1.0):
     sp = free_dirac(m, (0.0, 0.0, pz))
     lam = sign_of(sp.total, sp.metric)
     return sp, lam, generator_from_lambda(lam, sp.beta, sp.metric)
+
+
+class TestArcsinOdd:
+    """Principal arcsine of an odd operator X = [[0, pm], [mp, 0]]; for
+    1x1 blocks X has eigenvalues +-sqrt(pm mp)."""
+
+    @pytest.mark.parametrize(
+        "pm, mp, expected_pm, expected_mp",
+        [
+            (0.0, 0.0, 0.0, 0.0),
+            (0.6, 0.6, math.asin(0.6), math.asin(0.6)),
+            (1.0, 1.0, math.pi / 2, math.pi / 2),
+            # X^2 = -x^2: arcsin(i x) = i arcsinh(x)
+            (0.75, -0.75, math.asinh(0.75), -math.asinh(0.75)),
+        ],
+        ids=["zero", "asin-0.6", "boundary", "asinh-branch"],
+    )
+    def test_scalar_oracles(self, pm, mp, expected_pm, expected_mp):
+        arc_pm, arc_mp, excess = arcsin_odd(np.array([[pm + 0j]]), np.array([[mp + 0j]]))
+        assert arc_pm[0, 0] == pytest.approx(expected_pm, rel=1e-15, abs=0)
+        assert arc_mp[0, 0] == pytest.approx(expected_mp, rel=1e-15, abs=0)
+        assert excess == 0.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), imaginary=st.booleans())
+    def test_arcsin_inverts_sin(self, seed, imaginary):
+        # A = [[0, b], [+-b^dag, 0]] with ||A||_2 = 1.4 < pi/2: Hermitian
+        # (real spectrum) or skew-Hermitian (imaginary spectrum)
+        rng = np.random.default_rng(seed)
+        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        b *= 1.4 / np.linalg.norm(b, 2)
+        sign = -1.0 if imaginary else 1.0
+        zero = np.zeros((2, 2))
+        a = np.block([[zero, b], [sign * b.conj().T, zero]])
+        # sin A = -i sinh(iA) for skew-Hermitian A, with iA Hermitian
+        w, v = np.linalg.eigh(1j * a if imaginary else a)
+        sin_a = (v * (np.sinh(w) if imaginary else np.sin(w))) @ v.conj().T
+        if imaginary:
+            sin_a = -1j * sin_a
+        arc_pm, arc_mp, _ = arcsin_odd(sin_a[:2, 2:], sin_a[2:, :2])
+        recovered = np.block([[zero, arc_pm], [arc_mp, zero]])
+        assert np.linalg.norm(recovered - a) <= 1e-10 * np.linalg.norm(a)
 
 
 class TestGenerator:
@@ -84,7 +128,7 @@ class TestSharedDenominator:
     )
     def test_handed_decomposition_is_bit_identical(self, sp):
         lam = sign_of(sp.total, sp.metric)
-        den = denominator_decomposition(lam, sp.beta, sp.metric)
+        den = denominator_decomposition(lam)
         own = generator_from_lambda(lam, sp.beta, sp.metric)
         handed = generator_from_lambda(lam, sp.beta, sp.metric, dec=den)
         assert np.array_equal(own.s.data, handed.s.data)

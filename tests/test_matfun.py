@@ -1,27 +1,22 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import fwexact
 from fwexact import (
     BlockOperator,
-    DomainError,
     EigendecompositionError,
     Metric,
     MetricViolationError,
     SpectralGapError,
-    arcsin_herm,
     beta_matrix,
     decompose,
     exp_i,
     feshbach_villars,
     free_dirac,
-    inv_sqrt_spd,
     sign_of,
-    sqrt_spd,
 )
 
 
@@ -122,89 +117,6 @@ class TestSign:
         assert np.linalg.norm(lam.data - lam.data.conj().T) <= 1e-12
 
 
-class TestSqrt:
-    def test_scalar_case(self):
-        a = BlockOperator(4.0 * np.eye(2), 2, 1)
-        assert_allclose(sqrt_spd(a, Metric.HERMITIAN).data, 2.0 * np.eye(2), atol=1e-15)
-
-    def test_eriksen_denominator_at_rest(self):
-        # at p = 0 the sign operator is beta, so 2 + beta^2 + beta^2 = 4
-        beta = beta_matrix(4, 1)
-        b = beta.data
-        a = BlockOperator(2 * np.eye(4) + b @ b + b @ b, 4, 1)
-        assert_allclose(sqrt_spd(a, Metric.HERMITIAN).data, 2.0 * np.eye(4), atol=1e-15)
-
-    def test_eriksen_denominator_residual(self):
-        h = free_dirac(1.0, (0.0, 0.0, 0.75)).total
-        lam = sign_of(h, Metric.HERMITIAN).data
-        b = beta_matrix(4, 1).data
-        a = BlockOperator(2 * np.eye(4) + b @ lam + lam @ b, 4, 1)
-        root = sqrt_spd(a, Metric.HERMITIAN)
-        assert np.linalg.norm(root.data @ root.data - a.data) <= 1e-12
-
-    def test_not_positive_definite(self):
-        a = BlockOperator(np.diag([1.0, -1.0]).astype(complex), 2, 1)
-        with pytest.raises(DomainError, match="not positive definite"):
-            sqrt_spd(a, Metric.HERMITIAN)
-
-    def test_inverse_root(self):
-        a = hermitian_operator(13)
-        spd = BlockOperator(a.data @ a.data.conj().T + np.eye(4), 4, 1)
-        inv_root = inv_sqrt_spd(spd, Metric.HERMITIAN)
-        root = sqrt_spd(spd, Metric.HERMITIAN)
-        assert_allclose(inv_root.data @ root.data, np.eye(4), atol=1e-12)
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**31 - 1))
-    def test_root_squares_back(self, seed):
-        rng = np.random.default_rng(seed)
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        spd = BlockOperator(g @ g.conj().T + 0.1 * np.eye(4), 4, 1)
-        root = sqrt_spd(spd, Metric.HERMITIAN)
-        assert np.linalg.norm(
-            root.data @ root.data - spd.data
-        ) <= 1e-10 * np.linalg.norm(spd.data)
-
-
-class TestArcsin:
-    def test_zero(self):
-        a = BlockOperator(np.zeros((2, 2)), 2, 1)
-        assert_allclose(arcsin_herm(a).data, np.zeros((2, 2)), atol=0)
-
-    def test_scalar_oracle(self):
-        a = BlockOperator(np.diag([0.6, -0.6]).astype(complex), 2, 1)
-        expected = math.asin(0.6)
-        assert_allclose(
-            arcsin_herm(a).data, np.diag([expected, -expected]), atol=1e-15
-        )
-
-    def test_boundary(self):
-        a = BlockOperator(np.eye(2), 2, 1)
-        assert_allclose(arcsin_herm(a).data, (np.pi / 2) * np.eye(2), atol=1e-15)
-
-    def test_clamp_band(self):
-        a = BlockOperator((1.0 + 5e-11) * np.eye(2), 2, 1)
-        assert_allclose(arcsin_herm(a).data, (np.pi / 2) * np.eye(2), atol=1e-15)
-
-    def test_domain_violation(self):
-        a = BlockOperator(1.1 * np.eye(2), 2, 1)
-        with pytest.raises(DomainError, match="arcsin domain violation"):
-            arcsin_herm(a)
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**31 - 1))
-    def test_arcsin_inverts_sin(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        a = (a + a.conj().T) / 2
-        # squash the spectrum into (-pi/2, pi/2)
-        a = BlockOperator(a / (np.linalg.norm(a, 2) / 1.4), 4, 1)
-        w, v = np.linalg.eigh(a.data)
-        sin_a = BlockOperator((v * np.sin(w)) @ v.conj().T, 4, 1)
-        recovered = arcsin_herm(sin_a)
-        assert np.linalg.norm(recovered.data - a.data) <= 1e-10 * np.linalg.norm(a.data)
-
-
 class TestExpI:
     def test_zero_gives_identity(self):
         s = BlockOperator(np.zeros((2, 2)), 2, 1)
@@ -224,3 +136,9 @@ class TestExpI:
         s = BlockOperator(np.array([[0, 1], [0, 0]], dtype=complex), 2, 1)
         with pytest.raises(MetricViolationError):
             exp_i(s, Metric.HERMITIAN)
+
+
+def test_package_exports_resolve_once():
+    exported = fwexact.__all__
+    assert len(set(exported)) == len(exported)
+    assert [name for name in exported if not hasattr(fwexact, name)] == []
