@@ -3,12 +3,10 @@ finite-dimensional arbitrary-spin Hamiltonians, stationary and Floquet.
 """
 
 from .blockop import (
-    BetaMatrix,
     BlockOperator,
     Metric,
     SplitHamiltonian,
     adjoint_m,
-    beta_matrix,
     even_part,
     odd_part,
     split,
@@ -19,7 +17,6 @@ from .eriksen import (
     eriksen_unitary_alt,
     transform_stationary,
     verify_eriksen_identities,
-    verify_even_transformed,
 )
 from .errors import (
     DomainError,
@@ -69,7 +66,6 @@ from .tolerances import Tolerances
 __version__ = "0.1.0"
 
 __all__ = [
-    "BetaMatrix",
     "BlockOperator",
     "DomainError",
     "EigendecompositionError",
@@ -89,7 +85,6 @@ __all__ = [
     "TimePeriodicHamiltonian",
     "Tolerances",
     "adjoint_m",
-    "beta_matrix",
     "build_extended",
     "central_odd_norm",
     "central_window",
@@ -115,7 +110,6 @@ __all__ = [
     "transform_nonstationary",
     "transform_stationary",
     "verify_eriksen_identities",
-    "verify_even_transformed",
     "verify_exp_equivalence",
     "verify_trig_identities",
 ]

@@ -1,12 +1,15 @@
 """Block-operator algebra for two-spinor graded Hamiltonians.
 
 Wave functions carry an upper and a lower spinor-like block of equal
-size; the grading matrix ``beta`` is +1 on the upper block and -1 on the
-lower.  Any operator splits into an even part (commutes with beta,
-block-diagonal) and an odd part (anticommutes, block-antidiagonal).
-Fermionic Hamiltonians are self-adjoint under the plain Hermitian
-metric; bosonic first-order wave equations are self-adjoint under the
-beta-weighted metric, A -> beta A^dag beta.
+size; the grading beta is +1 on the upper block and -1 on the lower.
+beta is never a matrix here: it is the +-1 vector
+:attr:`BlockOperator.signs`, derived from an operator's block tags, and
+a product with it is a sign flip of rows or columns.  Any operator
+splits into an even part (commutes with beta, block-diagonal) and an
+odd part (anticommutes, block-antidiagonal).  Fermionic Hamiltonians
+are self-adjoint under the plain Hermitian metric; bosonic first-order
+wave equations are self-adjoint under the beta-weighted metric,
+A -> beta A^dag beta.
 
 Every operator the transforms build after the sign operator is even or
 odd, so they work on its four parity blocks (upper-upper, upper-lower,
@@ -59,10 +62,13 @@ class Blocks(NamedTuple):
 
 
 class _Parity:
-    """Index sets of the upper and lower components: slices when beta is
-    block-ordered, index arrays (in ascending order) otherwise."""
+    """beta's signs (read-only) and the index sets of the upper and lower
+    components: slices when beta is block-ordered, index arrays (in
+    ascending order) otherwise."""
 
     def __init__(self, signs: np.ndarray) -> None:
+        signs.flags.writeable = False
+        self.signs = signs
         upper, lower = np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)
         self.half = len(upper)
         if np.array_equal(upper, np.arange(self.half)):
@@ -92,7 +98,10 @@ class _Parity:
 
 @lru_cache(maxsize=32)
 def _parity(internal_dim: int, floquet_copies: int) -> _Parity:
-    return _Parity(_grading_signs(internal_dim, floquet_copies))
+    """The parity of a block structure: beta is +1 on the upper and -1 on
+    the lower block of every Fourier copy."""
+    signs = np.tile(np.repeat([1.0, -1.0], internal_dim // 2), floquet_copies)
+    return _Parity(signs)
 
 
 @dataclass(frozen=True)
@@ -149,6 +158,12 @@ class BlockOperator:
         """New operator with the same block tags."""
         return BlockOperator(data, self.internal_dim, self.floquet_copies)
 
+    @property
+    def signs(self) -> np.ndarray:
+        """beta as its read-only +-1 diagonal: +1 on the upper and -1 on
+        the lower block of every Fourier copy."""
+        return _parity(self.internal_dim, self.floquet_copies).signs
+
     @cached_property
     def blocks(self) -> Blocks:
         """The parity blocks: views of ``data`` when beta is block-ordered,
@@ -170,43 +185,6 @@ class BlockOperator:
     def norm(self) -> float | np.ndarray:
         """Frobenius norm, per matrix of a stack."""
         return frobenius(self.data)
-
-
-class BetaMatrix(BlockOperator):
-    """The grading matrix: diag(+1 on upper block, -1 on lower block) in
-    every Fourier copy; products with it are the sign flips below."""
-
-    @cached_property
-    def signs(self) -> np.ndarray:
-        """The +-1 diagonal of beta as a real vector."""
-        return self.data.diagonal().real.copy()
-
-    def flip_rows(self, x: np.ndarray) -> np.ndarray:
-        """beta x: the lower-block rows of ``x`` change sign."""
-        return self.signs[:, None] * x
-
-    def flip_cols(self, x: np.ndarray) -> np.ndarray:
-        """x beta: the lower-block columns of ``x`` change sign."""
-        return x * self.signs
-
-
-def _grading_signs(internal_dim: int, floquet_copies: int) -> np.ndarray:
-    """+1 on the upper and -1 on the lower block of every Fourier copy."""
-    return np.tile(np.repeat([1.0, -1.0], internal_dim // 2), max(floquet_copies, 1))
-
-
-def beta_matrix(internal_dim: int, floquet_copies: int = 1) -> BetaMatrix:
-    """Build the grading matrix for the given block structure.
-
-    beta is diagonal with entries +-1, beta^2 = 1 and beta = beta^dag
-    hold exactly.
-    """
-    if internal_dim < 2 or internal_dim % 2 != 0:
-        raise StructureError(
-            f"internal dimension must be even and >= 2, got {internal_dim}"
-        )
-    diag = _grading_signs(internal_dim, floquet_copies)
-    return BetaMatrix(np.diag(diag).astype(complex), internal_dim, floquet_copies)
 
 
 def dagger(x: np.ndarray) -> np.ndarray:
@@ -285,21 +263,25 @@ def _check_same_shape(a: BlockOperator, b: BlockOperator) -> None:
         )
 
 
-def even_part(a: BlockOperator, beta: BetaMatrix) -> BlockOperator:
+def _flip(x: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """beta x beta: the entries of ``x`` coupling the upper and lower
+    blocks change sign."""
+    return signs[:, None] * (x * signs)
+
+
+def even_part(a: BlockOperator) -> BlockOperator:
     """Projection onto the beta-commuting part, (A + beta A beta) / 2.
 
     Since beta is a +-1 diagonal, the projection zeroes the
     block-antidiagonal entries exactly; even_part + odd_part reproduces
     the input bit for bit.
     """
-    _check_same_shape(a, beta)
-    return a.like((a.data + beta.flip_rows(beta.flip_cols(a.data))) / 2.0)
+    return a.like((a.data + _flip(a.data, a.signs)) / 2.0)
 
 
-def odd_part(a: BlockOperator, beta: BetaMatrix) -> BlockOperator:
+def odd_part(a: BlockOperator) -> BlockOperator:
     """Projection onto the beta-anticommuting part, (A - beta A beta) / 2."""
-    _check_same_shape(a, beta)
-    return a.like((a.data - beta.flip_rows(beta.flip_cols(a.data))) / 2.0)
+    return a.like((a.data - _flip(a.data, a.signs)) / 2.0)
 
 
 def adjoint_m(a: BlockOperator, metric: Metric) -> BlockOperator:
@@ -307,7 +289,7 @@ def adjoint_m(a: BlockOperator, metric: Metric) -> BlockOperator:
     for the beta-pseudo metric.  An involution for both."""
     if metric is Metric.HERMITIAN:
         return a.like(dagger(a.data))
-    signs = _grading_signs(a.internal_dim, a.floquet_copies)
+    signs = a.signs
     return a.like(signs[:, None] * dagger(a.data) * signs)
 
 
@@ -327,20 +309,18 @@ class SplitHamiltonian:
     mass: BlockOperator
     even: BlockOperator
     odd: BlockOperator
-    beta: BetaMatrix
     metric: Metric
     defects: dict[str, float] = dataclasses.field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        for part in (self.mass, self.even, self.odd):
-            _check_same_shape(part, self.beta)
+        for part in (self.even, self.odd):
+            _check_same_shape(part, self.mass)
 
     @property
     def total(self) -> BlockOperator:
         """beta*mass + even + odd."""
-        return self.beta.like(
-            self.beta.flip_rows(self.mass.data) + self.even.data + self.odd.data
-        )
+        mass = self.mass
+        return mass.like(mass.signs[:, None] * mass.data + self.even.data + self.odd.data)
 
     def validate(self, tol: float = TOL_STRUCT) -> dict[str, float | np.ndarray]:
         """Relative defect norms of the structural invariants (per matrix
@@ -349,16 +329,17 @@ class SplitHamiltonian:
         Raises StructureError / MetricViolationError when any defect
         exceeds ``tol``.
         """
-        beta, total = self.beta, self.total
+        signs, total = self.mass.signs, self.total
+        rows = signs[:, None]
         mass, even, odd = self.mass.data, self.even.data, self.odd.data
         scale = at_least(total.norm(), 1e-300)
         floor = at_least(scale * tol, 1e-300)
         defects = {
-            "mass_even_defect": frobenius(beta.flip_rows(mass) - beta.flip_cols(mass))
+            "mass_even_defect": frobenius(rows * mass - mass * signs)
             / at_least(self.mass.norm(), 1e-300),
-            "even_defect": frobenius(beta.flip_rows(even) - beta.flip_cols(even))
+            "even_defect": frobenius(rows * even - even * signs)
             / at_least(self.even.norm(), floor),
-            "odd_defect": frobenius(beta.flip_rows(odd) + beta.flip_cols(odd))
+            "odd_defect": frobenius(rows * odd + odd * signs)
             / at_least(self.odd.norm(), floor),
             "self_adjoint_defect": frobenius(total.data - adjoint_m(total, self.metric).data)
             / scale,
@@ -398,30 +379,24 @@ class SplitHamiltonian:
 
 def stack_splits(splits: Sequence[SplitHamiltonian]) -> SplitHamiltonian:
     """One split whose operators stack those of ``splits`` along a new
-    leading axis; all must share beta's block structure and the metric.
+    leading axis; all must share one block structure and the metric.
     The stack keeps no defects (each split holds its own)."""
     first = splits[0]
     for other in splits[1:]:
-        _check_same_shape(other.beta, first.beta)
+        _check_same_shape(other.mass, first.mass)
         if other.metric is not first.metric:
             raise StructureError(
                 f"metric mismatch: {first.metric.value} vs {other.metric.value}"
             )
 
     def stacked(part: str) -> BlockOperator:
-        return first.beta.like(np.stack([getattr(s, part).data for s in splits]))
+        return first.mass.like(np.stack([getattr(s, part).data for s in splits]))
 
-    return SplitHamiltonian(
-        stacked("mass"), stacked("even"), stacked("odd"), first.beta, first.metric
-    )
+    return SplitHamiltonian(stacked("mass"), stacked("even"), stacked("odd"), first.metric)
 
 
 def split(
-    h: BlockOperator,
-    mass: BlockOperator,
-    beta: BetaMatrix,
-    metric: Metric,
-    tol: float = TOL_STRUCT,
+    h: BlockOperator, mass: BlockOperator, metric: Metric, tol: float = TOL_STRUCT
 ) -> SplitHamiltonian:
     """Split a self-adjoint H into beta*mass + even + odd.
 
@@ -430,8 +405,7 @@ def split(
     commutes with beta and H is self-adjoint under ``metric`` to ``tol``;
     its defects are kept on the result.
     """
-    _check_same_shape(mass, beta)
-    even = h.like(even_part(h, beta).data - beta.flip_rows(mass.data))
-    odd = odd_part(h, beta)
-    result = SplitHamiltonian(mass=mass, even=even, odd=odd, beta=beta, metric=metric)
+    _check_same_shape(mass, h)
+    even = h.like(even_part(h).data - mass.signs[:, None] * mass.data)
+    result = SplitHamiltonian(mass=mass, even=even, odd=odd_part(h), metric=metric)
     return dataclasses.replace(result, defects=result.validate(tol))

@@ -34,10 +34,7 @@ import numpy as np
 
 from .blockop import BlockOperator, Metric, SplitHamiltonian, stack_splits
 from .eriksen import FWResult, transform_stationary
-from .errors import (
-    FwExactError,
-    SpectralGapError,
-)
+from .errors import FwExactError, SpectralGapError, StructureError
 from .floquet import demonstrate_nonevenness, transform_nonstationary
 from .models import (
     MODEL_CATALOG,
@@ -81,10 +78,27 @@ class UsageError(Exception):
     """Bad command line or configuration; maps to exit code 2."""
 
 
-def _as_list(value: Any) -> list:
-    """A config list as it is; a bare value (a number, a string) as a
-    list of that one value."""
-    return value if isinstance(value, list) else [value]
+#: The types a config list entry of each kind may have; ``--set key=1,2``
+#: gives strings.  A bool is neither (bool is a subclass of int, hence
+#: the exact type tests).
+_ENTRY_TYPES = {int: (int, str), float: (int, float, str)}
+
+
+def _list_entries(value: Any, key: str, kind: type) -> list:
+    """The entries of the config list ``key`` as ``kind`` (int, or a
+    finite float); a bare value (a number, a string) is a list of that
+    one value."""
+    entries = []
+    for v in value if isinstance(value, list) else [value]:
+        try:
+            entry = kind(v) if type(v) in _ENTRY_TYPES[kind] else None
+        except ValueError:
+            entry = None
+        if entry is None or not math.isfinite(entry):
+            expected = "an integer" if kind is int else "a finite number"
+            raise UsageError(f"{key} entry {v!r} is not {expected}")
+        entries.append(entry)
+    return entries
 
 
 @dataclass
@@ -128,22 +142,11 @@ class RunConfig:
                 check_parameter_names(model.name, [sweep["parameter"]])
             except FwExactError as exc:
                 raise UsageError(f"sweep.parameter: {exc}") from exc
-        values: list[float] = []
-        for v in _as_list(sweep.get("values", [])):
-            try:
-                value = float(v)
-            except (TypeError, ValueError) as exc:
-                raise UsageError(f"sweep value {v!r} is not numeric") from exc
-            if not math.isfinite(value):
-                raise UsageError(f"sweep value {v!r} is not finite")
-            values.append(value)
+        values = _list_entries(sweep.get("values", []), "sweep.values", float)
         if values and sweep.get("parameter") is None:
             raise UsageError("sweep.values given without sweep.parameter")
         floquet = raw.get("floquet") or {}
-        try:
-            nf_tuple = tuple(sorted({int(n) for n in _as_list(floquet.get("nf", [4]))}))
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad floquet.nf list: {exc}") from exc
+        nf_tuple = tuple(sorted(set(_list_entries(floquet.get("nf", [4]), "floquet.nf", int))))
         if any(n < 1 for n in nf_tuple):
             raise UsageError("floquet.nf entries must be >= 1")
         window = floquet.get("window")
@@ -266,19 +269,38 @@ def dump_matrix(a: BlockOperator, path: str | Path) -> Path:
 
 
 def load_matrix(path: str | Path) -> BlockOperator:
-    """Read a matrix dump back; inverse of :func:`dump_matrix`."""
-    text = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    match = _HEADER_RE.match(text[0])
+    """Read a matrix dump back; inverse of :func:`dump_matrix`.
+
+    A malformed dump raises UsageError naming the path and the
+    (1-based) line.
+    """
+    lines = Path(path).read_text(encoding="utf-8").rstrip().splitlines()
+    match = _HEADER_RE.match(lines[0]) if lines else None
     if match is None:
-        raise UsageError(f"{path}: missing or malformed dump header")
+        raise UsageError(f"{path}: line 1: missing or malformed dump header")
     rows, cols, internal_dim, copies = (int(g) for g in match.groups())
-    data = np.array(
-        [[complex(entry) for entry in line.split(",")] for line in text[1:]],
-        dtype=complex,
-    )
-    if data.shape != (rows, cols):
-        raise UsageError(f"{path}: body shape {data.shape} != header ({rows}, {cols})")
-    return BlockOperator(data, internal_dim, copies)
+    body = []
+    for number, line in enumerate(lines[1:], start=2):
+        entries = line.split(",")
+        if len(entries) != cols:
+            raise UsageError(
+                f"{path}: line {number}: {len(entries)} entries, header says cols={cols}"
+            )
+        row = []
+        for entry in entries:
+            try:
+                row.append(complex(entry))
+            except ValueError:
+                raise UsageError(
+                    f"{path}: line {number}: {entry!r} is not a complex number"
+                ) from None
+        body.append(row)
+    if len(body) != rows:
+        raise UsageError(f"{path}: {len(body)} body rows, header says rows={rows}")
+    try:
+        return BlockOperator(np.array(body, dtype=complex), internal_dim, copies)
+    except StructureError as exc:
+        raise UsageError(f"{path}: line 1: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +548,7 @@ def _transform_sweep(
     build failure (point index and error) that ended the points, if any;
     it is raised unless an earlier point fails."""
     keys = [
-        (m.beta.side, m.metric) if isinstance(m, SplitHamiltonian) else None for m in models
+        (m.mass.side, m.metric) if isinstance(m, SplitHamiltonian) else None for m in models
     ]
     outcomes: dict[int, _PointResult] = {}
     for chunk in _chunks(keys):

@@ -57,7 +57,6 @@ from typing import Optional
 import numpy as np
 
 from .blockop import (
-    BetaMatrix,
     BlockOperator,
     Blocks,
     Metric,
@@ -119,8 +118,6 @@ class FWResult:
 
 def eriksen_unitary(
     lam: BlockOperator,
-    beta: BetaMatrix,
-    metric: Metric,
     *,
     lambda_sq_tol: float | None = LAMBDA_SQ_TOL,
     dec: EvenDecomposition | None = None,
@@ -134,7 +131,8 @@ def eriksen_unitary(
     the caller already holds it (the check ran when it was made).
     Raises "eriksen denominator degenerate" when the operator under the
     square root is not positive definite, which happens exactly when a
-    sign eigenvector is orthogonal to the upper-block subspace.
+    sign eigenvector is orthogonal to the upper-block subspace.  The
+    formula is the same in both metrics.
     """
     if dec is None:
         dec = denominator_decomposition(lam, lambda_sq_tol)
@@ -174,11 +172,7 @@ def _polar_blocks(lam: BlockOperator, metric: Metric) -> Blocks:
     return Blocks(n_pp @ root_pp, b @ root_mm, -(c @ root_pp), n_mm @ root_mm)
 
 
-def eriksen_unitary_alt(
-    lam: BlockOperator,
-    beta: BetaMatrix,
-    metric: Metric,
-) -> BlockOperator:
+def eriksen_unitary_alt(lam: BlockOperator, metric: Metric) -> BlockOperator:
     """Polar form U = N (N^adj N)^{-1/2} with N = 1 + beta lambda.
 
     Equal to :func:`eriksen_unitary` up to roundoff; the adjoint is the
@@ -225,9 +219,7 @@ def _unitary_defects(u: BlockOperator, metric: Metric) -> dict[str, float | np.n
     return out
 
 
-def verify_eriksen_identities(
-    result: FWResult, beta: BetaMatrix, metric: Metric
-) -> dict[str, float]:
+def verify_eriksen_identities(result: FWResult, metric: Metric) -> dict[str, float]:
     """Defect norms of the defining identities; reports, never raises.
 
     Keys: lambda_sq_defect, sign_products_commute_defect (commutator of
@@ -253,17 +245,8 @@ def _identity_defects(
     }
 
 
-def verify_even_transformed(h_fw: BlockOperator, beta: BetaMatrix) -> float:
-    """Relative odd-part norm ||odd(H')||_F / ||H'||_F."""
-    return relative_odd_norm(h_fw)
-
-
 def _transform(
-    h: BlockOperator,
-    beta: BetaMatrix,
-    metric: Metric,
-    gap_tol: float,
-    eps_clamp: float,
+    h: BlockOperator, metric: Metric, gap_tol: float, eps_clamp: float
 ) -> FWResult:
     """Sign operator, unitary, U H U^{-1} and generator of a graded
     operator, with the diagnostics every transform shares.
@@ -281,8 +264,8 @@ def _transform(
     involution = check_involution(lam, LAMBDA_SQ_TOL)
     # one decomposition of the denominator serves U and form A
     den = denominator_decomposition(lam, lambda_sq_tol=None)
-    u = eriksen_unitary(lam, beta, metric, dec=den)
-    generator = generator_from_lambda(lam, beta, metric, eps_clamp=eps_clamp, dec=den)
+    u = eriksen_unitary(lam, dec=den)
+    generator = generator_from_lambda(lam, metric, eps_clamp=eps_clamp, dec=den)
     s, generator_defects = generator.s, generator.diagnostics
     del den, generator
     u_inverse = adjoint_m(u, metric)
@@ -322,9 +305,8 @@ def transform_stationary(
     relative odd norm of the transformed Hamiltonian, the agreement of
     the two unitary forms and the odd norm of sqrt(H^2) = lambda H.
     """
-    h = split_h.total
-    beta, metric = split_h.beta, split_h.metric
-    result = _transform(h, beta, metric, gap_tol, eps_clamp)
+    h, metric = split_h.total, split_h.metric
+    result = _transform(h, metric, gap_tol, eps_clamp)
     lam = result.sign_op
     result.diagnostics["odd_norm"] = relative_odd_norm(result.h_fw)
     result.diagnostics["alt_form_defect"] = exp_defect(_polar_blocks(lam, metric), result.u)

@@ -56,7 +56,6 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .blockop import (
-    BetaMatrix,
     BlockOperator,
     Metric,
     add_identity,
@@ -186,7 +185,6 @@ def denominator_decomposition(
 
 def generator_from_lambda(
     lam: BlockOperator,
-    beta: BetaMatrix,
     metric: Metric,
     *,
     eps_clamp: float = EPS_CLAMP,
@@ -285,12 +283,7 @@ def exp_defect(
     return defect / at_least(u.norm(), 1e-300)
 
 
-def verify_trig_identities(
-    g: GeneratorResult,
-    lam: BlockOperator,
-    beta: BetaMatrix,
-    metric: Metric = Metric.HERMITIAN,
-) -> dict[str, float]:
+def verify_trig_identities(g: GeneratorResult, lam: BlockOperator) -> dict[str, float]:
     """Recompute the doubling identities from g.s alone.
 
     Returns sin2s_defect and cos2s_defect: norms of

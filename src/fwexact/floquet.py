@@ -7,7 +7,7 @@ matrix
     K[m, n] = H_{m-n} - m w delta_{mn},     m, n in [-nf, nf],
 
 truncated at order nf.  The diagonal ladder -m w realizes -i d/dt and
-commutes with the extended grading matrix, so K is a static graded
+commutes with the extended grading beta, so K is a static graded
 operator on the extended space (Shirley, Phys. Rev. 138, B979 (1965)):
 :func:`transform_nonstationary` runs it through the same pipeline as a
 stationary Hamiltonian, with the sign operator
@@ -53,21 +53,12 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .blockop import (
-    BetaMatrix,
-    BlockOperator,
-    Metric,
-    adjoint_m,
-    beta_matrix,
-    dagger,
-    relative_odd_norm,
-)
+from .blockop import BlockOperator, Metric, adjoint_m, dagger, relative_odd_norm
 from .errors import DomainError, SpectralGapError, StructureError
 from .eriksen import FWResult, _transform, eriksen_unitary
 from .matfun import SpectralDecomposition, check_gap, decompose, decompose_array, sign_of
@@ -93,11 +84,6 @@ class ExtendedOperator:
     @property
     def internal_dim(self) -> int:
         return self.op.internal_dim
-
-    @cached_property
-    def beta(self) -> BetaMatrix:
-        """The extended grading matrix, built once per operator."""
-        return beta_matrix(self.op.internal_dim, self.op.floquet_copies)
 
 
 @dataclass(frozen=True)
@@ -156,10 +142,11 @@ def build_extended(model: TimePeriodicHamiltonian, nf: int) -> ExtendedOperator:
 
 
 def _beta_characters(
-    dec: SpectralDecomposition, beta: BetaMatrix
+    dec: SpectralDecomposition, signs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal eigenvectors of a Hermitian K with beta diagonal inside
-    each eigenspace, and their beta-characters <v|beta|v>.
+    each eigenspace, and their beta-characters <v|beta|v>; ``signs`` is
+    beta's diagonal.
 
     Within a degenerate eigenspace the per-vector character would depend
     on the basis eigh happens to return; diagonalising V_c^dag beta V_c
@@ -168,7 +155,7 @@ def _beta_characters(
     """
     w = dec.eigenvalues.real
     v = dec.right_vectors.copy()
-    chars = np.einsum("ij,i,ij->j", v.conj(), beta.signs, v).real
+    chars = np.einsum("ij,i,ij->j", v.conj(), signs, v).real
     edges = np.flatnonzero(np.diff(w) > _EIGENSPACE_TOL * dec.scale) + 1
     by_size: dict[int, list[np.ndarray]] = {}
     for cluster in np.split(np.arange(len(w)), edges):
@@ -177,7 +164,7 @@ def _beta_characters(
     for clusters in by_size.values():
         columns = np.stack(clusters)  # (clusters, size)
         blocks = v[:, columns].transpose(1, 0, 2)  # (clusters, side, size)
-        gram = dagger(blocks) @ beta.flip_rows(blocks)
+        gram = dagger(blocks) @ (signs[:, None] * blocks)
         chars[columns], rotation = np.linalg.eigh(gram)
         v[:, columns] = (blocks @ rotation).transpose(1, 0, 2)
     return v, chars
@@ -187,7 +174,7 @@ def _fold_diagnosis(k: ExtendedOperator) -> str:
     """nf * omega against the gap of H_0, and how many eigenvectors of K
     have a quasienergy sign opposite to their beta-character."""
     dec = decompose(k.op, Metric.HERMITIAN)
-    _, chars = _beta_characters(dec, k.beta)
+    _, chars = _beta_characters(dec, k.op.signs)
     flipped = int(np.count_nonzero(np.sign(dec.eigenvalues.real) != np.sign(chars)))
     d, centre = k.internal_dim, k.nf * k.internal_dim
     h0 = k.op.data[centre : centre + d, centre : centre + d]
@@ -250,7 +237,7 @@ def lambda_capital(
         if sign == "quasienergy":
             return sign_of(k.op, metric, gap_tol, dec)
         check_gap(dec, gap_tol)
-    v, chars = _beta_characters(dec, k.beta)
+    v, chars = _beta_characters(dec, k.op.signs)
     smallest = float(np.abs(chars).min())
     if smallest <= gap_tol:
         raise DomainError(
@@ -329,10 +316,10 @@ def _transformed_odd_norm(
     ``lam``.  Only the window is measured, so only its rows of U and its
     columns of U^{-1} enter the product."""
     if naive:
-        u = eriksen_unitary(lam, k.beta, metric, lambda_sq_tol=None)
+        u = eriksen_unitary(lam, lambda_sq_tol=None)
     else:
         with _extended_errors(k, metric):
-            u = eriksen_unitary(lam, k.beta, metric)
+            u = eriksen_unitary(lam)
     lo, hi = _window_bounds(k.op, window)
     u_inv = adjoint_m(u, metric).data
     windowed = (u.data[lo:hi] @ k.op.data) @ u_inv[:, lo:hi]
@@ -422,6 +409,6 @@ def transform_nonstationary(
     window = min(window, nf)
     k = build_extended(model, nf)
     with _extended_errors(k, model.metric):
-        result = _transform(k.op, k.beta, model.metric, gap_tol, eps_clamp)
+        result = _transform(k.op, model.metric, gap_tol, eps_clamp)
     result.diagnostics["odd_norm"] = central_odd_norm(result.h_fw, window)
     return result

@@ -20,13 +20,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .blockop import (
-    BlockOperator,
-    Metric,
-    SplitHamiltonian,
-    beta_matrix,
-    split,
-)
+from .blockop import BlockOperator, Metric, SplitHamiltonian, split
 from .errors import MetricViolationError, StructureError
 
 SIGMA = (
@@ -57,9 +51,8 @@ def free_dirac(m: float, p: tuple[float, float, float]) -> SplitHamiltonian:
     spectrum is +-sqrt(m^2 + p^2), doubly degenerate.
     """
     h = _free_dirac_matrix(m, p)
-    beta = beta_matrix(4, 1)
     mass = BlockOperator(m * np.eye(4, dtype=complex), 4, 1)
-    return split(BlockOperator(h, 4, 1), mass, beta, Metric.HERMITIAN)
+    return split(BlockOperator(h, 4, 1), mass, Metric.HERMITIAN)
 
 
 def _free_dirac_matrix(m: float, p: tuple[float, float, float]) -> np.ndarray:
@@ -95,8 +88,8 @@ def dirac_1d(
 
     The odd part is alpha_x (x) P with P the spectral momentum matrix,
     the even part is 1_4 (x) diag(V(x_j)), and mass = m*1.  Kronecker
-    order is spinor-major, so the grading matrix is the side-4n one with
-    the grid factor folded into each spinor block.  n must be a power of
+    order is spinor-major, so the grading is that of side 4n with the
+    grid factor folded into each spinor block.  n must be a power of
     two >= 8.
     """
     if m <= 0:
@@ -113,9 +106,8 @@ def dirac_1d(
         + m * np.kron(BETA4, np.eye(n))
     )
     side = 4 * n
-    beta = beta_matrix(side, 1)
     mass = BlockOperator(m * np.eye(side, dtype=complex), side, 1)
-    return split(BlockOperator(h, side, 1), mass, beta, Metric.HERMITIAN)
+    return split(BlockOperator(h, side, 1), mass, Metric.HERMITIAN)
 
 
 def feshbach_villars(m: float, p: float) -> SplitHamiltonian:
@@ -130,9 +122,8 @@ def feshbach_villars(m: float, p: float) -> SplitHamiltonian:
         raise StructureError(f"mass must be positive, got {m}")
     kinetic = p * p / (2.0 * m)
     h = (TAU3 + 1j * TAU2) * kinetic + TAU3 * m
-    beta = beta_matrix(2, 1)
     mass = BlockOperator((m + kinetic) * np.eye(2, dtype=complex), 2, 1)
-    return split(BlockOperator(h, 2, 1), mass, beta, Metric.BETA_PSEUDO)
+    return split(BlockOperator(h, 2, 1), mass, Metric.BETA_PSEUDO)
 
 
 @dataclass(frozen=True)

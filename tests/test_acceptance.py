@@ -69,7 +69,7 @@ def criterion(number, description):
 
 
 def catalog_sign_and_unitary():
-    """(name, lambda, beta, metric, U) for every catalog model at gapped
+    """(name, lambda, metric, U) for every catalog model at gapped
     parameters; Floquet models enter through their extended operator."""
     entries = []
     for name, split_h in (
@@ -78,16 +78,14 @@ def catalog_sign_and_unitary():
         ("feshbach_villars", feshbach_villars(1.0, 0.75)),
     ):
         lam = sign_of(split_h.total, split_h.metric)
-        u = eriksen_unitary(lam, split_h.beta, split_h.metric)
-        entries.append((name, lam, split_h.beta, split_h.metric, u))
+        entries.append((name, lam, split_h.metric, eriksen_unitary(lam)))
     for name, model in (
         ("floquet_dirac_scalar", floquet_dirac_scalar(1.0, (0, 0, 0.5), 0.2, 0.1)),
         ("floquet_dirac_vector", floquet_dirac_vector(1.0, (0, 0, 0.5), 0.2, 0.1)),
     ):
         k = build_extended(model, 4)
         lam = lambda_capital(k)
-        u = eriksen_unitary(lam, k.beta, model.metric)
-        entries.append((name, lam, k.beta, model.metric, u))
+        entries.append((name, lam, model.metric, eriksen_unitary(lam)))
     return entries
 
 
@@ -98,7 +96,8 @@ def test_criterion_1_free_dirac_exactness():
             sp = free_dirac(1.0, (0.0, 0.0, p))
             res = transform_stationary(sp)
             energy = math.sqrt(1.0 + p * p)
-            defect = np.linalg.norm(res.h_fw.data - energy * sp.beta.data) / energy
+            beta = np.diag(res.h_fw.signs)
+            defect = np.linalg.norm(res.h_fw.data - energy * beta) / energy
             assert defect <= 1e-10, f"p={p}: defect {defect:.3e}"
         assert time.perf_counter() - start < 1.0
 
@@ -106,8 +105,8 @@ def test_criterion_1_free_dirac_exactness():
 def test_criterion_2_eriksen_conditions_across_catalog():
     with criterion(2, "sign/unitary identities across the model catalog"):
         start = time.perf_counter()
-        for name, lam, beta, metric, u in catalog_sign_and_unitary():
-            b, l, ud = beta.data, lam.data, u.data
+        for name, lam, metric, u in catalog_sign_and_unitary():
+            b, l, ud = np.diag(lam.signs), lam.data, u.data
             n = lam.side
             root_n = np.sqrt(n)
             eye = np.eye(n)
@@ -137,21 +136,21 @@ def test_criterion_2_eriksen_conditions_across_catalog():
 
 def test_criterion_3_form_equivalences():
     with criterion(3, "unitary forms, generator forms, exp(iS) = U"):
-        for name, lam, beta, metric, u in catalog_sign_and_unitary():
-            u_alt = eriksen_unitary_alt(lam, beta, metric)
+        for name, lam, metric, u in catalog_sign_and_unitary():
+            u_alt = eriksen_unitary_alt(lam, metric)
             assert (
                 np.linalg.norm(u_alt.data - u.data) / max(u.norm(), 1.0) <= 1e-10
             ), name
-            g = generator_from_lambda(lam, beta, metric)
+            g = generator_from_lambda(lam, metric)
             assert g.diagnostics["form_agreement_defect"] <= 1e-9, name
             assert verify_exp_equivalence(g, u, metric) <= 1e-9, name
 
 
 def test_criterion_4_trig_identities():
     with criterion(4, "sine/cosine doubling identities"):
-        for name, lam, beta, metric, _ in catalog_sign_and_unitary():
-            g = generator_from_lambda(lam, beta, metric)
-            checks = verify_trig_identities(g, lam, beta, metric)
+        for name, lam, metric, _ in catalog_sign_and_unitary():
+            g = generator_from_lambda(lam, metric)
+            checks = verify_trig_identities(g, lam)
             assert max(checks.values()) <= 1e-10, f"{name}: {checks}"
 
 
@@ -159,7 +158,7 @@ def test_criterion_5_generator_magnitude():
     with criterion(5, "generator magnitude against scalar arcsine"):
         sp = free_dirac(1.0, (0.0, 0.0, 0.75))
         lam = sign_of(sp.total, sp.metric)
-        g = generator_from_lambda(lam, sp.beta, sp.metric)
+        g = generator_from_lambda(lam, sp.metric)
         expected = 0.5 * math.asin(0.6)  # = 0.3217505543966422
         assert abs(np.linalg.norm(g.s.data, 2) - expected) <= 1e-10
 

@@ -10,7 +10,6 @@ from fwexact import (
     MetricViolationError,
     StructureError,
     adjoint_m,
-    beta_matrix,
     even_part,
     feshbach_villars,
     free_dirac,
@@ -26,27 +25,36 @@ def random_operator(seed, internal_dim=4, copies=1):
     return BlockOperator(data, internal_dim, copies)
 
 
+def signs_of(internal_dim, copies=1):
+    return BlockOperator(np.zeros((internal_dim * copies,) * 2), internal_dim, copies).signs
+
+
+def beta_of(a):
+    """Dense beta for a test-local reference."""
+    return np.diag(a.signs).astype(complex)
+
+
 class TestBetaMatrix:
+    """beta as the sign vector BlockOperator.signs."""
+
     def test_smallest_case(self):
-        assert_array_equal(beta_matrix(2, 1).data, np.diag([1.0, -1.0]))
+        assert_array_equal(signs_of(2), [1.0, -1.0])
 
     def test_dirac_case(self):
-        assert_array_equal(beta_matrix(4, 1).data, np.diag([1.0, 1.0, -1.0, -1.0]))
+        assert_array_equal(signs_of(4), [1.0, 1.0, -1.0, -1.0])
 
     def test_replicated_across_copies(self):
-        b = beta_matrix(4, 3)
-        expected = np.kron(np.eye(3), np.diag([1.0, 1.0, -1.0, -1.0]))
-        assert_array_equal(b.data, expected)
-        assert b.floquet_copies == 3
+        assert_array_equal(signs_of(4, 3), np.tile([1.0, 1.0, -1.0, -1.0], 3))
 
     def test_exact_involution_and_hermiticity(self):
-        b = beta_matrix(6, 2).data
-        assert_array_equal(b @ b, np.eye(12))
-        assert_array_equal(b, b.conj().T)
+        signs = signs_of(6, 2)
+        assert set(signs) == {1.0, -1.0}
+        assert_array_equal(signs * signs, np.ones(12))
+        assert not signs.flags.writeable
 
     def test_odd_internal_dim_rejected(self):
         with pytest.raises(StructureError):
-            beta_matrix(3, 1)
+            BlockOperator(np.zeros((3, 3)), 3, 1)
 
 
 class TestBlockOperator:
@@ -61,36 +69,30 @@ class TestBlockOperator:
 
 class TestEvenOddParts:
     def test_beta_is_even(self):
-        beta = beta_matrix(4, 1)
-        assert_array_equal(even_part(beta, beta).data, beta.data)
-        assert_array_equal(odd_part(beta, beta).data, np.zeros((4, 4)))
+        beta = BlockOperator(np.diag([1.0, 1.0, -1.0, -1.0]), 4, 1)
+        assert_array_equal(even_part(beta).data, beta.data)
+        assert_array_equal(odd_part(beta).data, np.zeros((4, 4)))
 
     def test_antidiagonal_is_odd(self):
-        beta = beta_matrix(2, 1)
         a = BlockOperator(np.array([[0, 1], [1, 0]], dtype=complex), 2, 1)
-        assert_array_equal(even_part(a, beta).data, np.zeros((2, 2)))
-        assert_array_equal(odd_part(a, beta).data, a.data)
+        assert_array_equal(even_part(a).data, np.zeros((2, 2)))
+        assert_array_equal(odd_part(a).data, a.data)
 
     def test_random_split_reconstructs_exactly(self):
         # beta is a +-1 diagonal, so the projections only zero entries:
         # the sum reproduces the input bit for bit
         a = random_operator(7)
-        beta = beta_matrix(4, 1)
-        total = even_part(a, beta).data + odd_part(a, beta).data
+        total = even_part(a).data + odd_part(a).data
         assert_array_equal(total, a.data)
 
     def test_random_split_commutation(self):
         a = random_operator(11)
-        b = beta_matrix(4, 1).data
-        ev = even_part(a, beta_matrix(4, 1)).data
-        od = odd_part(a, beta_matrix(4, 1)).data
+        b = beta_of(a)
+        ev = even_part(a).data
+        od = odd_part(a).data
         scale = np.linalg.norm(a.data)
         assert np.linalg.norm(b @ ev - ev @ b) <= 1e-14 * scale
         assert np.linalg.norm(b @ od + od @ b) <= 1e-14 * scale
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(StructureError):
-            even_part(random_operator(0, 4), beta_matrix(2, 1))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -100,21 +102,21 @@ class TestEvenOddParts:
     )
     def test_even_odd_properties(self, seed, half, copies):
         a = random_operator(seed, 2 * half, copies)
-        beta = beta_matrix(2 * half, copies)
-        b = beta.data
-        ev = even_part(a, beta).data
-        od = odd_part(a, beta).data
+        b = beta_of(a)
+        ev = even_part(a).data
+        od = odd_part(a).data
         assert_array_equal(ev + od, a.data)
         # anticommutator of beta with anything is even; commutator is odd
         anti = b @ a.data + a.data @ b
-        assert np.linalg.norm(odd_part(a.like(anti), beta).data) <= 1e-14 * max(
+        assert np.linalg.norm(odd_part(a.like(anti)).data) <= 1e-14 * max(
             np.linalg.norm(anti), 1.0
         )
         assert np.linalg.norm(b @ ev - ev @ b) == 0.0
         assert np.linalg.norm(b @ od + od @ b) == 0.0
-        # the sign flips are the dense products with beta, exactly
-        assert_array_equal(beta.flip_rows(a.data), b @ a.data)
-        assert_array_equal(beta.flip_cols(a.data), a.data @ b)
+        # the sign flips are the dense (A +- beta A beta) / 2, exactly
+        flipped = b @ a.data @ b
+        assert_array_equal(ev, (a.data + flipped) / 2)
+        assert_array_equal(od, (a.data - flipped) / 2)
 
 
 class TestAdjoint:
@@ -126,7 +128,7 @@ class TestAdjoint:
         )
 
     def test_beta_is_fixed_point_of_pseudo_adjoint(self):
-        beta = beta_matrix(4, 1)
+        beta = BlockOperator(np.diag([1.0, 1.0, -1.0, -1.0]), 4, 1)
         assert_array_equal(adjoint_m(beta, Metric.BETA_PSEUDO).data, beta.data)
 
     def test_feshbach_villars_hamiltonian_is_pseudo_self_adjoint(self):
@@ -152,10 +154,9 @@ class TestSplit:
         assert_allclose(sp.mass.data, np.eye(4), atol=0)
 
     def test_pure_mass_hamiltonian(self):
-        beta = beta_matrix(4, 1)
-        h = BlockOperator(2.0 * beta.data, 4, 1)
+        h = BlockOperator(2.0 * np.diag([1.0, 1.0, -1.0, -1.0]), 4, 1)
         mass = BlockOperator(2.0 * np.eye(4), 4, 1)
-        sp = split(h, mass, beta, Metric.HERMITIAN)
+        sp = split(h, mass, Metric.HERMITIAN)
         assert np.linalg.norm(sp.even.data) == 0.0
         assert np.linalg.norm(sp.odd.data) == 0.0
 
@@ -169,29 +170,26 @@ class TestSplit:
         v = 0.3 * np.cos(2 * np.pi * x / length)
         assert_allclose(sp.even.data, np.kron(np.eye(4), np.diag(v)), atol=1e-15)
         # odd part is alpha_x (x) P: block-antidiagonal in the spinor grading
-        b = sp.beta.data
+        b = beta_of(sp.odd)
         assert np.linalg.norm(b @ sp.odd.data + sp.odd.data @ b) <= 1e-14
 
     def test_non_self_adjoint_rejected(self):
-        beta = beta_matrix(2, 1)
         mass = BlockOperator(np.eye(2), 2, 1)
         h = BlockOperator(np.array([[0, 1], [0, 0]], dtype=complex), 2, 1)
         with pytest.raises(MetricViolationError, match="metric violation"):
-            split(h, mass, beta, Metric.HERMITIAN)
+            split(h, mass, Metric.HERMITIAN)
 
     def test_non_even_mass_rejected(self):
-        beta = beta_matrix(2, 1)
         mass = BlockOperator(np.array([[0, 1], [1, 0]], dtype=complex), 2, 1)
         h = BlockOperator(np.diag([1.0, -1.0]).astype(complex), 2, 1)
         with pytest.raises(StructureError, match="not even"):
-            split(h, mass, beta, Metric.HERMITIAN)
+            split(h, mass, Metric.HERMITIAN)
 
     def test_mass_block_structure_mismatch_rejected(self):
-        beta = beta_matrix(2, 1)
         mass = BlockOperator(np.eye(4), 4, 1)
         h = BlockOperator(np.diag([1.0, -1.0]).astype(complex), 2, 1)
         with pytest.raises(StructureError, match="block structure mismatch"):
-            split(h, mass, beta, Metric.HERMITIAN)
+            split(h, mass, Metric.HERMITIAN)
 
     def test_validate_reports_defects(self):
         sp = free_dirac(1.0, (0.1, 0.2, 0.3))
@@ -217,7 +215,7 @@ class TestSplit:
         from fwexact import SplitHamiltonian
 
         sp = free_dirac(1.0, (0.1, 0.2, 0.3))
-        by_hand = SplitHamiltonian(sp.mass, sp.even, sp.odd, sp.beta, sp.metric)
+        by_hand = SplitHamiltonian(sp.mass, sp.even, sp.odd, sp.metric)
         assert by_hand.defects == {}
         assert by_hand.check() == sp.defects
 
@@ -229,7 +227,7 @@ class TestParityBlocks:
     @pytest.mark.parametrize("internal_dim, copies", [(4, 1), (2, 1), (4, 3), (6, 2)])
     def test_blocks_follow_the_signs_of_beta(self, internal_dim, copies):
         a = random_operator(3, internal_dim, copies)
-        signs = beta_matrix(internal_dim, copies).signs
+        signs = a.signs
         up, dn = np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)
         blocks = a.blocks
         assert_array_equal(blocks.pp, a.data[np.ix_(up, up)])
@@ -244,10 +242,11 @@ class TestParityBlocks:
 
     def test_missing_blocks_are_zero(self):
         a = random_operator(5, 4, 3)
-        beta = beta_matrix(4, 3)
+        b = beta_of(a)
+        flipped = b @ a.data @ b
         assert_array_equal(
-            a.like_blocks(None, a.blocks.pm, a.blocks.mp, None).data, odd_part(a, beta).data
+            a.like_blocks(None, a.blocks.pm, a.blocks.mp, None).data, (a.data - flipped) / 2
         )
         assert_array_equal(
-            a.like_blocks(a.blocks.pp, None, None, a.blocks.mm).data, even_part(a, beta).data
+            a.like_blocks(a.blocks.pp, None, None, a.blocks.mm).data, (a.data + flipped) / 2
         )

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 import fwexact.cli
 import fwexact.expgen
-from fwexact import BlockOperator, Metric, ModelSpec, beta_matrix, transform_stationary
+from fwexact import BlockOperator, Metric, ModelSpec, transform_stationary
 from fwexact.cli import _IDENTITY_KEYS, _chunk_size, _chunks, dump_matrix, load_matrix, main
 
 
@@ -608,6 +608,55 @@ class TestMalformedConfigValues:
         assert code == 2
         assert "'abc'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, assignment, entry",
+        [
+            ("floquet", "floquet.nf=2.7", "2.7"),
+            ("floquet", "floquet.nf=[true]", "True"),
+            ("floquet", "floquet.nf=4,x", "'x'"),
+            ("sweep", "sweep.values=true", "True"),
+            ("sweep", "sweep.values=[true,2]", "True"),
+            ("sweep", "sweep.values=[null]", "None"),
+        ],
+    )
+    def test_list_entry_held_to_the_scalar_rules(
+        self, tmp_path, capsys, command, assignment, entry
+    ):
+        # int() truncates 2.7 and float() takes a bool as 1.0; neither
+        # may run a point
+        name = "floquet_dirac_vector" if command == "floquet" else "free_dirac"
+        code = run(
+            [
+                command,
+                "--set", f"model.name={name}",
+                "--set", "sweep.parameter=pz",
+                "--set", assignment,
+                "--report", str(tmp_path / "report.json"),
+            ]
+        )
+        assert code == 2
+        key = assignment.partition("=")[0]
+        assert f"{key} entry {entry} is not" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "assignment, expected",
+        [
+            ("floquet.nf=4,8", [4, 8]),
+            ("floquet.nf=[8,4,8]", [4, 8]),
+            ("sweep.values=1,2", [1.0, 2.0]),
+            ("sweep.values=[1,0.5]", [1.0, 0.5]),
+        ],
+    )
+    def test_list_entries_parsed(self, assignment, expected):
+        config = fwexact.cli.load_config(
+            None, ["model.name=free_dirac", "sweep.parameter=pz", assignment]
+        )
+        key = assignment.partition("=")[0]
+        parsed = config.floquet_nf if key == "floquet.nf" else config.sweep_values
+        assert list(parsed) == expected
+        assert all(type(v) is type(expected[0]) for v in parsed)
+
 
 class TestDecompositionCounts:
     """One full-size decomposition per CLI transform, that of H (or K);
@@ -708,8 +757,7 @@ class TestDecompositionCounts:
 
 
 class TestBuildCounts:
-    """The split is validated once per stationary transform, and the
-    extended grading matrix is built once per Floquet transform."""
+    """The split is validated once per stationary transform."""
 
     def test_validate_once_per_transform_and_sweep_point(self, tmp_path, monkeypatch):
         from fwexact.blockop import SplitHamiltonian
@@ -733,40 +781,14 @@ class TestBuildCounts:
         assert run(["sweep", *base, *sweep]) == 0
         assert len(calls) == 1 + 3
 
-    def test_floquet_transform_builds_beta_once(self, tmp_path, monkeypatch):
-        import fwexact.blockop
 
-        original = fwexact.blockop.beta_matrix
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        for module in list(sys.modules.values()):
-            if (
-                getattr(module, "__name__", "").startswith("fwexact")
-                and getattr(module, "beta_matrix", None) is original
-            ):
-                monkeypatch.setattr(module, "beta_matrix", counted)
-        code = run(
-            [
-                "transform",
-                "--set", "model.name=floquet_dirac_vector",
-                "--set", "model.params.pz=0.5",
-                "--set", "model.params.A1=0.2",
-                "--set", "model.params.omega=0.03",
-                "--set", "floquet.nf=[8]",
-                "--report", str(tmp_path / "report.json"),
-            ]
-        )
-        assert code == 0
-        assert len(calls) <= 1
+HEADER_2 = "# rows=2 cols=2 internal_dim=2 floquet_copies=1\n"
 
 
 class TestMatrixDump:
     def test_beta_dump_content(self, tmp_path):
-        path = dump_matrix(beta_matrix(4, 1), tmp_path / "beta.csv")
+        beta = BlockOperator(np.diag([1, 1, -1, -1]), 4)
+        path = dump_matrix(beta, tmp_path / "beta.csv")
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "# rows=4 cols=4 internal_dim=4 floquet_copies=1"
         assert lines[1].split(",")[0] == "1+0j"
@@ -806,6 +828,32 @@ class TestMatrixDump:
         assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
         loaded = load_matrix(path)
         assert loaded.data.tobytes() == original.data.tobytes()
+
+    @pytest.mark.parametrize(
+        "content, line",
+        [
+            ("", 1),
+            ("\n\n", 1),
+            ("rows=2 cols=2\n1+0j,0+0j\n0+0j,1+0j\n", 1),
+            (HEADER_2 + "1+0j,abc\n0+0j,1+0j\n", 2),
+            (HEADER_2 + "1+0j,0+0j\n0+0j,1+0j,0+0j\n", 3),
+            (HEADER_2 + "1+0j,0+0j\n0+0j\n", 3),
+            (HEADER_2.replace("internal_dim=2", "internal_dim=4") + "1+0j,0+0j\n" * 2, 1),
+        ],
+        ids=["empty", "blank", "no-header", "not-complex", "long-row", "short-row", "tags"],
+    )
+    def test_malformed_dump_names_path_and_line(self, tmp_path, content, line):
+        path = tmp_path / "m.csv"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(fwexact.cli.UsageError, match=f"line {line}: ") as info:
+            load_matrix(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_dump_missing_rows(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(HEADER_2 + "1+0j,0+0j\n", encoding="utf-8")
+        with pytest.raises(fwexact.cli.UsageError, match="1 body rows, header says rows=2"):
+            load_matrix(path)
 
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(123)

@@ -7,7 +7,6 @@ from fwexact import (
     DomainError,
     Metric,
     adjoint_m,
-    beta_matrix,
     dirac_1d,
     eriksen_unitary,
     eriksen_unitary_alt,
@@ -16,9 +15,16 @@ from fwexact import (
     sign_of,
     transform_stationary,
     verify_eriksen_identities,
-    verify_even_transformed,
 )
+from fwexact.blockop import relative_odd_norm
 from fwexact.eriksen import FWResult
+
+BETA4 = BlockOperator(np.diag([1.0, 1.0, -1.0, -1.0]), 4, 1)
+
+
+def beta_of(a):
+    """Dense beta for a test-local reference."""
+    return np.diag(a.signs).astype(complex)
 
 
 def gapped_hermitian(seed, side=6):
@@ -39,61 +45,54 @@ def gapped_hermitian(seed, side=6):
 
 class TestEriksenUnitary:
     def test_identity_when_sign_is_beta(self):
-        beta = beta_matrix(4, 1)
-        u = eriksen_unitary(beta, beta, Metric.HERMITIAN)
+        u = eriksen_unitary(BETA4)
         assert_allclose(u.data, np.eye(4), atol=1e-15)
 
     def test_free_dirac_unitary_and_grading(self):
         sp = free_dirac(1.0, (0.0, 0.0, 0.75))
         lam = sign_of(sp.total, sp.metric)
-        u = eriksen_unitary(lam, sp.beta, sp.metric)
-        b = sp.beta.data
+        u = eriksen_unitary(lam)
+        b = beta_of(lam)
         assert np.linalg.norm(u.data @ u.data.conj().T - np.eye(4)) <= 1e-12
         assert np.linalg.norm(b @ u.data - u.data.conj().T @ b) <= 1e-12
 
     def test_degenerate_denominator(self):
-        beta = beta_matrix(4, 1)
-        minus = BlockOperator(-beta.data, 4, 1)
+        minus = BETA4.like(-BETA4.data)
         with pytest.raises(DomainError, match="eriksen denominator degenerate"):
-            eriksen_unitary(minus, beta, Metric.HERMITIAN)
+            eriksen_unitary(minus)
 
     def test_non_involution_rejected(self):
-        beta = beta_matrix(2, 1)
-        bad = BlockOperator(2.0 * beta.data, 2, 1)
+        bad = BlockOperator(2.0 * np.diag([1.0, -1.0]), 2, 1)
         with pytest.raises(DomainError, match="involution"):
-            eriksen_unitary(bad, beta, Metric.HERMITIAN)
+            eriksen_unitary(bad)
 
 
 class TestAlternativeForm:
     def test_identity_case(self):
-        beta = beta_matrix(4, 1)
         assert_allclose(
-            eriksen_unitary_alt(beta, beta, Metric.HERMITIAN).data,
-            np.eye(4),
-            atol=1e-15,
+            eriksen_unitary_alt(BETA4, Metric.HERMITIAN).data, np.eye(4), atol=1e-15
         )
 
     def test_free_dirac_forms_agree(self):
         sp = free_dirac(1.0, (0.0, 0.0, 0.75))
         lam = sign_of(sp.total, sp.metric)
-        u = eriksen_unitary(lam, sp.beta, sp.metric)
-        u_alt = eriksen_unitary_alt(lam, sp.beta, sp.metric)
+        u = eriksen_unitary(lam)
+        u_alt = eriksen_unitary_alt(lam, sp.metric)
         assert np.linalg.norm(u_alt.data - u.data) <= 1e-10
 
     def test_random_hermitian_forms_agree(self):
-        beta = beta_matrix(6, 1)
         for seed in (1, 2, 3):
             h = gapped_hermitian(seed)
             lam = sign_of(h, Metric.HERMITIAN)
-            u = eriksen_unitary(lam, beta, Metric.HERMITIAN)
-            u_alt = eriksen_unitary_alt(lam, beta, Metric.HERMITIAN)
+            u = eriksen_unitary(lam)
+            u_alt = eriksen_unitary_alt(lam, Metric.HERMITIAN)
             assert np.linalg.norm(u_alt.data - u.data) <= 1e-10
 
     def test_pseudo_metric_forms_agree(self):
         sp = feshbach_villars(1.0, 0.75)
         lam = sign_of(sp.total, sp.metric)
-        u = eriksen_unitary(lam, sp.beta, sp.metric)
-        u_alt = eriksen_unitary_alt(lam, sp.beta, sp.metric)
+        u = eriksen_unitary(lam)
+        u_alt = eriksen_unitary_alt(lam, sp.metric)
         assert np.linalg.norm(u_alt.data - u.data) <= 1e-10
 
 
@@ -102,12 +101,12 @@ class TestTransformStationary:
         sp = free_dirac(1.0, (0.0, 0.0, 0.0))
         res = transform_stationary(sp)
         assert_allclose(res.u.data, np.eye(4), atol=1e-14)
-        assert_allclose(res.h_fw.data, sp.beta.data, atol=1e-14)
+        assert_allclose(res.h_fw.data, BETA4.data, atol=1e-14)
 
     def test_free_dirac_transforms_to_beta_times_energy(self):
         sp = free_dirac(1.0, (0.0, 0.0, 0.75))
         res = transform_stationary(sp)
-        assert_allclose(res.h_fw.data, 1.25 * sp.beta.data, atol=1e-12)
+        assert_allclose(res.h_fw.data, 1.25 * BETA4.data, atol=1e-12)
         assert res.diagnostics["odd_norm"] <= 1e-10
 
     def test_involution_checked_once(self, monkeypatch):
@@ -168,7 +167,8 @@ class TestTransformStationary:
             dirac_1d(1.0, 8, 2 * np.pi, lambda x: 0.3 * np.cos(x)),
             feshbach_villars(1.0, 0.75),
         ):
-            h, b = sp.total, sp.beta.data
+            h = sp.total
+            b = beta_of(h)
             res = transform_stationary(sp)
             lam = res.sign_op.data
             n = h.side
@@ -204,14 +204,14 @@ class TestIdentityChecks:
     def test_trivial_case_machine_zero(self):
         sp = free_dirac(1.0, (0.0, 0.0, 0.0))
         res = transform_stationary(sp)
-        checks = verify_eriksen_identities(res, sp.beta, sp.metric)
+        checks = verify_eriksen_identities(res, sp.metric)
         assert max(checks.values()) <= 1e-14
 
     def test_momentum_sweep(self):
         for p in np.arange(0.1, 2.01, 0.19):
             sp = free_dirac(1.0, (0.0, 0.0, float(p)))
             res = transform_stationary(sp)
-            checks = verify_eriksen_identities(res, sp.beta, sp.metric)
+            checks = verify_eriksen_identities(res, sp.metric)
             assert max(checks.values()) <= 1e-10, f"p={p}: {checks}"
 
     def test_corrupted_unitary_is_detected(self):
@@ -227,7 +227,7 @@ class TestIdentityChecks:
             h_fw=res.h_fw,
             diagnostics={},
         )
-        checks = verify_eriksen_identities(bad, sp.beta, sp.metric)
+        checks = verify_eriksen_identities(bad, sp.metric)
         assert 1e-4 <= checks["eriksen_defect"] <= 1e-2
         assert 1e-4 <= checks["unitarity_defect"] <= 1e-2
 
@@ -248,7 +248,7 @@ class TestIdentityChecks:
         sp = free_dirac(1.0, (0.0, 0.0, 0.75))
         h = sp.total
         lam = sign_of(h, sp.metric).data
-        b = sp.beta.data
+        b = beta_of(h)
         plus = (np.eye(4) + b @ lam) / 2.0
         w, v = np.linalg.eigh(h.data)
         for i in range(4):
@@ -261,12 +261,12 @@ class TestEvenness:
     def test_pure_mass(self):
         sp = free_dirac(1.0, (0.0, 0.0, 0.0))
         res = transform_stationary(sp)
-        assert verify_even_transformed(res.h_fw, sp.beta) == 0.0
+        assert relative_odd_norm(res.h_fw) == 0.0
 
     def test_free_dirac(self):
         sp = free_dirac(1.0, (0.0, 0.0, 0.75))
         res = transform_stationary(sp)
-        assert verify_even_transformed(res.h_fw, sp.beta) <= 1e-10
+        assert relative_odd_norm(res.h_fw) <= 1e-10
 
 
 def _reference(h, signs, hermitian):
@@ -305,11 +305,10 @@ class TestParityRoute:
         x = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
         k = x @ x.conj().T / side + 0.2 * np.eye(side)
         k = (k + k.conj().T) / 2
-        beta = beta_matrix(side, 1)
-        h = BlockOperator(beta.flip_rows(k), side, 1)
         zero = BlockOperator(np.zeros((side, side)), side, 1)
-        res = transform_stationary(split(h, zero, beta, Metric.BETA_PSEUDO))
-        u, s, h_fw = _reference(h.data, beta.signs, hermitian=False)
+        h = zero.like(zero.signs[:, None] * k)
+        res = transform_stationary(split(h, zero, Metric.BETA_PSEUDO))
+        u, s, h_fw = _reference(h.data, h.signs, hermitian=False)
         tol = 1e-12 * np.sqrt(side)
         assert np.linalg.norm(res.u.data - u) <= tol
         assert np.linalg.norm(res.s.data - s) <= tol
@@ -325,7 +324,7 @@ class TestParityRoute:
         model = floquet_dirac_vector(1.0, (0.0, 0.0, 0.5), 0.2, 0.08)
         res = transform_nonstationary(model, 4)
         k = build_extended(model, 4)
-        u, s, h_fw = _reference(k.op.data, k.beta.signs, hermitian=True)
+        u, s, h_fw = _reference(k.op.data, k.op.signs, hermitian=True)
         tol = 1e-12 * np.sqrt(k.op.side)
         assert np.linalg.norm(res.u.data - u) <= tol
         assert np.linalg.norm(res.s.data - s) <= tol
@@ -335,21 +334,20 @@ class TestParityRoute:
     def test_zero_denominator_block_eigenvalue(self, internal_dim, copies):
         # lambda = beta with one upper component flipped squares to one,
         # and 2 + 2 lambda_{++} gets one zero eigenvalue
-        beta = beta_matrix(internal_dim, copies)
-        signs = beta.signs.copy()
+        side = internal_dim * copies
+        signs = BlockOperator(np.zeros((side, side)), internal_dim, copies).signs.copy()
         signs[-internal_dim] = -1.0
         lam = BlockOperator(np.diag(signs), internal_dim, copies)
         with pytest.raises(DomainError, match="eriksen denominator degenerate"):
-            eriksen_unitary(lam, beta, Metric.HERMITIAN)
+            eriksen_unitary(lam)
 
     def test_non_self_adjoint_sign_operator_rejected(self):
         from fwexact import MetricViolationError
 
-        beta = beta_matrix(4, 1)
         lam = BlockOperator(np.diag([1.0, 1.0, -1.0, -1.0]), 4, 1)
         lam.data[0, 1] = 1e-3
         with pytest.raises(MetricViolationError):
-            eriksen_unitary(lam, beta, Metric.HERMITIAN, lambda_sq_tol=None)
+            eriksen_unitary(lam, lambda_sq_tol=None)
 
     @pytest.mark.parametrize(
         "sp",

@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 
 from fwexact import (
     DomainError,
+    BlockOperator,
     Metric,
-    beta_matrix,
     dirac_1d,
     eriksen_unitary,
     exp_i,
@@ -23,11 +23,13 @@ from fwexact import (
 )
 from fwexact.expgen import GeneratorResult, arcsin_odd, denominator_decomposition
 
+BETA4 = BlockOperator(np.diag([1.0, 1.0, -1.0, -1.0]), 4, 1)
+
 
 def dirac_generator(pz, m=1.0):
     sp = free_dirac(m, (0.0, 0.0, pz))
     lam = sign_of(sp.total, sp.metric)
-    return sp, lam, generator_from_lambda(lam, sp.beta, sp.metric)
+    return sp, lam, generator_from_lambda(lam, sp.metric)
 
 
 class TestArcsinOdd:
@@ -74,8 +76,7 @@ class TestArcsinOdd:
 
 class TestGenerator:
     def test_zero_when_sign_is_beta(self):
-        beta = beta_matrix(4, 1)
-        g = generator_from_lambda(beta, beta, Metric.HERMITIAN)
+        g = generator_from_lambda(BETA4, Metric.HERMITIAN)
         for s in (g.s, g.s_form_a):
             assert np.linalg.norm(s.data) <= 1e-15
 
@@ -93,7 +94,7 @@ class TestGenerator:
 
     def test_odd_and_hermitian(self):
         sp, _, g = dirac_generator(0.75)
-        b = sp.beta.data
+        b = BETA4.data
         assert np.linalg.norm(b @ g.s.data + g.s.data @ b) <= 1e-10
         assert np.linalg.norm(g.s.data - g.s.data.conj().T) <= 1e-10
         assert g.diagnostics["oddness_defect"] <= 1e-10
@@ -105,14 +106,14 @@ class TestGenerator:
         assert np.linalg.norm(g.s_form_a.data - g.s.data) <= 1e-9
 
     def test_non_involution_rejected(self):
-        beta = beta_matrix(2, 1)
+        bad = BlockOperator(2.0 * np.diag([1.0, -1.0]), 2, 1)
         with pytest.raises(DomainError, match="involution"):
-            generator_from_lambda(beta.like(2.0 * beta.data), beta, Metric.HERMITIAN)
+            generator_from_lambda(bad, Metric.HERMITIAN)
 
     def test_grid_model_forms_agree(self):
         sp = dirac_1d(1.0, 16, 2 * np.pi, lambda x: 0.2 * np.cos(x))
         lam = sign_of(sp.total, sp.metric)
-        g = generator_from_lambda(lam, sp.beta, sp.metric)
+        g = generator_from_lambda(lam, sp.metric)
         assert g.diagnostics["form_agreement_defect"] <= 1e-9
         assert g.diagnostics["oddness_defect"] <= 1e-10
 
@@ -129,14 +130,14 @@ class TestSharedDenominator:
     def test_handed_decomposition_is_bit_identical(self, sp):
         lam = sign_of(sp.total, sp.metric)
         den = denominator_decomposition(lam)
-        own = generator_from_lambda(lam, sp.beta, sp.metric)
-        handed = generator_from_lambda(lam, sp.beta, sp.metric, dec=den)
+        own = generator_from_lambda(lam, sp.metric)
+        handed = generator_from_lambda(lam, sp.metric, dec=den)
         assert np.array_equal(own.s.data, handed.s.data)
         assert np.array_equal(own.s_form_a.data, handed.s_form_a.data)
         assert own.diagnostics == handed.diagnostics
         assert np.array_equal(
-            eriksen_unitary(lam, sp.beta, sp.metric).data,
-            eriksen_unitary(lam, sp.beta, sp.metric, dec=den).data,
+            eriksen_unitary(lam).data,
+            eriksen_unitary(lam, dec=den).data,
         )
 
 
@@ -144,7 +145,7 @@ class TestBosonGenerator:
     def test_pseudo_metric_forms_and_adjointness(self):
         sp = feshbach_villars(1.0, 0.75)
         lam = sign_of(sp.total, sp.metric)
-        g = generator_from_lambda(lam, sp.beta, sp.metric)
+        g = generator_from_lambda(lam, sp.metric)
         assert g.diagnostics["form_agreement_defect"] <= 1e-9
         assert g.diagnostics["oddness_defect"] <= 1e-10
         assert g.diagnostics["hermiticity_defect"] <= 1e-10
@@ -155,52 +156,51 @@ class TestBosonGenerator:
     def test_pseudo_metric_exp_matches_unitary(self):
         sp = feshbach_villars(1.0, 0.75)
         res = transform_stationary(sp)
-        g = generator_from_lambda(res.sign_op, sp.beta, sp.metric)
+        g = generator_from_lambda(res.sign_op, sp.metric)
         assert verify_exp_equivalence(g, res.u, sp.metric) <= 1e-9
 
 
 class TestTrigIdentities:
     def test_rest_case(self):
-        beta = beta_matrix(4, 1)
-        g = generator_from_lambda(beta, beta, Metric.HERMITIAN)
-        checks = verify_trig_identities(g, beta, beta)
+        g = generator_from_lambda(BETA4, Metric.HERMITIAN)
+        checks = verify_trig_identities(g, BETA4)
         assert max(checks.values()) <= 1e-14
 
     def test_free_dirac(self):
         sp, lam, g = dirac_generator(0.75)
-        checks = verify_trig_identities(g, lam, sp.beta)
+        checks = verify_trig_identities(g, lam)
         assert checks["sin2s_defect"] <= 1e-10
         assert checks["cos2s_defect"] <= 1e-10
 
     def test_boson_case(self):
         sp = feshbach_villars(1.0, 0.75)
         lam = sign_of(sp.total, sp.metric)
-        g = generator_from_lambda(lam, sp.beta, sp.metric)
-        checks = verify_trig_identities(g, lam, sp.beta, sp.metric)
+        g = generator_from_lambda(lam, sp.metric)
+        checks = verify_trig_identities(g, lam)
         assert max(checks.values()) <= 1e-10
 
     def test_doubling_values_against_scalar_oracle(self):
         # sin 2S = -i(beta lambda - lambda beta)/2 must have eigenvalues
         # -+ p/E; cos 2S = (beta lambda + lambda beta)/2 eigenvalue m/E
         sp, lam, g = dirac_generator(0.75)
-        w = np.linalg.eigvalsh(1j * (sp.beta.data @ lam.data - lam.data @ sp.beta.data) / 2)
+        b = BETA4.data
+        w = np.linalg.eigvalsh(1j * (b @ lam.data - lam.data @ b) / 2)
         assert_allclose(np.sort(w), [-0.6, -0.6, 0.6, 0.6], atol=1e-12)
-        anti = (sp.beta.data @ lam.data + lam.data @ sp.beta.data) / 2
+        anti = (b @ lam.data + lam.data @ b) / 2
         assert_allclose(np.linalg.eigvalsh(anti), [0.8, 0.8, 0.8, 0.8], atol=1e-12)
 
 
 class TestExpEquivalence:
     def test_identity_case(self):
-        beta = beta_matrix(4, 1)
-        g = generator_from_lambda(beta, beta, Metric.HERMITIAN)
-        u = beta.like(np.eye(4))
+        g = generator_from_lambda(BETA4, Metric.HERMITIAN)
+        u = BETA4.like(np.eye(4))
         assert verify_exp_equivalence(g, u, Metric.HERMITIAN) <= 1e-15
 
     def test_momentum_sweep(self):
         for pz in (0.1, 0.4, 0.75, 1.3, 2.0):
             sp = free_dirac(1.0, (0.0, 0.0, pz))
             res = transform_stationary(sp)
-            g = generator_from_lambda(res.sign_op, sp.beta, sp.metric)
+            g = generator_from_lambda(res.sign_op, sp.metric)
             assert verify_exp_equivalence(g, res.u, sp.metric) <= 1e-9, f"pz={pz}"
 
     def test_corrupted_generator_is_detected(self):

@@ -111,7 +111,7 @@ class TestBuildExtended:
         ladder = np.kron(
             np.diag([-m * model.omega for m in range(-nf, nf + 1)]), np.eye(4)
         )
-        b = k.beta.data
+        b = np.diag(k.op.signs)
         assert np.linalg.norm(b @ ladder - ladder @ b) == 0.0
 
     def test_mode_beyond_truncation_rejected(self):
@@ -313,7 +313,7 @@ class TestBatchedKernels:
             (lambda_naive(model, nf), rep.odd_norm_lambda_naive),
             (lambda_capital(k), rep.odd_norm_lambda),
         ):
-            u = eriksen_unitary(lam, k.beta, model.metric, lambda_sq_tol=None)
+            u = eriksen_unitary(lam, lambda_sq_tol=None)
             full = u.data @ k.op.data @ adjoint_m(u, model.metric).data
             expected = central_odd_norm(k.op.like(full), window)
             assert measured == pytest.approx(expected, rel=1e-13, abs=1e-300)
@@ -329,7 +329,7 @@ class TestBatchedKernels:
     )
     def test_beta_characters_match_per_cluster_loop(self, monkeypatch, k):
         dec = decompose(k.op, Metric.HERMITIAN)
-        signs = k.beta.signs
+        signs = k.op.signs
         # oracle: one eigh of V_c^dag beta V_c per cluster of equal eigenvalues
         w, expected_v = dec.eigenvalues.real, dec.right_vectors.copy()
         expected_chars = np.einsum("ij,i,ij->j", expected_v.conj(), signs, expected_v).real
@@ -349,7 +349,7 @@ class TestBatchedKernels:
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        v, chars = _beta_characters(dec, k.beta)
+        v, chars = _beta_characters(dec, signs)
         assert clusters
         assert len(calls) == len({len(c) for c in clusters})
         assert np.abs(chars - expected_chars).max() <= 1e-14

@@ -88,7 +88,7 @@ class TestDirac1D:
         n, length = 32, 2.0 * np.pi
         sp = dirac_1d(1.0, n, length, lambda x: 0.2 * np.cos(2 * np.pi * x / length))
         h = sp.total
-        b = sp.beta.data
+        b = np.diag(h.signs)
         scale = h.norm()
         assert np.linalg.norm(h.data - h.data.conj().T) <= 1e-12 * scale
         assert (
