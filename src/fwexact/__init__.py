@@ -11,13 +11,7 @@ from .blockop import (
     odd_part,
     split,
 )
-from .eriksen import (
-    FWResult,
-    eriksen_unitary,
-    eriksen_unitary_alt,
-    transform_stationary,
-    verify_eriksen_identities,
-)
+from .eriksen import FWResult, eriksen_unitary, transform_stationary
 from .errors import (
     DomainError,
     EigendecompositionError,
@@ -25,12 +19,6 @@ from .errors import (
     MetricViolationError,
     SpectralGapError,
     StructureError,
-)
-from .expgen import (
-    GeneratorResult,
-    generator_from_lambda,
-    verify_exp_equivalence,
-    verify_trig_identities,
 )
 from .floquet import (
     ExtendedOperator,
@@ -43,12 +31,7 @@ from .floquet import (
     lambda_naive,
     transform_nonstationary,
 )
-from .matfun import (
-    SpectralDecomposition,
-    decompose,
-    exp_i,
-    sign_of,
-)
+from .matfun import SpectralDecomposition, decompose, sign_of
 from .models import (
     ModelSpec,
     MODEL_CATALOG,
@@ -62,6 +45,15 @@ from .models import (
     spectral_momentum,
 )
 from .tolerances import Tolerances
+from .verify import (
+    GeneratorResult,
+    eriksen_unitary_alt,
+    exp_i,
+    generator_from_lambda,
+    verify_eriksen_identities,
+    verify_exp_equivalence,
+    verify_trig_identities,
+)
 
 __version__ = "0.1.0"
 

@@ -11,10 +11,12 @@ floquet       compare the naive and extended sign operators
 Each run command takes ``--config <json>``, repeated ``--set key=value``
 dotted-path overrides and ``--report <path>``.  ``--dump`` (or
 ``output.dump``) writes the operator matrices of ``transform`` and is a
-usage error for the other commands.  Reports are JSON with
-schema_version "1" and are byte-identical across reruns of the same
-configuration except for the timings block.  Exit codes: 0 all verdicts
-pass, 2 usage/config error, 3 spectral gap violation,
+usage error for the other commands.  ``verify.routes`` (a JSON bool,
+default false) makes ``transform`` and ``sweep`` run the cross-check
+routes of :mod:`fwexact.verify` and report their diagnostics.  Reports
+are JSON with schema_version "2" and are byte-identical across reruns
+of the same configuration except for the timings block.  Exit codes:
+0 all verdicts pass, 2 usage/config error, 3 spectral gap violation,
 4 invariant or tolerance failure, 5 I/O failure.
 """
 
@@ -44,7 +46,7 @@ from .models import (
 )
 from .tolerances import Tolerances
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 #: Which tolerance bounds each diagnostic.  Keys absent here (or mapped
 #: to None for the active metric) are informational: reported, verdict
@@ -101,6 +103,23 @@ def _list_entries(value: Any, key: str, kind: type) -> list:
     return entries
 
 
+def _finite_number(value: Any, key: str) -> int | float:
+    """``value`` unless it is not an int or a finite float (a bool is
+    neither, hence the exact type tests)."""
+    if type(value) is not int and (type(value) is not float or not math.isfinite(value)):
+        raise UsageError(f"{key} {value!r} is not a finite number")
+    return value
+
+
+def _exactly(value: Any, key: str, kind: type) -> Any:
+    """``value`` unless it is not of type ``kind`` (a JSON bool for bool,
+    a JSON string for str)."""
+    if type(value) is not kind:
+        expected = "true or false" if kind is bool else "a string"
+        raise UsageError(f"{key} {value!r} is not {expected}")
+    return value
+
+
 @dataclass
 class RunConfig:
     model: ModelSpec
@@ -112,10 +131,11 @@ class RunConfig:
     sweep_values: tuple[float, ...] = ()
     floquet_nf: tuple[int, ...] = (4,)
     floquet_window: Optional[int] = None
+    routes: bool = False
 
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
-        for section in ("model", "output", "sweep", "floquet"):
+        for section in ("model", "tolerances", "output", "sweep", "floquet", "verify"):
             if not isinstance(raw.get(section) or {}, dict):
                 raise UsageError(f"{section} {raw[section]!r} is not a mapping")
         if "name" not in (raw.get("model") or {}):
@@ -124,20 +144,25 @@ class RunConfig:
         if not isinstance(params, dict):
             raise UsageError(f"model.params {params!r} is not a mapping")
         for key, v in params.items():
-            # bool is a subclass of int, hence the exact type test
-            if type(v) is not int and (type(v) is not float or not math.isfinite(v)):
-                raise UsageError(f"model.params.{key} {v!r} is not a finite number")
+            _finite_number(v, f"model.params.{key}")
         try:
-            model = ModelSpec(raw["model"]["name"], params)
+            model = ModelSpec(_exactly(raw["model"]["name"], "model.name", str), params)
         except FwExactError as exc:
             raise UsageError(str(exc)) from exc
+        bounds = raw.get("tolerances") or {}
+        for key, v in bounds.items():
+            _finite_number(v, f"tolerances.{key}")
         try:
-            tolerances = Tolerances(**raw.get("tolerances", {}))
+            tolerances = Tolerances(**bounds)
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad tolerances: {exc}") from exc
         output = raw.get("output") or {}
+        report = output.get("report")
+        if report is not None:  # null, as the echo writes it, is the default
+            _exactly(report, "output.report", str)
         sweep = raw.get("sweep") or {}
         if sweep.get("parameter") is not None:
+            _exactly(sweep["parameter"], "sweep.parameter", str)
             try:
                 check_parameter_names(model.name, [sweep["parameter"]])
             except FwExactError as exc:
@@ -145,6 +170,7 @@ class RunConfig:
         values = _list_entries(sweep.get("values", []), "sweep.values", float)
         if values and sweep.get("parameter") is None:
             raise UsageError("sweep.values given without sweep.parameter")
+        verify = raw.get("verify") or {}
         floquet = raw.get("floquet") or {}
         nf_tuple = tuple(sorted(set(_list_entries(floquet.get("nf", [4]), "floquet.nf", int))))
         if any(n < 1 for n in nf_tuple):
@@ -155,13 +181,14 @@ class RunConfig:
         return RunConfig(
             model=model,
             tolerances=tolerances,
-            report_path=output.get("report"),
-            dump=bool(output.get("dump", False)),
-            dump_dir=output.get("dump_dir", "dumps"),
+            report_path=report,
+            dump=_exactly(output.get("dump", False), "output.dump", bool),
+            dump_dir=_exactly(output.get("dump_dir", "dumps"), "output.dump_dir", str),
             sweep_parameter=sweep.get("parameter"),
             sweep_values=tuple(values),
             floquet_nf=nf_tuple,
             floquet_window=window,
+            routes=_exactly(verify.get("routes", False), "verify.routes", bool),
         )
 
     def echo(self) -> dict:
@@ -187,6 +214,7 @@ class RunConfig:
                 "nf": list(self.floquet_nf),
                 "window": self.floquet_window,
             },
+            "verify": {"routes": self.routes},
         }
 
 
@@ -359,9 +387,14 @@ def _transform(
     tol = config.tolerances
     if isinstance(built, TimePeriodicHamiltonian):
         return transform_nonstationary(
-            built, max(config.floquet_nf), tol.gap_tol, config.floquet_window, tol.eps_clamp
+            built,
+            max(config.floquet_nf),
+            tol.gap_tol,
+            config.floquet_window,
+            tol.eps_clamp,
+            routes=config.routes,
         )
-    return transform_stationary(built, tol.gap_tol, tol.eps_clamp)
+    return transform_stationary(built, tol.gap_tol, tol.eps_clamp, routes=config.routes)
 
 
 def _run_chain(

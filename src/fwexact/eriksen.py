@@ -11,10 +11,11 @@ Hermitian metric.  The equivalent polar-decomposition form
 
     U = (1 + beta lambda) / sqrt((1 + beta lambda)^adj (1 + beta lambda))
 
-is kept as a cross-check.  Every identity involved is measured and
-reported as a dimensionless defect norm; identity-type defects are
-Frobenius norms divided by ||1||_F = sqrt(n), so a clean result sits at
-machine precision and a violation of size eps shows up as roughly eps.
+is a cross-check in :mod:`fwexact.verify`, run on request
+(``routes=True``).  Every identity involved is measured and reported
+as a dimensionless defect norm; identity-type defects are Frobenius
+norms divided by ||1||_F = sqrt(n), so a clean result sits at machine
+precision and a violation of size eps shows up as roughly eps.
 
 The stationary H and the Floquet operator K = H(t) - i d/dt, which is
 static on the extended space, share one pipeline with one full-size
@@ -24,14 +25,19 @@ on lambda's parity blocks lambda_{++}, lambda_{+-}, lambda_{-+},
 lambda_{--} (:attr:`~fwexact.blockop.BlockOperator.blocks`), with the
 paper's formulas as the objects computed.  For an operator self-adjoint
 under either metric the diagonal blocks are Hermitian, so every later
-kernel is a half-size ``eigh``, in both metrics:
+kernel is a half-size ``eigh``, in both metrics, and there are three:
 
 * the denominator's blocks 2 + 2 lambda_{++} and 2 - 2 lambda_{--} give
-  U and form A of S;
-* the blocks of M^2, of the form-A argument squared and of S^2 give S,
-  its cross-check, sin 2S, cos 2S and exp(iS) (:mod:`fwexact.expgen`);
-* the diagonal blocks of the polar Gram matrix give the polar form;
-* the diagonal blocks of U H U^{-1} give its spectrum.
+  U and S (:mod:`fwexact.expgen`): lambda^2 = 1 makes every even
+  operator of the chain a function of lambda_{++} on the upper block and
+  of lambda_{--} on the lower one;
+* the blocks of S^2, from S's own blocks, give sin 2S, cos 2S and
+  exp(iS), checked against lambda and U;
+* the diagonal blocks of U H U^{-1} (``eigvalsh``) give its spectrum.
+
+``routes=True`` adds the cross-check routes of :mod:`fwexact.verify` and
+their kernels (the polar Gram matrix, the canonical arcsine's M^2 and
+form A's argument squared).
 
 lambda^2 is formed once, blockwise, for the involution pre-check,
 ``lambda_sq_defect`` and ``sign_products_commute_defect``.  Every
@@ -50,7 +56,6 @@ the stack's shape (floats without a stack).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -58,39 +63,28 @@ import numpy as np
 
 from .blockop import (
     BlockOperator,
-    Blocks,
     Metric,
     SplitHamiltonian,
-    add_identity,
     adjoint_m,
-    adjoint_sign,
     at_least,
-    dagger,
     frobenius,
     hypot,
     per_matrix,
     relative_odd_norm,
 )
-from .errors import DomainError
 from .expgen import (
     LAMBDA_SQ_TOL,
     OddSquare,
     denominator_decomposition,
     exp_blocks,
     exp_defect,
-    generator_from_lambda,
+    generator,
+    inverse_root,
     trig_defects,
 )
-from .matfun import (
-    EvenDecomposition,
-    check_involution,
-    decompose,
-    involution_defects,
-    sign_of,
-)
+from .matfun import EvenDecomposition, check_involution, decompose, sign_of
 from .tolerances import EPS_CLAMP, GAP_TOL
-
-_DEGENERATE = "eriksen denominator degenerate"
+from .verify import alt_form_defect, generator_routes, identity_defects
 
 
 @dataclass(frozen=True)
@@ -136,7 +130,7 @@ def eriksen_unitary(
     """
     if dec is None:
         dec = denominator_decomposition(lam, lambda_sq_tol)
-    root_pp, root_mm = _inverse_root(dec)
+    root_pp, root_mm = inverse_root(dec)
     # 1 + beta lambda has blocks 1 + lambda_{++}, lambda_{+-}, -lambda_{-+},
     # 1 - lambda_{--}; the inverse root is even
     a, b, c, d = lam.blocks
@@ -145,129 +139,33 @@ def eriksen_unitary(
     )
 
 
-def _inverse_root(dec: EvenDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """Blocks of the inverse square root under either unitary form; a
-    spectrum that is not positive is a degenerate denominator."""
-    try:
-        return dec.positive(lambda w: 1.0 / np.sqrt(w))
-    except DomainError as exc:
-        raise DomainError(f"{_DEGENERATE}: {exc}") from exc
-
-
-def _polar_blocks(lam: BlockOperator, metric: Metric) -> Blocks:
-    """Parity blocks of N (N^adj N)^{-1/2}, N = 1 + beta lambda.
-
-    The Gram matrix N^adj N is decomposed by its diagonal blocks; its
-    off-diagonal blocks are the odd part of lambda^2, which vanishes
-    with lambda^2 - 1 (measured by sign_products_commute_defect).
-    """
-    a, b, c, d = lam.blocks
-    sign = adjoint_sign(metric)
-    n_pp, n_mm = add_identity(a.copy(), 1.0), add_identity(-d, 1.0)
-    gram = EvenDecomposition.of(
-        dagger(n_pp) @ n_pp + sign * (dagger(c) @ c),
-        sign * (dagger(b) @ b) + dagger(n_mm) @ n_mm,
-    )
-    root_pp, root_mm = _inverse_root(gram)
-    return Blocks(n_pp @ root_pp, b @ root_mm, -(c @ root_pp), n_mm @ root_mm)
-
-
-def eriksen_unitary_alt(lam: BlockOperator, metric: Metric) -> BlockOperator:
-    """Polar form U = N (N^adj N)^{-1/2} with N = 1 + beta lambda.
-
-    Equal to :func:`eriksen_unitary` up to roundoff; the adjoint is the
-    metric adjoint, so for the beta-pseudo metric this is the
-    pseudo-unitary polar factor.  lambda must square to one within
-    ``LAMBDA_SQ_TOL``.
-    """
-    check_involution(lam, LAMBDA_SQ_TOL)
-    return lam.like_blocks(*_polar_blocks(lam, metric))
-
-
-def _unitary_defects(u: BlockOperator, metric: Metric) -> dict[str, float | np.ndarray]:
-    """eriksen_defect, unitarity_defect and (beta-pseudo metric)
-    pseudo_unitarity_defect from the parity blocks of U; the adjoint's
-    off-diagonal blocks carry :func:`~fwexact.blockop.adjoint_sign`."""
-    pp, pm, mp, mm = u.blocks
-    sign = adjoint_sign(metric)
-    root_n = math.sqrt(u.side)
-    h = dagger
-
-    out = {
-        "eriksen_defect": hypot(
-            frobenius(pp - h(pp)),
-            frobenius(pm + h(mp)),
-            frobenius(mp + h(pm)),
-            frobenius(mm - h(mm)),
-        )
-        / root_n,
-        "unitarity_defect": hypot(
-            frobenius(add_identity(pp @ h(pp) + sign * (pm @ h(pm)), -1.0)),
-            frobenius(sign * (pp @ h(mp)) + pm @ h(mm)),
-            frobenius(mp @ h(pp) + sign * (mm @ h(pm))),
-            frobenius(add_identity(sign * (mp @ h(mp)) + mm @ h(mm), -1.0)),
-        )
-        / root_n,
-    }
-    if metric is Metric.BETA_PSEUDO:
-        out["pseudo_unitarity_defect"] = hypot(
-            frobenius(add_identity(h(pp) @ pp + sign * (h(mp) @ mp), -1.0)),
-            frobenius(h(pp) @ pm + sign * (h(mp) @ mm)),
-            frobenius(sign * (h(pm) @ pp) + h(mm) @ mp),
-            frobenius(add_identity(sign * (h(pm) @ pm) + h(mm) @ mm, -1.0)),
-        ) / root_n
-    return out
-
-
-def verify_eriksen_identities(result: FWResult, metric: Metric) -> dict[str, float]:
-    """Defect norms of the defining identities; reports, never raises.
-
-    Keys: lambda_sq_defect, sign_products_commute_defect (commutator of
-    beta*lambda with lambda*beta), anticommutator_even_defect
-    (commutator of beta with the anticommutator; zero by construction),
-    eriksen_defect (beta U - U^dag beta), unitarity_defect (U U^adj - 1)
-    and, for the beta-pseudo metric, pseudo_unitarity_defect.  The raw
-    beta U - U^dag beta defect is always reported even though it has no
-    reason to vanish for bosons.
-    """
-    return _identity_defects(involution_defects(result.sign_op), result.u, metric)
-
-
-def _identity_defects(
-    involution: dict[str, float | np.ndarray], u: BlockOperator, metric: Metric
-) -> dict[str, float | np.ndarray]:
-    """The involution defects of lambda with those of U
-    (see :func:`verify_eriksen_identities`)."""
-    return {
-        **involution,
-        "anticommutator_even_defect": per_matrix(np.zeros(u.stack_shape)),
-        **_unitary_defects(u, metric),
-    }
-
-
 def _transform(
-    h: BlockOperator, metric: Metric, gap_tol: float, eps_clamp: float
+    h: BlockOperator, metric: Metric, gap_tol: float, eps_clamp: float, routes: bool
 ) -> FWResult:
     """Sign operator, unitary, U H U^{-1} and generator of a graded
     operator, with the diagnostics every transform shares.
 
-    U^{-1} is the metric adjoint of U (the residual is unitarity_defect).
+    U and S come from one decomposition of the denominator.  U^{-1} is
+    the metric adjoint of U (the residual is unitarity_defect).
     Diagnostics: the unitary identities, spectrum_defect (largest shift
     of the sorted spectrum under the similarity, relative to the
     spectral radius of H), the generator defects, the doubling
-    identities and exp_equivalence_defect.
+    identities and exp_equivalence_defect.  ``routes`` adds the generator
+    cross-checks of :func:`~fwexact.verify.generator_routes`, whose
+    arcsine is held to the clamp band ``eps_clamp``.
     """
     dec = decompose(h, metric)
     lam = sign_of(h, metric, gap_tol, dec)
     before, scale = np.sort(dec.eigenvalues.real), at_least(dec.scale, 1e-300)
     del dec
     involution = check_involution(lam, LAMBDA_SQ_TOL)
-    # one decomposition of the denominator serves U and form A
+    # one decomposition of the denominator serves U and S (and form A)
     den = denominator_decomposition(lam, lambda_sq_tol=None)
     u = eriksen_unitary(lam, dec=den)
-    generator = generator_from_lambda(lam, metric, eps_clamp=eps_clamp, dec=den)
-    s, generator_defects = generator.s, generator.diagnostics
-    del den, generator
+    s, generator_defects = generator(lam, metric, den)
+    if routes:
+        generator_defects.update(generator_routes(lam, metric, eps_clamp=eps_clamp, dec=den))
+    del den
     u_inverse = adjoint_m(u, metric)
     h_fw = h.like(u.data @ h.data @ u_inverse.data)
     # U H U^{-1} is even and metric-self-adjoint: Hermitian diagonal blocks
@@ -279,7 +177,7 @@ def _transform(
         u=u,
         u_inverse=u_inverse,
         h_fw=h_fw,
-        diagnostics=_identity_defects(involution, u, metric),
+        diagnostics=identity_defects(involution, u, metric),
         s=s,
         h_fw_norm=per_matrix(np.abs(after).max(axis=-1, initial=0.0)),
         s_norm=square.norm_2(),
@@ -298,18 +196,24 @@ def transform_stationary(
     split_h: SplitHamiltonian,
     gap_tol: float = GAP_TOL,
     eps_clamp: float = EPS_CLAMP,
+    *,
+    routes: bool = False,
 ) -> FWResult:
     """Run the full stationary transformation H -> U H U^{-1}.
 
     On top of the shared diagnostics (see :func:`_transform`): the
-    relative odd norm of the transformed Hamiltonian, the agreement of
-    the two unitary forms and the odd norm of sqrt(H^2) = lambda H.
+    relative odd norm of the transformed Hamiltonian and the odd norm of
+    sqrt(H^2) = lambda H.  ``routes=True`` runs the cross-check routes of
+    :mod:`fwexact.verify` as well: alt_form_defect (the polar form
+    against U), form_agreement_defect, denominator_commutator_defect and
+    clamp_excess (the canonical arcsine, held to ``eps_clamp``).
     """
     h, metric = split_h.total, split_h.metric
-    result = _transform(h, metric, gap_tol, eps_clamp)
+    result = _transform(h, metric, gap_tol, eps_clamp, routes)
     lam = result.sign_op
     result.diagnostics["odd_norm"] = relative_odd_norm(result.h_fw)
-    result.diagnostics["alt_form_defect"] = exp_defect(_polar_blocks(lam, metric), result.u)
+    if routes:
+        result.diagnostics["alt_form_defect"] = alt_form_defect(lam, result.u, metric)
     # sqrt(H^2) is even when the mass is constant and the even term
     # vanishes, but not in general; reported, never asserted
     result.diagnostics["sqrt_h2_odd_norm"] = _sqrt_h2_odd_norm(lam, h)

@@ -6,34 +6,36 @@ identities
     sin 2S = -i (beta lambda - lambda beta) / 2
     cos 2S =    (beta lambda + lambda beta) / 2
 
-pin down an odd, metric-self-adjoint generator S with exp(iS) = U.  The
-best-conditioned route is the half-angle arcsine of the doubling
-argument
+pin down an odd, metric-self-adjoint generator S with exp(iS) = U: the
+half-angle arcsine of the doubling argument
 
-    M = i (beta lambda - lambda beta) / 2,      S = -(1/2) arcsin(M),
+    M = i (beta lambda - lambda beta) / 2,      S = -(1/2) arcsin(M).
 
-which is exactly Hermitian in the Hermitian metric; it is the canonical
-form here.  Form A is computed alongside as a cross-check: the
-full-angle arcsine with the square-root denominator,
-S = -arcsin(D^{-1/2} i(beta lambda - lambda beta) D^{-1/2}) with
-D = 2 sqrt(2 + beta lambda + lambda beta), evaluated symmetrically
-(numerator and denominator commute; the residual commutator is
-recorded, not assumed).  D and D^{-1/2} come from the one decomposition
-of 2 + beta lambda + lambda beta that also gives the Eriksen unitary.
+Everything is evaluated on the beta parity blocks.  M is odd, with
+off-diagonal blocks i lambda_{+-} and -i lambda_{-+}, so an odd function
+of it is g(M) = M (g(x)/x)(M^2), and M^2 is even with diagonal blocks
+lambda_{+-} lambda_{-+} = 1 - lambda_{++}^2 and lambda_{-+} lambda_{+-}
+= 1 - lambda_{--}^2, by lambda^2 = 1.  Those are functions of the
+diagonal blocks 2 + 2 lambda_{++} and 2 - 2 lambda_{--} of the Eriksen
+denominator 2 + beta lambda + lambda beta (its off-diagonal blocks
+cancel exactly): with w an eigenvalue of either block, 1 - x^2 =
+w (1 - w/4).  So the one decomposition of the denominator that gives U
+gives S as well,
 
-Everything is evaluated on the beta parity blocks.  The denominator is
-even, with diagonal blocks 2 + 2 lambda_{++} and 2 - 2 lambda_{--} (its
-off-diagonal blocks cancel exactly).  M is odd, with off-diagonal blocks
-i lambda_{+-} and -i lambda_{-+}, so an odd function of it is
-g(M) = M (g(x)/x)(M^2), and M^2 is even with diagonal blocks
-lambda_{+-} lambda_{-+} and lambda_{-+} lambda_{+-}.  These blocks are
-Hermitian in both metrics (see :mod:`fwexact.matfun`), so every kernel
-is a half-size ``eigh``.  In the Hermitian metric M^2 >= 0; in the
+    S_{+-} = -(i/2) lambda_{+-} h_{--},    S_{-+} = (i/2) lambda_{-+} h_{++},
+
+h = arcsin(sqrt z) / sqrt z at z = w (1 - w/4), the principal angles of
+beta's upper subspace and the positive-energy subspace read off the
+denominator (Davis & Kahan's direct rotation).  The blocks are Hermitian
+in both metrics (see :mod:`fwexact.matfun`), so the kernel is a
+half-size ``eigh``.  In the Hermitian metric z lies in [0, 1]; in the
 beta-pseudo metric lambda_{-+} = -lambda_{+-}^dag makes M^2 <= 0, the
-imaginary spectrum on which arcsin(i x) = i arcsinh(x).  Only the
-nonnegative eigenvalues x of M^2 meet the arcsine clamp, at
-sqrt(x) <= 1 + eps.  The doubling identities and exp(iS) = U follow
-from the diagonal blocks of S^2, computed from S's own blocks.
+imaginary spectrum on which arcsin(i x) = i arcsinh(x), and z < 0 takes
+the arcsinh branch.  h is continuous at z = 0, so no clamp band is
+needed.  The doubling identities and exp(iS) = U follow from the
+diagonal blocks of S^2, computed from S's own blocks: a route
+independent of the one that made S.  The arcsine of M itself, form A
+and the full-size exp(iS) are cross-checks in :mod:`fwexact.verify`.
 
 S is assembled from its off-diagonal blocks alone, so it is odd by
 construction and ``oddness_defect`` is an exact zero; the two
@@ -42,15 +44,13 @@ off-diagonal blocks are computed independently, so
 
 lambda may carry leading stack axes (one sign operator per point of a
 sweep): every block product, decomposition and defect runs over the
-stack at once, the arcsine clamp holds each operator to its own
-spectrum, and the diagnostics are arrays with the stack's shape (floats
-without a stack).
+stack at once, and the diagnostics are arrays with the stack's shape
+(floats without a stack).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -62,17 +62,18 @@ from .blockop import (
     adjoint_sign,
     at_least,
     dagger,
-    first_failing,
     frobenius,
     hypot,
     per_matrix,
 )
 from .errors import DomainError
-from .matfun import EvenDecomposition, check_hermitian, check_involution, exp_i
-from .tolerances import EPS_CLAMP
+from .matfun import EvenDecomposition, check_hermitian, check_involution
 
 #: Default bound on ||lambda^2 - 1|| / sqrt(n) before lambda is used.
 LAMBDA_SQ_TOL = 1e-8
+
+#: Prefix of the error a denominator that is not positive definite raises.
+DEGENERATE = "eriksen denominator degenerate"
 
 _Branch = Callable[[np.ndarray], np.ndarray]
 
@@ -133,43 +134,14 @@ class OddSquare:
         return per_matrix(np.sqrt(eigenvalues.max(axis=(-2, -1), initial=0.0)))
 
 
-def arcsin_odd(
-    pm: np.ndarray, mp: np.ndarray, eps_clamp: float = EPS_CLAMP
-) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
-    """Off-diagonal blocks of the principal arcsine of an odd operator,
-    and the clamp excess: how far the largest real |eigenvalue|
-    sqrt(x), x >= 0 an eigenvalue of X^2, pokes past 1 (per operator of
-    a stack).  An excess above ``eps_clamp`` raises; within it the clamp
-    snaps the eigenvalue to 1."""
-    sq = OddSquare(pm, mp)
-    top = sq.square.eigenvalues.max(axis=(-2, -1), initial=0.0)
-    excess = np.maximum(np.sqrt(top) - 1.0, 0.0)
-    i = first_failing(excess > eps_clamp)
-    if i is not None:
-        raise DomainError(
-            f"arcsin domain violation: |eigenvalue| exceeds 1 by {np.ravel(excess)[i]:.3e} "
-            f"(clamp band {eps_clamp:.1e})"
-        )
-    return (*sq.odd(_ARCSIN), per_matrix(excess))
-
-
-@dataclass(frozen=True)
-class GeneratorResult:
-    """Canonical generator, the form-A cross-check, and defect norms."""
-
-    s: BlockOperator
-    s_form_a: BlockOperator
-    diagnostics: dict[str, float]
-
-
 def denominator_decomposition(
     lam: BlockOperator,
     lambda_sq_tol: float | None = LAMBDA_SQ_TOL,
 ) -> EvenDecomposition:
-    """Decomposition of 2 + beta lambda + lambda beta, under the square
-    root of both the Eriksen unitary and form A, by its diagonal blocks
-    2 + 2 lambda_{++} and 2 - 2 lambda_{--}, made after checking that
-    lambda squares to one within ``lambda_sq_tol`` (None skips it).
+    """Decomposition of 2 + beta lambda + lambda beta, which gives the
+    Eriksen unitary and S, by its diagonal blocks 2 + 2 lambda_{++} and
+    2 - 2 lambda_{--}, made after checking that lambda squares to one
+    within ``lambda_sq_tol`` (None skips it).
 
     Both blocks must be Hermitian, as they are for a lambda self-adjoint
     under either metric; otherwise MetricViolationError is raised.
@@ -183,79 +155,57 @@ def denominator_decomposition(
     return EvenDecomposition.of(upper, lower)
 
 
-def generator_from_lambda(
-    lam: BlockOperator,
-    metric: Metric,
-    *,
-    eps_clamp: float = EPS_CLAMP,
-    dec: EvenDecomposition | None = None,
-) -> GeneratorResult:
-    """Compute S from the sign operator through both forms.
+def inverse_root(dec: EvenDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks of the inverse square root of a positive even operator (the
+    denominator, or the Gram matrix of the polar form); a spectrum that
+    is not positive is a degenerate denominator."""
+    try:
+        return dec.positive(lambda w: 1.0 / np.sqrt(w))
+    except DomainError as exc:
+        raise DomainError(f"{DEGENERATE}: {exc}") from exc
 
-    ``dec`` is the :func:`denominator_decomposition` when the caller
-    already holds it; otherwise it is made here, after checking that
-    lambda squares to one within ``LAMBDA_SQ_TOL``.
 
-    Diagnostics: oddness_defect (beta S + S beta, zero by construction),
-    hermiticity_defect (S - S^adj), form_agreement_defect (disagreement
-    of the two forms, scaled by max(1, ||S||_F)),
-    denominator_commutator_defect (form A symmetrization assumption) and
-    clamp_excess (how far a real eigenvalue of the doubling argument
-    pokes past 1; positive values mean the arcsine clamp was active).
-    The doubling identities are checked by :func:`verify_trig_identities`.
+def generator(
+    lam: BlockOperator, metric: Metric, dec: EvenDecomposition
+) -> tuple[BlockOperator, dict[str, float | np.ndarray]]:
+    """S from the :func:`denominator_decomposition` ``dec`` of lambda,
+    with its oddness_defect and hermiticity_defect (see
+    :func:`generator_defects`).
+
+    h = arcsin(sqrt z) / sqrt z at z = 1 - x^2 = w (1 - w/4) is applied
+    to both blocks of the denominator (w its eigenvalues), then
+    S_{+-} = -(i/2) lambda_{+-} h_{--} and S_{-+} = (i/2) lambda_{-+} h_{++}.
+    z = 1 - (w - 2)^2 / 4 passes 1 only by rounding, which the arcsine's
+    clamp absorbs.
     """
-    if dec is None:
-        dec = denominator_decomposition(lam)
+    h_pp, h_mm = dec.apply(lambda w: _ARCSIN(w * (1.0 - w / 4.0)))
+    s_pm = -0.5j * (lam.blocks.pm @ h_mm)
+    s_mp = 0.5j * (lam.blocks.mp @ h_pp)
+    return lam.like_blocks(None, s_pm, s_mp, None), generator_defects(s_pm, s_mp, metric)
 
-    # canonical route: S = -(1/2) arcsin(M) with M_{+-} = i lambda_{+-},
-    # M_{-+} = -i lambda_{-+}
-    m_pm, m_mp = 1j * lam.blocks.pm, -1j * lam.blocks.mp
-    arc_pm, arc_mp, clamp_excess = arcsin_odd(m_pm, m_mp, eps_clamp)
-    s_pm, s_mp = -0.5 * arc_pm, -0.5 * arc_mp
-    del arc_pm, arc_mp
 
-    # form A: full-angle arcsine with the square-root denominator
-    # D = 2 sqrt(2 + beta lambda + lambda beta), evaluated as
-    # D^{-1/2} (2M) D^{-1/2}; D and D^{-1/2} share one eigenbasis
-    half_pp, half_mm = dec.positive(lambda w: 1.0 / np.sqrt(2.0 * np.sqrt(w)))
-    arc_a_pm, arc_a_mp, _ = arcsin_odd(
-        half_pp @ (2.0 * m_pm) @ half_mm, half_mm @ (2.0 * m_mp) @ half_pp, eps_clamp
-    )
-    del half_pp, half_mm
-    d_pp, d_mm = dec.positive(lambda w: 2.0 * np.sqrt(w))
-    commutator = hypot(
-        frobenius(m_pm @ d_mm - d_pp @ m_pm), frobenius(m_mp @ d_pp - d_mm @ m_mp)
-    ) / at_least(hypot(frobenius(d_pp), frobenius(d_mm)), 1e-300)
-    del d_pp, d_mm, m_pm, m_mp
-
+def generator_defects(
+    s_pm: np.ndarray, s_mp: np.ndarray, metric: Metric
+) -> dict[str, float | np.ndarray]:
+    """oddness_defect (beta S + S beta, zero by construction: S is made
+    of its off-diagonal blocks) and hermiticity_defect (S - S^adj, scaled
+    by max(1, ||S||_F)) of S given by its off-diagonal blocks."""
     sign = adjoint_sign(metric)
     s_scale = at_least(hypot(frobenius(s_pm), frobenius(s_mp)), 1.0)
-
-    diagnostics = {
-        "oddness_defect": per_matrix(np.zeros(lam.stack_shape)),
+    return {
+        "oddness_defect": per_matrix(np.zeros(s_pm.shape[:-2])),
         "hermiticity_defect": hypot(
             frobenius(s_pm - sign * dagger(s_mp)), frobenius(s_mp - sign * dagger(s_pm))
         )
         / s_scale,
-        # S_A = -arcsin(A), so S_A - S = -(arc_a + s)
-        "form_agreement_defect": hypot(
-            frobenius(arc_a_pm + s_pm), frobenius(arc_a_mp + s_mp)
-        )
-        / s_scale,
-        "denominator_commutator_defect": commutator,
-        "clamp_excess": clamp_excess,
     }
-    return GeneratorResult(
-        s=lam.like_blocks(None, s_pm, s_mp, None),
-        s_form_a=lam.like_blocks(None, -arc_a_pm, -arc_a_mp, None),
-        diagnostics=diagnostics,
-    )
 
 
 def trig_defects(sq: OddSquare, lam: BlockOperator) -> dict[str, float]:
-    """sin2s_defect and cos2s_defect (see :func:`verify_trig_identities`)
-    from the square of S.  sin 2S and M are odd, cos 2S and
-    (beta lambda + lambda beta)/2 are even, so only those blocks enter."""
+    """sin2s_defect and cos2s_defect (see
+    :func:`~fwexact.verify.verify_trig_identities`) from the square of S.
+    sin 2S and M are odd, cos 2S and (beta lambda + lambda beta)/2 are
+    even, so only those blocks enter."""
     a, b, c, d = lam.blocks
     sin_pm, sin_mp = sq.odd(_SIN2)
     cos_pp, cos_mm = sq.even(_COS2)
@@ -281,22 +231,3 @@ def exp_defect(
     polar form against U)."""
     defect = hypot(*(frobenius(x - y) for x, y in zip(exponential, u.blocks)))
     return defect / at_least(u.norm(), 1e-300)
-
-
-def verify_trig_identities(g: GeneratorResult, lam: BlockOperator) -> dict[str, float]:
-    """Recompute the doubling identities from g.s alone.
-
-    Returns sin2s_defect and cos2s_defect: norms of
-    sin 2S + i(beta lambda - lambda beta)/2 and
-    cos 2S - (beta lambda + lambda beta)/2, scaled by sqrt(n).
-    """
-    return trig_defects(OddSquare(g.s.blocks.pm, g.s.blocks.mp), lam)
-
-
-def verify_exp_equivalence(
-    g: GeneratorResult, u: BlockOperator, metric: Metric
-) -> float:
-    """Relative disagreement ||exp(iS) - U||_F / ||U||_F, with exp(iS)
-    from a full-size decomposition of S (independent of the block route
-    the transforms use)."""
-    return exp_defect(exp_i(g.s, metric).blocks, u)

@@ -61,6 +61,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .blockop import BlockOperator, Metric, adjoint_m, dagger, relative_odd_norm
 from .errors import DomainError, SpectralGapError, StructureError
 from .eriksen import FWResult, _transform, eriksen_unitary
+from .expgen import DEGENERATE
 from .matfun import SpectralDecomposition, check_gap, decompose, decompose_array, sign_of
 from .models import TimePeriodicHamiltonian
 from .tolerances import EPS_CLAMP, GAP_TOL
@@ -70,7 +71,6 @@ _SIGN_CHOICES = ("quasienergy", "character")
 # eigenspace for the beta-character (roundoff splits exact degeneracies
 # at ~n * 1e-16)
 _EIGENSPACE_TOL = 1e-12
-_DENOMINATOR_DEGENERATE = "eriksen denominator degenerate"
 
 
 @dataclass(frozen=True)
@@ -201,9 +201,7 @@ def _extended_errors(k: ExtendedOperator, metric: Metric) -> Iterator[None]:
             f"{exc} [quasienergy resonance: adjust omega or add detuning]"
         ) from exc
     except DomainError as exc:
-        if metric is not Metric.HERMITIAN or not str(exc).startswith(
-            _DENOMINATOR_DEGENERATE
-        ):
+        if metric is not Metric.HERMITIAN or not str(exc).startswith(DEGENERATE):
             raise
         raise DomainError(f"{exc} [{_fold_diagnosis(k)}]") from exc
 
@@ -396,6 +394,8 @@ def transform_nonstationary(
     gap_tol: float = GAP_TOL,
     window: Optional[int] = None,
     eps_clamp: float = EPS_CLAMP,
+    *,
+    routes: bool = False,
 ) -> FWResult:
     """Full nonstationary pipeline on the extended space.
 
@@ -403,12 +403,15 @@ def transform_nonstationary(
     transform, with the extended sign operator Lambda; the diagnostics are the shared ones
     (unitary identities, spectrum displacement, generator defects,
     exp(iS) = U) plus the central-window odd norm of U K U^{-1}.
+    ``routes=True`` adds the generator cross-checks of
+    :func:`~fwexact.verify.generator_routes` (form_agreement_defect,
+    denominator_commutator_defect and clamp_excess, held to ``eps_clamp``).
     """
     if window is None:
         window = max(nf // 2, 1)
     window = min(window, nf)
     k = build_extended(model, nf)
     with _extended_errors(k, model.metric):
-        result = _transform(k.op, model.metric, gap_tol, eps_clamp)
+        result = _transform(k.op, model.metric, gap_tol, eps_clamp, routes)
     result.diagnostics["odd_norm"] = central_odd_norm(result.h_fw, window)
     return result

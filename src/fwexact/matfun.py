@@ -1,23 +1,25 @@
 """Matrix functions via metric-aware eigendecomposition.
 
-The sign and the exponential are evaluated in an eigenbasis:
-``numpy.linalg.eigh`` for the Hermitian metric, ``numpy.linalg.eig``
-with a conditioning check for the beta-pseudo-Hermitian one.  Iterative
-sign/Newton schemes are deliberately not used: the matrices are small to
-moderate, one decomposition serves all functions, and the stability of
-the iterations is unproven for the pseudo-Hermitian case.
+The sign operator is evaluated in an eigenbasis: ``numpy.linalg.eigh``
+for the Hermitian metric, ``numpy.linalg.eig`` with a conditioning check
+for the beta-pseudo-Hermitian one.  Iterative sign/Newton schemes are
+deliberately not used: the matrices are small to moderate, one
+decomposition serves all functions, and the stability of the iterations
+is unproven for the pseudo-Hermitian case.
 
 Output is deterministic per input: eigenvalues are sorted ascending by
 real part (stable tie-break on the imaginary part) and each eigenvector
 is rescaled so its largest-magnitude component is real and positive.
 
 The transforms decompose one full-size matrix, the Hamiltonian.  Every
-later kernel is a half-size Hermitian ``eigh`` of the diagonal parity
-blocks of an even operator (:class:`EvenDecomposition`).  For an
+later kernel on the hot path is a half-size Hermitian ``eigh`` of the
+diagonal parity blocks of an even operator (:class:`EvenDecomposition`):
+the Eriksen denominator, which gives U and S, and S^2.  For an
 operator A self-adjoint under either metric those blocks are Hermitian:
 A = beta A^dag beta keeps A_{++} and A_{--} and flips the sign of the
 off-diagonal pair, A_{-+} = -A_{+-}^dag.  The two blocks go to one
-batched call.
+batched call.  The full-size exp(iS) of the cross-checks lives in
+:mod:`fwexact.verify`.
 
 Every kernel takes operators with leading stack axes (the points of a
 sweep, the instantaneous H(t) samples of a Floquet drive) to one stacked
@@ -40,7 +42,6 @@ from .blockop import (
     BlockOperator,
     Metric,
     add_identity,
-    adjoint_m,
     dagger,
     first_failing,
     frobenius,
@@ -282,25 +283,3 @@ def check_involution(lam: BlockOperator, tol: float) -> dict[str, float | np.nda
             f"||lambda^2 - 1|| = {np.ravel(defect)[i]:.3e} (tolerance {tol:.1e})"
         )
     return defects
-
-
-def exp_i(s: BlockOperator, metric: Metric) -> BlockOperator:
-    """exp(iS) in the eigenbasis of S.
-
-    S must be self-adjoint under ``metric``; the result is then
-    metric-unitary.  For the beta-pseudo metric the spectrum of S may be
-    complex (bosonic generators have imaginary eigenvalues), so the
-    general decomposition is used.
-    """
-    defect = frobenius(s.data - adjoint_m(s, metric).data)
-    i = first_failing(defect > 1e-8 * np.maximum(s.norm(), 1.0))
-    if i is not None:
-        raise MetricViolationError(
-            f"generator is not self-adjoint under {metric.value}: "
-            f"defect {np.ravel(defect)[i]:.3e}"
-        )
-    if metric is Metric.HERMITIAN:
-        dec = _decompose_hermitian(s.data)
-        return s.like(dec.apply(lambda w: np.exp(1j * w.real)))
-    dec = _decompose_general(s.data)
-    return s.like(dec.apply(lambda w: np.exp(1j * w)))

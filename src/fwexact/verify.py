@@ -1,0 +1,330 @@
+"""Cross-check routes: independent formulas for the operators the
+transforms build, and the identity checks as public functions.
+
+The transforms build U and S by one route each (:mod:`fwexact.eriksen`,
+:mod:`fwexact.expgen`): both from the one decomposition of the Eriksen
+denominator.  The routes here exist only to check those operators
+against another formula:
+
+* the polar form U = N (N^adj N)^{-1/2}, N = 1 + beta lambda, from the
+  diagonal blocks of the Gram matrix N^adj N;
+* the canonical arcsine S = -(1/2) arcsin(M) of the doubling argument
+  M = i (beta lambda - lambda beta) / 2, from the blocks of M^2, with
+  the clamp excess of its real spectrum;
+* form A, the full-angle arcsine with the square-root denominator,
+  S = -arcsin(D^{-1/2} i(beta lambda - lambda beta) D^{-1/2}) with
+  D = 2 sqrt(2 + beta lambda + lambda beta), evaluated symmetrically
+  (numerator and denominator commute; the residual commutator is
+  recorded, not assumed);
+* exp(iS) from a full-size decomposition of S.
+
+``transform_stationary`` and ``transform_nonstationary`` run them when
+called with ``routes=True`` (the config key ``verify.routes``): the
+report then carries ``alt_form_defect`` (stationary only),
+``form_agreement_defect``, ``denominator_commutator_defect`` and
+``clamp_excess``.  The identity defects of lambda and U that every
+transform reports are measured here too (:func:`identity_defects`).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+from .blockop import (
+    BlockOperator,
+    Blocks,
+    Metric,
+    add_identity,
+    adjoint_m,
+    adjoint_sign,
+    at_least,
+    dagger,
+    first_failing,
+    frobenius,
+    hypot,
+    per_matrix,
+)
+from .errors import DomainError, MetricViolationError
+from .expgen import (
+    _ARCSIN,
+    LAMBDA_SQ_TOL,
+    OddSquare,
+    denominator_decomposition,
+    exp_defect,
+    generator_defects,
+    inverse_root,
+    trig_defects,
+)
+from .matfun import (
+    EvenDecomposition,
+    _decompose_general,
+    _decompose_hermitian,
+    check_involution,
+    involution_defects,
+)
+from .tolerances import EPS_CLAMP
+
+if TYPE_CHECKING:  # eriksen imports this module
+    from .eriksen import FWResult
+
+
+# ---------------------------------------------------------------------------
+# identity defects of lambda and U
+
+
+def _unitary_defects(u: BlockOperator, metric: Metric) -> dict[str, float | np.ndarray]:
+    """eriksen_defect, unitarity_defect and (beta-pseudo metric)
+    pseudo_unitarity_defect from the parity blocks of U; the adjoint's
+    off-diagonal blocks carry :func:`~fwexact.blockop.adjoint_sign`."""
+    pp, pm, mp, mm = u.blocks
+    sign = adjoint_sign(metric)
+    root_n = math.sqrt(u.side)
+    h = dagger
+
+    out = {
+        "eriksen_defect": hypot(
+            frobenius(pp - h(pp)),
+            frobenius(pm + h(mp)),
+            frobenius(mp + h(pm)),
+            frobenius(mm - h(mm)),
+        )
+        / root_n,
+        "unitarity_defect": hypot(
+            frobenius(add_identity(pp @ h(pp) + sign * (pm @ h(pm)), -1.0)),
+            frobenius(sign * (pp @ h(mp)) + pm @ h(mm)),
+            frobenius(mp @ h(pp) + sign * (mm @ h(pm))),
+            frobenius(add_identity(sign * (mp @ h(mp)) + mm @ h(mm), -1.0)),
+        )
+        / root_n,
+    }
+    if metric is Metric.BETA_PSEUDO:
+        out["pseudo_unitarity_defect"] = hypot(
+            frobenius(add_identity(h(pp) @ pp + sign * (h(mp) @ mp), -1.0)),
+            frobenius(h(pp) @ pm + sign * (h(mp) @ mm)),
+            frobenius(sign * (h(pm) @ pp) + h(mm) @ mp),
+            frobenius(add_identity(sign * (h(pm) @ pm) + h(mm) @ mm, -1.0)),
+        ) / root_n
+    return out
+
+
+def identity_defects(
+    involution: dict[str, float | np.ndarray], u: BlockOperator, metric: Metric
+) -> dict[str, float | np.ndarray]:
+    """The involution defects of lambda with those of U
+    (see :func:`verify_eriksen_identities`)."""
+    return {
+        **involution,
+        "anticommutator_even_defect": per_matrix(np.zeros(u.stack_shape)),
+        **_unitary_defects(u, metric),
+    }
+
+
+def verify_eriksen_identities(result: FWResult, metric: Metric) -> dict[str, float]:
+    """Defect norms of the defining identities; reports, never raises.
+
+    Keys: lambda_sq_defect, sign_products_commute_defect (commutator of
+    beta*lambda with lambda*beta), anticommutator_even_defect
+    (commutator of beta with the anticommutator; zero by construction),
+    eriksen_defect (beta U - U^dag beta), unitarity_defect (U U^adj - 1)
+    and, for the beta-pseudo metric, pseudo_unitarity_defect.  The raw
+    beta U - U^dag beta defect is always reported even though it has no
+    reason to vanish for bosons.
+    """
+    return identity_defects(involution_defects(result.sign_op), result.u, metric)
+
+
+# ---------------------------------------------------------------------------
+# the polar form of U
+
+
+def _polar_blocks(lam: BlockOperator, metric: Metric) -> Blocks:
+    """Parity blocks of N (N^adj N)^{-1/2}, N = 1 + beta lambda.
+
+    The Gram matrix N^adj N is decomposed by its diagonal blocks; its
+    off-diagonal blocks are the odd part of lambda^2, which vanishes
+    with lambda^2 - 1 (measured by sign_products_commute_defect).
+    """
+    a, b, c, d = lam.blocks
+    sign = adjoint_sign(metric)
+    n_pp, n_mm = add_identity(a.copy(), 1.0), add_identity(-d, 1.0)
+    gram = EvenDecomposition.of(
+        dagger(n_pp) @ n_pp + sign * (dagger(c) @ c),
+        sign * (dagger(b) @ b) + dagger(n_mm) @ n_mm,
+    )
+    root_pp, root_mm = inverse_root(gram)
+    return Blocks(n_pp @ root_pp, b @ root_mm, -(c @ root_pp), n_mm @ root_mm)
+
+
+def eriksen_unitary_alt(lam: BlockOperator, metric: Metric) -> BlockOperator:
+    """Polar form U = N (N^adj N)^{-1/2} with N = 1 + beta lambda.
+
+    Equal to :func:`~fwexact.eriksen.eriksen_unitary` up to roundoff; the
+    adjoint is the metric adjoint, so for the beta-pseudo metric this is
+    the pseudo-unitary polar factor.  lambda must square to one within
+    ``LAMBDA_SQ_TOL``.
+    """
+    check_involution(lam, LAMBDA_SQ_TOL)
+    return lam.like_blocks(*_polar_blocks(lam, metric))
+
+
+def alt_form_defect(lam: BlockOperator, u: BlockOperator, metric: Metric) -> float | np.ndarray:
+    """||U_polar - U||_F / ||U||_F: the polar form against the unitary
+    the transform built."""
+    return exp_defect(_polar_blocks(lam, metric), u)
+
+
+# ---------------------------------------------------------------------------
+# the arcsine routes of S
+
+
+def arcsin_odd(
+    pm: np.ndarray, mp: np.ndarray, eps_clamp: float = EPS_CLAMP
+) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
+    """Off-diagonal blocks of the principal arcsine of an odd operator,
+    and the clamp excess: how far the largest real |eigenvalue|
+    sqrt(x), x >= 0 an eigenvalue of X^2, pokes past 1 (per operator of
+    a stack).  An excess above ``eps_clamp`` raises; within it the clamp
+    snaps the eigenvalue to 1."""
+    sq = OddSquare(pm, mp)
+    top = sq.square.eigenvalues.max(axis=(-2, -1), initial=0.0)
+    excess = np.maximum(np.sqrt(top) - 1.0, 0.0)
+    i = first_failing(excess > eps_clamp)
+    if i is not None:
+        raise DomainError(
+            f"arcsin domain violation: |eigenvalue| exceeds 1 by {np.ravel(excess)[i]:.3e} "
+            f"(clamp band {eps_clamp:.1e})"
+        )
+    return (*sq.odd(_ARCSIN), per_matrix(excess))
+
+
+@dataclass(frozen=True)
+class GeneratorResult:
+    """Canonical generator, the form-A cross-check, and defect norms."""
+
+    s: BlockOperator
+    s_form_a: BlockOperator
+    diagnostics: dict[str, float]
+
+
+def generator_from_lambda(
+    lam: BlockOperator,
+    metric: Metric,
+    *,
+    eps_clamp: float = EPS_CLAMP,
+    dec: EvenDecomposition | None = None,
+) -> GeneratorResult:
+    """Compute S from the sign operator through both arcsine forms.
+
+    ``dec`` is the :func:`~fwexact.expgen.denominator_decomposition`
+    when the caller already holds it; otherwise it is made here, after
+    checking that lambda squares to one within ``LAMBDA_SQ_TOL``.
+
+    Diagnostics: oddness_defect and hermiticity_defect of the canonical
+    S (see :func:`~fwexact.expgen.generator_defects`),
+    form_agreement_defect (disagreement of the two forms, scaled by
+    max(1, ||S||_F)), denominator_commutator_defect (form A
+    symmetrization assumption) and clamp_excess (how far a real
+    eigenvalue of the doubling argument pokes past 1; positive values
+    mean the arcsine clamp was active).  The doubling identities are
+    checked by :func:`verify_trig_identities`.
+    """
+    if dec is None:
+        dec = denominator_decomposition(lam)
+
+    # canonical route: S = -(1/2) arcsin(M) with M_{+-} = i lambda_{+-},
+    # M_{-+} = -i lambda_{-+}
+    m_pm, m_mp = 1j * lam.blocks.pm, -1j * lam.blocks.mp
+    arc_pm, arc_mp, clamp_excess = arcsin_odd(m_pm, m_mp, eps_clamp)
+    s_pm, s_mp = -0.5 * arc_pm, -0.5 * arc_mp
+    del arc_pm, arc_mp
+
+    # form A: full-angle arcsine with the square-root denominator
+    # D = 2 sqrt(2 + beta lambda + lambda beta), evaluated as
+    # D^{-1/2} (2M) D^{-1/2}; D and D^{-1/2} share one eigenbasis
+    half_pp, half_mm = dec.positive(lambda w: 1.0 / np.sqrt(2.0 * np.sqrt(w)))
+    arc_a_pm, arc_a_mp, _ = arcsin_odd(
+        half_pp @ (2.0 * m_pm) @ half_mm, half_mm @ (2.0 * m_mp) @ half_pp, eps_clamp
+    )
+    del half_pp, half_mm
+    d_pp, d_mm = dec.positive(lambda w: 2.0 * np.sqrt(w))
+    commutator = hypot(
+        frobenius(m_pm @ d_mm - d_pp @ m_pm), frobenius(m_mp @ d_pp - d_mm @ m_mp)
+    ) / at_least(hypot(frobenius(d_pp), frobenius(d_mm)), 1e-300)
+    del d_pp, d_mm, m_pm, m_mp
+
+    s_scale = at_least(hypot(frobenius(s_pm), frobenius(s_mp)), 1.0)
+    diagnostics = {
+        **generator_defects(s_pm, s_mp, metric),
+        # S_A = -arcsin(A), so S_A - S = -(arc_a + s)
+        "form_agreement_defect": hypot(
+            frobenius(arc_a_pm + s_pm), frobenius(arc_a_mp + s_mp)
+        )
+        / s_scale,
+        "denominator_commutator_defect": commutator,
+        "clamp_excess": clamp_excess,
+    }
+    return GeneratorResult(
+        s=lam.like_blocks(None, s_pm, s_mp, None),
+        s_form_a=lam.like_blocks(None, -arc_a_pm, -arc_a_mp, None),
+        diagnostics=diagnostics,
+    )
+
+
+def generator_routes(
+    lam: BlockOperator, metric: Metric, *, eps_clamp: float, dec: EvenDecomposition
+) -> dict[str, float | np.ndarray]:
+    """form_agreement_defect, denominator_commutator_defect and
+    clamp_excess of :func:`generator_from_lambda`, made from the
+    transform's denominator decomposition ``dec``."""
+    diagnostics = generator_from_lambda(lam, metric, eps_clamp=eps_clamp, dec=dec).diagnostics
+    keys = ("form_agreement_defect", "denominator_commutator_defect", "clamp_excess")
+    return {key: diagnostics[key] for key in keys}
+
+
+def verify_trig_identities(g: GeneratorResult, lam: BlockOperator) -> dict[str, float]:
+    """Recompute the doubling identities from g.s alone.
+
+    Returns sin2s_defect and cos2s_defect: norms of
+    sin 2S + i(beta lambda - lambda beta)/2 and
+    cos 2S - (beta lambda + lambda beta)/2, scaled by sqrt(n).
+    """
+    return trig_defects(OddSquare(g.s.blocks.pm, g.s.blocks.mp), lam)
+
+
+# ---------------------------------------------------------------------------
+# exp(iS) at full size
+
+
+def exp_i(s: BlockOperator, metric: Metric) -> BlockOperator:
+    """exp(iS) in the eigenbasis of S.
+
+    S must be self-adjoint under ``metric``; the result is then
+    metric-unitary.  For the beta-pseudo metric the spectrum of S may be
+    complex (bosonic generators have imaginary eigenvalues), so the
+    general decomposition is used.
+    """
+    defect = frobenius(s.data - adjoint_m(s, metric).data)
+    i = first_failing(defect > 1e-8 * np.maximum(s.norm(), 1.0))
+    if i is not None:
+        raise MetricViolationError(
+            f"generator is not self-adjoint under {metric.value}: "
+            f"defect {np.ravel(defect)[i]:.3e}"
+        )
+    if metric is Metric.HERMITIAN:
+        dec = _decompose_hermitian(s.data)
+        return s.like(dec.apply(lambda w: np.exp(1j * w.real)))
+    dec = _decompose_general(s.data)
+    return s.like(dec.apply(lambda w: np.exp(1j * w)))
+
+
+def verify_exp_equivalence(
+    g: GeneratorResult, u: BlockOperator, metric: Metric
+) -> float:
+    """Relative disagreement ||exp(iS) - U||_F / ||U||_F, with exp(iS)
+    from a full-size decomposition of S (independent of the block route
+    the transforms use)."""
+    return exp_defect(exp_i(g.s, metric).blocks, u)

@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import fwexact.cli
-import fwexact.expgen
+import fwexact.verify
 from fwexact import BlockOperator, Metric, ModelSpec, transform_stationary
 from fwexact.cli import _IDENTITY_KEYS, _chunk_size, _chunks, dump_matrix, load_matrix, main
 
@@ -59,7 +59,7 @@ class TestTransform:
         )
         assert code == 0
         report = json.loads(report_path.read_text())
-        assert report["schema_version"] == "1"
+        assert report["schema_version"] == "2"
         assert set(report["verdicts"].values()) == {"pass"}
         assert report["diagnostics"]["odd_norm"] <= 1e-10
         h_fw = load_matrix(tmp_path / "dumps" / "h_fw.csv")
@@ -220,6 +220,7 @@ class TestSweep:
                 "--set", "model.name=feshbach_villars",
                 "--set", "sweep.parameter=p",
                 "--set", "sweep.values=[2.5,4.0]",
+                "--set", "verify.routes=true",
                 "--report", str(report_path),
             ]
         )
@@ -530,7 +531,7 @@ class TestFloquet:
 
 
     def test_transform_passes_eps_clamp_to_generator(self, tmp_path, monkeypatch):
-        original = fwexact.expgen.generator_from_lambda
+        original = fwexact.verify.generator_from_lambda
         seen = []
 
         def spy(*args, **kwargs):
@@ -552,6 +553,7 @@ class TestFloquet:
                 "--set", "model.params.omega=0.08",
                 "--set", "floquet.nf=[4]",
                 "--set", "tolerances.eps_clamp=3e-11",
+                "--set", "verify.routes=true",
                 "--report", str(tmp_path / "report.json"),
             ]
         )
@@ -575,6 +577,18 @@ class TestMalformedConfigValues:
             ("transform", "output=abc"),
             ("transform", "model=username"),
             ("sweep", "sweep.values=[1,2]"),
+            ("transform", "output.dump=no"),
+            ("transform", "output.dump=1"),
+            ("transform", "output.report=7"),
+            ("transform", "output.dump_dir=5"),
+            ("transform", "verify=abc"),
+            ("transform", "verify.routes=yes"),
+            ("sweep", "verify.routes=1"),
+            ("transform", "tolerances=abc"),
+            ("transform", "tolerances.gap_tol=nan"),
+            ("sweep", "tolerances.eps_clamp=true"),
+            ("transform", "model.name=[1]"),
+            ("sweep", "sweep.parameter=[1]"),
         ],
     )
     def test_usage_error(self, tmp_path, capsys, command, assignment):
@@ -590,6 +604,74 @@ class TestMalformedConfigValues:
         assert code == 2
         assert assignment.partition("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+    def test_dump_string_in_a_config_file(self, tmp_path, capsys):
+        # bool("false") is True: a string must not switch the dumps on
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "model": {"name": "free_dirac"},
+                    "output": {"dump": "false", "dump_dir": str(tmp_path / "dumps")},
+                }
+            )
+        )
+        code = run(["transform", "--config", str(config), "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "output.dump 'false' is not true or false" in capsys.readouterr().err
+        assert not (tmp_path / "dumps").exists()
+
+    def test_dump_dir_not_a_string_with_dumping_on(self, tmp_path, capsys):
+        code = run(
+            [
+                "transform",
+                "--set", "model.name=free_dirac",
+                "--set", "output.dump_dir=5",
+                "--dump",
+                "--report", str(tmp_path / "report.json"),
+            ]
+        )
+        assert code == 2
+        assert "output.dump_dir 5 is not a string" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "assignment, message",
+        [
+            ("tolerances.gap_tol=nan", "tolerances.gap_tol 'nan' is not a finite number"),
+            ("tolerances.gap_tol=abc", "tolerances.gap_tol 'abc' is not a finite number"),
+            ("tolerances.gap_tol=NaN", "tolerances.gap_tol nan is not a finite number"),
+            ("tolerances.tol_identity=true", "tolerances.tol_identity True is not a finite number"),
+        ],
+    )
+    def test_tolerance_names_key_and_value(self, tmp_path, capsys, assignment, message):
+        code = run(
+            [
+                "transform",
+                "--set", "model.name=free_dirac",
+                "--set", assignment,
+                "--report", str(tmp_path / "report.json"),
+            ]
+        )
+        assert code == 2
+        assert f"error: {message}\n" == capsys.readouterr().err
+
+    def test_config_echo_runs_as_a_config(self, tmp_path):
+        first = tmp_path / "first.json"
+        assert run(
+            [
+                "transform",
+                "--set", "model.name=free_dirac",
+                "--set", "verify.routes=true",
+                "--report", str(first),
+            ]
+        ) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(json.loads(first.read_text())["config"]))
+        second = tmp_path / "second.json"
+        assert run(["transform", "--config", str(config), "--report", str(second)]) == 0
+        echoed = json.loads(second.read_text())["config"]
+        assert echoed["verify"] == {"routes": True}
+        assert echoed["output"] == {"report": str(second), "dump": False, "dump_dir": "dumps"}
 
     @pytest.mark.parametrize(
         "command, assignment", [("sweep", "sweep.values=abc"), ("floquet", "floquet.nf=abc")]
@@ -698,29 +780,11 @@ class TestDecompositionCounts:
     def by_side(calls, side):
         return sum(n for key, n in calls.items() if isinstance(key, tuple) and key[1] == side)
 
-    def check_transform(self, tmp_path, monkeypatch, side, assignments):
-        argv = ["transform", "--report", str(tmp_path / "report.json")]
-        for assignment in assignments:
-            argv += ["--set", assignment]
-        calls, _ = self.count(monkeypatch, argv)
-        full, half = self.by_side(calls, side), self.by_side(calls, side // 2)
-        assert full == 1
-        assert 0 < half <= 12
-        assert sum(calls.values()) - calls["spectral_norm"] == full + half
-        assert calls["spectral_norm"] == 0
-
-    def test_stationary_transform(self, tmp_path, monkeypatch):
-        self.check_transform(
-            tmp_path,
-            monkeypatch,
-            32,
-            ["model.name=dirac_1d", "model.params.N=8", "model.params.V1=0.2"],
-        )
-
-    def test_floquet_transform(self, tmp_path, monkeypatch):
-        self.check_transform(
-            tmp_path,
-            monkeypatch,
+    #: (side, config assignments, half-size calls of the parent's
+    #: default with every cross-check route) per model
+    TRANSFORMS = {
+        "dirac_1d": (32, ["model.name=dirac_1d", "model.params.N=8", "model.params.V1=0.2"], 6),
+        "floquet_dirac_vector": (
             36,
             [
                 "model.name=floquet_dirac_vector",
@@ -729,15 +793,46 @@ class TestDecompositionCounts:
                 "model.params.omega=0.08",
                 "floquet.nf=[4]",
             ],
-        )
+            5,
+        ),
+        "feshbach_villars": (2, ["model.name=feshbach_villars", "model.params.p=0.75"], 6),
+    }
+
+    def transform_calls(self, tmp_path, monkeypatch, assignments):
+        argv = ["transform", "--report", str(tmp_path / "report.json")]
+        for assignment in assignments:
+            argv += ["--set", assignment]
+        calls, _ = self.count(monkeypatch, argv)
+        assert calls["spectral_norm"] == 0
+        return calls
+
+    def check_transform(self, tmp_path, monkeypatch, model):
+        # H (or K), then the denominator, which gives U and S, S^2 for
+        # the doubling identities and exp(iS), and U H U^{-1}'s spectrum
+        side, assignments, _ = self.TRANSFORMS[model]
+        calls = self.transform_calls(tmp_path, monkeypatch, assignments)
+        assert self.by_side(calls, side) == 1
+        assert calls["eigh", side // 2] == 2 and calls["eigvalsh", side // 2] == 1
+        assert self.by_side(calls, side // 2) == 3
+        assert sum(calls.values()) == 4
+
+    def test_stationary_transform(self, tmp_path, monkeypatch):
+        self.check_transform(tmp_path, monkeypatch, "dirac_1d")
+
+    def test_floquet_transform(self, tmp_path, monkeypatch):
+        self.check_transform(tmp_path, monkeypatch, "floquet_dirac_vector")
 
     def test_pseudo_metric_transform(self, tmp_path, monkeypatch):
-        self.check_transform(
-            tmp_path,
-            monkeypatch,
-            2,
-            ["model.name=feshbach_villars", "model.params.p=0.75"],
-        )
+        self.check_transform(tmp_path, monkeypatch, "feshbach_villars")
+
+    @pytest.mark.parametrize("model", sorted(TRANSFORMS))
+    def test_transform_with_routes(self, tmp_path, monkeypatch, model):
+        side, assignments, parent_half = self.TRANSFORMS[model]
+        calls = self.transform_calls(tmp_path, monkeypatch, [*assignments, "verify.routes=true"])
+        full, half = self.by_side(calls, side), self.by_side(calls, side // 2)
+        assert full == 1
+        assert 3 < half <= parent_half
+        assert sum(calls.values()) == full + half
 
     def test_sweep_takes_no_spectral_norm(self, tmp_path, monkeypatch):
         calls, matrices = self.count(

@@ -21,7 +21,8 @@ from fwexact import (
     verify_exp_equivalence,
     verify_trig_identities,
 )
-from fwexact.expgen import GeneratorResult, arcsin_odd, denominator_decomposition
+from fwexact.expgen import denominator_decomposition
+from fwexact.verify import GeneratorResult, arcsin_odd
 
 BETA4 = BlockOperator(np.diag([1.0, 1.0, -1.0, -1.0]), 4, 1)
 

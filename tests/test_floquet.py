@@ -437,7 +437,7 @@ class TestTransformNonstationary:
         assert res.diagnostics["odd_norm"] <= 1e-12
 
     def test_vector_drive_full_pipeline(self):
-        res = transform_nonstationary(reference_model(), nf=6)
+        res = transform_nonstationary(reference_model(), nf=6, routes=True)
         diag = res.diagnostics
         assert diag["odd_norm"] <= 1e-10
         assert diag["spectrum_defect"] <= 1e-9

@@ -20,7 +20,7 @@ from fwexact import (
     transform_stationary,
 )
 from fwexact.blockop import frobenius, stack_splits
-from fwexact.expgen import arcsin_odd
+from fwexact.verify import arcsin_odd
 from fwexact.matfun import EvenDecomposition, check_hermitian, check_involution, decompose_array
 
 SPLITS = {
