@@ -326,25 +326,26 @@ class SplitHamiltonian:
         """Relative defect norms of the structural invariants (per matrix
         of a stack).
 
-        Raises StructureError / MetricViolationError when any defect
-        exceeds ``tol``.
+        Raises StructureError for a matrix whose ||H||_F is not finite
+        (every relative defect would read 0 beside it), and StructureError
+        / MetricViolationError when any defect exceeds ``tol``.
         """
         signs, total = self.mass.signs, self.total
         rows = signs[:, None]
         mass, even, odd = self.mass.data, self.even.data, self.odd.data
-        scale = at_least(total.norm(), 1e-300)
-        floor = at_least(scale * tol, 1e-300)
+        scale = np.maximum(total.norm(), 1e-300)
+        floor = np.maximum(scale * tol, 1e-300)
         defects = {
             "mass_even_defect": frobenius(rows * mass - mass * signs)
-            / at_least(self.mass.norm(), 1e-300),
+            / np.maximum(self.mass.norm(), 1e-300),
             "even_defect": frobenius(rows * even - even * signs)
-            / at_least(self.even.norm(), floor),
+            / np.maximum(self.even.norm(), floor),
             "odd_defect": frobenius(rows * odd + odd * signs)
-            / at_least(self.odd.norm(), floor),
+            / np.maximum(self.odd.norm(), floor),
             "self_adjoint_defect": frobenius(total.data - adjoint_m(total, self.metric).data)
             / scale,
         }
-        return self._check(defects, tol)
+        return self._check({k: per_matrix(v) for k, v in defects.items()}, tol, scale)
 
     def check(self, tol: float = TOL_STRUCT) -> dict[str, float | np.ndarray]:
         """The defects :func:`split` measured, held to ``tol`` (measured
@@ -354,19 +355,23 @@ class SplitHamiltonian:
         return self._check(dict(self.defects), tol)
 
     def _check(
-        self, defects: dict[str, float | np.ndarray], tol: float
+        self, defects: dict[str, float | np.ndarray], tol: float, scale: float | np.ndarray = 1.0
     ) -> dict[str, float | np.ndarray]:
-        """Raise for the first matrix with a defect above ``tol``."""
+        """Raise for the first matrix whose norm ``scale`` is not finite or
+        with a defect that is not within ``tol``."""
         values = np.array(list(defects.values())).reshape(len(defects), -1)
-        i = first_failing((values > tol).any(axis=0))
+        norms = np.broadcast_to(scale, values.shape[1:])
+        i = first_failing(~np.isfinite(norms) | ~(values <= tol).all(axis=0))
         if i is None:
             return defects
+        if not np.isfinite(norms[i]):
+            raise StructureError(f"Hamiltonian norm is not finite: ||H||_F = {norms[i]}")
         failing = dict(zip(defects, values[:, i]))
-        if failing["mass_even_defect"] > tol:
+        if not failing["mass_even_defect"] <= tol:
             raise StructureError(
                 f"mass operator is not even: defect {failing['mass_even_defect']:.3e}"
             )
-        if failing["even_defect"] > tol or failing["odd_defect"] > tol:
+        if not (failing["even_defect"] <= tol and failing["odd_defect"] <= tol):
             raise StructureError(
                 "even/odd split violates the beta grading: "
                 f"even {failing['even_defect']:.3e}, odd {failing['odd_defect']:.3e}"
@@ -380,7 +385,8 @@ class SplitHamiltonian:
 def stack_splits(splits: Sequence[SplitHamiltonian]) -> SplitHamiltonian:
     """One split whose operators stack those of ``splits`` along a new
     leading axis; all must share one block structure and the metric.
-    The stack keeps no defects (each split holds its own)."""
+    The stack keeps the defects of the splits, stacked, when each holds
+    its own."""
     first = splits[0]
     for other in splits[1:]:
         _check_same_shape(other.mass, first.mass)
@@ -392,7 +398,12 @@ def stack_splits(splits: Sequence[SplitHamiltonian]) -> SplitHamiltonian:
     def stacked(part: str) -> BlockOperator:
         return first.mass.like(np.stack([getattr(s, part).data for s in splits]))
 
-    return SplitHamiltonian(stacked("mass"), stacked("even"), stacked("odd"), first.metric)
+    defects = {}
+    if all(s.defects for s in splits):
+        defects = {key: np.array([s.defects[key] for s in splits]) for key in first.defects}
+    return SplitHamiltonian(
+        stacked("mass"), stacked("even"), stacked("odd"), first.metric, defects
+    )
 
 
 def split(

@@ -4,8 +4,8 @@ Commands
 --------
 models list   print the model catalog (``--format json`` for machines)
 transform     run the full transformation chain on one model
-sweep         transform per parameter value (points of one shape stacked
-              into one transform), CSV table of key numbers
+sweep         transform per parameter value (points of one shape built
+              and transformed as one stack), CSV table of key numbers
 floquet       compare the naive and extended sign operators
 
 Each run command takes ``--config <json>``, repeated ``--set key=value``
@@ -30,7 +30,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -469,13 +469,14 @@ def cmd_transform(args: argparse.Namespace) -> int:
     return 0 if all(v == "pass" for v in verdicts.values()) else 4
 
 
-def _dispersion(config: RunConfig) -> Optional[float]:
-    params = config.model.params
+def _dispersion(name: str, params: dict) -> Optional[float]:
+    """sqrt(m^2 + p^2) at the parameters of one point, for the models whose
+    spectrum it is; None for the others."""
     m = float(params.get("m", 1.0))
-    if config.model.name == "free_dirac":
+    if name == "free_dirac":
         p2 = sum(float(params.get(k, 0.0)) ** 2 for k in ("px", "py", "pz"))
         return math.sqrt(m * m + p2)
-    if config.model.name == "feshbach_villars":
+    if name == "feshbach_villars":
         p = float(params.get("p", 0.0))
         return math.sqrt(m * m + p * p)
     return None
@@ -527,68 +528,58 @@ def _chunks(keys: Sequence[Optional[tuple[int, Metric]]]) -> list[list[int]]:
 
 _PointResult = tuple[dict[str, float], float, float]
 
+#: Builds the sweep points of one chunk (their indices) as one model: a
+#: stack when there are several.
+_ChunkBuilder = Callable[[list[int]], SplitHamiltonian | TimePeriodicHamiltonian]
 
-def _transform_points(
+
+def _run_points(
     config: RunConfig,
-    models: Sequence[SplitHamiltonian | TimePeriodicHamiltonian],
+    model: SplitHamiltonian | TimePeriodicHamiltonian,
     timings: dict[str, float],
 ) -> list[_PointResult]:
-    """One :func:`_transform` call over ``models``, stacked when there
-    are several; per model its transform diagnostics, ||S||_2 and
-    ||H_FW||_2.  The call's time and count go to ``timings``."""
+    """The structural defects and one :func:`_transform` call of a model
+    or a stack; per point its diagnostics, ||S||_2 and ||H_FW||_2.  The
+    call's time and count go to ``timings``."""
+    structural = _structural_defects(config, model)
     start = time.perf_counter()
     try:
-        result = _transform(config, models[0] if len(models) == 1 else stack_splits(models))
+        result = _transform(config, model)
     finally:
         timings["transform_ms"] += (time.perf_counter() - start) * 1e3
         timings["transform_calls"] += 1
 
-    def per_model(value: Any) -> list[float]:
+    def per_point(value: Any) -> list[float]:
         return np.ravel(value).tolist()
 
-    columns = {k: per_model(v) for k, v in result.diagnostics.items()}
-    s_norms, h_fw_norms = per_model(result.s_norm), per_model(result.h_fw_norm)
+    columns = {k: per_point(v) for k, v in {**structural, **result.diagnostics}.items()}
+    s_norms, h_fw_norms = per_point(result.s_norm), per_point(result.h_fw_norm)
     return [
         ({k: column[j] for k, column in columns.items()}, s_norms[j], h_fw_norms[j])
-        for j in range(len(models))
+        for j in range(len(s_norms))
     ]
-
-
-def _sweep_point(config: RunConfig, parameter: str, value: float) -> RunConfig:
-    """The run configuration of one sweep point."""
-    if not parameter:
-        return config
-    params = dict(config.model.params)
-    params[parameter] = value
-    return RunConfig(
-        model=ModelSpec(config.model.name, params),
-        tolerances=config.tolerances,
-        floquet_nf=config.floquet_nf,
-        floquet_window=config.floquet_window,
-    )
 
 
 def _transform_sweep(
     config: RunConfig,
-    models: Sequence[SplitHamiltonian | TimePeriodicHamiltonian],
+    chunks: list[list[int]],
+    build: _ChunkBuilder,
     failure: Optional[tuple[int, FwExactError]],
     timings: dict[str, float],
-) -> list[_PointResult]:
-    """The transforms of the built sweep points, in value order, run as
-    stacked chunks (:func:`_chunks`).  A chunk that raises is run again
-    one point at a time, so the sweep raises the error of its first
-    failing point, as if every point had run alone.  ``failure`` is the
-    build failure (point index and error) that ended the points, if any;
-    it is raised unless an earlier point fails."""
-    keys = [
-        (m.mass.side, m.metric) if isinstance(m, SplitHamiltonian) else None for m in models
-    ]
+) -> tuple[list[_PointResult], Metric]:
+    """The sweep points, in value order, built and transformed chunk by
+    chunk, and their metric.  A chunk that raises is run again one point
+    at a time, so the sweep raises the error of its first failing point,
+    as if every point had run alone.  ``failure`` is a build failure
+    (point index and error) that ended the points before any chunk ran,
+    if any; it is raised unless an earlier point fails."""
     outcomes: dict[int, _PointResult] = {}
-    for chunk in _chunks(keys):
+    for chunk in chunks:
         if failure is not None and chunk[0] > failure[0]:
             continue
         try:
-            done = _transform_points(config, [models[i] for i in chunk], timings)
+            model = build(chunk)
+            done = _run_points(config, model, timings)
         except FwExactError as exc:
             if len(chunk) == 1:  # the point ran alone already
                 failure = (chunk[0], exc)
@@ -598,14 +589,69 @@ def _transform_sweep(
                 if failure is not None and i > failure[0]:
                     break
                 try:
-                    done += _transform_points(config, [models[i]], timings)
+                    model = build([i])
+                    done += _run_points(config, model, timings)
                 except FwExactError as exc:
                     failure = (i, exc)
                     break
         outcomes.update(zip(chunk, done))
     if failure is not None:
         raise failure[1]
-    return [outcomes[i] for i in range(len(models))]
+    # every point was built; the points of a sweep share one metric
+    return [outcomes[i] for i in range(len(outcomes))], model.metric
+
+
+def _timed_build(
+    spec: ModelSpec, timings: dict[str, float]
+) -> SplitHamiltonian | TimePeriodicHamiltonian:
+    start = time.perf_counter()
+    try:
+        return spec.build()
+    finally:
+        timings["build_ms"] += (time.perf_counter() - start) * 1e3
+
+
+def _sweep_chunks(
+    config: RunConfig, parameter: str, values: tuple[float, ...], timings: dict[str, float]
+) -> tuple[list[list[int]], _ChunkBuilder, Optional[tuple[int, FwExactError]]]:
+    """The chunks of the sweep (:func:`_chunks`), the builder of a chunk
+    and the failure of a build made here.
+
+    A stationary model swept over any parameter but N builds each chunk
+    once, as a stack over the chunk's values.  The other sweeps (over N,
+    time-periodic models, no parameter) build their points one at a time
+    here, up to the first that fails, and a chunk stacks the built points
+    of one shape."""
+    spec = config.model
+
+    def point(value: float | np.ndarray) -> ModelSpec:
+        return ModelSpec(spec.name, {**spec.params, parameter: value}) if parameter else spec
+
+    if parameter and spec.stacks(parameter):
+        size = _chunk_size(spec.side)
+        chunks = [list(range(k, min(k + size, len(values)))) for k in range(0, len(values), size)]
+
+        def build(points: list[int]) -> SplitHamiltonian | TimePeriodicHamiltonian:
+            value = values[points[0]] if len(points) == 1 else np.array([values[i] for i in points])
+            return _timed_build(point(value), timings)
+
+        return chunks, build, None
+    models: list[SplitHamiltonian | TimePeriodicHamiltonian] = []
+    failure = None
+    for i, value in enumerate(values):
+        try:
+            models.append(_timed_build(point(value), timings))
+        except FwExactError as exc:
+            failure = (i, exc)  # no later point is built
+            break
+    keys = [
+        (m.mass.side, m.metric) if isinstance(m, SplitHamiltonian) else None for m in models
+    ]
+
+    def stack(points: list[int]) -> SplitHamiltonian | TimePeriodicHamiltonian:
+        return models[points[0]] if len(points) == 1 else stack_splits([models[i] for i in points])
+
+    return _chunks(keys), stack, failure
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -619,34 +665,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         parameter = parameter or ""
         values = (float(config.model.params.get(parameter, 0.0)) if parameter else 0.0,)
     timings = {"build_ms": 0.0, "transform_ms": 0.0, "transform_calls": 0}
-    points: list[RunConfig] = []
-    models: list[SplitHamiltonian | TimePeriodicHamiltonian] = []
-    structure: list[dict[str, float]] = []
-    failure: Optional[tuple[int, FwExactError]] = None
-    for value in values:
-        try:
-            point = _sweep_point(config, parameter, value)
-            start = time.perf_counter()
-            built = point.model.build()
-            timings["build_ms"] += (time.perf_counter() - start) * 1e3
-            structure.append(_structural_defects(point, built))
-        except FwExactError as exc:
-            # no later point is built
-            failure = (len(points), exc)
-            break
-        points.append(point)
-        models.append(built)
-    outcomes = _transform_sweep(config, models, failure, timings)
+    chunks, build, failure = _sweep_chunks(config, parameter, values, timings)
+    outcomes, metric = _transform_sweep(config, chunks, build, failure, timings)
 
     rows = []
     worst: dict[str, float] = {}
-    for point, value, structural, (transformed, s_norm, measured) in zip(
-        points, values, structure, outcomes
-    ):
-        diagnostics = {**structural, **transformed}
+    for value, (diagnostics, s_norm, measured) in zip(values, outcomes):
         for key, v in diagnostics.items():
             worst[key] = max(worst.get(key, 0.0), v)
-        dispersion = _dispersion(point)
+        params = {**config.model.params, parameter: value} if parameter else config.model.params
+        dispersion = _dispersion(config.model.name, params)
         row = {
             "parameter": parameter or "",
             "value": value,
@@ -662,7 +690,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             else float("nan"),
         }
         rows.append(row)
-    verdicts = _verdicts(worst, config.tolerances, models[-1].metric)
+    verdicts = _verdicts(worst, config.tolerances, metric)
     report_path = Path(config.report_path or "sweep_report.json")
     csv_path = report_path.with_suffix(".csv")
     header = [

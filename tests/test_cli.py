@@ -357,6 +357,46 @@ class TestSweepErrorReplay:
         )
 
 
+class TestModelValueErrors:
+    """A parameter value the model cannot take exits 2 in the config and
+    4 as a sweep's first failing point, as m = -1 does; an overflowing
+    ||H||_F exits 4."""
+
+    BAD = {
+        "fractional_N": ("N", 8.7, "grid size must be an integer, got 8.7"),
+        "zero_L": ("L", 0, "box length must be positive, got 0.0"),
+        "negative_L": ("L", -3, "box length must be positive, got -3.0"),
+        "negative_m": ("m", -1, "mass must be positive"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_config_value_is_usage_error(self, tmp_path, capsys, case):
+        key, value, message = self.BAD[case]
+        argv = ["transform", "--set", "model.name=dirac_1d", "--set", f"model.params.{key}={value}"]
+        assert run([*argv, "--report", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_sweep_value_fails_as_that_point(self, tmp_path, capsys, case):
+        key, value, message = self.BAD[case]
+        params = {} if key == "N" else {"N": 8}
+        good = 16 if key == "N" else 1.5
+        assert run(sweep_argv(tmp_path, "dirac_1d", params, key, [good, value, good])) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "sweep.json").exists()
+
+    def test_integral_float_grid_sizes_run(self, tmp_path):
+        assert run(sweep_argv(tmp_path, "dirac_1d", {}, "N", [8.0, 16.0])) == 0
+        with open(tmp_path / "sweep.csv", newline="") as handle:
+            assert [row["value"] for row in csv.DictReader(handle)] == ["8", "16"]
+
+    @pytest.mark.parametrize("m", ["1e308", "1e200"])
+    def test_overflowing_norm_exits_4(self, tmp_path, capsys, m):
+        argv = ["transform", "--set", "model.name=free_dirac", "--set", f"model.params.m={m}"]
+        assert run([*argv, "--report", str(tmp_path / "r.json")]) == 4
+        assert capsys.readouterr().err.startswith("error: Hamiltonian norm is not finite")
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -852,29 +892,31 @@ class TestDecompositionCounts:
 
 
 class TestBuildCounts:
-    """The split is validated once per stationary transform."""
+    """A stationary transform builds and validates its split once, and a
+    sweep once per chunk: its points are built as one stack."""
 
-    def test_validate_once_per_transform_and_sweep_point(self, tmp_path, monkeypatch):
+    def test_one_build_and_validate_per_transform_and_sweep_chunk(self, tmp_path, monkeypatch):
         from fwexact.blockop import SplitHamiltonian
 
-        original = SplitHamiltonian.validate
-        calls = []
+        calls = Counter()
+        for owner, name in ((SplitHamiltonian, "validate"), (ModelSpec, "build")):
+            original = getattr(owner, name)
 
-        def counted(self, *args, **kwargs):
-            calls.append(1)
-            return original(self, *args, **kwargs)
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
 
-        monkeypatch.setattr(SplitHamiltonian, "validate", counted)
+            monkeypatch.setattr(owner, name, counted)
         base = ["--set", "model.name=dirac_1d", "--set", "model.params.N=8"]
         assert run(["transform", *base, "--report", str(tmp_path / "t.json")]) == 0
-        assert len(calls) == 1
+        assert calls == {"build": 1, "validate": 1}
         sweep = [
             "--set", "sweep.parameter=V1",
             "--set", "sweep.values=[0.1,0.2,0.3]",
             "--report", str(tmp_path / "s.json"),
         ]
         assert run(["sweep", *base, *sweep]) == 0
-        assert len(calls) == 1 + 3
+        assert calls == {"build": 1 + 1, "validate": 1 + 1}
 
 
 HEADER_2 = "# rows=2 cols=2 internal_dim=2 floquet_copies=1\n"

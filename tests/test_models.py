@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fwexact import (
+    FwExactError,
     Metric,
     MetricViolationError,
     ModelSpec,
+    SplitHamiltonian,
     StructureError,
     TimePeriodicHamiltonian,
     dirac_1d,
@@ -18,7 +22,7 @@ from fwexact import (
     grid_momenta,
     spectral_momentum,
 )
-from fwexact.models import ALPHA, BETA4, TAU3
+from fwexact.models import ALPHA, BETA4, MODEL_CATALOG, TAU3
 
 
 class TestFreeDirac:
@@ -188,3 +192,114 @@ class TestModelSpec:
         spec = ModelSpec("dirac_1d", {"m": 1.0, "N": 8, "L": 2 * np.pi, "V1": 0.2})
         sp = spec.build()
         assert sp.total.side == 32
+
+    def test_grid_size_must_be_integral(self):
+        with pytest.raises(StructureError, match="grid size must be an integer, got 8.7"):
+            ModelSpec("dirac_1d", {"N": 8.7})
+        assert ModelSpec("dirac_1d", {"N": 8.0}).build().total.side == 32
+
+    @pytest.mark.parametrize("length", [0.0, -3.0])
+    def test_box_length_must_be_positive(self, length):
+        with pytest.raises(StructureError, match=f"box length must be positive, got {length}"):
+            ModelSpec("dirac_1d", {"L": length})
+
+    @pytest.mark.parametrize("m", [1e308, 1e200])
+    def test_overflowing_norm_is_a_structure_error(self, m):
+        # from entries of about 1e154 up ||H||_F overflows, and every
+        # relative defect would read 0 beside it
+        with pytest.raises(StructureError, match="norm is not finite"):
+            ModelSpec("free_dirac", {"m": m}).build()
+
+    def test_overflowing_norm_is_checked_per_matrix(self):
+        spec = ModelSpec("free_dirac", {"m": np.array([1.0, 1e200]), "pz": 0.5})
+        with pytest.raises(StructureError, match=r"\|\|H\|\|_F = inf"):
+            spec.build()
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"N": 8, "L": [1.0, -2.0, 0.0]}, "box length must be positive, got -2.0"),
+            ({"N": 8, "m": [1.0, 2.0, -1.0], "L": [1.0, 1.0, -5.0]}, "mass must be positive"),
+            ({"N": 12, "L": [-1.0, 1.0]}, "power of two >= 8, got 12"),
+        ],
+    )
+    def test_array_values_raise_the_first_failing_point_error(self, params, message):
+        with pytest.raises(StructureError, match=message):
+            ModelSpec("dirac_1d", {k: np.array(v) if isinstance(v, list) else v
+                                   for k, v in params.items()})
+
+    @pytest.mark.parametrize(
+        "name, key", [("dirac_1d", "N"), ("floquet_dirac_scalar", "V1")]
+    )
+    def test_only_stackable_parameters_take_arrays(self, name, key):
+        spec = ModelSpec(name, {})
+        assert not spec.stacks(key)
+        with pytest.raises(StructureError, match="takes one value"):
+            ModelSpec(name, {key: np.array([8.0, 16.0])})
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [("free_dirac", {}), ("feshbach_villars", {}), ("dirac_1d", {"N": 16})],
+    )
+    def test_side_is_that_of_the_build(self, name, params):
+        spec = ModelSpec(name, params)
+        assert spec.side == spec.build().total.side
+
+
+POSITIVE = st.floats(0.05, 10.0)
+REAL = st.floats(-4.0, 4.0)
+
+#: The parameters that take arrays, with values that build cleanly
+#: (dirac_1d at N = 8).
+STACKABLE = {
+    "free_dirac": {"m": POSITIVE, "px": REAL, "py": REAL, "pz": REAL},
+    "feshbach_villars": {"m": POSITIVE, "p": REAL},
+    "dirac_1d": {"m": POSITIVE, "L": st.floats(0.1, 50.0), "V0": REAL, "V1": REAL},
+}
+
+
+class TestStackedBuild:
+    """An array of parameter values builds the stack of the per-point
+    builds, bit for bit, and any finite parameters either build a finite
+    Hamiltonian or raise a typed error."""
+
+    @pytest.mark.parametrize(
+        "name, parameter", [(n, p) for n in sorted(STACKABLE) for p in STACKABLE[n]]
+    )
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_array_build_is_the_stack_of_point_builds(self, name, parameter, data):
+        strategies = STACKABLE[name]
+        values = data.draw(st.lists(strategies[parameter], min_size=2, max_size=5))
+        params = {k: data.draw(s) for k, s in strategies.items() if k != parameter}
+        if name == "dirac_1d":
+            params["N"] = 8
+        stacked = ModelSpec(name, {**params, parameter: np.array(values)}).build()
+        points = [ModelSpec(name, {**params, parameter: v}).build() for v in values]
+        for part in ("mass", "even", "odd"):
+            expected = np.stack([getattr(point, part).data for point in points])
+            assert np.array_equal(getattr(stacked, part).data, expected), part
+        assert stacked.defects.keys() == points[0].defects.keys()
+        for key, defects in stacked.defects.items():
+            assert np.array_equal(defects, [point.defects[key] for point in points]), key
+
+    @pytest.mark.parametrize("name", sorted(MODEL_CATALOG))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_finite_parameters_build_or_raise_a_typed_error(self, name, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        # small grid sizes only: a huge valid N is a huge matrix
+        grid_sizes = st.one_of(st.sampled_from([8, 16, 8.0, 32.0]), st.floats(-64.0, 64.0))
+        params = {
+            key: data.draw(grid_sizes if key == "N" else finite)
+            for key in MODEL_CATALOG[name]["params"]
+            if data.draw(st.booleans())
+        }
+        try:
+            built = ModelSpec(name, params).build()
+        except FwExactError:
+            return
+        if isinstance(built, SplitHamiltonian):
+            assert np.isfinite(built.total.data).all()
+        else:
+            assert all(np.isfinite(h).all() for _, h in built.modes)
