@@ -365,7 +365,7 @@ class SplitHamiltonian:
         if i is None:
             return defects
         if not np.isfinite(norms[i]):
-            raise StructureError(f"Hamiltonian norm is not finite: ||H||_F = {norms[i]}")
+            raise _norm_not_finite(norms[i])
         failing = dict(zip(defects, values[:, i]))
         if not failing["mass_even_defect"] <= tol:
             raise StructureError(
@@ -380,6 +380,21 @@ class SplitHamiltonian:
             "metric violation: total Hamiltonian is not self-adjoint "
             f"under {self.metric.value}: defect {failing['self_adjoint_defect']:.3e}"
         )
+
+
+def _norm_not_finite(norm: float) -> StructureError:
+    return StructureError(f"Hamiltonian norm is not finite: ||H||_F = {norm}")
+
+
+def check_finite_norm(x: np.ndarray) -> None:
+    """Raise StructureError for the first matrix of a stack (or the one
+    matrix) whose Frobenius norm is not finite: an entry that overflowed
+    or is nan, beside which every relative defect would read 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = frobenius(x)
+    i = first_failing(~np.isfinite(norms))
+    if i is not None:
+        raise _norm_not_finite(np.ravel(norms)[i])
 
 
 def stack_splits(splits: Sequence[SplitHamiltonian]) -> SplitHamiltonian:

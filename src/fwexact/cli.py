@@ -23,6 +23,7 @@ of the same configuration except for the timings block.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -808,12 +809,12 @@ def build_parser() -> argparse.ArgumentParser:
     models_sub = models.add_subparsers(dest="models_command", required=True)
     models_list = models_sub.add_parser("list", help="list available models")
     models_list.add_argument("--format", choices=("text", "json"), default="text")
-    models_list.set_defaults(func=cmd_models_list)
+    models_list.set_defaults(handler="cmd_models_list")
 
-    for name, func, description in (
-        ("transform", cmd_transform, "run the transformation chain on one model"),
-        ("sweep", cmd_sweep, "transform over a parameter range, emit a CSV table"),
-        ("floquet", cmd_floquet, "compare naive vs extended sign operators"),
+    for name, description in (
+        ("transform", "run the transformation chain on one model"),
+        ("sweep", "transform over a parameter range, emit a CSV table"),
+        ("floquet", "compare naive vs extended sign operators"),
     ):
         cmd = sub.add_parser(name, help=description)
         cmd.add_argument("--config", help="JSON configuration file")
@@ -827,15 +828,22 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--dump", action="store_true", help="dump operator matrices (transform only)"
         )
-        cmd.set_defaults(func=func)
+        cmd.set_defaults(handler=f"cmd_{name}")
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of the process; parsing
+    leaves it unchanged, so every later call reuses it."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up by name on each call, so a replaced cmd_* is the one run
+        return globals()[args.handler](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,14 +18,15 @@ norms divided by ||1||_F = sqrt(n), so a clean result sits at machine
 precision and a violation of size eps shows up as roughly eps.
 
 The stationary H and the Floquet operator K = H(t) - i d/dt, which is
-static on the extended space, share one pipeline with one full-size
-decomposition: that of H, which gives lambda, the spectrum and the gap
-check.  Everything after it is even or odd under beta and is evaluated
-on lambda's parity blocks lambda_{++}, lambda_{+-}, lambda_{-+},
-lambda_{--} (:attr:`~fwexact.blockop.BlockOperator.blocks`), with the
-paper's formulas as the objects computed.  For an operator self-adjoint
-under either metric the diagonal blocks are Hermitian, so every later
-kernel is a half-size ``eigh``, in both metrics, and there are three:
+static on the extended space, share one pipeline with one decomposition
+of the whole operator: that of H, which gives lambda, the spectrum and
+the gap check.  Everything after it is even or odd under beta and is
+evaluated on lambda's parity blocks lambda_{++}, lambda_{+-},
+lambda_{-+}, lambda_{--} (:attr:`~fwexact.blockop.BlockOperator.blocks`),
+with the paper's formulas as the objects computed.  For an operator
+self-adjoint under either metric the diagonal blocks are Hermitian, so
+every later kernel is an ``eigh`` of the two half-size blocks, in both
+metrics, and there are three:
 
 * the denominator's blocks 2 + 2 lambda_{++} and 2 - 2 lambda_{--} give
   U and S (:mod:`fwexact.expgen`): lambda^2 = 1 makes every even
@@ -38,6 +39,14 @@ kernel is a half-size ``eigh``, in both metrics, and there are three:
 ``routes=True`` adds the cross-check routes of :mod:`fwexact.verify` and
 their kernels (the polar Gram matrix, the canonical arcsine's M^2 and
 form A's argument squared).
+
+Each of these Hermitian decompositions goes sector by sector
+(:func:`~fwexact.matfun.find_sectors`).  Where H is a direct sum of
+sectors (``dirac_1d``: two of side 2N), every operator of the chain is
+block-diagonal in them with exact zeros between them, so H's sectors go
+to one batched ``eigh`` and each parity block's sectors (two of side N
+per block) to one batched ``eigh`` or ``eigvalsh``.  An H of one sector
+runs the whole-matrix calls unchanged.
 
 lambda^2 is formed once, blockwise, for the involution pre-check,
 ``lambda_sq_defect`` and ``sign_products_commute_defect``.  Every
@@ -82,7 +91,7 @@ from .expgen import (
     inverse_root,
     trig_defects,
 )
-from .matfun import EvenDecomposition, check_involution, decompose, sign_of
+from .matfun import EvenDecomposition, check_involution, decompose, eigvalsh, sign_of
 from .tolerances import EPS_CLAMP, GAP_TOL
 from .verify import alt_form_defect, generator_routes, identity_defects
 
@@ -169,7 +178,7 @@ def _transform(
     u_inverse = adjoint_m(u, metric)
     h_fw = h.like(u.data @ h.data @ u_inverse.data)
     # U H U^{-1} is even and metric-self-adjoint: Hermitian diagonal blocks
-    after = np.linalg.eigvalsh(np.stack((h_fw.blocks.pp, h_fw.blocks.mm), axis=-3))
+    after = eigvalsh(np.stack((h_fw.blocks.pp, h_fw.blocks.mm), axis=-3))
     after = np.sort(after.reshape(before.shape), axis=-1)
     square = OddSquare(s.blocks.pm, s.blocks.mp)
     result = FWResult(

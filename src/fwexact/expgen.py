@@ -28,10 +28,12 @@ h = arcsin(sqrt z) / sqrt z at z = w (1 - w/4), the principal angles of
 beta's upper subspace and the positive-energy subspace read off the
 denominator (Davis & Kahan's direct rotation).  The blocks are Hermitian
 in both metrics (see :mod:`fwexact.matfun`), so the kernel is a
-half-size ``eigh``.  In the Hermitian metric z lies in [0, 1]; in the
-beta-pseudo metric lambda_{-+} = -lambda_{+-}^dag makes M^2 <= 0, the
-imaginary spectrum on which arcsin(i x) = i arcsinh(x), and z < 0 takes
-the arcsinh branch.  h is continuous at z = 0, so no clamp band is
+batched ``eigh`` of the two half-size blocks, each decomposed sector by
+sector when it splits (:func:`~fwexact.matfun.find_sectors`).  In the
+Hermitian metric z lies in [0, 1]; in the beta-pseudo metric
+lambda_{-+} = -lambda_{+-}^dag makes M^2 <= 0, the imaginary spectrum
+on which arcsin(i x) = i arcsinh(x), and z < 0 takes the arcsinh
+branch.  h is continuous at z = 0, so no clamp band is
 needed.  The doubling identities and exp(iS) = U follow from the
 diagonal blocks of S^2, computed from S's own blocks: a route
 independent of the one that made S.  The arcsine of M itself, form A

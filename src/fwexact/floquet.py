@@ -58,7 +58,14 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .blockop import BlockOperator, Metric, adjoint_m, dagger, relative_odd_norm
+from .blockop import (
+    BlockOperator,
+    Metric,
+    adjoint_m,
+    check_finite_norm,
+    dagger,
+    relative_odd_norm,
+)
 from .errors import DomainError, SpectralGapError, StructureError
 from .eriksen import FWResult, _transform, eriksen_unitary
 from .expgen import DEGENERATE
@@ -138,6 +145,7 @@ def build_extended(model: TimePeriodicHamiltonian, nf: int) -> ExtendedOperator:
     bands[orders + 2 * nf] = modes
     data = _block_toeplitz(bands)
     data[np.diag_indices_from(data)] -= np.repeat(np.arange(-nf, nf + 1) * model.omega, d)
+    check_finite_norm(data)
     return ExtendedOperator(BlockOperator(data, d, 2 * nf + 1), model.omega, nf)
 
 

@@ -11,8 +11,8 @@ Output is deterministic per input: eigenvalues are sorted ascending by
 real part (stable tie-break on the imaginary part) and each eigenvector
 is rescaled so its largest-magnitude component is real and positive.
 
-The transforms decompose one full-size matrix, the Hamiltonian.  Every
-later kernel on the hot path is a half-size Hermitian ``eigh`` of the
+The transforms decompose one matrix at full size, the Hamiltonian.
+Every later kernel on the hot path is a Hermitian ``eigh`` of the
 diagonal parity blocks of an even operator (:class:`EvenDecomposition`):
 the Eriksen denominator, which gives U and S, and S^2.  For an
 operator A self-adjoint under either metric those blocks are Hermitian:
@@ -20,6 +20,20 @@ A = beta A^dag beta keeps A_{++} and A_{--} and flips the sign of the
 off-diagonal pair, A_{-+} = -A_{+-}^dag.  The two blocks go to one
 batched call.  The full-size exp(iS) of the cross-checks lives in
 :mod:`fwexact.verify`.
+
+Every Hermitian decomposition decomposes each sector on its own
+(:func:`find_sectors`): a sector is a connected component of the
+pattern of exactly nonzero entries, so A is exactly the direct sum of
+its sectors.  beta is diagonal, so lambda, the denominator, U, S, S^2
+and U H U^{-1} are all functions of H and beta and block-diagonal in
+H's sectors.  Functions are evaluated sector by sector into a zero
+matrix: entries off the sectors stay exact zeros and every later
+kernel finds the same sectors.  Sectors of one size go to one batched
+call, so each kernel still makes one call.  ``dirac_1d``'s side-4N H
+(alpha_x couples spinor components {0, 3} and {1, 2}) is two sectors of
+side 2N, and each parity block of its even operators two of side N; the
+vector-drive Floquet K splits the same way.  A matrix of one sector goes
+to the plain ``eigh`` of the whole, unchanged.
 
 Every kernel takes operators with leading stack axes (the points of a
 sweep, the instantaneous H(t) samples of a Floquet drive) to one stacked
@@ -34,7 +48,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from functools import cached_property
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -60,30 +75,169 @@ _COND_LIMIT = 1e8
 _IMAG_TOL = 1e-8
 
 
+class Sector(NamedTuple):
+    """Eigenpairs of the sectors of one size of a matrix (or stack).
+
+    ``index`` (count, size) lists each sector's rows and columns of the
+    input, or is None when the one sector is the whole matrix;
+    ``eigenvalues`` (..., count, size) and ``vectors`` (..., count, size,
+    size) hold each sector's eigenpairs, ``inverse`` the inverse of
+    ``vectors`` (its adjoint on the Hermitian path).  Without an index
+    the count axis is absent.
+    """
+
+    index: Optional[np.ndarray]
+    eigenvalues: np.ndarray
+    vectors: np.ndarray
+    inverse: np.ndarray
+
+    def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """V f(w) V^{-1} of each sector."""
+        return (self.vectors * f(self.eigenvalues)[..., None, :]) @ self.inverse
+
+
+def find_sectors(a: np.ndarray) -> list[np.ndarray]:
+    """The sectors of a matrix, or of a stack of them (shape (..., n, n)):
+    the connected components of the pattern of exactly nonzero entries of
+    A and A^T, taken over the whole stack, as ascending index arrays
+    ordered by their first index.
+
+    No entry joins two sectors, so A is exactly a direct sum over them
+    and every matrix function of A is too.  Exact zeros only: an entry
+    of 1e-300 joins its row and column.  A breadth-first search reads
+    each row of the pattern once.
+    """
+    n = a.shape[-1]
+    linked = (a != 0).reshape(-1, n, n).any(axis=0)
+    linked |= linked.T
+    unseen = np.ones(n, dtype=bool)
+    sectors = []
+    while unseen.any():
+        frontier = np.flatnonzero(unseen)[:1]
+        members = [frontier]
+        while frontier.size:
+            unseen[frontier] = False
+            frontier = np.flatnonzero(linked[frontier].any(axis=0) & unseen)
+            members.append(frontier)
+        sectors.append(np.sort(np.concatenate(members)))
+    return sectors
+
+
+def _per_sector(a: np.ndarray, routine: Callable) -> list[tuple[Optional[np.ndarray], Any]]:
+    """``routine`` (a batched ``numpy.linalg`` call) on the whole of
+    ``a`` when it is one sector (index None), otherwise once per sector
+    size on that size's sectors, gathered: (index (count, size), result)
+    pairs."""
+    sectors = find_sectors(a)
+    if len(sectors) == 1:
+        return [(None, routine(a))]
+    groups: dict[int, list[np.ndarray]] = {}
+    for sector in sectors:
+        groups.setdefault(len(sector), []).append(sector)
+    return [(index, routine(_gather(a, index))) for index in map(np.stack, groups.values())]
+
+
+def _gather(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The diagonal blocks of ``a`` on the sectors ``index`` (count, size),
+    stacked: shape (..., count, size, size)."""
+    return a[..., index[:, :, None], index[:, None, :]]
+
+
+def _scatter(blocks: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The inverse of :func:`_gather`: the matrix (or stack) with the
+    given (index, blocks) pairs on its sectors and exact zeros elsewhere."""
+    first = blocks[0][1]
+    side = sum(index.size for index, _ in blocks)
+    out = np.zeros((*first.shape[:-3], side, side), dtype=first.dtype)
+    for index, block in blocks:
+        out[..., index[:, :, None], index[:, None, :]] = block
+    return out
+
+
+def _spread(values: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The vector (or stack, shape (..., n)) with the given (index,
+    values) pairs at each sector's own indices."""
+    first = values[0][1]
+    side = sum(index.size for index, _ in values)
+    out = np.empty((*first.shape[:-2], side), dtype=first.dtype)
+    for index, part in values:
+        out[..., index] = part
+    return out
+
+
+def _apply(sectors: tuple[Sector, ...], f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """V f(w) V^{-1}, evaluated sector by sector into a zero matrix, so
+    every entry off the sectors is an exact zero."""
+    if sectors[0].index is None:
+        return sectors[0].apply(f)
+    return _scatter([(s.index, s.apply(f)) for s in sectors])
+
+
+def _eigh(a: np.ndarray, fix_phases: bool = False) -> tuple[np.ndarray, tuple[Sector, ...]]:
+    """Ascending eigenvalues (..., n) and sector-wise eigenpairs of a
+    Hermitian matrix or stack (lower triangles read): one batched
+    ``eigh`` per sector size.  One sector is the plain ``eigh`` of ``a``."""
+    parts = []
+    for index, (w, v) in _per_sector(a, np.linalg.eigh):
+        if fix_phases:
+            v = _fix_phases(v)
+        parts.append(Sector(index, w, v, dagger(v)))
+    if parts[0].index is None:
+        return parts[0].eigenvalues, tuple(parts)
+    return np.sort(_spread([(s.index, s.eigenvalues) for s in parts]), axis=-1), tuple(parts)
+
+
+def eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix or stack (lower
+    triangles read), by one batched ``eigvalsh`` per sector size."""
+    parts = _per_sector(a, np.linalg.eigvalsh)
+    if parts[0][0] is None:
+        return parts[0][1]
+    return np.sort(_spread(parts), axis=-1)
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigendecomposition A = V diag(w) V^{-1}, of one matrix or of a
-    stack of them (leading axes on every field).
+    stack of them (leading axes on every field), held per sector
+    (see :func:`find_sectors`).
 
     ``eigenvalues`` are complex (real up to roundoff for self-adjoint
     inputs), ascending by real part.  For the Hermitian path
     ``inverse_vectors`` is exactly ``right_vectors``^dag.  ``scale`` is
     the spectral radius max |w| (||A||_2 on the Hermitian path), an
-    array with one entry per matrix for a stack.
+    array with one entry per matrix for a stack.  A Hermitian input of
+    several sectors is decomposed sector by sector (the beta-pseudo path
+    always takes the whole matrix); its dense ``right_vectors`` are
+    assembled on first read, columns in the order of ``eigenvalues``.
     """
 
     eigenvalues: np.ndarray
-    right_vectors: np.ndarray
-    inverse_vectors: np.ndarray
     scale: float | np.ndarray
+    sectors: tuple[Sector, ...]
 
     def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """Evaluate the matrix function V f(w) V^{-1} (per matrix of a stack)."""
-        values = f(self.eigenvalues)[..., None, :]
-        return (self.right_vectors * values) @ self.inverse_vectors
+        """Evaluate the matrix function V f(w) V^{-1} (per matrix of a
+        stack); entries off the sectors are exact zeros."""
+        return _apply(self.sectors, f)
 
     def reconstruct(self) -> np.ndarray:
         return self.apply(lambda w: w)
+
+    @cached_property
+    def right_vectors(self) -> np.ndarray:
+        if self.sectors[0].index is None:
+            return self.sectors[0].vectors
+        v = _scatter([(s.index, s.vectors) for s in self.sectors])
+        w = _spread([(s.index, s.eigenvalues.real) for s in self.sectors])
+        order = np.argsort(w, axis=-1, kind="stable")
+        return np.take_along_axis(v, order[..., None, :], axis=-1)
+
+    @cached_property
+    def inverse_vectors(self) -> np.ndarray:
+        if self.sectors[0].index is None:
+            return self.sectors[0].inverse
+        return dagger(self.right_vectors)
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -104,37 +258,34 @@ def _spectral_radius(w: np.ndarray) -> float | np.ndarray:
 
 
 def _decompose_hermitian(a: np.ndarray) -> SpectralDecomposition:
-    w, v = np.linalg.eigh(a)
-    v = _fix_phases(v)
-    return SpectralDecomposition(
-        w.astype(complex), v, dagger(v), _spectral_radius(w)
-    )
+    w, sectors = _eigh(a, fix_phases=True)
+    sectors = tuple(s._replace(eigenvalues=s.eigenvalues.astype(complex)) for s in sectors)
+    return SpectralDecomposition(w.astype(complex), _spectral_radius(w), sectors)
 
 
 class EvenDecomposition(NamedTuple):
     """An even operator by its two diagonal parity blocks, stacked and
-    decomposed by one batched Hermitian ``eigh`` (lower triangles read).
+    decomposed by a batched Hermitian ``eigh`` per sector size (lower
+    triangles read; the sectors are found over both blocks).
 
-    ``eigenvalues`` has shape (..., 2, half) and is real; ``vectors`` has
-    shape (..., 2, half, half), the leading axes those of the operator's
-    stack.  Only matrix functions of it are used, so the eigenvector
-    phases are left as ``eigh`` returns them.  Functions of it are
-    (upper, lower) block pairs.
+    ``eigenvalues`` has shape (..., 2, half), is real and ascending per
+    block, the leading axes those of the operator's stack.  Only matrix
+    functions of it are used, so the eigenvector phases are left as
+    ``eigh`` returns them.  Functions of it are (upper, lower) block
+    pairs, with exact zeros off the sectors.
     """
 
     eigenvalues: np.ndarray
-    vectors: np.ndarray
-    inverse_vectors: np.ndarray
+    sectors: tuple[Sector, ...]
 
     @staticmethod
     def of(pp: np.ndarray, mm: np.ndarray) -> "EvenDecomposition":
-        w, v = np.linalg.eigh(np.stack((pp, mm), axis=-3))
-        return EvenDecomposition(w, v, dagger(v))
+        return EvenDecomposition(*_eigh(np.stack((pp, mm), axis=-3)))
 
     def apply(
         self, f: Callable[[np.ndarray], np.ndarray]
     ) -> tuple[np.ndarray, np.ndarray]:
-        out = (self.vectors * f(self.eigenvalues)[..., None, :]) @ self.inverse_vectors
+        out = _apply(self.sectors, f)
         return out[..., 0, :, :], out[..., 1, :, :]
 
     def positive(
@@ -169,7 +320,9 @@ def _decompose_general(a: np.ndarray) -> SpectralDecomposition:
             f"ill-conditioned eigenbasis: cond(V) = {np.ravel(cond)[i]:.3e} "
             f"> {_COND_LIMIT:.0e}"
         )
-    return SpectralDecomposition(w, v, np.linalg.inv(v), _spectral_radius(w))
+    return SpectralDecomposition(
+        w, _spectral_radius(w), (Sector(None, w, v, np.linalg.inv(v)),)
+    )
 
 
 def check_hermitian(data: np.ndarray, tol: float = TOL_STRUCT) -> None:

@@ -20,7 +20,14 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .blockop import BlockOperator, Metric, SplitHamiltonian, first_failing, split
+from .blockop import (
+    BlockOperator,
+    Metric,
+    SplitHamiltonian,
+    check_finite_norm,
+    first_failing,
+    split,
+)
 from .errors import MetricViolationError, StructureError
 
 SIGMA = (
@@ -184,6 +191,7 @@ class TimePeriodicHamiltonian:
         for n, h in table.items():
             if h.shape != (d, d):
                 raise StructureError(f"mode {n} has shape {h.shape}, expected ({d}, {d})")
+            check_finite_norm(h)
             partner = table.get(-n)
             if partner is None or np.linalg.norm(partner - h.conj().T) > 1e-12 * max(
                 np.linalg.norm(h), 1e-300

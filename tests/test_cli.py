@@ -43,6 +43,32 @@ class TestModelsList:
         assert excinfo.value.code == 2
 
 
+class TestParser:
+    def test_one_parser_per_process(self, tmp_path, monkeypatch):
+        built = Counter()
+        original = fwexact.cli.build_parser
+
+        def counted():
+            built["parser"] += 1
+            return original()
+
+        monkeypatch.setattr(fwexact.cli, "build_parser", counted)
+        fwexact.cli._parser.cache_clear()
+        try:
+            assert run(["models", "list"]) == 0
+            assert run(["models", "list", "--format", "json"]) == 0
+        finally:
+            fwexact.cli._parser.cache_clear()
+        assert built["parser"] == 1
+
+    def test_dispatch_reaches_a_replaced_command(self, monkeypatch):
+        # tracers wrap the cmd_* functions by replacing the module attribute
+        seen = []
+        monkeypatch.setattr(fwexact.cli, "cmd_transform", lambda args: seen.append(args) or 7)
+        assert run(["transform", "--set", "model.name=free_dirac"]) == 7
+        assert seen[0].set == ["model.name=free_dirac"]
+
+
 class TestTransform:
     def test_free_dirac_report_and_dump(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"
@@ -390,11 +416,32 @@ class TestModelValueErrors:
         with open(tmp_path / "sweep.csv", newline="") as handle:
             assert [row["value"] for row in csv.DictReader(handle)] == ["8", "16"]
 
-    @pytest.mark.parametrize("m", ["1e308", "1e200"])
-    def test_overflowing_norm_exits_4(self, tmp_path, capsys, m):
-        argv = ["transform", "--set", "model.name=free_dirac", "--set", f"model.params.m={m}"]
+    OVERFLOWING = {
+        "1e308": ["transform", "model.name=free_dirac", "model.params.m=1e308"],
+        "1e200": ["transform", "model.name=free_dirac", "model.params.m=1e200"],
+        "scalar_drive": [
+            "transform",
+            "model.name=floquet_dirac_scalar",
+            "model.params.m=1e200",
+            "model.params.V1=0.2",
+        ],
+        "vector_drive": [
+            "floquet",
+            "model.name=floquet_dirac_vector",
+            "model.params.pz=1e308",
+            "model.params.px=1e308",
+        ],
+    }
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING))
+    def test_overflowing_norm_exits_4(self, tmp_path, capsys, case):
+        command, *assignments = self.OVERFLOWING[case]
+        argv = [command, *(arg for a in assignments for arg in ("--set", a))]
         assert run([*argv, "--report", str(tmp_path / "r.json")]) == 4
-        assert capsys.readouterr().err.startswith("error: Hamiltonian norm is not finite")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: Hamiltonian norm is not finite: ||H||_F = ")
+        assert "nan" not in captured.out
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestConfigErrors:
@@ -781,11 +828,13 @@ class TestMalformedConfigValues:
 
 
 class TestDecompositionCounts:
-    """One full-size decomposition per CLI transform, that of H (or K);
-    every later kernel is a half-size block decomposition, and no
+    """One decomposition call per kernel of a CLI transform: that of H
+    (or K), then the half-size block kernels of the even operators; no
     spectral norm is taken, since every scale comes from known
-    eigenvalues.  A sweep decomposes the H of all its points of one
-    shape in one stacked call."""
+    eigenvalues.  A reducible H is decomposed sector by sector, its
+    sectors of one size in one call, and so is every later kernel.  A
+    sweep decomposes the H of all its points of one shape in one stacked
+    call."""
 
     DECOMPOSITIONS = ("eigh", "eig", "eigvalsh", "svd")
 
@@ -820,12 +869,20 @@ class TestDecompositionCounts:
     def by_side(calls, side):
         return sum(n for key, n in calls.items() if isinstance(key, tuple) and key[1] == side)
 
-    #: (side, config assignments, half-size calls of the parent's
-    #: default with every cross-check route) per model
+    #: per model: config assignments; the decomposition of H (or K) as
+    #: (routine, sector side, matrices); the sector side and matrices of
+    #: each half-size block kernel; the half-size calls of the parent's
+    #: default with every cross-check route.  dirac_1d (side 32) and the
+    #: vector drive (side 36) split in two sectors, whose parity blocks
+    #: split in two again; feshbach_villars (side 2) is one sector.
     TRANSFORMS = {
-        "dirac_1d": (32, ["model.name=dirac_1d", "model.params.N=8", "model.params.V1=0.2"], 6),
+        "dirac_1d": (
+            ["model.name=dirac_1d", "model.params.N=8", "model.params.V1=0.2"],
+            ("eigh", 16, 2),
+            (8, 4),
+            6,
+        ),
         "floquet_dirac_vector": (
-            36,
             [
                 "model.name=floquet_dirac_vector",
                 "model.params.pz=0.5",
@@ -833,27 +890,35 @@ class TestDecompositionCounts:
                 "model.params.omega=0.08",
                 "floquet.nf=[4]",
             ],
+            ("eigh", 18, 2),
+            (9, 4),
             5,
         ),
-        "feshbach_villars": (2, ["model.name=feshbach_villars", "model.params.p=0.75"], 6),
+        "feshbach_villars": (
+            ["model.name=feshbach_villars", "model.params.p=0.75"],
+            ("eig", 2, 1),
+            (1, 2),
+            6,
+        ),
     }
 
     def transform_calls(self, tmp_path, monkeypatch, assignments):
         argv = ["transform", "--report", str(tmp_path / "report.json")]
         for assignment in assignments:
             argv += ["--set", assignment]
-        calls, _ = self.count(monkeypatch, argv)
+        calls, matrices = self.count(monkeypatch, argv)
         assert calls["spectral_norm"] == 0
-        return calls
+        return calls, matrices
 
     def check_transform(self, tmp_path, monkeypatch, model):
         # H (or K), then the denominator, which gives U and S, S^2 for
         # the doubling identities and exp(iS), and U H U^{-1}'s spectrum
-        side, assignments, _ = self.TRANSFORMS[model]
-        calls = self.transform_calls(tmp_path, monkeypatch, assignments)
-        assert self.by_side(calls, side) == 1
-        assert calls["eigh", side // 2] == 2 and calls["eigvalsh", side // 2] == 1
-        assert self.by_side(calls, side // 2) == 3
+        assignments, (routine, side, count), (half, half_count), _ = self.TRANSFORMS[model]
+        calls, matrices = self.transform_calls(tmp_path, monkeypatch, assignments)
+        assert calls[routine, side] == 1 and matrices[routine, side] == count
+        assert calls["eigh", half] == 2 and calls["eigvalsh", half] == 1
+        assert matrices["eigh", half] == 2 * half_count
+        assert matrices["eigvalsh", half] == half_count
         assert sum(calls.values()) == 4
 
     def test_stationary_transform(self, tmp_path, monkeypatch):
@@ -867,12 +932,14 @@ class TestDecompositionCounts:
 
     @pytest.mark.parametrize("model", sorted(TRANSFORMS))
     def test_transform_with_routes(self, tmp_path, monkeypatch, model):
-        side, assignments, parent_half = self.TRANSFORMS[model]
-        calls = self.transform_calls(tmp_path, monkeypatch, [*assignments, "verify.routes=true"])
-        full, half = self.by_side(calls, side), self.by_side(calls, side // 2)
+        assignments, (routine, side, _), (half, _), parent_half = self.TRANSFORMS[model]
+        calls, _ = self.transform_calls(
+            tmp_path, monkeypatch, [*assignments, "verify.routes=true"]
+        )
+        full, half_calls = calls[routine, side], self.by_side(calls, half)
         assert full == 1
-        assert 3 < half <= parent_half
-        assert sum(calls.values()) == full + half
+        assert 3 < half_calls <= parent_half
+        assert sum(calls.values()) == full + half_calls
 
     def test_sweep_takes_no_spectral_norm(self, tmp_path, monkeypatch):
         calls, matrices = self.count(
@@ -886,8 +953,9 @@ class TestDecompositionCounts:
                 "--report", str(tmp_path / "sweep.json"),
             ],
         )
-        assert self.by_side(calls, 32) == 1
-        assert self.by_side(matrices, 32) == 3
+        # three points of side 32, two sectors of side 16 each
+        assert calls["eigh", 16] == 1
+        assert matrices["eigh", 16] == 3 * 2
         assert calls["spectral_norm"] == 0
 
 

@@ -5,17 +5,29 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import fwexact
+import fwexact.matfun
 from fwexact import (
     BlockOperator,
     EigendecompositionError,
     Metric,
     MetricViolationError,
+    ModelSpec,
     SpectralGapError,
     decompose,
     exp_i,
     feshbach_villars,
+    floquet_dirac_vector,
     free_dirac,
     sign_of,
+    transform_nonstationary,
+    transform_stationary,
+)
+from fwexact.matfun import (
+    EvenDecomposition,
+    _fix_phases,
+    decompose_array,
+    eigvalsh,
+    find_sectors,
 )
 
 
@@ -135,6 +147,114 @@ class TestExpI:
         s = BlockOperator(np.array([[0, 1], [0, 0]], dtype=complex), 2, 1)
         with pytest.raises(MetricViolationError):
             exp_i(s, Metric.HERMITIAN)
+
+
+@st.composite
+def direct_sums(draw):
+    """A stack of random Hermitian direct sums of dense blocks, under one
+    random permutation of rows and columns, with the expected sectors."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    stack = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = sum(sizes)
+    a = np.zeros((stack, n, n), dtype=complex)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    for block in range(len(sizes)):
+        k, at = sizes[block], np.flatnonzero(owner == block)
+        b = rng.normal(size=(stack, k, k)) + 1j * rng.normal(size=(stack, k, k))
+        a[:, at[:, None], at] = b + b.conj().swapaxes(-1, -2)
+    perm = rng.permutation(n)
+    owner = owner[perm]
+    expected = sorted((np.flatnonzero(owner == b) for b in set(owner)), key=lambda s: s[0])
+    return a[:, perm][:, :, perm], owner, expected
+
+
+class TestSectors:
+    @settings(max_examples=60, deadline=None)
+    @given(case=direct_sums())
+    def test_sector_kernels_match_the_dense_matrix(self, case):
+        a, owner, expected = case
+        sectors = find_sectors(a)
+        assert [list(s) for s in sectors] == [list(s) for s in expected]
+        w_full, v_full = np.linalg.eigh(a)
+        scale = np.abs(w_full).max(axis=-1, keepdims=True)
+        dec = decompose_array(a, Metric.HERMITIAN)
+        assert np.abs(dec.eigenvalues.real - w_full).max() <= 1e-13 * scale.max()
+        assert np.abs(eigvalsh(a) - w_full).max() <= 1e-13 * scale.max()
+        off_sector = owner[:, None] != owner[None, :]
+
+        def f(w):
+            return np.exp(1j * w.real)
+
+        reference = (v_full * f(w_full)[..., None, :]) @ v_full.conj().swapaxes(-1, -2)
+        applied = dec.apply(f)
+        assert np.abs(applied - reference).max() <= 1e-12
+        assert np.all(applied[:, off_sector] == 0)
+        v = dec.right_vectors
+        assert np.abs(a @ v - v * dec.eigenvalues[..., None, :]).max() <= 1e-12 * scale.max()
+        gram = v.conj().swapaxes(-1, -2) @ v
+        assert np.abs(gram - np.eye(len(owner))).max() <= 1e-12
+        even = EvenDecomposition.of(a, a[::-1])
+        pp, mm = even.apply(f)
+        assert np.abs(pp - reference).max() <= 1e-12
+        assert np.abs(mm - reference[::-1]).max() <= 1e-12
+        assert np.all(pp[:, off_sector] == 0) and np.all(mm[:, off_sector] == 0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(side=st.integers(1, 12), stack=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_one_sector_is_plain_eigh(self, side, stack, seed):
+        rng = np.random.default_rng(seed)
+        b = rng.normal(size=(stack, side, side)) + 1j * rng.normal(size=(stack, side, side))
+        a = b + b.conj().swapaxes(-1, -2)
+        assert len(find_sectors(a)) == 1
+        w, v = np.linalg.eigh(a)
+        v = _fix_phases(v)
+        dec = decompose_array(a, Metric.HERMITIAN)
+        assert np.array_equal(dec.eigenvalues, w.astype(complex))
+        assert np.array_equal(dec.right_vectors, v)
+        assert np.array_equal(dec.inverse_vectors, v.conj().swapaxes(-1, -2))
+        assert np.array_equal(eigvalsh(a), np.linalg.eigvalsh(a))
+        even = EvenDecomposition.of(a, a)
+        w2, v2 = np.linalg.eigh(np.stack((a, a), axis=-3))
+        upper, _ = even.apply(lambda w: np.exp(1j * w))
+        expected = (v2 * np.exp(1j * w2)[..., None, :]) @ v2.conj().swapaxes(-1, -2)
+        assert np.array_equal(even.eigenvalues, w2)
+        assert np.array_equal(upper, expected[..., 0, :, :])
+
+    def test_isolated_and_zero_entries(self):
+        a = np.diag([2.0, -1.0, 0.0]).astype(complex)
+        a[0, 2] = a[2, 0] = 1e-300
+        assert [list(s) for s in find_sectors(a)] == [[0, 2], [1]]
+
+
+class TestOneSectorTransforms:
+    """A transform decomposed as one sector agrees with the sector-wise one."""
+
+    CASES = {
+        "dirac_1d_8": lambda routes: transform_stationary(
+            ModelSpec("dirac_1d", {"N": 8, "V1": 0.2}).build(), routes=routes
+        ),
+        "dirac_1d_32": lambda routes: transform_stationary(
+            ModelSpec("dirac_1d", {"N": 32, "V1": 0.2}).build(), routes=routes
+        ),
+        "vector_drive": lambda routes: transform_nonstationary(
+            floquet_dirac_vector(1.0, (0.0, 0.0, 0.5), 0.2, 0.08), 4, routes=routes
+        ),
+    }
+
+    @pytest.mark.parametrize("routes", [False, True])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_result_as_one_sector(self, monkeypatch, case, routes):
+        sectored = self.CASES[case](routes)
+        assert len(find_sectors(sectored.u.data)) == 2
+        monkeypatch.setattr(fwexact.matfun, "find_sectors", lambda a: [np.arange(a.shape[-1])])
+        whole = self.CASES[case](routes)
+        assert len(find_sectors(whole.u.data)) == 1
+        assert sectored.diagnostics.keys() == whole.diagnostics.keys()
+        for key, value in whole.diagnostics.items():
+            assert abs(sectored.diagnostics[key] - value) <= 1e-13, key
+        assert np.abs(sectored.u.data - whole.u.data).max() <= 1e-13
+        assert np.abs(sectored.s.data - whole.s.data).max() <= 1e-13
 
 
 def test_package_exports_resolve_once():
