@@ -36,7 +36,7 @@ import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache, reduce
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -395,30 +395,6 @@ def check_finite_norm(x: np.ndarray) -> None:
     i = first_failing(~np.isfinite(norms))
     if i is not None:
         raise _norm_not_finite(np.ravel(norms)[i])
-
-
-def stack_splits(splits: Sequence[SplitHamiltonian]) -> SplitHamiltonian:
-    """One split whose operators stack those of ``splits`` along a new
-    leading axis; all must share one block structure and the metric.
-    The stack keeps the defects of the splits, stacked, when each holds
-    its own."""
-    first = splits[0]
-    for other in splits[1:]:
-        _check_same_shape(other.mass, first.mass)
-        if other.metric is not first.metric:
-            raise StructureError(
-                f"metric mismatch: {first.metric.value} vs {other.metric.value}"
-            )
-
-    def stacked(part: str) -> BlockOperator:
-        return first.mass.like(np.stack([getattr(s, part).data for s in splits]))
-
-    defects = {}
-    if all(s.defects for s in splits):
-        defects = {key: np.array([s.defects[key] for s in splits]) for key in first.defects}
-    return SplitHamiltonian(
-        stacked("mass"), stacked("even"), stacked("odd"), first.metric, defects
-    )
 
 
 def split(

@@ -4,8 +4,9 @@ Commands
 --------
 models list   print the model catalog (``--format json`` for machines)
 transform     run the full transformation chain on one model
-sweep         transform per parameter value (points of one shape built
-              and transformed as one stack), CSV table of key numbers
+sweep         transform per parameter value, in chunks of consecutive
+              values (one stack each when the parameter stacks), CSV
+              table of key numbers
 floquet       compare the naive and extended sign operators
 
 Each run command takes ``--config <json>``, repeated ``--set key=value``
@@ -31,11 +32,11 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional
 
 import numpy as np
 
-from .blockop import BlockOperator, Metric, SplitHamiltonian, stack_splits
+from .blockop import BlockOperator, Metric
 from .eriksen import FWResult, transform_stationary
 from .errors import FwExactError, SpectralGapError, StructureError
 from .floquet import demonstrate_nonevenness, transform_nonstationary
@@ -369,25 +370,24 @@ def _print_verdicts(diagnostics: dict[str, float], verdicts: dict[str, str]) -> 
         print(f"{verdicts[name].upper():4s} {name} = {shown}")
 
 
-def _structural_defects(
-    config: RunConfig, built: SplitHamiltonian | TimePeriodicHamiltonian
-) -> dict[str, float]:
-    """The structural defects of a stationary split, held to the
-    configured tolerance (the split was validated when the model was
-    built); none for a time-periodic model."""
-    if isinstance(built, TimePeriodicHamiltonian):
-        return {}
-    return built.check(config.tolerances.tol_struct)
-
-
-def _transform(
-    config: RunConfig, built: SplitHamiltonian | TimePeriodicHamiltonian
-) -> FWResult:
-    """The transform of one model, or of a stack of stationary splits of
-    one shape (see :func:`~fwexact.blockop.stack_splits`) in one call."""
+def _run(
+    config: RunConfig, spec: ModelSpec, timings: dict[str, float]
+) -> tuple[dict[str, float | np.ndarray], Metric, FWResult]:
+    """Build ``spec`` (one model, or a stack of models when parameters are
+    arrays), read the structural defects of a stationary split (measured
+    when it was built, held here to the configured tolerance) and
+    transform it in one call.  Returns the diagnostics (arrays over a
+    stack), the metric and the transform bundle; the build and transform
+    times (ms) are added to ``timings``."""
     tol = config.tolerances
+    start = time.perf_counter()
+    built = spec.build()
+    timings["build_ms"] += (time.perf_counter() - start) * 1e3
+
+    start = time.perf_counter()
     if isinstance(built, TimePeriodicHamiltonian):
-        return transform_nonstationary(
+        structural = {}
+        result = transform_nonstationary(
             built,
             max(config.floquet_nf),
             tol.gap_tol,
@@ -395,26 +395,11 @@ def _transform(
             tol.eps_clamp,
             routes=config.routes,
         )
-    return transform_stationary(built, tol.gap_tol, tol.eps_clamp, routes=config.routes)
-
-
-def _run_chain(
-    config: RunConfig,
-) -> tuple[dict[str, float], Metric, FWResult, dict[str, float]]:
-    """Model -> transform; returns diagnostics, metric, the transform
-    bundle and stage timings (ms)."""
-    timings: dict[str, float] = {}
-    start = time.perf_counter()
-    built = config.model.build()
-    timings["build_ms"] = (time.perf_counter() - start) * 1e3
-
-    start = time.perf_counter()
-    diagnostics = _structural_defects(config, built)
-    result = _transform(config, built)
-    diagnostics.update(result.diagnostics)
-    timings["transform_ms"] = (time.perf_counter() - start) * 1e3
-    diagnostics = {k: float(v) for k, v in diagnostics.items()}
-    return diagnostics, built.metric, result, timings
+    else:
+        structural = built.check(tol.tol_struct)
+        result = transform_stationary(built, tol.gap_tol, tol.eps_clamp, routes=config.routes)
+    timings["transform_ms"] += (time.perf_counter() - start) * 1e3
+    return {**structural, **result.diagnostics}, built.metric, result
 
 
 def _dump_operators(config: RunConfig, result: FWResult) -> list[str]:
@@ -452,7 +437,9 @@ def cmd_transform(args: argparse.Namespace) -> int:
         config.report_path = args.report
     if args.dump:
         config.dump = True
-    diagnostics, metric, result, timings = _run_chain(config)
+    timings = {"build_ms": 0.0, "transform_ms": 0.0}
+    diagnostics, metric, result = _run(config, config.model, timings)
+    diagnostics = {k: float(v) for k, v in diagnostics.items()}
     verdicts = _verdicts(diagnostics, config.tolerances, metric)
     dumps = _dump_operators(config, result)
     report = {
@@ -470,15 +457,19 @@ def cmd_transform(args: argparse.Namespace) -> int:
     return 0 if all(v == "pass" for v in verdicts.values()) else 4
 
 
-def _dispersion(name: str, params: dict) -> Optional[float]:
-    """sqrt(m^2 + p^2) at the parameters of one point, for the models whose
-    spectrum it is; None for the others."""
-    m = float(params.get("m", 1.0))
-    if name == "free_dirac":
-        p2 = sum(float(params.get(k, 0.0)) ** 2 for k in ("px", "py", "pz"))
+def _dispersion(spec: ModelSpec, parameter: str, value: float) -> Optional[float]:
+    """sqrt(m^2 + p^2) at the point of ``spec`` with ``parameter`` set to
+    ``value``, for the models whose spectrum it is; None for the others."""
+
+    def param(key: str) -> float:
+        return float(value if key == parameter else spec.value(key))
+
+    m = param("m")
+    if spec.name == "free_dirac":
+        p2 = sum(param(k) ** 2 for k in ("px", "py", "pz"))
         return math.sqrt(m * m + p2)
-    if name == "feshbach_villars":
-        p = float(params.get("p", 0.0))
+    if spec.name == "feshbach_villars":
+        p = param("p")
         return math.sqrt(m * m + p * p)
     return None
 
@@ -509,150 +500,49 @@ def _chunk_size(side: int) -> int:
     return max(1, _CHUNK_ELEMENTS // (side * side))
 
 
-def _chunks(keys: Sequence[Optional[tuple[int, Metric]]]) -> list[list[int]]:
-    """Sweep points grouped for stacked transforms, ordered by their
-    first point.  ``keys`` gives each point's (side, metric), or None for
-    a point that runs alone (a time-periodic model); points of one key
-    are stacked in value order, at most :func:`_chunk_size` at a time."""
-    chunks: list[list[int]] = []
-    groups: dict[tuple[int, Metric], list[int]] = {}
-    for i, key in enumerate(keys):
-        if key is None:
-            chunks.append([i])
-        else:
-            groups.setdefault(key, []).append(i)
-    for (side, _metric), points in groups.items():
-        size = _chunk_size(side)
-        chunks += [points[k : k + size] for k in range(0, len(points), size)]
-    return sorted(chunks)
-
-
 _PointResult = tuple[dict[str, float], float, float]
 
-#: Builds the sweep points of one chunk (their indices) as one model: a
-#: stack when there are several.
-_ChunkBuilder = Callable[[list[int]], SplitHamiltonian | TimePeriodicHamiltonian]
 
-
-def _run_points(
-    config: RunConfig,
-    model: SplitHamiltonian | TimePeriodicHamiltonian,
-    timings: dict[str, float],
-) -> list[_PointResult]:
-    """The structural defects and one :func:`_transform` call of a model
-    or a stack; per point its diagnostics, ||S||_2 and ||H_FW||_2.  The
-    call's time and count go to ``timings``."""
-    structural = _structural_defects(config, model)
-    start = time.perf_counter()
-    try:
-        result = _transform(config, model)
-    finally:
-        timings["transform_ms"] += (time.perf_counter() - start) * 1e3
-        timings["transform_calls"] += 1
-
-    def per_point(value: Any) -> list[float]:
-        return np.ravel(value).tolist()
-
-    columns = {k: per_point(v) for k, v in {**structural, **result.diagnostics}.items()}
-    s_norms, h_fw_norms = per_point(result.s_norm), per_point(result.h_fw_norm)
-    return [
-        ({k: column[j] for k, column in columns.items()}, s_norms[j], h_fw_norms[j])
-        for j in range(len(s_norms))
-    ]
-
-
-def _transform_sweep(
-    config: RunConfig,
-    chunks: list[list[int]],
-    build: _ChunkBuilder,
-    failure: Optional[tuple[int, FwExactError]],
-    timings: dict[str, float],
-) -> tuple[list[_PointResult], Metric]:
-    """The sweep points, in value order, built and transformed chunk by
-    chunk, and their metric.  A chunk that raises is run again one point
-    at a time, so the sweep raises the error of its first failing point,
-    as if every point had run alone.  ``failure`` is a build failure
-    (point index and error) that ended the points before any chunk ran,
-    if any; it is raised unless an earlier point fails."""
-    outcomes: dict[int, _PointResult] = {}
-    for chunk in chunks:
-        if failure is not None and chunk[0] > failure[0]:
-            continue
-        try:
-            model = build(chunk)
-            done = _run_points(config, model, timings)
-        except FwExactError as exc:
-            if len(chunk) == 1:  # the point ran alone already
-                failure = (chunk[0], exc)
-                continue
-            done = []
-            for i in chunk:
-                if failure is not None and i > failure[0]:
-                    break
-                try:
-                    model = build([i])
-                    done += _run_points(config, model, timings)
-                except FwExactError as exc:
-                    failure = (i, exc)
-                    break
-        outcomes.update(zip(chunk, done))
-    if failure is not None:
-        raise failure[1]
-    # every point was built; the points of a sweep share one metric
-    return [outcomes[i] for i in range(len(outcomes))], model.metric
-
-
-def _timed_build(
-    spec: ModelSpec, timings: dict[str, float]
-) -> SplitHamiltonian | TimePeriodicHamiltonian:
-    start = time.perf_counter()
-    try:
-        return spec.build()
-    finally:
-        timings["build_ms"] += (time.perf_counter() - start) * 1e3
-
-
-def _sweep_chunks(
+def _sweep(
     config: RunConfig, parameter: str, values: tuple[float, ...], timings: dict[str, float]
-) -> tuple[list[list[int]], _ChunkBuilder, Optional[tuple[int, FwExactError]]]:
-    """The chunks of the sweep (:func:`_chunks`), the builder of a chunk
-    and the failure of a build made here.
+) -> tuple[list[_PointResult], Metric]:
+    """Per sweep point, in value order, its diagnostics, ||S||_2 and
+    ||H_FW||_2; and the metric of the points.
 
-    A stationary model swept over any parameter but N builds each chunk
-    once, as a stack over the chunk's values.  The other sweeps (over N,
-    time-periodic models, no parameter) build their points one at a time
-    here, up to the first that fails, and a chunk stacks the built points
-    of one shape."""
+    The points run in chunks of consecutive values, each built only when
+    it runs: :func:`_chunk_size` points as one stack when the model
+    :meth:`~fwexact.models.ModelSpec.stacks` the parameter, one point
+    otherwise.  A chunk that raises is run again one point at a time, so
+    the sweep raises the error of its first failing point, as if every
+    point had run alone."""
     spec = config.model
+    size = _chunk_size(spec.side) if spec.stacks(parameter) else 1
 
-    def point(value: float | np.ndarray) -> ModelSpec:
-        return ModelSpec(spec.name, {**spec.params, parameter: value}) if parameter else spec
+    points: list[_PointResult] = []
 
-    if parameter and spec.stacks(parameter):
-        size = _chunk_size(spec.side)
-        chunks = [list(range(k, min(k + size, len(values)))) for k in range(0, len(values), size)]
+    def run(chunk: tuple[float, ...]) -> Metric:
+        value = chunk[0] if len(chunk) == 1 else np.array(chunk)
+        point = ModelSpec(spec.name, {**spec.params, parameter: value}) if parameter else spec
+        diagnostics, metric, result = _run(config, point, timings)
+        timings["transform_calls"] += 1
+        columns = {k: np.ravel(v).tolist() for k, v in diagnostics.items()}
+        s_norms, h_fw_norms = np.ravel(result.s_norm).tolist(), np.ravel(result.h_fw_norm).tolist()
+        points.extend(
+            ({k: column[j] for k, column in columns.items()}, s_norms[j], h_fw_norms[j])
+            for j in range(len(chunk))
+        )
+        return metric
 
-        def build(points: list[int]) -> SplitHamiltonian | TimePeriodicHamiltonian:
-            value = values[points[0]] if len(points) == 1 else np.array([values[i] for i in points])
-            return _timed_build(point(value), timings)
-
-        return chunks, build, None
-    models: list[SplitHamiltonian | TimePeriodicHamiltonian] = []
-    failure = None
-    for i, value in enumerate(values):
+    for k in range(0, len(values), size):
+        chunk = values[k : k + size]
         try:
-            models.append(_timed_build(point(value), timings))
-        except FwExactError as exc:
-            failure = (i, exc)  # no later point is built
-            break
-    keys = [
-        (m.mass.side, m.metric) if isinstance(m, SplitHamiltonian) else None for m in models
-    ]
-
-    def stack(points: list[int]) -> SplitHamiltonian | TimePeriodicHamiltonian:
-        return models[points[0]] if len(points) == 1 else stack_splits([models[i] for i in points])
-
-    return _chunks(keys), stack, failure
+            metric = run(chunk)
+        except FwExactError:
+            if len(chunk) == 1:
+                raise
+            for value in chunk:
+                metric = run((value,))
+    return points, metric
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -660,24 +550,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _reject_dump(args, config)
     if args.report:
         config.report_path = args.report
-    parameter = config.sweep_parameter
-    values: tuple[float, ...] = config.sweep_values
-    if parameter is None or not values:
-        parameter = parameter or ""
-        values = (float(config.model.params.get(parameter, 0.0)) if parameter else 0.0,)
+    spec = config.model
+    parameter = config.sweep_parameter or ""
+    values = config.sweep_values or (float(spec.value(parameter)) if parameter else 0.0,)
     timings = {"build_ms": 0.0, "transform_ms": 0.0, "transform_calls": 0}
-    chunks, build, failure = _sweep_chunks(config, parameter, values, timings)
-    outcomes, metric = _transform_sweep(config, chunks, build, failure, timings)
+    outcomes, metric = _sweep(config, parameter, values, timings)
 
     rows = []
     worst: dict[str, float] = {}
     for value, (diagnostics, s_norm, measured) in zip(values, outcomes):
         for key, v in diagnostics.items():
             worst[key] = max(worst.get(key, 0.0), v)
-        params = {**config.model.params, parameter: value} if parameter else config.model.params
-        dispersion = _dispersion(config.model.name, params)
+        dispersion = _dispersion(spec, parameter, value)
         row = {
-            "parameter": parameter or "",
+            "parameter": parameter,
             "value": value,
             "max_identity_defect": max(
                 (diagnostics[k] for k in _IDENTITY_KEYS if k in diagnostics),

@@ -312,6 +312,16 @@ MODEL_CATALOG: dict[str, dict] = {
     },
 }
 
+#: The value of each catalog parameter that a config leaves out: 0 for
+#: the momenta, potentials and drive amplitudes.
+_DEFAULTS: dict[str, float] = {
+    **dict.fromkeys(("px", "py", "pz", "p", "V0", "V1", "A1"), 0.0),
+    "m": 1.0,
+    "N": 32,
+    "L": 2.0 * np.pi,
+    "omega": 1.0,
+}
+
 
 def check_parameter_names(name: str, keys: Iterable[str]) -> None:
     """Raise StructureError for a key that is not a parameter of the
@@ -325,18 +335,18 @@ def check_parameter_names(name: str, keys: Iterable[str]) -> None:
         )
 
 
-def _check_values(name: str, params: Mapping[str, Value]) -> None:
+def _check_values(spec: ModelSpec) -> None:
     """Raise the StructureError of the first point (of a stack, when
     parameters are arrays) whose parameter values fail a check; a point
     meets the checks in the order listed here."""
 
-    def param(key: str, default: float) -> np.ndarray:
-        return np.asarray(params.get(key, default), dtype=float)
+    def param(key: str) -> np.ndarray:
+        return np.asarray(spec.value(key), dtype=float)
 
-    m = param("m", 1.0)
+    m = param("m")
     checks = [(~(m > 0), m, "mass must be positive")]
-    if name == "dirac_1d":
-        n, length = param("N", 32), param("L", 2.0 * np.pi)
+    if spec.name == "dirac_1d":
+        n, length = param("N"), param("L")
         checks += [
             (~np.isfinite(n) | (n != np.floor(n)), n, "grid size must be an integer, got {}"),
             (
@@ -346,8 +356,8 @@ def _check_values(name: str, params: Mapping[str, Value]) -> None:
             ),
             (~(length > 0), length, "box length must be positive, got {}"),
         ]
-    if MODEL_CATALOG[name]["kind"] == "floquet":
-        omega = param("omega", 1.0)
+    if spec.kind == "floquet":
+        omega = param("omega")
         checks.append((~(omega > 0), omega, "drive frequency must be positive"))
     failing = np.stack(np.broadcast_arrays(*(bad for bad, _, _ in checks)))
     per_point = failing.reshape(len(checks), -1)
@@ -375,12 +385,11 @@ class ModelSpec:
                 f"unknown model {self.name!r}; known: {', '.join(sorted(MODEL_CATALOG))}"
             )
         check_parameter_names(self.name, self.params)
-        params = dict(self.params)
-        for key, value in params.items():
+        for key, value in self.params.items():
             if np.ndim(value) and not self.stacks(key):
                 raise StructureError(f"parameter {key!r} of model {self.name} takes one value")
-        _check_values(self.name, params)
-        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "params", dict(self.params))
+        _check_values(self)
 
     @property
     def kind(self) -> str:
@@ -391,16 +400,19 @@ class ModelSpec:
         of a stationary model except the grid size N."""
         return self.kind == "stationary" and parameter != "N"
 
+    def value(self, key: str) -> Value:
+        """The value of parameter ``key``: as given, or its default."""
+        return self.params.get(key, _DEFAULTS[key])
+
     @property
     def side(self) -> int:
         """The side of the built Hamiltonian (of H(t) when time-periodic)."""
         if self.name == "dirac_1d":
-            return 4 * int(self.params.get("N", 32))
+            return 4 * int(self.value("N"))
         return 2 if self.name == "feshbach_villars" else 4
 
-    def _momentum(self) -> tuple[float, float, float]:
-        p = self.params
-        return (p.get("px", 0.0), p.get("py", 0.0), p.get("pz", 0.0))
+    def _momentum(self) -> tuple[Value, Value, Value]:
+        return (self.value("px"), self.value("py"), self.value("pz"))
 
     def build(self) -> SplitHamiltonian | TimePeriodicHamiltonian:
         """The model, a stack of models when parameters are arrays.  An
@@ -410,28 +422,27 @@ class ModelSpec:
             return self._build()
 
     def _build(self) -> SplitHamiltonian | TimePeriodicHamiltonian:
-        p = self.params
-        m = p.get("m", 1.0)
+        m = self.value("m")
         if self.name == "free_dirac":
             return free_dirac(m, self._momentum())
         if self.name == "dirac_1d":
 
-            def column(key: str, default: float) -> np.ndarray:
-                return np.asarray(p.get(key, default), dtype=float)[..., None]
+            def column(key: str) -> np.ndarray:
+                return np.asarray(self.value(key), dtype=float)[..., None]
 
-            length, v0, v1 = column("L", 2.0 * np.pi), column("V0", 0.0), column("V1", 0.0)
+            length, v0, v1 = column("L"), column("V0"), column("V1")
             return dirac_1d(
                 m,
-                int(p.get("N", 32)),
-                p.get("L", 2.0 * np.pi),
+                int(self.value("N")),
+                self.value("L"),
                 lambda x: v0 + v1 * np.cos(2.0 * np.pi * x / length),
             )
         if self.name == "feshbach_villars":
-            return feshbach_villars(m, p.get("p", 0.0))
+            return feshbach_villars(m, self.value("p"))
         if self.name == "floquet_dirac_scalar":
             return floquet_dirac_scalar(
-                float(m), self._momentum(), float(p.get("V1", 0.0)), float(p.get("omega", 1.0))
+                float(m), self._momentum(), float(self.value("V1")), float(self.value("omega"))
             )
         return floquet_dirac_vector(
-            float(m), self._momentum(), float(p.get("A1", 0.0)), float(p.get("omega", 1.0))
+            float(m), self._momentum(), float(self.value("A1")), float(self.value("omega"))
         )

@@ -32,8 +32,3 @@ class Tolerances:
             value = getattr(self, f.name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"tolerance {f.name}={value} outside (0, 1)")
-
-    def replace(self, **kwargs: float) -> "Tolerances":
-        merged = {f.name: getattr(self, f.name) for f in fields(self)}
-        merged.update(kwargs)
-        return Tolerances(**merged)

@@ -10,8 +10,8 @@ from numpy.testing import assert_allclose
 
 import fwexact.cli
 import fwexact.verify
-from fwexact import BlockOperator, Metric, ModelSpec, transform_stationary
-from fwexact.cli import _IDENTITY_KEYS, _chunk_size, _chunks, dump_matrix, load_matrix, main
+from fwexact import BlockOperator, ModelSpec, transform_stationary
+from fwexact.cli import _IDENTITY_KEYS, _chunk_size, dump_matrix, load_matrix, main
 
 
 def run(argv):
@@ -221,6 +221,35 @@ class TestSweep:
         rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert len(rows) == 2  # header + one row
 
+    @pytest.mark.parametrize(
+        "model, parameter, shown",
+        [
+            ("dirac_1d", "N", "32"),
+            ("dirac_1d", "L", "6.2831853071795862"),
+            ("free_dirac", "m", "1"),
+            ("floquet_dirac_vector", "omega", None),
+        ],
+    )
+    def test_parameter_without_values_runs_at_the_model_value(
+        self, tmp_path, capsys, model, parameter, shown
+    ):
+        # one row at the value transform runs (the default here); the
+        # vector drive at its default omega = 1 is a quasienergy resonance
+        base = ["--set", f"model.name={model}"]
+        code = run(["transform", *base, "--report", str(tmp_path / "t.json")])
+        err = capsys.readouterr().err
+        sweep = ["sweep", *base, "--set", f"sweep.parameter={parameter}"]
+        assert run([*sweep, "--report", str(tmp_path / "s.json")]) == code
+        assert capsys.readouterr().err == err
+        if shown is None:
+            assert code == 3
+            return
+        assert code == 0
+        rows = (tmp_path / "s.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith(f"{parameter},{shown},")
+        transform = json.loads((tmp_path / "t.json").read_text())
+        assert json.loads((tmp_path / "s.json").read_text())["diagnostics"] == transform["diagnostics"]
+
     def test_bare_number_is_one_value(self, tmp_path):
         code = run(
             [
@@ -281,8 +310,9 @@ def sweep_argv(tmp_path, model, params, parameter, values):
 
 
 class TestStackedSweep:
-    """A sweep transforms its points of one shape as one stack; its rows
-    and worst-case diagnostics are those of per-point transforms."""
+    """A sweep transforms runs of consecutive values as one stack when its
+    parameter stacks, and point by point otherwise; its rows and
+    worst-case diagnostics are those of per-point transforms."""
 
     CASES = {
         "free_dirac": ("free_dirac", {"m": 1.0}, "pz", np.linspace(0.05, 4.0, 9).tolist()),
@@ -326,22 +356,33 @@ class TestStackedSweep:
         assert run(sweep_argv(tmp_path, "dirac_1d", {"V1": 0.2}, "N", [8, 16, 8])) == 0
         timings = json.loads((tmp_path / "sweep.json").read_text())["timings"]
         assert timings.keys() == {"build_ms", "transform_ms", "transform_calls"}
-        assert timings["transform_calls"] == 2  # N = 8 twice in one stack, N = 16 alone
+        assert timings["transform_calls"] == 3  # N does not stack: one call per point
         assert timings["build_ms"] > 0 and timings["transform_ms"] > 0
+
+    def test_points_that_do_not_stack_are_built_as_they_run(self, tmp_path, monkeypatch):
+        # each point of an N sweep is built when it runs, so the sweep
+        # holds one model at a time
+        events = []
+        build, transform = ModelSpec.build, fwexact.cli.transform_stationary
+
+        def spy_build(self):
+            events.append("build")
+            return build(self)
+
+        def spy_transform(*args, **kwargs):
+            events.append("transform")
+            return transform(*args, **kwargs)
+
+        monkeypatch.setattr(ModelSpec, "build", spy_build)
+        monkeypatch.setattr(fwexact.cli, "transform_stationary", spy_transform)
+        assert run(sweep_argv(tmp_path, "dirac_1d", {"V1": 0.2}, "N", [8, 16, 8])) == 0
+        assert events == ["build", "transform"] * 3
 
 
 class TestSweepChunks:
     def test_chunk_size(self):
         sides = (2, 4, 32, 128, 512, 1024)
         assert [_chunk_size(side) for side in sides] == [65536, 16384, 256, 16, 1, 1]
-
-    def test_points_group_by_shape_in_value_order(self):
-        h, p = Metric.HERMITIAN, Metric.BETA_PSEUDO
-        keys = [(32, h), (64, h), (32, h), None, (32, p), (512, h), (512, h), (32, h)]
-        assert _chunks(keys) == [[0, 2, 7], [1], [3], [4], [5], [6]]
-
-    def test_groups_split_at_the_chunk_size(self):
-        assert _chunks([(256, Metric.HERMITIAN)] * 9) == [[0, 1, 2, 3], [4, 5, 6, 7], [8]]
 
 
 class TestSweepErrorReplay:
@@ -833,7 +874,7 @@ class TestDecompositionCounts:
     spectral norm is taken, since every scale comes from known
     eigenvalues.  A reducible H is decomposed sector by sector, its
     sectors of one size in one call, and so is every later kernel.  A
-    sweep decomposes the H of all its points of one shape in one stacked
+    sweep decomposes the H of the points of each chunk in one stacked
     call."""
 
     DECOMPOSITIONS = ("eigh", "eig", "eigvalsh", "svd")

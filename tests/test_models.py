@@ -176,6 +176,14 @@ class TestModelSpec:
         sp = spec.build()
         assert_allclose(np.linalg.eigvalsh(sp.total.data), [-1.25, -1.25, 1.25, 1.25])
 
+    def test_every_catalog_parameter_has_a_value(self):
+        for name, entry in MODEL_CATALOG.items():
+            spec = ModelSpec(name, {"m": 2.0})
+            assert spec.value("m") == 2.0
+            for key in entry["params"]:
+                assert np.isfinite(spec.value(key)), (name, key)
+        assert ModelSpec("dirac_1d").side == 4 * ModelSpec("dirac_1d").value("N") == 128
+
     def test_unknown_model_rejected(self):
         with pytest.raises(StructureError, match="unknown model"):
             ModelSpec("no_such_model", {})

@@ -13,35 +13,43 @@ from fwexact import (
     EigendecompositionError,
     Metric,
     MetricViolationError,
-    StructureError,
     dirac_1d,
     feshbach_villars,
     free_dirac,
     transform_stationary,
 )
-from fwexact.blockop import frobenius, stack_splits
+from fwexact.blockop import frobenius
 from fwexact.verify import arcsin_odd
 from fwexact.matfun import EvenDecomposition, check_hermitian, check_involution, decompose_array
 
-SPLITS = {
-    "free_dirac": [free_dirac(1.0, (0.0, 0.0, p)) for p in (0.05, 1.0, 4.0)],
-    "feshbach_villars": [feshbach_villars(1.0, p) for p in (0.05, 2.5, 4.0)],
-    "dirac_1d": [
-        dirac_1d(1.0, 8, 2 * np.pi, lambda x, v1=v1: v1 * np.cos(x)) for v1 in (0.1, 0.2, 0.3)
-    ],
+#: Per model: the builder of the split at one value, or of the stack of
+#: splits at an array of values, and the values of a stack.
+BUILDERS = {
+    "free_dirac": (lambda pz: free_dirac(1.0, (0.0, 0.0, pz)), (0.05, 1.0, 4.0)),
+    "feshbach_villars": (lambda p: feshbach_villars(1.0, p), (0.05, 2.5, 4.0)),
+    # one potential row per point of a stack
+    "dirac_1d": (
+        lambda v1: dirac_1d(1.0, 8, 2 * np.pi, lambda x: np.asarray(v1)[..., None] * np.cos(x)),
+        (0.1, 0.2, 0.3),
+    ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(SPLITS))
+def stacked_split(name):
+    build, values = BUILDERS[name]
+    return build(np.array(values))
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_stacked_transform_matches_each_operator(name):
-    splits = SPLITS[name]
-    stacked = transform_stationary(stack_splits(splits))
-    for j, split in enumerate(splits):
-        single = transform_stationary(split)
+    build, values = BUILDERS[name]
+    stacked = transform_stationary(stacked_split(name))
+    for j, point in enumerate(values):
+        single = transform_stationary(build(point))
         assert stacked.diagnostics.keys() == single.diagnostics.keys()
         for key, value in single.diagnostics.items():
             assert type(value) is float
-            assert stacked.diagnostics[key].shape == (len(splits),)
+            assert stacked.diagnostics[key].shape == (len(values),)
             assert abs(stacked.diagnostics[key][j] - value) <= 1e-14, key
         assert type(single.s_norm) is float and type(single.h_fw_norm) is float
         assert stacked.s_norm[j] == pytest.approx(single.s_norm, rel=1e-14, abs=1e-300)
@@ -51,26 +59,20 @@ def test_stacked_transform_matches_each_operator(name):
             assert np.abs(getattr(stacked, part).data[j] - expected).max() <= 1e-14, part
 
 
-def test_stack_splits_rejects_mixed_shapes_and_metrics():
-    with pytest.raises(StructureError, match="block structure mismatch"):
-        stack_splits([free_dirac(1.0, (0, 0, 0.5)), SPLITS["dirac_1d"][0]])
-    hermitian = free_dirac(1.0, (0, 0, 0.5))
-    with pytest.raises(StructureError, match="metric mismatch"):
-        stack_splits([hermitian, dataclasses.replace(hermitian, metric=Metric.BETA_PSEUDO)])
-
-
 def test_stacked_validate_holds_each_split_to_its_scale():
-    small, large = free_dirac(1.0, (0, 0, 0.5)), free_dirac(1e6, (0, 0, 5e5))
-    stacked = stack_splits([small, large])
+    m, pz = np.array([1.0, 1e6]), np.array([0.5, 5e5])
+    stacked = free_dirac(m, (0, 0, pz))
     defects = stacked.validate()
-    for j, split in enumerate((small, large)):
-        for key, value in split.validate().items():
+    for j in range(2):
+        for key, value in free_dirac(m[j], (0, 0, pz[j])).validate().items():
             assert defects[key][j] == pytest.approx(value, abs=1e-15)
     # an anti-Hermitian term of 1e-9 is tiny beside the large H (1e-15
     # relative), not beside the small one
-    broken = dataclasses.replace(small, even=small.even.like(1e-9j * np.eye(4)))
+    anti_hermitian = np.array([1e-9j, 0])[:, None, None] * np.eye(4)
+    broken = dataclasses.replace(stacked, even=stacked.even.like(anti_hermitian))
     with pytest.raises(MetricViolationError, match="not self-adjoint"):
-        stack_splits([large, broken]).validate()
+        broken.validate()
+    dataclasses.replace(stacked, even=stacked.even.like(anti_hermitian[::-1])).validate()
 
 
 def random_hermitian(seed, side, scale=1.0):
@@ -92,7 +94,7 @@ class TestChecksPerMatrix:
         check_hermitian(stack[:1])
 
     def test_involution(self):
-        lam = transform_stationary(stack_splits(SPLITS["free_dirac"])).sign_op
+        lam = transform_stationary(stacked_split("free_dirac")).sign_op
         broken = lam.data.copy()
         broken[1] *= 1.0 + 1e-6
         defects = check_involution(lam, 1e-8)

@@ -1,6 +1,8 @@
 """Every parameter of every function and method in the fwexact modules
 is read by its body: an argument a function never reads is an API that
-asks callers for something it ignores."""
+asks callers for something it ignores.  Every private module-level
+function, class and constant is read somewhere in the package: one that
+nothing reads is dead code."""
 
 import ast
 import importlib
@@ -62,6 +64,43 @@ def unread_parameters(source: str, module: str) -> list[str]:
     return scanner.unread
 
 
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """The private (``_name``, not dunder) names a module's top-level
+    statements define: functions, classes and assignment targets."""
+    names = []
+    for statement in tree.body:
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(statement.name)
+        elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+            targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each private module-level definition of the
+    modules ``sources`` (module name -> source) that its own module never
+    loads and no module imports or reads as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    shared = {
+        node.name if isinstance(node, ast.alias) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.alias, ast.Attribute))
+    }
+    unread = []
+    for module, tree in trees.items():
+        loaded = {
+            n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        unread += [
+            f"{module}.{name}"
+            for name in _private_definitions(tree)
+            if name not in loaded and name not in shared
+        ]
+    return unread
+
+
 def test_every_parameter_is_read():
     unread = [
         entry
@@ -86,4 +125,35 @@ def test_scanner_finds_an_unread_parameter():
         "mod.f(rest)",
         "mod.f.<lambda>(x)",
         "mod.K.m(y)",
+    ]
+
+
+def test_every_private_definition_is_read():
+    sources = {module.__name__: inspect.getsource(module) for module in [fwexact, *MODULES]}
+    assert unread_private_names(sources) == []
+
+
+def test_scanner_finds_an_unread_private_name():
+    sources = {
+        "a": (
+            "import b\n"
+            "from b import _imported\n"
+            "_USED = 1\n"
+            "_UNUSED, _pair = 2, 3\n"
+            "_annotated: int = 4\n"
+            "def _helper():\n"
+            "    return _USED + b._attribute\n"
+            "class _Orphan:\n"
+            "    pass\n"
+            "def public():\n"
+            "    return _helper()\n"
+        ),
+        "b": "_imported = _attribute = 0\n_other = 1\n__dunder__ = 2\n",
+    }
+    assert unread_private_names(sources) == [
+        "a._UNUSED",
+        "a._pair",
+        "a._annotated",
+        "a._Orphan",
+        "b._other",
     ]

@@ -17,7 +17,6 @@ from fwexact import (
     transform_nonstationary,
     transform_stationary,
 )
-from fwexact.blockop import stack_splits
 from fwexact.cli import main
 
 ROUTE_KEYS = {
@@ -64,7 +63,7 @@ def test_floquet_s_matches_the_canonical_arcsine():
 
 
 def test_stacked_s_matches_the_canonical_arcsine():
-    split = stack_splits([feshbach_villars(1.0, p) for p in (0.05, 0.75, 2.5, 4.0)])
+    split = feshbach_villars(1.0, np.array([0.05, 0.75, 2.5, 4.0]))
     assert_route_agreement(transform_stationary(split), split.metric)
 
 
