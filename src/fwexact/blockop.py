@@ -26,6 +26,11 @@ flips act on the last two axes, and norms and defects reduce per matrix:
 they come back as arrays with the stack's shape, and as floats when
 there is no stack (:func:`per_matrix`).
 
+An operator can be held in its sector layout
+(:meth:`BlockOperator.in_sectors`): the stack (..., count, s, s) of its
+diagonal blocks on decoupled sectors, whose axis is part of the operator
+(:meth:`BlockOperator.frobenius` sums over it).
+
 Everything here is a pure function of immutable inputs; matrices are
 dense complex throughout.
 """
@@ -33,6 +38,7 @@ dense complex throughout.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache, reduce
@@ -122,11 +128,15 @@ class BlockOperator:
     floquet_copies : int
         Number of Fourier copies in the extended space; 1 when
         stationary.
+    sectors : ndarray, optional
+        In the sector layout (:meth:`in_sectors`), the (count, s) rows
+        and columns of each sector; ``data`` is then (..., count, s, s).
     """
 
     data: np.ndarray
     internal_dim: int
     floquet_copies: int = 1
+    sectors: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         data = np.asarray(self.data, dtype=complex)
@@ -138,7 +148,7 @@ class BlockOperator:
             )
         if self.floquet_copies < 1:
             raise StructureError(f"floquet_copies must be >= 1, got {self.floquet_copies}")
-        if data.shape[-1] != self.internal_dim * self.floquet_copies:
+        if self.sectors is None and data.shape[-1] != self.internal_dim * self.floquet_copies:
             raise StructureError(
                 f"side {data.shape[-1]} != internal_dim {self.internal_dim} "
                 f"x floquet_copies {self.floquet_copies}"
@@ -150,25 +160,37 @@ class BlockOperator:
         return self.internal_dim * self.floquet_copies
 
     @property
+    def sectored(self) -> bool:
+        return self.sectors is not None
+
+    @property
     def stack_shape(self) -> tuple[int, ...]:
-        """The leading stack axes of ``data``; () for one operator."""
-        return self.data.shape[:-2]
+        """The leading stack axes of ``data`` (not its sector axis)."""
+        return self.data.shape[: self.data.ndim - 2 - self.sectored]
 
     def like(self, data: np.ndarray) -> "BlockOperator":
-        """New operator with the same block tags."""
-        return BlockOperator(data, self.internal_dim, self.floquet_copies)
+        """New operator with the same block tags and layout."""
+        return BlockOperator(data, self.internal_dim, self.floquet_copies, self.sectors)
+
+    @cached_property
+    def _layout(self) -> _Parity:
+        """The parity of the last two axes of ``data``."""
+        if self.sectors is None or len(self.sectors) == 1:
+            return _parity(self.internal_dim, self.floquet_copies)
+        return _parity(self.sectors.shape[1], 1)
 
     @property
     def signs(self) -> np.ndarray:
         """beta as its read-only +-1 diagonal: +1 on the upper and -1 on
-        the lower block of every Fourier copy."""
-        return _parity(self.internal_dim, self.floquet_copies).signs
+        the lower block of every Fourier copy (of one sector, upper
+        first, in the sector layout)."""
+        return self._layout.signs
 
     @cached_property
     def blocks(self) -> Blocks:
-        """The parity blocks: views of ``data`` when beta is block-ordered,
-        copies gathered once otherwise."""
-        return _parity(self.internal_dim, self.floquet_copies).split(self.data)
+        """The parity blocks: views of ``data`` when beta is block-ordered
+        (always in the sector layout), copies gathered once otherwise."""
+        return self._layout.split(self.data)
 
     def like_blocks(
         self,
@@ -179,12 +201,43 @@ class BlockOperator:
     ) -> "BlockOperator":
         """New operator with the same block tags from its parity blocks,
         scattered back to the original layout; None is a zero block."""
-        parity = _parity(self.internal_dim, self.floquet_copies)
-        return self.like(parity.join((pp, pm, mp, mm)))
+        return self.like(self._layout.join((pp, pm, mp, mm)))
+
+    def frobenius(self, x: np.ndarray) -> float | np.ndarray:
+        """Frobenius norm of ``x`` (data or blocks in this layout), per operator."""
+        return frobenius(x, self.sectored)
 
     def norm(self) -> float | np.ndarray:
-        """Frobenius norm, per matrix of a stack."""
-        return frobenius(self.data)
+        """Frobenius norm, per operator of a stack."""
+        return self.frobenius(self.data)
+
+    def in_sectors(self, sectors: list[np.ndarray]) -> "BlockOperator":
+        """This dense operator's diagonal blocks on ``sectors`` (index arrays
+        it does not couple), stacked with each sector's beta = +1 components
+        first; sectors of unequal size or parity balance give one sector,
+        the whole matrix in its own order."""
+        signs, size = self.signs, len(sectors[0])
+        if len(sectors) == 1 or any(
+            len(s) != size or 2 * np.count_nonzero(signs[s] > 0) != size for s in sectors
+        ):
+            index = np.arange(self.side)[None]
+            data = self.data[..., None, :, :]
+        else:
+            index = np.stack([np.concatenate((s[signs[s] > 0], s[signs[s] < 0])) for s in sectors])
+            data = self.data[..., index[:, :, None], index[:, None, :]]
+        return BlockOperator(data, self.internal_dim, self.floquet_copies, index)
+
+    def dense(self) -> "BlockOperator":
+        """The operator as one matrix: the sectors' blocks in zeros."""
+        if not self.sectored:
+            return self
+        index = self.sectors
+        if len(index) == 1:
+            data = self.data[..., 0, :, :]
+        else:
+            data = np.zeros((*self.stack_shape, self.side, self.side), dtype=complex)
+            data[..., index[:, :, None], index[:, None, :]] = self.data
+        return BlockOperator(data, self.internal_dim, self.floquet_copies)
 
 
 def dagger(x: np.ndarray) -> np.ndarray:
@@ -212,6 +265,11 @@ def first_failing(failing: np.ndarray | bool) -> Optional[int]:
     return int(positions[0]) if positions.size else None
 
 
+def operator_axes(k: int, sectored: bool) -> tuple[int, ...]:
+    """The last ``k`` axes, and the sector axis before them if ``sectored``."""
+    return tuple(range(-k - sectored, 0))
+
+
 def add_identity(x: np.ndarray, c: float) -> np.ndarray:
     """x + c 1 (per matrix of a stack), in place: ``x`` must be a square
     temporary."""
@@ -220,20 +278,22 @@ def add_identity(x: np.ndarray, c: float) -> np.ndarray:
     return x
 
 
-def frobenius(x: np.ndarray) -> float | np.ndarray:
-    """Frobenius norm of each matrix of ``x``.  A matrix stored in one
-    piece is read as a row of real numbers (real and imaginary parts
-    side by side) whose square norm is one dot product; otherwise
-    the squares of its real and imaginary parts are summed in place.
-    The norm of an operator given by blocks is :func:`hypot` of theirs;
-    passing each block as an expression keeps one block temporary alive
-    at a time."""
-    if x.strides[-1] == x.itemsize and x.strides[-2] == x.itemsize * x.shape[-1]:
-        row = x.view(x.real.dtype).reshape(*x.shape[:-2], 1, -1)
+def frobenius(x: np.ndarray, sectored: bool = False) -> float | np.ndarray:
+    """Frobenius norm of each matrix of ``x``, or with ``sectored`` of
+    each sector stack (..., count, s, s).  An array stored in one piece
+    is read as rows of real numbers (real and imaginary parts side by
+    side) whose square norms are dot products; otherwise the squares of
+    its real and imaginary parts are summed in place.  The norm of an
+    operator given by blocks is :func:`hypot` of theirs; passing each
+    block as an expression keeps one block temporary alive at a time."""
+    k = 2 + sectored
+    if x.flags.c_contiguous:
+        row = x.view(x.real.dtype).reshape(*x.shape[:-k], 1, -1)
         square = (row @ row.swapaxes(-1, -2))[..., 0, 0]
     else:
-        square = np.einsum("...ij,...ij->...", x.real, x.real) + np.einsum(
-            "...ij,...ij->...", x.imag, x.imag
+        axes = "kij"[-k:]
+        square = np.einsum(f"...{axes},...{axes}->...", x.real, x.real) + np.einsum(
+            f"...{axes},...{axes}->...", x.imag, x.imag
         )
     return per_matrix(np.sqrt(square))
 
@@ -245,7 +305,7 @@ def hypot(*norms: float | np.ndarray) -> float | np.ndarray:
 
 def relative_odd_norm(a: BlockOperator) -> float | np.ndarray:
     """||odd(A)||_F / ||A||_F, read off the off-diagonal parity blocks."""
-    odd = hypot(frobenius(a.blocks.pm), frobenius(a.blocks.mp))
+    odd = hypot(a.frobenius(a.blocks.pm), a.frobenius(a.blocks.mp))
     return odd / at_least(a.norm(), 1e-300)
 
 
@@ -263,25 +323,16 @@ def _check_same_shape(a: BlockOperator, b: BlockOperator) -> None:
         )
 
 
-def _flip(x: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """beta x beta: the entries of ``x`` coupling the upper and lower
-    blocks change sign."""
-    return signs[:, None] * (x * signs)
-
-
 def even_part(a: BlockOperator) -> BlockOperator:
-    """Projection onto the beta-commuting part, (A + beta A beta) / 2.
-
-    Since beta is a +-1 diagonal, the projection zeroes the
-    block-antidiagonal entries exactly; even_part + odd_part reproduces
-    the input bit for bit.
-    """
-    return a.like((a.data + _flip(a.data, a.signs)) / 2.0)
+    """Projection onto the beta-commuting part, (A + beta A beta) / 2: the
+    diagonal parity blocks, with exact zeros in the off-diagonal ones, so
+    even_part + odd_part reproduces the input bit for bit."""
+    return a.like_blocks(a.blocks.pp, None, None, a.blocks.mm)
 
 
 def odd_part(a: BlockOperator) -> BlockOperator:
     """Projection onto the beta-anticommuting part, (A - beta A beta) / 2."""
-    return a.like((a.data - _flip(a.data, a.signs)) / 2.0)
+    return a.like_blocks(None, a.blocks.pm, a.blocks.mp, None)
 
 
 def adjoint_m(a: BlockOperator, metric: Metric) -> BlockOperator:
@@ -324,25 +375,33 @@ class SplitHamiltonian:
 
     def validate(self, tol: float = TOL_STRUCT) -> dict[str, float | np.ndarray]:
         """Relative defect norms of the structural invariants (per matrix
-        of a stack).
+        of a stack), from parity blocks: beta X - X beta is twice the odd
+        blocks of X (with signs), beta X + X beta twice the diagonal ones.
 
         Raises StructureError for a matrix whose ||H||_F is not finite
         (every relative defect would read 0 beside it), and StructureError
         / MetricViolationError when any defect exceeds ``tol``.
         """
-        signs, total = self.mass.signs, self.total
-        rows = signs[:, None]
-        mass, even, odd = self.mass.data, self.even.data, self.odd.data
+        total = self.total
         scale = np.maximum(total.norm(), 1e-300)
         floor = np.maximum(scale * tol, 1e-300)
+        pp, pm, mp, mm = total.blocks
+
+        def twice(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+            return 2.0 * hypot(frobenius(a), frobenius(b))
+
+        # (H - H^adj)_{-+} is the metric adjoint of (H - H^adj)_{+-}, up to sign
+        off_diagonal = math.sqrt(2.0) * frobenius(pm - adjoint_sign(self.metric) * dagger(mp))
         defects = {
-            "mass_even_defect": frobenius(rows * mass - mass * signs)
+            "mass_even_defect": twice(self.mass.blocks.pm, self.mass.blocks.mp)
             / np.maximum(self.mass.norm(), 1e-300),
-            "even_defect": frobenius(rows * even - even * signs)
+            "even_defect": twice(self.even.blocks.pm, self.even.blocks.mp)
             / np.maximum(self.even.norm(), floor),
-            "odd_defect": frobenius(rows * odd + odd * signs)
+            "odd_defect": twice(self.odd.blocks.pp, self.odd.blocks.mm)
             / np.maximum(self.odd.norm(), floor),
-            "self_adjoint_defect": frobenius(total.data - adjoint_m(total, self.metric).data)
+            "self_adjoint_defect": hypot(
+                frobenius(pp - dagger(pp)), off_diagonal, frobenius(mm - dagger(mm))
+            )
             / scale,
         }
         return self._check({k: per_matrix(v) for k, v in defects.items()}, tol, scale)
@@ -403,11 +462,14 @@ def split(
     """Split a self-adjoint H into beta*mass + even + odd.
 
     The even term is even_part(H) - beta*mass and the odd term is
-    odd_part(H).  :meth:`SplitHamiltonian.validate` checks that the mass
-    commutes with beta and H is self-adjoint under ``metric`` to ``tol``;
-    its defects are kept on the result.
+    odd_part(H), both from parity blocks.  :meth:`SplitHamiltonian.validate`
+    checks that the mass commutes with beta and H is self-adjoint under
+    ``metric`` to ``tol``; its defects are kept on the result.
     """
     _check_same_shape(mass, h)
-    even = h.like(even_part(h).data - mass.signs[:, None] * mass.data)
+    h_pp, _, _, h_mm = h.blocks
+    m_pp, m_pm, m_mp, m_mm = mass.blocks
+    # beta*mass has blocks m_pp, m_pm, -m_mp, -m_mm
+    even = h.like_blocks(h_pp - m_pp, -m_pm, m_mp, h_mm + m_mm)
     result = SplitHamiltonian(mass=mass, even=even, odd=odd_part(h), metric=metric)
     return dataclasses.replace(result, defects=result.validate(tol))

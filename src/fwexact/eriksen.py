@@ -40,13 +40,9 @@ metrics, and there are three:
 their kernels (the polar Gram matrix, the canonical arcsine's M^2 and
 form A's argument squared).
 
-Each of these Hermitian decompositions goes sector by sector
-(:func:`~fwexact.matfun.find_sectors`).  Where H is a direct sum of
-sectors (``dirac_1d``: two of side 2N), every operator of the chain is
-block-diagonal in them with exact zeros between them, so H's sectors go
-to one batched ``eigh`` and each parity block's sectors (two of side N
-per block) to one batched ``eigh`` or ``eigvalsh``.  An H of one sector
-runs the whole-matrix calls unchanged.
+H is gathered once into its sector layout (:mod:`fwexact.matfun`), in
+which the whole chain runs at sector size (``dirac_1d``: two sectors of
+side 2N); the result's operators are assembled dense at the end.
 
 lambda^2 is formed once, blockwise, for the involution pre-check,
 ``lambda_sq_defect`` and ``sign_products_commute_defect``.  Every
@@ -76,7 +72,6 @@ from .blockop import (
     SplitHamiltonian,
     adjoint_m,
     at_least,
-    frobenius,
     hypot,
     per_matrix,
     relative_odd_norm,
@@ -91,7 +86,7 @@ from .expgen import (
     inverse_root,
     trig_defects,
 )
-from .matfun import EvenDecomposition, check_involution, decompose, eigvalsh, sign_of
+from .matfun import EvenDecomposition, check_involution, decompose, in_sectors, sign_of
 from .tolerances import EPS_CLAMP, GAP_TOL
 from .verify import alt_form_defect, generator_routes, identity_defects
 
@@ -135,24 +130,26 @@ def eriksen_unitary(
     Raises "eriksen denominator degenerate" when the operator under the
     square root is not positive definite, which happens exactly when a
     sign eigenvector is orthogonal to the upper-block subspace.  The
-    formula is the same in both metrics.
+    formula is the same in both metrics.  U is built in lambda's sector
+    layout, as the transforms build it (dense out for a dense lambda).
     """
+    op = in_sectors(lam)
     if dec is None:
-        dec = denominator_decomposition(lam, lambda_sq_tol)
+        dec = denominator_decomposition(op, lambda_sq_tol)
     root_pp, root_mm = inverse_root(dec)
     # 1 + beta lambda has blocks 1 + lambda_{++}, lambda_{+-}, -lambda_{-+},
     # 1 - lambda_{--}; the inverse root is even
-    a, b, c, d = lam.blocks
-    return lam.like_blocks(
-        root_pp + a @ root_pp, b @ root_mm, -(c @ root_pp), root_mm - d @ root_mm
-    )
+    a, b, c, d = op.blocks
+    u = op.like_blocks(root_pp + a @ root_pp, b @ root_mm, -(c @ root_pp), root_mm - d @ root_mm)
+    return u if lam.sectored else u.dense()
 
 
 def _transform(
     h: BlockOperator, metric: Metric, gap_tol: float, eps_clamp: float, routes: bool
 ) -> FWResult:
     """Sign operator, unitary, U H U^{-1} and generator of a graded
-    operator, with the diagnostics every transform shares.
+    operator, with the diagnostics every transform shares, all in the
+    sector layout of ``h`` (see :func:`_assembled`).
 
     U and S come from one decomposition of the denominator.  U^{-1} is
     the metric adjoint of U (the residual is unitarity_defect).
@@ -165,7 +162,8 @@ def _transform(
     """
     dec = decompose(h, metric)
     lam = sign_of(h, metric, gap_tol, dec)
-    before, scale = np.sort(dec.eigenvalues.real), at_least(dec.scale, 1e-300)
+    before = np.sort(dec.eigenvalues.real.reshape(*h.stack_shape, -1), axis=-1)
+    scale = at_least(dec.scale, 1e-300)
     del dec
     involution = check_involution(lam, LAMBDA_SQ_TOL)
     # one decomposition of the denominator serves U and S (and form A)
@@ -178,9 +176,9 @@ def _transform(
     u_inverse = adjoint_m(u, metric)
     h_fw = h.like(u.data @ h.data @ u_inverse.data)
     # U H U^{-1} is even and metric-self-adjoint: Hermitian diagonal blocks
-    after = eigvalsh(np.stack((h_fw.blocks.pp, h_fw.blocks.mm), axis=-3))
+    after = np.linalg.eigvalsh(np.stack((h_fw.blocks.pp, h_fw.blocks.mm), axis=-3))
     after = np.sort(after.reshape(before.shape), axis=-1)
-    square = OddSquare(s.blocks.pm, s.blocks.mp)
+    square = OddSquare(s.blocks.pm, s.blocks.mp, s.sectored)
     result = FWResult(
         sign_op=lam,
         u=u,
@@ -201,6 +199,14 @@ def _transform(
     return result
 
 
+def _assembled(result: FWResult) -> FWResult:
+    """The result of :func:`_transform`, its operators made dense in place
+    one at a time, so that each one's layout is freed before the next."""
+    for name in ("sign_op", "u", "u_inverse", "h_fw", "s"):
+        object.__setattr__(result, name, getattr(result, name).dense())
+    return result
+
+
 def transform_stationary(
     split_h: SplitHamiltonian,
     gap_tol: float = GAP_TOL,
@@ -217,22 +223,24 @@ def transform_stationary(
     against U), form_agreement_defect, denominator_commutator_defect and
     clamp_excess (the canonical arcsine, held to ``eps_clamp``).
     """
-    h, metric = split_h.total, split_h.metric
+    h, metric = in_sectors(split_h.total), split_h.metric
     result = _transform(h, metric, gap_tol, eps_clamp, routes)
-    lam = result.sign_op
-    result.diagnostics["odd_norm"] = relative_odd_norm(result.h_fw)
+    diagnostics = result.diagnostics
+    diagnostics["odd_norm"] = relative_odd_norm(result.h_fw)
     if routes:
-        result.diagnostics["alt_form_defect"] = alt_form_defect(lam, result.u, metric)
+        diagnostics["alt_form_defect"] = alt_form_defect(result.sign_op, result.u, metric)
     # sqrt(H^2) is even when the mass is constant and the even term
     # vanishes, but not in general; reported, never asserted
-    result.diagnostics["sqrt_h2_odd_norm"] = _sqrt_h2_odd_norm(lam, h)
-    return result
+    diagnostics["sqrt_h2_odd_norm"] = _sqrt_h2_odd_norm(result.sign_op, h)
+    del h
+    return _assembled(result)
 
 
 def _sqrt_h2_odd_norm(lam: BlockOperator, h: BlockOperator) -> float:
     """Relative odd norm of sqrt(H^2) = lambda H, one block at a time."""
     a, b, c, d = lam.blocks
     h_pp, h_pm, h_mp, h_mm = h.blocks
-    odd = hypot(frobenius(a @ h_pm + b @ h_mm), frobenius(c @ h_pp + d @ h_mp))
-    even = hypot(frobenius(a @ h_pp + b @ h_mp), frobenius(c @ h_pm + d @ h_mm))
+    norm = lam.frobenius
+    odd = hypot(norm(a @ h_pm + b @ h_mm), norm(c @ h_pp + d @ h_mp))
+    even = hypot(norm(a @ h_pp + b @ h_mp), norm(c @ h_pm + d @ h_mm))
     return odd / at_least(hypot(odd, even), 1e-300)

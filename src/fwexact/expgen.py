@@ -27,9 +27,8 @@ gives S as well,
 h = arcsin(sqrt z) / sqrt z at z = w (1 - w/4), the principal angles of
 beta's upper subspace and the positive-energy subspace read off the
 denominator (Davis & Kahan's direct rotation).  The blocks are Hermitian
-in both metrics (see :mod:`fwexact.matfun`), so the kernel is a
-batched ``eigh`` of the two half-size blocks, each decomposed sector by
-sector when it splits (:func:`~fwexact.matfun.find_sectors`).  In the
+in both metrics (see :mod:`fwexact.matfun`), so the kernel is one
+batched ``eigh`` of the two half-size blocks of every sector.  In the
 Hermitian metric z lies in [0, 1]; in the beta-pseudo metric
 lambda_{-+} = -lambda_{+-}^dag makes M^2 <= 0, the imaginary spectrum
 on which arcsin(i x) = i arcsinh(x), and z < 0 takes the arcsinh
@@ -45,9 +44,9 @@ off-diagonal blocks are computed independently, so
 ``hermiticity_defect`` stays a measurement.
 
 lambda may carry leading stack axes (one sign operator per point of a
-sweep): every block product, decomposition and defect runs over the
-stack at once, and the diagnostics are arrays with the stack's shape
-(floats without a stack).
+sweep) and its sector axis: every block product, decomposition and
+defect runs over both at once, and the diagnostics are arrays with the
+stack's shape (floats without a stack).
 """
 
 from __future__ import annotations
@@ -66,10 +65,11 @@ from .blockop import (
     dagger,
     frobenius,
     hypot,
+    operator_axes,
     per_matrix,
 )
 from .errors import DomainError
-from .matfun import EvenDecomposition, check_hermitian, check_involution
+from .matfun import EvenDecomposition, check_hermitian, check_involution, in_sectors
 
 #: Default bound on ||lambda^2 - 1|| / sqrt(n) before lambda is used.
 LAMBDA_SQ_TOL = 1e-8
@@ -118,9 +118,9 @@ class OddSquare:
     g(X) = X (g(x)/x)(X^2) (off-diagonal blocks).
     """
 
-    def __init__(self, pm: np.ndarray, mp: np.ndarray) -> None:
+    def __init__(self, pm: np.ndarray, mp: np.ndarray, sectored: bool = False) -> None:
         self.pm, self.mp = pm, mp
-        self.square = EvenDecomposition.of(pm @ mp, mp @ pm)
+        self.square = EvenDecomposition.of(pm @ mp, mp @ pm, sectored)
 
     def even(self, f: _OnSquare) -> tuple[np.ndarray, np.ndarray]:
         return self.square.apply(f)
@@ -133,7 +133,8 @@ class OddSquare:
         """||X||_2 = sqrt(max |eig X^2|) per operator; X is normal
         (Hermitian or skew-Hermitian) when it is metric-self-adjoint."""
         eigenvalues = np.abs(self.square.eigenvalues)
-        return per_matrix(np.sqrt(eigenvalues.max(axis=(-2, -1), initial=0.0)))
+        axes = operator_axes(2, self.square.sectored)
+        return per_matrix(np.sqrt(eigenvalues.max(axis=axes, initial=0.0)))
 
 
 def denominator_decomposition(
@@ -143,18 +144,20 @@ def denominator_decomposition(
     """Decomposition of 2 + beta lambda + lambda beta, which gives the
     Eriksen unitary and S, by its diagonal blocks 2 + 2 lambda_{++} and
     2 - 2 lambda_{--}, made after checking that lambda squares to one
-    within ``lambda_sq_tol`` (None skips it).
+    within ``lambda_sq_tol`` (None skips it), in lambda's sector layout
+    (:func:`~fwexact.matfun.in_sectors`).
 
     Both blocks must be Hermitian, as they are for a lambda self-adjoint
     under either metric; otherwise MetricViolationError is raised.
     """
+    lam = in_sectors(lam)
     if lambda_sq_tol is not None:
         check_involution(lam, lambda_sq_tol)
     upper = add_identity(2.0 * lam.blocks.pp, 2.0)
     lower = add_identity(-2.0 * lam.blocks.mm, 2.0)
     for block in (upper, lower):
-        check_hermitian(block)
-    return EvenDecomposition.of(upper, lower)
+        check_hermitian(block, sectored=lam.sectored)
+    return EvenDecomposition.of(upper, lower, lam.sectored)
 
 
 def inverse_root(dec: EvenDecomposition) -> tuple[np.ndarray, np.ndarray]:
@@ -183,21 +186,23 @@ def generator(
     h_pp, h_mm = dec.apply(lambda w: _ARCSIN(w * (1.0 - w / 4.0)))
     s_pm = -0.5j * (lam.blocks.pm @ h_mm)
     s_mp = 0.5j * (lam.blocks.mp @ h_pp)
-    return lam.like_blocks(None, s_pm, s_mp, None), generator_defects(s_pm, s_mp, metric)
+    s = lam.like_blocks(None, s_pm, s_mp, None)
+    return s, generator_defects(s_pm, s_mp, metric, lam.sectored)
 
 
 def generator_defects(
-    s_pm: np.ndarray, s_mp: np.ndarray, metric: Metric
+    s_pm: np.ndarray, s_mp: np.ndarray, metric: Metric, sectored: bool = False
 ) -> dict[str, float | np.ndarray]:
     """oddness_defect (beta S + S beta, zero by construction: S is made
     of its off-diagonal blocks) and hermiticity_defect (S - S^adj, scaled
     by max(1, ||S||_F)) of S given by its off-diagonal blocks."""
     sign = adjoint_sign(metric)
-    s_scale = at_least(hypot(frobenius(s_pm), frobenius(s_mp)), 1.0)
+    s_scale = at_least(hypot(frobenius(s_pm, sectored), frobenius(s_mp, sectored)), 1.0)
     return {
-        "oddness_defect": per_matrix(np.zeros(s_pm.shape[:-2])),
+        "oddness_defect": per_matrix(np.zeros(s_pm.shape[: s_pm.ndim - 2 - sectored])),
         "hermiticity_defect": hypot(
-            frobenius(s_pm - sign * dagger(s_mp)), frobenius(s_mp - sign * dagger(s_pm))
+            frobenius(s_pm - sign * dagger(s_mp), sectored),
+            frobenius(s_mp - sign * dagger(s_pm), sectored),
         )
         / s_scale,
     }
@@ -209,13 +214,13 @@ def trig_defects(sq: OddSquare, lam: BlockOperator) -> dict[str, float]:
     sin 2S and M are odd, cos 2S and (beta lambda + lambda beta)/2 are
     even, so only those blocks enter."""
     a, b, c, d = lam.blocks
+    norm = lam.frobenius
     sin_pm, sin_mp = sq.odd(_SIN2)
     cos_pp, cos_mm = sq.even(_COS2)
     root_n = math.sqrt(lam.side)
     return {
-        "sin2s_defect": hypot(frobenius(sin_pm + 1j * b), frobenius(sin_mp - 1j * c))
-        / root_n,
-        "cos2s_defect": hypot(frobenius(cos_pp - a), frobenius(cos_mm + d)) / root_n,
+        "sin2s_defect": hypot(norm(sin_pm + 1j * b), norm(sin_mp - 1j * c)) / root_n,
+        "cos2s_defect": hypot(norm(cos_pp - a), norm(cos_mm + d)) / root_n,
     }
 
 
@@ -231,5 +236,5 @@ def exp_defect(
 ) -> float | np.ndarray:
     """||exponential - U||_F / ||U||_F, from parity blocks (also the
     polar form against U)."""
-    defect = hypot(*(frobenius(x - y) for x, y in zip(exponential, u.blocks)))
+    defect = hypot(*(u.frobenius(x - y) for x, y in zip(exponential, u.blocks)))
     return defect / at_least(u.norm(), 1e-300)

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -67,9 +68,9 @@ from .blockop import (
     relative_odd_norm,
 )
 from .errors import DomainError, SpectralGapError, StructureError
-from .eriksen import FWResult, _transform, eriksen_unitary
+from .eriksen import FWResult, _assembled, _transform, eriksen_unitary
 from .expgen import DEGENERATE
-from .matfun import SpectralDecomposition, check_gap, decompose, decompose_array, sign_of
+from .matfun import SpectralDecomposition, check_gap, decompose, in_sectors, sign_of
 from .models import TimePeriodicHamiltonian
 from .tolerances import EPS_CLAMP, GAP_TOL
 
@@ -91,6 +92,11 @@ class ExtendedOperator:
     @property
     def internal_dim(self) -> int:
         return self.op.internal_dim
+
+    @cached_property
+    def layout(self) -> BlockOperator:
+        """K in its sector layout, found on first use."""
+        return in_sectors(self.op)
 
 
 @dataclass(frozen=True)
@@ -152,37 +158,41 @@ def build_extended(model: TimePeriodicHamiltonian, nf: int) -> ExtendedOperator:
 def _beta_characters(
     dec: SpectralDecomposition, signs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal eigenvectors of a Hermitian K with beta diagonal inside
-    each eigenspace, and their beta-characters <v|beta|v>; ``signs`` is
-    beta's diagonal.
+    """Orthonormal eigenvectors of a Hermitian K (or its sector stack)
+    with beta diagonal inside each eigenspace of a sector, and their
+    beta-characters <v|beta|v>; ``signs`` is beta's diagonal.
 
     Within a degenerate eigenspace the per-vector character would depend
     on the basis eigh happens to return; diagonalising V_c^dag beta V_c
     over each cluster of equal eigenvalues makes it a property of K.
-    Clusters of one size go to one stacked ``eigh``.
+    beta couples no two sectors, so clusters are taken per sector;
+    clusters of one size go to one stacked ``eigh``.
     """
-    w = dec.eigenvalues.real
     v = dec.right_vectors.copy()
-    chars = np.einsum("ij,i,ij->j", v.conj(), signs, v).real
-    edges = np.flatnonzero(np.diff(w) > _EIGENSPACE_TOL * dec.scale) + 1
-    by_size: dict[int, list[np.ndarray]] = {}
-    for cluster in np.split(np.arange(len(w)), edges):
-        if len(cluster) > 1:
-            by_size.setdefault(len(cluster), []).append(cluster)
-    for clusters in by_size.values():
-        columns = np.stack(clusters)  # (clusters, size)
-        blocks = v[:, columns].transpose(1, 0, 2)  # (clusters, side, size)
-        gram = dagger(blocks) @ (signs[:, None] * blocks)
-        chars[columns], rotation = np.linalg.eigh(gram)
-        v[:, columns] = (blocks @ rotation).transpose(1, 0, 2)
+    chars = np.einsum("...ij,i,...ij->...j", v.conj(), signs, v).real
+    side = v.shape[-1]
+    spectra = dec.eigenvalues.real.reshape(-1, side)
+    # v and chars are fresh arrays, so the reshapes are views written in place
+    for w, v_s, chars_s in zip(spectra, v.reshape(-1, side, side), chars.reshape(-1, side)):
+        edges = np.flatnonzero(np.diff(w) > _EIGENSPACE_TOL * dec.scale) + 1
+        by_size: dict[int, list[np.ndarray]] = {}
+        for cluster in np.split(np.arange(side), edges):
+            if len(cluster) > 1:
+                by_size.setdefault(len(cluster), []).append(cluster)
+        for clusters in by_size.values():
+            columns = np.stack(clusters)  # (clusters, size)
+            blocks = v_s[:, columns].transpose(1, 0, 2)  # (clusters, side, size)
+            gram = dagger(blocks) @ (signs[:, None] * blocks)
+            chars_s[columns], rotation = np.linalg.eigh(gram)
+            v_s[:, columns] = (blocks @ rotation).transpose(1, 0, 2)
     return v, chars
 
 
 def _fold_diagnosis(k: ExtendedOperator) -> str:
     """nf * omega against the gap of H_0, and how many eigenvectors of K
     have a quasienergy sign opposite to their beta-character."""
-    dec = decompose(k.op, Metric.HERMITIAN)
-    _, chars = _beta_characters(dec, k.op.signs)
+    dec = decompose(k.layout, Metric.HERMITIAN)
+    _, chars = _beta_characters(dec, k.layout.signs)
     flipped = int(np.count_nonzero(np.sign(dec.eigenvalues.real) != np.sign(chars)))
     d, centre = k.internal_dim, k.nf * k.internal_dim
     h0 = k.op.data[centre : centre + d, centre : centre + d]
@@ -191,7 +201,7 @@ def _fold_diagnosis(k: ExtendedOperator) -> str:
     return (
         f"Floquet ladder fold: nf*omega = {shift:.4g} "
         f"{'>' if shift > gap else '<='} gap min|E(H_0)| = {gap:.4g}; "
-        f"{flipped} of {len(chars)} eigenvectors have a quasienergy sign "
+        f"{flipped} of {chars.size} eigenvectors have a quasienergy sign "
         "opposite to their beta-character (sign='character' assigns by character)"
     )
 
@@ -232,18 +242,24 @@ def lambda_capital(
     PAPER.md does not settle which assignment is meant there.  A
     character at or below ``gap_tol`` raises DomainError.
     """
+    return _sign_of_k(k, gap_tol, metric, sign).dense()
+
+
+def _sign_of_k(k: ExtendedOperator, gap_tol: float, metric: Metric, sign: str) -> BlockOperator:
+    """:func:`lambda_capital` in the sector layout of K."""
     if sign not in _SIGN_CHOICES:
         raise ValueError(f"sign must be one of {_SIGN_CHOICES}, got {sign!r}")
     if sign == "character" and metric is not Metric.HERMITIAN:
         raise ValueError(
             "the beta-character sign is implemented for the Hermitian metric only"
         )
+    op = k.layout
     with _extended_errors(k, metric):
-        dec = decompose(k.op, metric)
+        dec = decompose(op, metric)
         if sign == "quasienergy":
-            return sign_of(k.op, metric, gap_tol, dec)
+            return sign_of(op, metric, gap_tol, dec)
         check_gap(dec, gap_tol)
-    v, chars = _beta_characters(dec, k.op.signs)
+    v, chars = _beta_characters(dec, op.signs)
     smallest = float(np.abs(chars).min())
     if smallest <= gap_tol:
         raise DomainError(
@@ -251,7 +267,7 @@ def lambda_capital(
             f"<= {gap_tol:.1e}; an eigenvector of K mixes the upper and lower "
             "blocks equally and has no particle/antiparticle assignment"
         )
-    return k.op.like((v * np.sign(chars)) @ v.conj().T)
+    return op.like((v * np.sign(chars)[..., None, :]) @ dagger(v))
 
 
 def lambda_naive(
@@ -280,7 +296,7 @@ def lambda_naive(
     orders, modes = model.mode_stack
     phases = np.exp(-1j * model.omega * np.outer(times, orders))
     h_t = (phases @ modes.reshape(len(orders), d * d)).reshape(samples, d, d)
-    dec = decompose_array(h_t, model.metric)
+    dec = decompose(BlockOperator(h_t, d), model.metric)
     try:
         check_gap(dec, gap_tol)
     except SpectralGapError as exc:
@@ -322,10 +338,12 @@ def _transformed_odd_norm(
     ``lam``.  Only the window is measured, so only its rows of U and its
     columns of U^{-1} enter the product."""
     if naive:
-        u = eriksen_unitary(lam, lambda_sq_tol=None)
+        # the naive operator is taken whole, as one sector
+        u = eriksen_unitary(lam.in_sectors([np.arange(lam.side)]), lambda_sq_tol=None)
     else:
         with _extended_errors(k, metric):
             u = eriksen_unitary(lam)
+    u = u.dense()
     lo, hi = _window_bounds(k.op, window)
     u_inv = adjoint_m(u, metric).data
     windowed = (u.data[lo:hi] @ k.op.data) @ u_inv[:, lo:hi]
@@ -339,7 +357,7 @@ def _extended_odd_norm(
     gap_tol: float,
     sign: str,
 ) -> float:
-    lam = lambda_capital(k, gap_tol, model.metric, sign)
+    lam = _sign_of_k(k, gap_tol, model.metric, sign)
     return _transformed_odd_norm(k, lam, model.metric, window, naive=False)
 
 
@@ -420,6 +438,6 @@ def transform_nonstationary(
     window = min(window, nf)
     k = build_extended(model, nf)
     with _extended_errors(k, model.metric):
-        result = _transform(k.op, model.metric, gap_tol, eps_clamp, routes)
+        result = _assembled(_transform(k.layout, model.metric, gap_tol, eps_clamp, routes))
     result.diagnostics["odd_norm"] = central_odd_norm(result.h_fw, window)
     return result

@@ -294,7 +294,7 @@ MODEL_CATALOG: dict[str, dict] = {
             "py": "momentum y",
             "pz": "momentum z",
             "V1": "scalar drive amplitude",
-            "omega": "drive frequency > 0",
+            "omega": "drive frequency > 0 (default 0.08, off resonance)",
         },
         "description": "Dirac + V1 cos(wt) * 1 (even drive), Fourier modes {0, +-1}",
     },
@@ -306,20 +306,21 @@ MODEL_CATALOG: dict[str, dict] = {
             "py": "momentum y",
             "pz": "momentum z",
             "A1": "vector drive amplitude along z",
-            "omega": "drive frequency > 0",
+            "omega": "drive frequency > 0 (default 0.08, off resonance)",
         },
         "description": "Dirac + alpha_z A1 cos(wt) (odd drive), Fourier modes {0, +-1}",
     },
 }
 
 #: The value of each catalog parameter that a config leaves out: 0 for
-#: the momenta, potentials and drive amplitudes.
+#: the momenta, potentials and drive amplitudes.  omega = 0.08 is off
+#: resonance (m / omega = 12.5) and below the fold at nf = 4 (m = 1).
 _DEFAULTS: dict[str, float] = {
     **dict.fromkeys(("px", "py", "pz", "p", "V0", "V1", "A1"), 0.0),
     "m": 1.0,
     "N": 32,
     "L": 2.0 * np.pi,
-    "omega": 1.0,
+    "omega": 0.08,
 }
 
 

@@ -44,8 +44,8 @@ from .blockop import (
     at_least,
     dagger,
     first_failing,
-    frobenius,
     hypot,
+    operator_axes,
     per_matrix,
 )
 from .errors import DomainError, MetricViolationError
@@ -64,6 +64,7 @@ from .matfun import (
     _decompose_general,
     _decompose_hermitian,
     check_involution,
+    in_sectors,
     involution_defects,
 )
 from .tolerances import EPS_CLAMP
@@ -83,30 +84,27 @@ def _unitary_defects(u: BlockOperator, metric: Metric) -> dict[str, float | np.n
     pp, pm, mp, mm = u.blocks
     sign = adjoint_sign(metric)
     root_n = math.sqrt(u.side)
-    h = dagger
+    h, norm = dagger, u.frobenius
 
     out = {
         "eriksen_defect": hypot(
-            frobenius(pp - h(pp)),
-            frobenius(pm + h(mp)),
-            frobenius(mp + h(pm)),
-            frobenius(mm - h(mm)),
+            norm(pp - h(pp)), norm(pm + h(mp)), norm(mp + h(pm)), norm(mm - h(mm))
         )
         / root_n,
         "unitarity_defect": hypot(
-            frobenius(add_identity(pp @ h(pp) + sign * (pm @ h(pm)), -1.0)),
-            frobenius(sign * (pp @ h(mp)) + pm @ h(mm)),
-            frobenius(mp @ h(pp) + sign * (mm @ h(pm))),
-            frobenius(add_identity(sign * (mp @ h(mp)) + mm @ h(mm), -1.0)),
+            norm(add_identity(pp @ h(pp) + sign * (pm @ h(pm)), -1.0)),
+            norm(sign * (pp @ h(mp)) + pm @ h(mm)),
+            norm(mp @ h(pp) + sign * (mm @ h(pm))),
+            norm(add_identity(sign * (mp @ h(mp)) + mm @ h(mm), -1.0)),
         )
         / root_n,
     }
     if metric is Metric.BETA_PSEUDO:
         out["pseudo_unitarity_defect"] = hypot(
-            frobenius(add_identity(h(pp) @ pp + sign * (h(mp) @ mp), -1.0)),
-            frobenius(h(pp) @ pm + sign * (h(mp) @ mm)),
-            frobenius(sign * (h(pm) @ pp) + h(mm) @ mp),
-            frobenius(add_identity(sign * (h(pm) @ pm) + h(mm) @ mm, -1.0)),
+            norm(add_identity(h(pp) @ pp + sign * (h(mp) @ mp), -1.0)),
+            norm(h(pp) @ pm + sign * (h(mp) @ mm)),
+            norm(sign * (h(pm) @ pp) + h(mm) @ mp),
+            norm(add_identity(sign * (h(pm) @ pm) + h(mm) @ mm, -1.0)),
         ) / root_n
     return out
 
@@ -154,6 +152,7 @@ def _polar_blocks(lam: BlockOperator, metric: Metric) -> Blocks:
     gram = EvenDecomposition.of(
         dagger(n_pp) @ n_pp + sign * (dagger(c) @ c),
         sign * (dagger(b) @ b) + dagger(n_mm) @ n_mm,
+        lam.sectored,
     )
     root_pp, root_mm = inverse_root(gram)
     return Blocks(n_pp @ root_pp, b @ root_mm, -(c @ root_pp), n_mm @ root_mm)
@@ -182,15 +181,15 @@ def alt_form_defect(lam: BlockOperator, u: BlockOperator, metric: Metric) -> flo
 
 
 def arcsin_odd(
-    pm: np.ndarray, mp: np.ndarray, eps_clamp: float = EPS_CLAMP
+    pm: np.ndarray, mp: np.ndarray, eps_clamp: float = EPS_CLAMP, sectored: bool = False
 ) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
-    """Off-diagonal blocks of the principal arcsine of an odd operator,
-    and the clamp excess: how far the largest real |eigenvalue|
-    sqrt(x), x >= 0 an eigenvalue of X^2, pokes past 1 (per operator of
-    a stack).  An excess above ``eps_clamp`` raises; within it the clamp
-    snaps the eigenvalue to 1."""
-    sq = OddSquare(pm, mp)
-    top = sq.square.eigenvalues.max(axis=(-2, -1), initial=0.0)
+    """Off-diagonal blocks of the principal arcsine of an odd operator
+    (``sectored``: in the sector layout), and the clamp excess: how far
+    the largest real |eigenvalue| sqrt(x), x >= 0 an eigenvalue of X^2,
+    pokes past 1 (per operator of a stack).  An excess above
+    ``eps_clamp`` raises; within it the clamp snaps the eigenvalue to 1."""
+    sq = OddSquare(pm, mp, sectored)
+    top = sq.square.eigenvalues.max(axis=operator_axes(2, sectored), initial=0.0)
     excess = np.maximum(np.sqrt(top) - 1.0, 0.0)
     i = first_failing(excess > eps_clamp)
     if i is not None:
@@ -221,7 +220,8 @@ def generator_from_lambda(
 
     ``dec`` is the :func:`~fwexact.expgen.denominator_decomposition`
     when the caller already holds it; otherwise it is made here, after
-    checking that lambda squares to one within ``LAMBDA_SQ_TOL``.
+    checking that lambda squares to one within ``LAMBDA_SQ_TOL``.  S is
+    made in lambda's sector layout (dense out for a dense lambda).
 
     Diagnostics: oddness_defect and hermiticity_defect of the canonical
     S (see :func:`~fwexact.expgen.generator_defects`),
@@ -232,13 +232,15 @@ def generator_from_lambda(
     mean the arcsine clamp was active).  The doubling identities are
     checked by :func:`verify_trig_identities`.
     """
+    given, lam = lam, in_sectors(lam)
     if dec is None:
         dec = denominator_decomposition(lam)
 
     # canonical route: S = -(1/2) arcsin(M) with M_{+-} = i lambda_{+-},
     # M_{-+} = -i lambda_{-+}
     m_pm, m_mp = 1j * lam.blocks.pm, -1j * lam.blocks.mp
-    arc_pm, arc_mp, clamp_excess = arcsin_odd(m_pm, m_mp, eps_clamp)
+    norm, sectored = lam.frobenius, lam.sectored
+    arc_pm, arc_mp, clamp_excess = arcsin_odd(m_pm, m_mp, eps_clamp, sectored)
     s_pm, s_mp = -0.5 * arc_pm, -0.5 * arc_mp
     del arc_pm, arc_mp
 
@@ -247,31 +249,29 @@ def generator_from_lambda(
     # D^{-1/2} (2M) D^{-1/2}; D and D^{-1/2} share one eigenbasis
     half_pp, half_mm = dec.positive(lambda w: 1.0 / np.sqrt(2.0 * np.sqrt(w)))
     arc_a_pm, arc_a_mp, _ = arcsin_odd(
-        half_pp @ (2.0 * m_pm) @ half_mm, half_mm @ (2.0 * m_mp) @ half_pp, eps_clamp
+        half_pp @ (2.0 * m_pm) @ half_mm, half_mm @ (2.0 * m_mp) @ half_pp, eps_clamp, sectored
     )
     del half_pp, half_mm
     d_pp, d_mm = dec.positive(lambda w: 2.0 * np.sqrt(w))
     commutator = hypot(
-        frobenius(m_pm @ d_mm - d_pp @ m_pm), frobenius(m_mp @ d_pp - d_mm @ m_mp)
-    ) / at_least(hypot(frobenius(d_pp), frobenius(d_mm)), 1e-300)
+        norm(m_pm @ d_mm - d_pp @ m_pm), norm(m_mp @ d_pp - d_mm @ m_mp)
+    ) / at_least(hypot(norm(d_pp), norm(d_mm)), 1e-300)
     del d_pp, d_mm, m_pm, m_mp
 
-    s_scale = at_least(hypot(frobenius(s_pm), frobenius(s_mp)), 1.0)
+    s_scale = at_least(hypot(norm(s_pm), norm(s_mp)), 1.0)
     diagnostics = {
-        **generator_defects(s_pm, s_mp, metric),
+        **generator_defects(s_pm, s_mp, metric, sectored),
         # S_A = -arcsin(A), so S_A - S = -(arc_a + s)
-        "form_agreement_defect": hypot(
-            frobenius(arc_a_pm + s_pm), frobenius(arc_a_mp + s_mp)
-        )
+        "form_agreement_defect": hypot(norm(arc_a_pm + s_pm), norm(arc_a_mp + s_mp))
         / s_scale,
         "denominator_commutator_defect": commutator,
         "clamp_excess": clamp_excess,
     }
-    return GeneratorResult(
-        s=lam.like_blocks(None, s_pm, s_mp, None),
-        s_form_a=lam.like_blocks(None, -arc_a_pm, -arc_a_mp, None),
-        diagnostics=diagnostics,
-    )
+    s = lam.like_blocks(None, s_pm, s_mp, None)
+    s_form_a = lam.like_blocks(None, -arc_a_pm, -arc_a_mp, None)
+    if not given.sectored:
+        s, s_form_a = s.dense(), s_form_a.dense()
+    return GeneratorResult(s=s, s_form_a=s_form_a, diagnostics=diagnostics)
 
 
 def generator_routes(
@@ -292,7 +292,7 @@ def verify_trig_identities(g: GeneratorResult, lam: BlockOperator) -> dict[str, 
     sin 2S + i(beta lambda - lambda beta)/2 and
     cos 2S - (beta lambda + lambda beta)/2, scaled by sqrt(n).
     """
-    return trig_defects(OddSquare(g.s.blocks.pm, g.s.blocks.mp), lam)
+    return trig_defects(OddSquare(g.s.blocks.pm, g.s.blocks.mp, g.s.sectored), lam)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +307,7 @@ def exp_i(s: BlockOperator, metric: Metric) -> BlockOperator:
     complex (bosonic generators have imaginary eigenvalues), so the
     general decomposition is used.
     """
-    defect = frobenius(s.data - adjoint_m(s, metric).data)
+    defect = s.frobenius(s.data - adjoint_m(s, metric).data)
     i = first_failing(defect > 1e-8 * np.maximum(s.norm(), 1.0))
     if i is not None:
         raise MetricViolationError(
@@ -315,9 +315,9 @@ def exp_i(s: BlockOperator, metric: Metric) -> BlockOperator:
             f"defect {np.ravel(defect)[i]:.3e}"
         )
     if metric is Metric.HERMITIAN:
-        dec = _decompose_hermitian(s.data)
+        dec = _decompose_hermitian(s.data, s.sectored)
         return s.like(dec.apply(lambda w: np.exp(1j * w.real)))
-    dec = _decompose_general(s.data)
+    dec = _decompose_general(s.data, s.sectored)
     return s.like(dec.apply(lambda w: np.exp(1j * w)))
 
 

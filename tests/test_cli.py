@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import fwexact.cli
+import fwexact.matfun
 import fwexact.verify
 from fwexact import BlockOperator, ModelSpec, transform_stationary
 from fwexact.cli import _IDENTITY_KEYS, _chunk_size, dump_matrix, load_matrix, main
@@ -227,23 +228,19 @@ class TestSweep:
             ("dirac_1d", "N", "32"),
             ("dirac_1d", "L", "6.2831853071795862"),
             ("free_dirac", "m", "1"),
-            ("floquet_dirac_vector", "omega", None),
+            ("floquet_dirac_vector", "omega", "0.080000000000000002"),
         ],
     )
     def test_parameter_without_values_runs_at_the_model_value(
         self, tmp_path, capsys, model, parameter, shown
     ):
-        # one row at the value transform runs (the default here); the
-        # vector drive at its default omega = 1 is a quasienergy resonance
+        # one row at the value transform runs (the default here)
         base = ["--set", f"model.name={model}"]
         code = run(["transform", *base, "--report", str(tmp_path / "t.json")])
         err = capsys.readouterr().err
         sweep = ["sweep", *base, "--set", f"sweep.parameter={parameter}"]
         assert run([*sweep, "--report", str(tmp_path / "s.json")]) == code
         assert capsys.readouterr().err == err
-        if shown is None:
-            assert code == 3
-            return
         assert code == 0
         rows = (tmp_path / "s.csv").read_text().splitlines()
         assert len(rows) == 2 and rows[1].startswith(f"{parameter},{shown},")
@@ -866,6 +863,56 @@ class TestMalformedConfigValues:
         parsed = config.floquet_nf if key == "floquet.nf" else config.sweep_values
         assert list(parsed) == expected
         assert all(type(v) is type(expected[0]) for v in parsed)
+
+
+class TestSectorSearch:
+    """The sectors of each decomposed Hamiltonian are found once: H for a
+    stationary transform (with the cross-check routes and the dumps,
+    which take U, S and lambda in the same layout), K for a Floquet
+    transform, and each K of a Floquet run's decay table."""
+
+    @staticmethod
+    def searched(monkeypatch, tmp_path, command, assignments):
+        sides = []
+        find_sectors = fwexact.matfun.find_sectors
+
+        def counted(a):
+            sides.append(a.shape[-1])
+            return find_sectors(a)
+
+        monkeypatch.setattr(fwexact.matfun, "find_sectors", counted)
+        argv = [command, "--report", str(tmp_path / "report.json")]
+        for assignment in assignments:
+            argv += ["--set", assignment]
+        assert run(argv) == 0
+        return sides
+
+    VECTOR_DRIVE = [
+        "model.name=floquet_dirac_vector",
+        "model.params.pz=0.5",
+        "model.params.A1=0.2",
+        "model.params.omega=0.03",
+    ]
+
+    def test_stationary_transform(self, tmp_path, monkeypatch):
+        assignments = [
+            "model.name=dirac_1d",
+            "model.params.N=8",
+            "model.params.V1=0.2",
+            "verify.routes=true",
+            "output.dump=true",
+            f"output.dump_dir={tmp_path / 'dumps'}",
+        ]
+        assert self.searched(monkeypatch, tmp_path, "transform", assignments) == [32]
+
+    def test_floquet_transform(self, tmp_path, monkeypatch):
+        assignments = [*self.VECTOR_DRIVE, "floquet.nf=[4]", "verify.routes=true"]
+        assert self.searched(monkeypatch, tmp_path, "transform", assignments) == [36]
+
+    def test_floquet_run(self, tmp_path, monkeypatch):
+        assignments = [*self.VECTOR_DRIVE, "floquet.nf=[4,6,8]", "floquet.window=2"]
+        sides = self.searched(monkeypatch, tmp_path, "floquet", assignments)
+        assert sorted(sides) == [36, 52, 68]
 
 
 class TestDecompositionCounts:

@@ -22,12 +22,13 @@ from fwexact import (
     transform_nonstationary,
     transform_stationary,
 )
+from fwexact.blockop import split
 from fwexact.matfun import (
     EvenDecomposition,
     _fix_phases,
     decompose_array,
-    eigvalsh,
     find_sectors,
+    in_sectors,
 )
 
 
@@ -180,8 +181,6 @@ class TestSectors:
         scale = np.abs(w_full).max(axis=-1, keepdims=True)
         dec = decompose_array(a, Metric.HERMITIAN)
         assert np.abs(dec.eigenvalues.real - w_full).max() <= 1e-13 * scale.max()
-        assert np.abs(eigvalsh(a) - w_full).max() <= 1e-13 * scale.max()
-        off_sector = owner[:, None] != owner[None, :]
 
         def f(w):
             return np.exp(1j * w.real)
@@ -189,7 +188,6 @@ class TestSectors:
         reference = (v_full * f(w_full)[..., None, :]) @ v_full.conj().swapaxes(-1, -2)
         applied = dec.apply(f)
         assert np.abs(applied - reference).max() <= 1e-12
-        assert np.all(applied[:, off_sector] == 0)
         v = dec.right_vectors
         assert np.abs(a @ v - v * dec.eigenvalues[..., None, :]).max() <= 1e-12 * scale.max()
         gram = v.conj().swapaxes(-1, -2) @ v
@@ -198,7 +196,6 @@ class TestSectors:
         pp, mm = even.apply(f)
         assert np.abs(pp - reference).max() <= 1e-12
         assert np.abs(mm - reference[::-1]).max() <= 1e-12
-        assert np.all(pp[:, off_sector] == 0) and np.all(mm[:, off_sector] == 0)
 
     @settings(max_examples=25, deadline=None)
     @given(side=st.integers(1, 12), stack=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
@@ -213,7 +210,6 @@ class TestSectors:
         assert np.array_equal(dec.eigenvalues, w.astype(complex))
         assert np.array_equal(dec.right_vectors, v)
         assert np.array_equal(dec.inverse_vectors, v.conj().swapaxes(-1, -2))
-        assert np.array_equal(eigvalsh(a), np.linalg.eigvalsh(a))
         even = EvenDecomposition.of(a, a)
         w2, v2 = np.linalg.eigh(np.stack((a, a), axis=-3))
         upper, _ = even.apply(lambda w: np.exp(1j * w))
@@ -255,6 +251,111 @@ class TestOneSectorTransforms:
             assert abs(sectored.diagnostics[key] - value) <= 1e-13, key
         assert np.abs(sectored.u.data - whole.u.data).max() <= 1e-13
         assert np.abs(sectored.s.data - whole.s.data).max() <= 1e-13
+
+
+def sectored_hamiltonian(members, metric, stack, rng):
+    """A stack of Hamiltonians that are direct sums over ``members`` (the
+    global indices of each sector, beta = +1 components first in each):
+    m beta + X in the Hermitian metric and beta (m + X) in the
+    beta-pseudo one, with X Hermitian, ||X||_2 = 1/2 and m = 1 on every
+    sector, so every sector is gapped with the signs of beta."""
+    n = sum(len(index) for index in members)
+    signs = np.repeat([1.0, -1.0], n // 2)
+    h = np.zeros((stack, n, n), dtype=complex)
+    for index in members:
+        k = len(index)
+        x = rng.normal(size=(stack, k, k)) + 1j * rng.normal(size=(stack, k, k))
+        x = x + x.conj().swapaxes(-1, -2)
+        x *= 0.5 / np.linalg.norm(x, ord=2, axis=(-2, -1))[:, None, None]
+        beta = signs[index]
+        if metric is Metric.BETA_PSEUDO:
+            h[:, index[:, None], index] = beta[:, None] * (np.eye(k) + x)
+        else:
+            h[:, index[:, None], index] = np.diag(beta) + x
+    op = BlockOperator(h, n, 1)
+    return split(op, op.like(np.zeros_like(h)), metric)
+
+
+@st.composite
+def balanced_sectors(draw):
+    """Equal, parity-balanced sectors placed at random indices: each
+    sector takes half of its components from beta's upper block and half
+    from its lower one, both drawn by a random permutation."""
+    count, half = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = 2 * count * half
+    upper = rng.permutation(n // 2).reshape(count, half)
+    lower = n // 2 + rng.permutation(n // 2).reshape(count, half)
+    members = [np.concatenate((np.sort(u), np.sort(d))) for u, d in zip(upper, lower)]
+    return members, draw(st.sampled_from(list(Metric))), draw(st.integers(1, 2)), rng
+
+
+class TestSectorLayout:
+    """A transform in H's sector layout against the same transform forced
+    to one sector."""
+
+    @staticmethod
+    def transforms(monkeypatch, split_h):
+        sectored = transform_stationary(split_h, routes=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(fwexact.matfun, "find_sectors", lambda a: [np.arange(a.shape[-1])])
+            whole = transform_stationary(split_h, routes=True)
+        return sectored, whole
+
+    @staticmethod
+    def operators(result):
+        return {
+            "sign_op": result.sign_op.data,
+            "u": result.u.data,
+            "u_inverse": result.u_inverse.data,
+            "s": result.s.data,
+            "h_fw": result.h_fw.data,
+        }
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=balanced_sectors())
+    def test_equal_balanced_sectors_match_one_sector(self, case):
+        members, metric, stack, rng = case
+        split_h = sectored_hamiltonian(members, metric, stack, rng)
+        layout = in_sectors(split_h.total)
+        assert layout.sectors.shape == (len(members), len(members[0]))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            sectored, whole = self.transforms(monkeypatch, split_h)
+        assert sectored.diagnostics.keys() == whole.diagnostics.keys()
+        for key, value in whole.diagnostics.items():
+            assert np.abs(sectored.diagnostics[key] - value).max() <= 1e-13, key
+        for key in ("h_fw_norm", "s_norm"):
+            assert np.abs(getattr(sectored, key) - getattr(whole, key)).max() <= 1e-13, key
+        whole_ops = self.operators(whole)
+        n = split_h.total.side
+        off_sector = np.ones((n, n), dtype=bool)
+        for index in members:
+            off_sector[index[:, None], index] = False
+        for key, data in self.operators(sectored).items():
+            assert data.shape == whole_ops[key].shape, key
+            assert np.abs(data - whole_ops[key]).max() <= 1e-13, key
+            assert np.all(data[:, off_sector] == 0), key
+
+    # sectors {0, 3} and {1, 2, 4, 5} differ in size; {0, 1} and {2, 3}
+    # are all upper and all lower components
+    PINNED = {
+        "unequal": ([np.array([0, 3]), np.array([1, 2, 4, 5])], 6),
+        "unbalanced": ([np.array([0, 1]), np.array([2, 3])], 4),
+    }
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_unequal_or_unbalanced_sectors_are_one_sector(self, monkeypatch, case, metric):
+        members, n = self.PINNED[case]
+        split_h = sectored_hamiltonian(members, metric, 2, np.random.default_rng(15))
+        assert [list(s) for s in find_sectors(split_h.total.data)] == [list(s) for s in members]
+        assert in_sectors(split_h.total).sectors.shape == (1, n)
+        sectored, whole = self.transforms(monkeypatch, split_h)
+        for key, value in whole.diagnostics.items():
+            assert np.array_equal(sectored.diagnostics[key], value), key
+        whole_ops = self.operators(whole)
+        for key, data in self.operators(sectored).items():
+            assert np.array_equal(data, whole_ops[key]), key
 
 
 def test_package_exports_resolve_once():
