@@ -31,6 +31,10 @@ An operator can be held in its sector layout
 diagonal blocks on decoupled sectors, whose axis is part of the operator
 (:meth:`BlockOperator.frobenius` sums over it).
 
+A split (:class:`SplitHamiltonian`) is H as the model built it plus its
+mass; its even and odd terms and its defects are read off parity
+blocks, and its ``odd_defect`` is an exact zero by construction.
+
 Everything here is a pure function of immutable inputs; matrices are
 dense complex throughout.
 """
@@ -346,59 +350,62 @@ def adjoint_m(a: BlockOperator, metric: Metric) -> BlockOperator:
 
 @dataclass(frozen=True)
 class SplitHamiltonian:
-    """Hamiltonian split H = beta*mass + even + odd.
+    """Hamiltonian H = beta*mass + even + odd, held as H and its mass.
 
+    ``total`` is H as the model built it, self-adjoint under ``metric``;
     ``mass`` is the even operator multiplying beta (declared by the
     model; the split of the even content between beta*mass and the even
     term is not unique when mass is a nonconstant operator, so it is
-    never inferred).  ``even`` commutes with beta, ``odd`` anticommutes,
-    and the total is self-adjoint under ``metric``.  ``defects`` holds the
-    structural defect norms measured by :func:`split` (empty for a split
-    assembled by hand).
+    never inferred).  ``even`` (commutes with beta) and ``odd``
+    (anticommutes) are read off H's parity blocks when read.  ``defects``
+    holds the structural defect norms measured by :func:`split` (empty
+    for a split assembled by hand).
     """
 
+    total: BlockOperator
     mass: BlockOperator
-    even: BlockOperator
-    odd: BlockOperator
     metric: Metric
     defects: dict[str, float] = dataclasses.field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        for part in (self.even, self.odd):
-            _check_same_shape(part, self.mass)
+        _check_same_shape(self.mass, self.total)
 
     @property
-    def total(self) -> BlockOperator:
-        """beta*mass + even + odd."""
-        mass = self.mass
-        return mass.like(mass.signs[:, None] * mass.data + self.even.data + self.odd.data)
+    def even(self) -> BlockOperator:
+        """even_part(H) - beta*mass."""
+        h_pp, _, _, h_mm = self.total.blocks
+        m_pp, m_pm, m_mp, m_mm = self.mass.blocks
+        # beta*mass has blocks m_pp, m_pm, -m_mp, -m_mm
+        return self.total.like_blocks(h_pp - m_pp, -m_pm, m_mp, h_mm + m_mm)
+
+    @property
+    def odd(self) -> BlockOperator:
+        """odd_part(H)."""
+        return odd_part(self.total)
 
     def validate(self, tol: float = TOL_STRUCT) -> dict[str, float | np.ndarray]:
         """Relative defect norms of the structural invariants (per matrix
-        of a stack), from parity blocks: beta X - X beta is twice the odd
-        blocks of X (with signs), beta X + X beta twice the diagonal ones.
+        of a stack), from the parity blocks of H and the mass: beta X - X
+        beta is twice the odd blocks of X (with signs), beta X + X beta
+        twice the diagonal ones.  The even term's odd blocks are the mass's;
+        the odd term has no diagonal blocks, so ``odd_defect`` is exactly 0.
 
         Raises StructureError for a matrix whose ||H||_F is not finite
         (every relative defect would read 0 beside it), and StructureError
         / MetricViolationError when any defect exceeds ``tol``.
         """
-        total = self.total
+        total, mass = self.total, self.mass
         scale = np.maximum(total.norm(), 1e-300)
-        floor = np.maximum(scale * tol, 1e-300)
         pp, pm, mp, mm = total.blocks
-
-        def twice(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
-            return 2.0 * hypot(frobenius(a), frobenius(b))
-
+        m_pp, m_pm, m_mp, m_mm = mass.blocks
+        mass_odd = hypot(frobenius(m_pm), frobenius(m_mp))
+        even_norm = hypot(frobenius(pp - m_pp), mass_odd, frobenius(mm + m_mm))
         # (H - H^adj)_{-+} is the metric adjoint of (H - H^adj)_{+-}, up to sign
         off_diagonal = math.sqrt(2.0) * frobenius(pm - adjoint_sign(self.metric) * dagger(mp))
         defects = {
-            "mass_even_defect": twice(self.mass.blocks.pm, self.mass.blocks.mp)
-            / np.maximum(self.mass.norm(), 1e-300),
-            "even_defect": twice(self.even.blocks.pm, self.even.blocks.mp)
-            / np.maximum(self.even.norm(), floor),
-            "odd_defect": twice(self.odd.blocks.pp, self.odd.blocks.mm)
-            / np.maximum(self.odd.norm(), floor),
+            "mass_even_defect": 2.0 * mass_odd / np.maximum(mass.norm(), 1e-300),
+            "even_defect": 2.0 * mass_odd / np.maximum(even_norm, np.maximum(scale * tol, 1e-300)),
+            "odd_defect": np.zeros(total.stack_shape),
             "self_adjoint_defect": hypot(
                 frobenius(pp - dagger(pp)), off_diagonal, frobenius(mm - dagger(mm))
             )
@@ -459,17 +466,11 @@ def check_finite_norm(x: np.ndarray) -> None:
 def split(
     h: BlockOperator, mass: BlockOperator, metric: Metric, tol: float = TOL_STRUCT
 ) -> SplitHamiltonian:
-    """Split a self-adjoint H into beta*mass + even + odd.
-
-    The even term is even_part(H) - beta*mass and the odd term is
-    odd_part(H), both from parity blocks.  :meth:`SplitHamiltonian.validate`
-    checks that the mass commutes with beta and H is self-adjoint under
-    ``metric`` to ``tol``; its defects are kept on the result.
+    """Split a self-adjoint H into beta*mass + even + odd: the split holds
+    H itself and the declared mass, and reads even_part(H) - beta*mass and
+    odd_part(H) off H's parity blocks.  :meth:`SplitHamiltonian.validate`
+    checks to ``tol`` that the mass commutes with beta and H is self-adjoint
+    under ``metric`` (``odd_defect`` is an exact zero); the defects are kept.
     """
-    _check_same_shape(mass, h)
-    h_pp, _, _, h_mm = h.blocks
-    m_pp, m_pm, m_mp, m_mm = mass.blocks
-    # beta*mass has blocks m_pp, m_pm, -m_mp, -m_mm
-    even = h.like_blocks(h_pp - m_pp, -m_pm, m_mp, h_mm + m_mm)
-    result = SplitHamiltonian(mass=mass, even=even, odd=odd_part(h), metric=metric)
+    result = SplitHamiltonian(h, mass, metric)
     return dataclasses.replace(result, defects=result.validate(tol))

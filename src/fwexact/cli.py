@@ -30,7 +30,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
@@ -175,6 +175,8 @@ class RunConfig:
         verify = raw.get("verify") or {}
         floquet = raw.get("floquet") or {}
         nf_tuple = tuple(sorted(set(_list_entries(floquet.get("nf", [4]), "floquet.nf", int))))
+        if not nf_tuple:
+            raise UsageError("floquet.nf is empty: give at least one truncation")
         if any(n < 1 for n in nf_tuple):
             raise UsageError("floquet.nf entries must be >= 1")
         window = floquet.get("window")
@@ -196,13 +198,7 @@ class RunConfig:
     def echo(self) -> dict:
         return {
             "model": {"name": self.model.name, "params": dict(self.model.params)},
-            "tolerances": {
-                "tol_struct": self.tolerances.tol_struct,
-                "tol_identity": self.tolerances.tol_identity,
-                "tol_generator": self.tolerances.tol_generator,
-                "gap_tol": self.tolerances.gap_tol,
-                "eps_clamp": self.tolerances.eps_clamp,
-            },
+            "tolerances": asdict(self.tolerances),
             "output": {
                 "report": self.report_path,
                 "dump": self.dump,

@@ -1,8 +1,9 @@
 """Catalog of concrete finite-dimensional Hamiltonians.
 
-Stationary models return a ready-made split H = beta*mass + even + odd;
-time-periodic models return their Fourier modes.  Natural units
-(hbar = c = 1) throughout.
+Stationary models return a validated split H = beta*mass + even + odd:
+the H built here and its declared mass, the even and odd terms read off
+H's parity blocks.  Time-periodic models return their Fourier modes.
+Natural units (hbar = c = 1) throughout.
 
 * free_dirac         spin-1/2, 4x4, Dirac-Pauli basis
 * dirac_1d           spin-1/2 on a periodic grid with a scalar potential,

@@ -215,9 +215,71 @@ class TestSplit:
         from fwexact import SplitHamiltonian
 
         sp = free_dirac(1.0, (0.1, 0.2, 0.3))
-        by_hand = SplitHamiltonian(sp.mass, sp.even, sp.odd, sp.metric)
+        by_hand = SplitHamiltonian(sp.total, sp.mass, sp.metric)
         assert by_hand.defects == {}
         assert by_hand.check() == sp.defects
+
+
+@st.composite
+def random_split(draw):
+    """A validated split of a stack of 1-2 random Hamiltonians, self-adjoint
+    under a drawn metric (beta X with X Hermitian for the beta-pseudo
+    one), with a random even mass of half their scale."""
+    metric, stack = draw(st.sampled_from(list(Metric))), draw(st.integers(1, 2))
+    internal_dim, copies = 2 * draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (stack, internal_dim * copies, internal_dim * copies)
+
+    def gaussian():
+        data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return BlockOperator(data, internal_dim, copies)
+
+    x = gaussian()
+    x = x.like(x.data + x.data.conj().swapaxes(-1, -2))
+    h = x.like(x.signs[:, None] * x.data) if metric is Metric.BETA_PSEUDO else x
+    mass = gaussian()
+    return split(h, even_part(mass.like(mass.data / 2)), metric)
+
+
+class TestSplitHoldsH:
+    """A split holds the H it was given and its mass; the even and odd
+    terms are read off H's parity blocks, and nothing re-sums them."""
+
+    def test_building_a_model_joins_no_blocks(self, monkeypatch):
+        from fwexact import ModelSpec
+        from fwexact.blockop import _Parity
+
+        joins = []
+        original = _Parity.join
+
+        def counted(self, blocks):
+            joins.append(len(blocks))
+            return original(self, blocks)
+
+        monkeypatch.setattr(_Parity, "join", counted)
+        sp = ModelSpec("dirac_1d", {"N": 16, "V1": 0.2}).build()
+        assert joins == []
+        assert sp.defects["odd_defect"] == 0.0
+
+    def test_split_holds_the_given_h(self):
+        h = BlockOperator(free_dirac(1.0, (0.1, 0.2, 0.3)).total.data, 4)
+        sp = split(h, h.like(np.eye(4)), Metric.HERMITIAN)
+        assert sp.total is h
+        assert type(sp.defects["odd_defect"]) is float and sp.defects["odd_defect"] == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(sp=random_split())
+    def test_even_and_odd_are_read_off_the_parity_blocks(self, sp):
+        h, mass = sp.total, sp.mass
+        beta_mass = mass.like(mass.signs[:, None] * mass.data)
+        even, odd = sp.even.blocks, sp.odd.blocks
+        assert not odd.pp.any() and not odd.mm.any()
+        assert_array_equal(even.pp, h.blocks.pp - beta_mass.blocks.pp)
+        assert_array_equal(even.mm, h.blocks.mm - beta_mass.blocks.mm)
+        residual = beta_mass.data + sp.even.data + sp.odd.data - h.data
+        scale = np.linalg.norm(h.data, axis=(-2, -1))
+        assert (np.linalg.norm(residual, axis=(-2, -1)) <= 1e-15 * scale).all()
+        assert_array_equal(sp.defects["odd_defect"], np.zeros(len(scale)))
 
 
 class TestParityBlocks:

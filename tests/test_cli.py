@@ -499,6 +499,22 @@ class TestConfigErrors:
         assert "'foo'" in err and "m, px, py, pz" in err
         assert not report.exists()
 
+    @pytest.mark.parametrize("command", ["floquet", "transform"])
+    def test_empty_nf_is_usage_error(self, tmp_path, capsys, command):
+        report = tmp_path / "report.json"
+        code = run(
+            [
+                command,
+                "--set", "model.name=floquet_dirac_vector",
+                "--set", "floquet.nf=[]",
+                "--report", str(report),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: floquet.nf") and "Traceback" not in err
+        assert not report.exists()
+
     @pytest.mark.parametrize("text", ["[1,nan]", "{1", "[0.25,"])
     def test_malformed_bracketed_value_is_not_valid_json(self, tmp_path, capsys, text):
         code = run(

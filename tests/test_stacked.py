@@ -69,10 +69,11 @@ def test_stacked_validate_holds_each_split_to_its_scale():
     # an anti-Hermitian term of 1e-9 is tiny beside the large H (1e-15
     # relative), not beside the small one
     anti_hermitian = np.array([1e-9j, 0])[:, None, None] * np.eye(4)
-    broken = dataclasses.replace(stacked, even=stacked.even.like(anti_hermitian))
+    h = stacked.total
+    broken = dataclasses.replace(stacked, total=h.like(h.data + anti_hermitian))
     with pytest.raises(MetricViolationError, match="not self-adjoint"):
         broken.validate()
-    dataclasses.replace(stacked, even=stacked.even.like(anti_hermitian[::-1])).validate()
+    dataclasses.replace(stacked, total=h.like(h.data + anti_hermitian[::-1])).validate()
 
 
 def random_hermitian(seed, side, scale=1.0):
