@@ -27,9 +27,10 @@ they come back as arrays with the stack's shape, and as floats when
 there is no stack (:func:`per_matrix`).
 
 An operator can be held in its sector layout
-(:meth:`BlockOperator.in_sectors`): the stack (..., count, s, s) of its
-diagonal blocks on decoupled sectors, whose axis is part of the operator
-(:meth:`BlockOperator.frobenius` sums over it).
+(:meth:`BlockOperator.in_sectors`): the stack (..., distinct, s, s) of
+its distinct diagonal blocks on decoupled sectors, with how many sectors
+hold each.  The sector axis is part of the operator: Frobenius norms sum
+over it weighted by those counts.
 
 A split (:class:`SplitHamiltonian`) is H as the model built it plus its
 mass; its even and odd terms and its defects are read off parity
@@ -134,13 +135,17 @@ class BlockOperator:
         stationary.
     sectors : ndarray, optional
         In the sector layout (:meth:`in_sectors`), the (count, s) rows
-        and columns of each sector; ``data`` is then (..., count, s, s).
+        and columns of each sector, the sectors that hold one block of
+        ``data`` consecutive; ``data`` is then (..., distinct, s, s).
+    weights : ndarray, optional
+        In the sector layout, how many sectors hold each block of ``data``.
     """
 
     data: np.ndarray
     internal_dim: int
     floquet_copies: int = 1
     sectors: Optional[np.ndarray] = None
+    weights: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         data = np.asarray(self.data, dtype=complex)
@@ -174,7 +179,9 @@ class BlockOperator:
 
     def like(self, data: np.ndarray) -> "BlockOperator":
         """New operator with the same block tags and layout."""
-        return BlockOperator(data, self.internal_dim, self.floquet_copies, self.sectors)
+        return BlockOperator(
+            data, self.internal_dim, self.floquet_copies, self.sectors, self.weights
+        )
 
     @cached_property
     def _layout(self) -> _Parity:
@@ -209,7 +216,7 @@ class BlockOperator:
 
     def frobenius(self, x: np.ndarray) -> float | np.ndarray:
         """Frobenius norm of ``x`` (data or blocks in this layout), per operator."""
-        return frobenius(x, self.sectored)
+        return frobenius(x, self.weights)
 
     def norm(self) -> float | np.ndarray:
         """Frobenius norm, per operator of a stack."""
@@ -219,7 +226,8 @@ class BlockOperator:
         """This dense operator's diagonal blocks on ``sectors`` (index arrays
         it does not couple), stacked with each sector's beta = +1 components
         first; sectors of unequal size or parity balance give one sector,
-        the whole matrix in its own order."""
+        the whole matrix in its own order.  A block equal, exactly and at
+        every point of the stack, to an earlier sector's is held once."""
         signs, size = self.signs, len(sectors[0])
         if len(sectors) == 1 or any(
             len(s) != size or 2 * np.count_nonzero(signs[s] > 0) != size for s in sectors
@@ -229,10 +237,20 @@ class BlockOperator:
         else:
             index = np.stack([np.concatenate((s[signs[s] > 0], s[signs[s] < 0])) for s in sectors])
             data = self.data[..., index[:, :, None], index[:, None, :]]
-        return BlockOperator(data, self.internal_dim, self.floquet_copies, index)
+        blocks = np.moveaxis(data, -3, 0)
+        # the first sector equal to each, exactly and at every point of the stack
+        first = [next((j for j in range(k) if np.array_equal(blocks[j], b)), k)
+                 for k, b in enumerate(blocks)]
+        firsts = sorted(set(first))
+        owner = [firsts.index(f) for f in first]
+        if len(firsts) < len(index):
+            data, index = data[..., firsts, :, :], index[np.argsort(owner, kind="stable")]
+        weights = np.bincount(owner)
+        return BlockOperator(data, self.internal_dim, self.floquet_copies, index, weights)
 
     def dense(self) -> "BlockOperator":
-        """The operator as one matrix: the sectors' blocks in zeros."""
+        """The operator as one matrix: each block at every sector that
+        holds it, in zeros."""
         if not self.sectored:
             return self
         index = self.sectors
@@ -240,7 +258,8 @@ class BlockOperator:
             data = self.data[..., 0, :, :]
         else:
             data = np.zeros((*self.stack_shape, self.side, self.side), dtype=complex)
-            data[..., index[:, :, None], index[:, None, :]] = self.data
+            blocks = np.repeat(self.data, self.weights, axis=-3)
+            data[..., index[:, :, None], index[:, None, :]] = blocks
         return BlockOperator(data, self.internal_dim, self.floquet_copies)
 
 
@@ -282,23 +301,24 @@ def add_identity(x: np.ndarray, c: float) -> np.ndarray:
     return x
 
 
-def frobenius(x: np.ndarray, sectored: bool = False) -> float | np.ndarray:
-    """Frobenius norm of each matrix of ``x``, or with ``sectored`` of
-    each sector stack (..., count, s, s).  An array stored in one piece
-    is read as rows of real numbers (real and imaginary parts side by
-    side) whose square norms are dot products; otherwise the squares of
-    its real and imaginary parts are summed in place.  The norm of an
-    operator given by blocks is :func:`hypot` of theirs; passing each
-    block as an expression keeps one block temporary alive at a time."""
-    k = 2 + sectored
+def frobenius(x: np.ndarray, weights: Optional[np.ndarray] = None) -> float | np.ndarray:
+    """Frobenius norm of each matrix of ``x``, or with ``weights`` of each
+    sector stack (..., distinct, s, s), block k counted weights[k] times.
+    An array stored in one piece is read as rows of real numbers (real and
+    imaginary parts side by side) whose square norms are dot products;
+    otherwise the squares of its real and imaginary parts are summed in
+    place.  The norm of an operator given by blocks is :func:`hypot` of
+    theirs; passing each block as an expression keeps one block temporary
+    alive at a time."""
     if x.flags.c_contiguous:
-        row = x.view(x.real.dtype).reshape(*x.shape[:-k], 1, -1)
+        row = x.view(x.real.dtype).reshape(*x.shape[:-2], 1, -1)
         square = (row @ row.swapaxes(-1, -2))[..., 0, 0]
     else:
-        axes = "kij"[-k:]
-        square = np.einsum(f"...{axes},...{axes}->...", x.real, x.real) + np.einsum(
-            f"...{axes},...{axes}->...", x.imag, x.imag
+        square = np.einsum("...ij,...ij->...", x.real, x.real) + np.einsum(
+            "...ij,...ij->...", x.imag, x.imag
         )
+    if weights is not None:
+        square = square @ weights
     return per_matrix(np.sqrt(square))
 
 

@@ -41,8 +41,9 @@ their kernels (the polar Gram matrix, the canonical arcsine's M^2 and
 form A's argument squared).
 
 H is gathered once into its sector layout (:mod:`fwexact.matfun`), in
-which the whole chain runs at sector size (``dirac_1d``: two sectors of
-side 2N); the result's operators are assembled dense at the end.
+which the whole chain runs at sector size on the distinct sectors
+(``dirac_1d``: one block of side 2N for its two equal sectors); the
+result's operators are assembled dense only when read (:class:`FWResult`).
 
 lambda^2 is formed once, blockwise, for the involution pre-check,
 ``lambda_sq_defect`` and ``sign_products_commute_defect``.  Every
@@ -61,7 +62,6 @@ the stack's shape (floats without a stack).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -91,7 +91,18 @@ from .tolerances import EPS_CLAMP, GAP_TOL
 from .verify import alt_form_defect, generator_routes, identity_defects
 
 
-@dataclass(frozen=True)
+def _dense_on_read(name: str) -> property:
+    """The operator ``name`` of a :class:`FWResult`, made dense when first read."""
+
+    def read(result: "FWResult") -> Optional[BlockOperator]:
+        op = result._operators[name]
+        if op is not None and op.sectored:
+            op = result._operators[name] = op.dense()
+        return op
+
+    return property(read)
+
+
 class FWResult:
     """Transformation bundle: sign operator, unitary, transformed
     Hamiltonian (or transformed Floquet operator) and defect norms.
@@ -101,17 +112,32 @@ class FWResult:
     ``s_norm`` are the spectral norms of ``h_fw`` and ``s``, read off the
     block decompositions the transforms make (None when assembled by
     hand).  For a stacked transform the operators carry the stack axes
-    and every number is an array with the stack's shape.
+    and every number is an array with the stack's shape.  The transforms
+    hold the operators in H's sector layout; each is made dense when
+    first read, so a run that reads only the numbers assembles none.
     """
 
-    sign_op: BlockOperator
-    u: BlockOperator
-    u_inverse: BlockOperator
-    h_fw: BlockOperator
-    diagnostics: dict[str, float | np.ndarray]
-    s: Optional[BlockOperator] = None
-    h_fw_norm: Optional[float | np.ndarray] = None
-    s_norm: Optional[float | np.ndarray] = None
+    sign_op = _dense_on_read("sign_op")
+    u = _dense_on_read("u")
+    u_inverse = _dense_on_read("u_inverse")
+    h_fw = _dense_on_read("h_fw")
+    s = _dense_on_read("s")
+
+    def __init__(
+        self,
+        sign_op: BlockOperator,
+        u: BlockOperator,
+        u_inverse: BlockOperator,
+        h_fw: BlockOperator,
+        diagnostics: dict[str, float | np.ndarray],
+        s: Optional[BlockOperator] = None,
+        h_fw_norm: Optional[float | np.ndarray] = None,
+        s_norm: Optional[float | np.ndarray] = None,
+    ) -> None:
+        self._operators = {"sign_op": sign_op, "u": u, "u_inverse": u_inverse, "h_fw": h_fw, "s": s}
+        self.diagnostics = diagnostics
+        self.h_fw_norm = h_fw_norm
+        self.s_norm = s_norm
 
 
 def eriksen_unitary(
@@ -149,7 +175,7 @@ def _transform(
 ) -> FWResult:
     """Sign operator, unitary, U H U^{-1} and generator of a graded
     operator, with the diagnostics every transform shares, all in the
-    sector layout of ``h`` (see :func:`_assembled`).
+    sector layout of ``h`` (made dense when read, see :class:`FWResult`).
 
     U and S come from one decomposition of the denominator.  U^{-1} is
     the metric adjoint of U (the residual is unitarity_defect).
@@ -158,11 +184,12 @@ def _transform(
     spectral radius of H), the generator defects, the doubling
     identities and exp_equivalence_defect.  ``routes`` adds the generator
     cross-checks of :func:`~fwexact.verify.generator_routes`, whose
-    arcsine is held to the clamp band ``eps_clamp``.
+    arcsine is held to the clamp band ``eps_clamp``.  The spectra
+    count each sector's eigenvalues as often as the sector occurs.
     """
     dec = decompose(h, metric)
     lam = sign_of(h, metric, gap_tol, dec)
-    before = np.sort(dec.eigenvalues.real.reshape(*h.stack_shape, -1), axis=-1)
+    before = _spectrum(dec.eigenvalues.real, h)
     scale = at_least(dec.scale, 1e-300)
     del dec
     involution = check_involution(lam, LAMBDA_SQ_TOL)
@@ -176,8 +203,7 @@ def _transform(
     u_inverse = adjoint_m(u, metric)
     h_fw = h.like(u.data @ h.data @ u_inverse.data)
     # U H U^{-1} is even and metric-self-adjoint: Hermitian diagonal blocks
-    after = np.linalg.eigvalsh(np.stack((h_fw.blocks.pp, h_fw.blocks.mm), axis=-3))
-    after = np.sort(after.reshape(before.shape), axis=-1)
+    after = _spectrum(np.linalg.eigvalsh(np.stack((h_fw.blocks.pp, h_fw.blocks.mm), axis=-3)), h)
     square = OddSquare(s.blocks.pm, s.blocks.mp, s.sectored)
     result = FWResult(
         sign_op=lam,
@@ -199,12 +225,12 @@ def _transform(
     return result
 
 
-def _assembled(result: FWResult) -> FWResult:
-    """The result of :func:`_transform`, its operators made dense in place
-    one at a time, so that each one's layout is freed before the next."""
-    for name in ("sign_op", "u", "u_inverse", "h_fw", "s"):
-        object.__setattr__(result, name, getattr(result, name).dense())
-    return result
+def _spectrum(w: np.ndarray, h: BlockOperator) -> np.ndarray:
+    """The sorted spectrum of each operator of ``h``'s stack from the
+    eigenvalues ``w`` of its distinct sectors, each counted as often as
+    its sector occurs."""
+    w = np.repeat(w.reshape(*h.stack_shape, len(h.weights), -1), h.weights, axis=-2)
+    return np.sort(w.reshape(*h.stack_shape, -1), axis=-1)
 
 
 def transform_stationary(
@@ -225,15 +251,15 @@ def transform_stationary(
     """
     h, metric = in_sectors(split_h.total), split_h.metric
     result = _transform(h, metric, gap_tol, eps_clamp, routes)
+    lam, u, h_fw = (result._operators[name] for name in ("sign_op", "u", "h_fw"))
     diagnostics = result.diagnostics
-    diagnostics["odd_norm"] = relative_odd_norm(result.h_fw)
+    diagnostics["odd_norm"] = relative_odd_norm(h_fw)
     if routes:
-        diagnostics["alt_form_defect"] = alt_form_defect(result.sign_op, result.u, metric)
+        diagnostics["alt_form_defect"] = alt_form_defect(lam, u, metric)
     # sqrt(H^2) is even when the mass is constant and the even term
     # vanishes, but not in general; reported, never asserted
-    diagnostics["sqrt_h2_odd_norm"] = _sqrt_h2_odd_norm(result.sign_op, h)
-    del h
-    return _assembled(result)
+    diagnostics["sqrt_h2_odd_norm"] = _sqrt_h2_odd_norm(lam, h)
+    return result
 
 
 def _sqrt_h2_odd_norm(lam: BlockOperator, h: BlockOperator) -> float:

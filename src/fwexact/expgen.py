@@ -156,7 +156,7 @@ def denominator_decomposition(
     upper = add_identity(2.0 * lam.blocks.pp, 2.0)
     lower = add_identity(-2.0 * lam.blocks.mm, 2.0)
     for block in (upper, lower):
-        check_hermitian(block, sectored=lam.sectored)
+        check_hermitian(block, weights=lam.weights)
     return EvenDecomposition.of(upper, lower, lam.sectored)
 
 
@@ -187,22 +187,24 @@ def generator(
     s_pm = -0.5j * (lam.blocks.pm @ h_mm)
     s_mp = 0.5j * (lam.blocks.mp @ h_pp)
     s = lam.like_blocks(None, s_pm, s_mp, None)
-    return s, generator_defects(s_pm, s_mp, metric, lam.sectored)
+    return s, generator_defects(s_pm, s_mp, metric, lam.weights)
 
 
 def generator_defects(
-    s_pm: np.ndarray, s_mp: np.ndarray, metric: Metric, sectored: bool = False
+    s_pm: np.ndarray, s_mp: np.ndarray, metric: Metric, weights: np.ndarray | None = None
 ) -> dict[str, float | np.ndarray]:
     """oddness_defect (beta S + S beta, zero by construction: S is made
     of its off-diagonal blocks) and hermiticity_defect (S - S^adj, scaled
-    by max(1, ||S||_F)) of S given by its off-diagonal blocks."""
+    by max(1, ||S||_F)) of S given by its off-diagonal blocks (in the
+    sector layout with ``weights``)."""
     sign = adjoint_sign(metric)
-    s_scale = at_least(hypot(frobenius(s_pm, sectored), frobenius(s_mp, sectored)), 1.0)
+    s_scale = at_least(hypot(frobenius(s_pm, weights), frobenius(s_mp, weights)), 1.0)
+    stack = s_pm.shape[: s_pm.ndim - 2 - (weights is not None)]
     return {
-        "oddness_defect": per_matrix(np.zeros(s_pm.shape[: s_pm.ndim - 2 - sectored])),
+        "oddness_defect": per_matrix(np.zeros(stack)),
         "hermiticity_defect": hypot(
-            frobenius(s_pm - sign * dagger(s_mp), sectored),
-            frobenius(s_mp - sign * dagger(s_pm), sectored),
+            frobenius(s_pm - sign * dagger(s_mp), weights),
+            frobenius(s_mp - sign * dagger(s_pm), weights),
         )
         / s_scale,
     }

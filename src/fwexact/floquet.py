@@ -68,7 +68,7 @@ from .blockop import (
     relative_odd_norm,
 )
 from .errors import DomainError, SpectralGapError, StructureError
-from .eriksen import FWResult, _assembled, _transform, eriksen_unitary
+from .eriksen import FWResult, _transform, eriksen_unitary
 from .expgen import DEGENERATE
 from .matfun import SpectralDecomposition, check_gap, decompose, in_sectors, sign_of
 from .models import TimePeriodicHamiltonian
@@ -193,7 +193,9 @@ def _fold_diagnosis(k: ExtendedOperator) -> str:
     have a quasienergy sign opposite to their beta-character."""
     dec = decompose(k.layout, Metric.HERMITIAN)
     _, chars = _beta_characters(dec, k.layout.signs)
-    flipped = int(np.count_nonzero(np.sign(dec.eigenvalues.real) != np.sign(chars)))
+    opposite = np.sign(dec.eigenvalues.real) != np.sign(chars)
+    # per distinct sector of K, counted as often as the sector occurs
+    flipped = int(np.count_nonzero(opposite, axis=-1) @ k.layout.weights)
     d, centre = k.internal_dim, k.nf * k.internal_dim
     h0 = k.op.data[centre : centre + d, centre : centre + d]
     gap = float(np.abs(np.linalg.eigvalsh(h0)).min())
@@ -201,7 +203,7 @@ def _fold_diagnosis(k: ExtendedOperator) -> str:
     return (
         f"Floquet ladder fold: nf*omega = {shift:.4g} "
         f"{'>' if shift > gap else '<='} gap min|E(H_0)| = {gap:.4g}; "
-        f"{flipped} of {chars.size} eigenvectors have a quasienergy sign "
+        f"{flipped} of {k.op.side} eigenvectors have a quasienergy sign "
         "opposite to their beta-character (sign='character' assigns by character)"
     )
 
@@ -438,6 +440,6 @@ def transform_nonstationary(
     window = min(window, nf)
     k = build_extended(model, nf)
     with _extended_errors(k, model.metric):
-        result = _assembled(_transform(k.layout, model.metric, gap_tol, eps_clamp, routes))
+        result = _transform(k.layout, model.metric, gap_tol, eps_clamp, routes)
     result.diagnostics["odd_norm"] = central_odd_norm(result.h_fw, window)
     return result

@@ -26,15 +26,17 @@ are functions of H and beta: direct sums over H's sectors, the connected
 components of the pattern of exactly nonzero entries
 (:func:`find_sectors`).  :func:`in_sectors` finds them once per
 Hamiltonian (H, or the Floquet K) and gathers H once into a stack
-(..., count, s, s), each sector's beta = +1 components first, in which
-the whole chain stays.  Kernels take the sector axis as a stack axis,
-one batched call at side s each; reductions take it as part of the
-matrix: Frobenius norms sum over it, spectra are concatenated and
-sorted, scales and checks take the extreme over it.  ``dirac_1d``'s
-side-4N H (alpha_x couples spinor components {0, 3} and {1, 2}) is two
-sectors of side 2N; the vector-drive Floquet K splits the same way.
-Sectors of unequal size or parity balance leave H one sector (count 1),
-in its own order, decomposed whole.
+(..., distinct, s, s), each sector's beta = +1 components first, in which
+the whole chain stays.  A sector equal, exactly and at every point of a
+stack, to an earlier one is held once, with how often it occurs.  Kernels
+take the sector axis as a stack axis, one batched call at side s on the
+distinct sectors; reductions take it as part of the matrix: Frobenius
+norms sum over it weighted by those counts, spectra are repeated by them,
+concatenated and sorted, scales and checks take the extreme over it.
+``dirac_1d``'s side-4N H (alpha_x couples spinor components {0, 3} and
+{1, 2}) is two equal sectors of side 2N, held as one; the vector-drive
+Floquet K splits the same way into two that differ.  Sectors of unequal
+size or parity balance leave H one sector, in its own order.
 
 Every kernel takes operators with leading stack axes (the points of a
 sweep, the instantaneous H(t) samples of a Floquet drive) to one stacked
@@ -120,8 +122,8 @@ class SpectralDecomposition:
     ``inverse_vectors`` is exactly ``right_vectors``^dag.  ``scale`` is
     the spectral radius max |w| (||A||_2 on the Hermitian path), an
     array with one entry per matrix for a stack.  In the sector layout
-    (``sectored``) each sector's eigenpairs, ascending, are on the sector
-    axis, and ``scale`` spans every sector.
+    (``sectored``) each distinct sector's eigenpairs, ascending, are on
+    the sector axis, and ``scale`` spans every sector.
     """
 
     eigenvalues: np.ndarray
@@ -226,12 +228,14 @@ def _decompose_general(a: np.ndarray, sectored: bool = False) -> SpectralDecompo
     return SpectralDecomposition(w, _spectral_radius(w, sectored), v, np.linalg.inv(v), sectored)
 
 
-def check_hermitian(data: np.ndarray, tol: float = TOL_STRUCT, sectored: bool = False) -> None:
+def check_hermitian(
+    data: np.ndarray, tol: float = TOL_STRUCT, weights: np.ndarray | None = None
+) -> None:
     """Raise MetricViolationError unless ``data`` is Hermitian to ``tol``
-    relative; each matrix (sector stack when ``sectored``) of a stack is
-    held to its own norm."""
-    defect = frobenius(data - dagger(data), sectored)
-    i = first_failing(defect > tol * np.maximum(frobenius(data, sectored), 1e-300))
+    relative; each matrix (sector stack with ``weights``, see
+    :func:`~fwexact.blockop.frobenius`) of a stack is held to its own norm."""
+    defect = frobenius(data - dagger(data), weights)
+    i = first_failing(defect > tol * np.maximum(frobenius(data, weights), 1e-300))
     if i is not None:
         raise MetricViolationError(
             f"input is not Hermitian: defect {np.ravel(defect)[i]:.3e} "
@@ -242,11 +246,11 @@ def check_hermitian(data: np.ndarray, tol: float = TOL_STRUCT, sectored: bool = 
 def decompose(a: BlockOperator, metric: Metric) -> SpectralDecomposition:
     """Metric-aware eigendecomposition of a block operator; see
     :func:`decompose_array`, in the layout of ``a``."""
-    return decompose_array(a.data, metric, a.sectored)
+    return decompose_array(a.data, metric, a.weights)
 
 
 def decompose_array(
-    data: np.ndarray, metric: Metric, sectored: bool = False
+    data: np.ndarray, metric: Metric, weights: np.ndarray | None = None
 ) -> SpectralDecomposition:
     """Metric-aware eigendecomposition of one matrix or of a stack of
     matrices (shape (..., n, n)) by one stacked call.
@@ -256,11 +260,13 @@ def decompose_array(
     a general diagonalization; the spectrum must be real to 1e-8 times
     its spectral radius (unbroken pseudo-Hermitian phase), otherwise
     "broken pseudo-Hermiticity" is raised.  Every check holds each
-    matrix of a stack to its own scale.  With ``sectored`` the input is a
-    stack of sector stacks (..., count, s, s), each one operator.
+    matrix of a stack to its own scale.  With the sector ``weights`` the
+    input is a stack of sector stacks (..., distinct, s, s), each one
+    operator.
     """
+    sectored = weights is not None
     if metric is Metric.HERMITIAN:
-        check_hermitian(data, sectored=sectored)
+        check_hermitian(data, weights=weights)
         return _decompose_hermitian(data, sectored)
     dec = _decompose_general(data, sectored)
     max_imag = np.abs(dec.eigenvalues.imag).max(axis=operator_axes(1, sectored), initial=0.0)

@@ -260,7 +260,7 @@ def generator_from_lambda(
 
     s_scale = at_least(hypot(norm(s_pm), norm(s_mp)), 1.0)
     diagnostics = {
-        **generator_defects(s_pm, s_mp, metric, sectored),
+        **generator_defects(s_pm, s_mp, metric, lam.weights),
         # S_A = -arcsin(A), so S_A - S = -(arc_a + s)
         "form_agreement_defect": hypot(norm(arc_a_pm + s_pm), norm(arc_a_mp + s_mp))
         / s_scale,

@@ -978,12 +978,13 @@ class TestDecompositionCounts:
     #: each half-size block kernel; the half-size calls of the parent's
     #: default with every cross-check route.  dirac_1d (side 32) and the
     #: vector drive (side 36) split in two sectors, whose parity blocks
-    #: split in two again; feshbach_villars (side 2) is one sector.
+    #: split in two again; dirac_1d's two sectors are equal and decomposed
+    #: once.  feshbach_villars (side 2) is one sector.
     TRANSFORMS = {
         "dirac_1d": (
             ["model.name=dirac_1d", "model.params.N=8", "model.params.V1=0.2"],
-            ("eigh", 16, 2),
-            (8, 4),
+            ("eigh", 16, 1),
+            (8, 2),
             6,
         ),
         "floquet_dirac_vector": (
@@ -1057,10 +1058,73 @@ class TestDecompositionCounts:
                 "--report", str(tmp_path / "sweep.json"),
             ],
         )
-        # three points of side 32, two sectors of side 16 each
+        # three points of side 32, two equal sectors of side 16 each,
+        # decomposed once per point
         assert calls["eigh", 16] == 1
-        assert matrices["eigh", 16] == 3 * 2
+        assert matrices["eigh", 16] == 3
         assert calls["spectral_norm"] == 0
+
+
+class TestDenseAssembly:
+    """The transforms build their operators in H's sector layout, and a
+    result operator is assembled dense only when it is read: by a dump,
+    or by the Floquet transform's central-window odd norm of h_fw."""
+
+    DIRAC = ["--set", "model.name=dirac_1d", "--set", "model.params.N=8"]
+
+    @staticmethod
+    def assemblies(monkeypatch, argv):
+        """How many times each result operator (by its field name) and any
+        other operator in a sector layout was assembled dense."""
+        from fwexact.eriksen import FWResult
+
+        built, assembled = {}, Counter()
+        init, dense = FWResult.__init__, BlockOperator.dense
+
+        def record(self, **fields):
+            # the transforms pass every field by name; the operators are kept
+            # alive here, so their ids stay theirs
+            built.update({id(op): (name, op) for name, op in fields.items()})
+            init(self, **fields)
+
+        def counted(self):
+            if self.sectored:
+                assembled[built.get(id(self), ("other",))[0]] += 1
+            return dense(self)
+
+        monkeypatch.setattr(FWResult, "__init__", record)
+        monkeypatch.setattr(BlockOperator, "dense", counted)
+        assert run(argv) == 0
+        return assembled
+
+    def test_stationary_transform_assembles_nothing(self, tmp_path, monkeypatch):
+        argv = ["transform", *self.DIRAC, "--report", str(tmp_path / "r.json")]
+        assert self.assemblies(monkeypatch, argv) == {}
+
+    def test_sweep_assembles_nothing(self, tmp_path, monkeypatch):
+        argv = [
+            "sweep", *self.DIRAC,
+            "--set", "sweep.parameter=V1",
+            "--set", "sweep.values=[0.1,0.2,0.3]",
+            "--report", str(tmp_path / "sweep.json"),
+        ]
+        assert self.assemblies(monkeypatch, argv) == {}
+
+    def test_dump_assembles_each_dumped_operator_once(self, tmp_path, monkeypatch):
+        argv = [
+            "transform", *self.DIRAC,
+            "--dump", "--set", f"output.dump_dir={tmp_path / 'dumps'}",
+            "--report", str(tmp_path / "r.json"),
+        ]
+        # sign_op is dumped as lambda; u_inverse is not dumped
+        assert self.assemblies(monkeypatch, argv) == {"sign_op": 1, "u": 1, "h_fw": 1, "s": 1}
+
+    def test_floquet_transform_assembles_h_fw(self, tmp_path, monkeypatch):
+        assignments, *_ = TestDecompositionCounts.TRANSFORMS["floquet_dirac_vector"]
+        argv = ["transform", "--report", str(tmp_path / "r.json")]
+        for assignment in assignments:
+            argv += ["--set", assignment]
+        assert self.assemblies(monkeypatch, argv) == {"h_fw": 1}
 
 
 class TestBuildCounts:

@@ -17,7 +17,8 @@ from fwexact import (
     verify_eriksen_identities,
 )
 from fwexact.blockop import relative_odd_norm
-from fwexact.eriksen import FWResult
+from fwexact.eriksen import FWResult, _spectrum
+from fwexact.matfun import in_sectors
 
 BETA4 = BlockOperator(np.diag([1.0, 1.0, -1.0, -1.0]), 4, 1)
 
@@ -198,6 +199,19 @@ class TestTransformStationary:
             dirac_1d(1.0, 8, 2 * np.pi, lambda x: 0.3 * np.cos(x))
         )
         assert grid.diagnostics["sqrt_h2_odd_norm"] > 1e-6
+
+    def test_spectrum_counts_each_sector_as_often_as_it_occurs(self):
+        # sectors {0, 3} and {1, 4} hold one block, {2, 5} another: the
+        # sorted spectrum is that of the dense matrix, so the sorted
+        # differences spectrum_defect takes pair the same eigenvalues
+        a, b = np.array([[1.0, 0.5], [0.5, -1.0]]), np.array([[2.0, 0.1], [0.1, -2.0]])
+        dense = np.zeros((6, 6))
+        for index, block in zip(([0, 3], [1, 4], [2, 5]), (a, a, b)):
+            dense[np.ix_(index, index)] = block
+        layout = in_sectors(BlockOperator(dense, 6, 1))
+        assert layout.weights.tolist() == [2, 1]
+        w = np.linalg.eigvalsh(layout.data)
+        assert np.array_equal(_spectrum(w, layout), np.sort(np.linalg.eigvalsh(dense)))
 
 
 class TestIdentityChecks:

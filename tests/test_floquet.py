@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fwexact.matfun
 from fwexact import (
     DomainError,
     ExtendedOperator,
@@ -24,7 +25,7 @@ from fwexact import (
 )
 from fwexact.blockop import BlockOperator, adjoint_m
 from fwexact.eriksen import eriksen_unitary
-from fwexact.floquet import _beta_characters
+from fwexact.floquet import _beta_characters, _fold_diagnosis
 from fwexact.matfun import decompose
 from fwexact.models import ALPHA, BETA4
 
@@ -422,6 +423,24 @@ class TestDemonstrateNonevenness:
         assert message.startswith("eriksen denominator degenerate")
         assert "nf*omega = 2.4 > gap min|E(H_0)| = 1.118" in message
         assert "20 of 68 eigenvectors" in message
+
+    def test_fold_diagnosis_counts_repeated_sectors(self, monkeypatch):
+        # two copies of the vector drive, beta's upper components first:
+        # K is the drive's two distinct sectors twice over, held once each
+        drive = reference_model()
+        order = [0, 1, 4, 5, 2, 3, 6, 7]
+        modes = tuple((n, np.kron(np.eye(2), h)[np.ix_(order, order)]) for n, h in drive.modes)
+        doubled = TimePeriodicHamiltonian(modes, drive.omega, 8)
+        k = build_extended(doubled, 16)
+        assert sorted(k.layout.weights) == [2, 2]
+        assert k.layout.data.shape[-3] == 2
+        message = _fold_diagnosis(k)
+        assert "8 of 132 eigenvectors" in _fold_diagnosis(build_extended(drive, 16))
+        assert "16 of 264 eigenvectors" in message
+        monkeypatch.setattr(fwexact.matfun, "find_sectors", lambda a: [np.arange(a.shape[-1])])
+        whole = build_extended(doubled, 16)
+        assert whole.layout.weights.tolist() == [1]
+        assert _fold_diagnosis(whole) == message
 
 
 class TestTransformNonstationary:

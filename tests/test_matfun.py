@@ -253,41 +253,79 @@ class TestOneSectorTransforms:
         assert np.abs(sectored.s.data - whole.s.data).max() <= 1e-13
 
 
-def sectored_hamiltonian(members, metric, stack, rng):
-    """A stack of Hamiltonians that are direct sums over ``members`` (the
-    global indices of each sector, beta = +1 components first in each):
-    m beta + X in the Hermitian metric and beta (m + X) in the
-    beta-pseudo one, with X Hermitian, ||X||_2 = 1/2 and m = 1 on every
-    sector, so every sector is gapped with the signs of beta."""
+def sector_block(beta, metric, stack, rng):
+    """A stack of random sector blocks on components with beta's signs
+    ``beta``: m beta + X in the Hermitian metric and beta (m + X) in the
+    beta-pseudo one, with X Hermitian, ||X||_2 = 1/2 and m = 1, so the
+    sector is gapped with the signs of beta."""
+    k = len(beta)
+    x = rng.normal(size=(stack, k, k)) + 1j * rng.normal(size=(stack, k, k))
+    x = x + x.conj().swapaxes(-1, -2)
+    x *= 0.5 / np.linalg.norm(x, ord=2, axis=(-2, -1))[:, None, None]
+    if metric is Metric.BETA_PSEUDO:
+        return beta[:, None] * (np.eye(k) + x)
+    return np.diag(beta) + x
+
+
+def direct_sum(members, blocks, metric):
+    """The split of the stack of direct sums of ``blocks`` over ``members``
+    (the global indices of each sector, beta = +1 components first)."""
     n = sum(len(index) for index in members)
-    signs = np.repeat([1.0, -1.0], n // 2)
-    h = np.zeros((stack, n, n), dtype=complex)
-    for index in members:
-        k = len(index)
-        x = rng.normal(size=(stack, k, k)) + 1j * rng.normal(size=(stack, k, k))
-        x = x + x.conj().swapaxes(-1, -2)
-        x *= 0.5 / np.linalg.norm(x, ord=2, axis=(-2, -1))[:, None, None]
-        beta = signs[index]
-        if metric is Metric.BETA_PSEUDO:
-            h[:, index[:, None], index] = beta[:, None] * (np.eye(k) + x)
-        else:
-            h[:, index[:, None], index] = np.diag(beta) + x
+    h = np.zeros((len(blocks[0]), n, n), dtype=complex)
+    for index, block in zip(members, blocks):
+        h[:, index[:, None], index] = block
     op = BlockOperator(h, n, 1)
     return split(op, op.like(np.zeros_like(h)), metric)
 
 
-@st.composite
-def balanced_sectors(draw):
-    """Equal, parity-balanced sectors placed at random indices: each
-    sector takes half of its components from beta's upper block and half
-    from its lower one, both drawn by a random permutation."""
-    count, half = draw(st.integers(2, 3)), draw(st.integers(1, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def sectored_hamiltonian(members, metric, stack, rng):
+    """A stack of Hamiltonians that are direct sums over ``members`` of
+    random :func:`sector_block` s."""
+    n = sum(len(index) for index in members)
+    signs = np.repeat([1.0, -1.0], n // 2)
+    blocks = [sector_block(signs[index], metric, stack, rng) for index in members]
+    return direct_sum(members, blocks, metric)
+
+
+def balanced_members(count, half, rng):
+    """``count`` equal, parity-balanced sectors placed at random indices:
+    each sector takes half of its components from beta's upper block and
+    half from its lower one, both drawn by a random permutation."""
     n = 2 * count * half
     upper = rng.permutation(n // 2).reshape(count, half)
     lower = n // 2 + rng.permutation(n // 2).reshape(count, half)
-    members = [np.concatenate((np.sort(u), np.sort(d))) for u, d in zip(upper, lower)]
+    return [np.concatenate((np.sort(u), np.sort(d))) for u, d in zip(upper, lower)]
+
+
+@st.composite
+def balanced_sectors(draw):
+    """Random, equal, parity-balanced sectors (:func:`balanced_members`)."""
+    count, half = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = balanced_members(count, half, rng)
     return members, draw(st.sampled_from(list(Metric))), draw(st.integers(1, 2)), rng
+
+
+@st.composite
+def repeated_sectors(draw):
+    """2-3 copies of one random sector block beside a distinct one, placed
+    by :func:`balanced_members`; in a stack of two, one copy may differ
+    from the others at one point only.  Returns the split, the members
+    and the expected sector weights, ascending."""
+    copies, half = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    metric, stack = draw(st.sampled_from(list(Metric))), draw(st.integers(1, 2))
+    differs = stack == 2 and draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = balanced_members(copies + 1, half, rng)
+    beta = np.repeat([1.0, -1.0], half)
+    repeated = sector_block(beta, metric, stack, rng)
+    blocks = [repeated] * copies + [sector_block(beta, metric, stack, rng)]
+    if differs:
+        blocks[0] = repeated.copy()
+        blocks[0][1] *= 1.001
+    order = rng.permutation(copies + 1)
+    weights = sorted([copies - 1, 1, 1] if differs else [copies, 1])
+    return direct_sum(members, [blocks[i] for i in order], metric), members, weights
 
 
 class TestSectorLayout:
@@ -312,13 +350,9 @@ class TestSectorLayout:
             "h_fw": result.h_fw.data,
         }
 
-    @settings(max_examples=30, deadline=None)
-    @given(case=balanced_sectors())
-    def test_equal_balanced_sectors_match_one_sector(self, case):
-        members, metric, stack, rng = case
-        split_h = sectored_hamiltonian(members, metric, stack, rng)
-        layout = in_sectors(split_h.total)
-        assert layout.sectors.shape == (len(members), len(members[0]))
+    def check_matches_one_sector(self, split_h, members):
+        """Diagnostics, norms and operators as on the one-sector path,
+        within 1e-13, with exact zeros off the sectors."""
         with pytest.MonkeyPatch.context() as monkeypatch:
             sectored, whole = self.transforms(monkeypatch, split_h)
         assert sectored.diagnostics.keys() == whole.diagnostics.keys()
@@ -335,6 +369,38 @@ class TestSectorLayout:
             assert data.shape == whole_ops[key].shape, key
             assert np.abs(data - whole_ops[key]).max() <= 1e-13, key
             assert np.all(data[:, off_sector] == 0), key
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=balanced_sectors())
+    def test_equal_balanced_sectors_match_one_sector(self, case):
+        members, metric, stack, rng = case
+        split_h = sectored_hamiltonian(members, metric, stack, rng)
+        layout = in_sectors(split_h.total)
+        assert layout.sectors.shape == (len(members), len(members[0]))
+        self.check_matches_one_sector(split_h, members)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=repeated_sectors())
+    def test_repeated_sectors_are_held_once(self, case):
+        split_h, members, weights = case
+        layout = in_sectors(split_h.total)
+        assert layout.sectors.shape == (len(members), len(members[0]))
+        assert sorted(layout.weights) == weights
+        assert layout.data.shape[-3] == len(weights)
+        assert np.array_equal(layout.dense().data, split_h.total.data)
+        self.check_matches_one_sector(split_h, members)
+
+    def test_sectors_one_ulp_apart_stay_distinct(self):
+        members = balanced_members(2, 2, np.random.default_rng(17))
+        beta, metric = np.repeat([1.0, -1.0], 2), Metric.HERMITIAN
+        block = sector_block(beta, metric, 1, np.random.default_rng(3))
+        apart = block.copy()
+        apart[0, 0, 0] = np.nextafter(apart[0, 0, 0].real, np.inf)
+        same = in_sectors(direct_sum(members, [block, block], metric).total)
+        assert same.weights.tolist() == [2]
+        layout = in_sectors(direct_sum(members, [block, apart], metric).total)
+        assert layout.weights.tolist() == [1, 1]
+        assert layout.data.shape[-3] == 2
 
     # sectors {0, 3} and {1, 2, 4, 5} differ in size; {0, 1} and {2, 3}
     # are all upper and all lower components
