@@ -32,12 +32,17 @@ its distinct diagonal blocks on decoupled sectors, with how many sectors
 hold each.  The sector axis is part of the operator: Frobenius norms sum
 over it weighted by those counts.
 
+Matrices are dense float64 or complex128, kept as given.  The sector
+layout holds exactly real input as float64, and takes an operator that
+declares a pair map (``pairs``: grid parity for ``dirac_1d``) to the map's
+real basis when the imaginary part left there, ``real_basis_defect``, is
+within the structural tolerance; ``dense()`` undoes the map.
+
 A split (:class:`SplitHamiltonian`) is H as the model built it plus its
 mass; its even and odd terms and its defects are read off parity
 blocks, and its ``odd_defect`` is an exact zero by construction.
 
-Everything here is a pure function of immutable inputs; matrices are
-dense complex throughout.
+Everything here is a pure function of immutable inputs.
 """
 
 from __future__ import annotations
@@ -99,7 +104,7 @@ class _Parity:
     def join(self, blocks: tuple[Optional[np.ndarray], ...]) -> np.ndarray:
         side = 2 * self.half
         stack = next(b.shape[:-2] for b in blocks if b is not None)
-        out = np.zeros((*stack, side, side), dtype=complex)
+        out = np.zeros((*stack, side, side), np.result_type(*(b for b in blocks if b is not None)))
         up, dn = self.upper, self.lower
         for (r, c), block in zip(((up, up), (up, dn), (dn, up), (dn, dn)), blocks):
             if block is not None:
@@ -115,17 +120,37 @@ def _parity(internal_dim: int, floquet_copies: int) -> _Parity:
     return _Parity(signs)
 
 
+def _pair_basis(x: np.ndarray, pairs: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Q^dag x Q (per matrix), or Q x Q^dag when ``inverse``, Q the real
+    basis of the involution ``pairs``: e_i at a fixed point, (e_i + e_j)/sqrt2
+    and i(e_i - e_j)/sqrt2 for a pair i < j.  A row of Q^dag (or Q) has two
+    entries, d at the diagonal and e at the partner: O(n^2), in place."""
+    k, r = np.arange(len(pairs)), math.sqrt(0.5)
+    d = np.where(pairs == k, 1.0, np.where(k < pairs, r, 1j * r))
+    e = np.where(pairs == k, 0.0, np.where(k < pairs, r, -1j * r))
+    if inverse:
+        d, e = d.conj(), e[pairs].conj()
+    rows = e[:, None] * x[..., pairs, :]
+    rows += d[:, None] * x
+    out = rows.take(pairs, axis=-1)
+    out *= e.conj()
+    rows *= d.conj()
+    out += rows
+    return out
+
+
 @dataclass(frozen=True)
 class BlockOperator:
-    """Square complex matrix tagged with its block structure.
+    """Square real or complex matrix tagged with its block structure.
 
     Parameters
     ----------
     data : ndarray
-        Square complex matrix of side ``internal_dim * floquet_copies``,
-        or a stack of them (shape (..., side, side)).  A complex array is
-        kept as given, without a copy (operators are never modified in
-        place); anything else is converted.
+        Square float64 or complex128 matrix of side ``internal_dim *
+        floquet_copies``, or a stack of them (shape (..., side, side)).
+        Such an array is kept as given, without a copy (operators are
+        never modified in place); anything else is converted to float64,
+        or to complex128 when it is complex.
     internal_dim : int
         Dimension of one time-Fourier copy.  Always even: the upper and
         lower spinor-like blocks have ``internal_dim // 2`` components
@@ -139,6 +164,12 @@ class BlockOperator:
         ``data`` consecutive; ``data`` is then (..., distinct, s, s).
     weights : ndarray, optional
         In the sector layout, how many sectors hold each block of ``data``.
+    pairs : ndarray, optional
+        A row involution that, times conjugation, the model declares to
+        commute with the operator; in the sector layout, the map within a
+        sector whose real basis ``data`` is held in.
+    real_basis_defect : float or ndarray, optional
+        ||Im||_F / ||H||_F in that basis, when :meth:`in_sectors` tried it.
     """
 
     data: np.ndarray
@@ -146,9 +177,13 @@ class BlockOperator:
     floquet_copies: int = 1
     sectors: Optional[np.ndarray] = None
     weights: Optional[np.ndarray] = None
+    pairs: Optional[np.ndarray] = None
+    real_basis_defect: Optional[float | np.ndarray] = None
 
     def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=complex)
+        data = np.asarray(self.data)
+        if data.dtype not in (np.float64, np.complex128):
+            data = data.astype(complex if np.iscomplexobj(data) else float)
         if data.ndim < 2 or data.shape[-1] != data.shape[-2]:
             raise StructureError(f"operator must be square, got shape {data.shape}")
         if self.internal_dim < 2 or self.internal_dim % 2 != 0:
@@ -180,7 +215,7 @@ class BlockOperator:
     def like(self, data: np.ndarray) -> "BlockOperator":
         """New operator with the same block tags and layout."""
         return BlockOperator(
-            data, self.internal_dim, self.floquet_copies, self.sectors, self.weights
+            data, self.internal_dim, self.floquet_copies, self.sectors, self.weights, self.pairs
         )
 
     @cached_property
@@ -222,12 +257,15 @@ class BlockOperator:
         """Frobenius norm, per operator of a stack."""
         return self.frobenius(self.data)
 
-    def in_sectors(self, sectors: list[np.ndarray]) -> "BlockOperator":
+    def in_sectors(self, sectors: list[np.ndarray], tol: float = TOL_STRUCT) -> "BlockOperator":
         """This dense operator's diagonal blocks on ``sectors`` (index arrays
         it does not couple), stacked with each sector's beta = +1 components
         first; sectors of unequal size or parity balance give one sector,
         the whole matrix in its own order.  A block equal, exactly and at
-        every point of the stack, to an earlier sector's is held once."""
+        every point of the stack, to an earlier sector's is held once.
+        Blocks are held real when their imaginary part is exactly zero, or
+        in the real basis of ``pairs`` (mapping each sector onto itself
+        alike) when the real_basis_defect is within ``tol`` everywhere."""
         signs, size = self.signs, len(sectors[0])
         if len(sectors) == 1 or any(
             len(s) != size or 2 * np.count_nonzero(signs[s] > 0) != size for s in sectors
@@ -245,20 +283,36 @@ class BlockOperator:
         owner = [firsts.index(f) for f in first]
         if len(firsts) < len(index):
             data, index = data[..., firsts, :, :], index[np.argsort(owner, kind="stable")]
-        weights = np.bincount(owner)
-        return BlockOperator(data, self.internal_dim, self.floquet_copies, index, weights)
+        weights, pairs, defect = np.bincount(owner), None, None
+        if np.iscomplexobj(data) and not data.imag.any():
+            data = np.ascontiguousarray(data.real)
+        elif self.pairs is not None:
+            position = np.zeros(self.side, dtype=int)
+            position[index] = np.arange(index.shape[1])
+            local = position[self.pairs[index[0]]]
+            if np.array_equal(index[:, local], self.pairs[index]):  # each sector alike
+                rotated = _pair_basis(data, local)
+                imaginary = frobenius(np.ascontiguousarray(rotated.imag), weights)
+                defect = imaginary / at_least(frobenius(rotated, weights), 1e-300)
+                if np.all(defect <= tol):
+                    data, pairs = np.ascontiguousarray(rotated.real), local
+        return BlockOperator(
+            data, self.internal_dim, self.floquet_copies, index, weights, pairs, defect
+        )
 
     def dense(self) -> "BlockOperator":
-        """The operator as one matrix: each block at every sector that
-        holds it, in zeros."""
+        """The operator as one matrix: each block (back from the real basis
+        of ``pairs``, complex) at every sector that holds it, in zeros."""
         if not self.sectored:
             return self
-        index = self.sectors
+        index, data = self.sectors, self.data
+        if self.pairs is not None:
+            data = _pair_basis(data, self.pairs, inverse=True)
         if len(index) == 1:
-            data = self.data[..., 0, :, :]
+            data = data[..., 0, :, :]
         else:
-            data = np.zeros((*self.stack_shape, self.side, self.side), dtype=complex)
-            blocks = np.repeat(self.data, self.weights, axis=-3)
+            blocks = np.repeat(data, self.weights, axis=-3)
+            data = np.zeros((*self.stack_shape, self.side, self.side), dtype=data.dtype)
             data[..., index[:, :, None], index[:, None, :]] = blocks
         return BlockOperator(data, self.internal_dim, self.floquet_copies)
 
@@ -301,6 +355,11 @@ def add_identity(x: np.ndarray, c: float) -> np.ndarray:
     return x
 
 
+def known_phase(c: complex) -> float | complex:
+    """A scalar factor as a float when it is real: a real array times it stays real."""
+    return c.real if c.imag == 0 else c
+
+
 def frobenius(x: np.ndarray, weights: Optional[np.ndarray] = None) -> float | np.ndarray:
     """Frobenius norm of each matrix of ``x``, or with ``weights`` of each
     sector stack (..., distinct, s, s), block k counted weights[k] times.
@@ -314,9 +373,9 @@ def frobenius(x: np.ndarray, weights: Optional[np.ndarray] = None) -> float | np
         row = x.view(x.real.dtype).reshape(*x.shape[:-2], 1, -1)
         square = (row @ row.swapaxes(-1, -2))[..., 0, 0]
     else:
-        square = np.einsum("...ij,...ij->...", x.real, x.real) + np.einsum(
-            "...ij,...ij->...", x.imag, x.imag
-        )
+        square = np.einsum("...ij,...ij->...", x.real, x.real)
+        if np.iscomplexobj(x):
+            square += np.einsum("...ij,...ij->...", x.imag, x.imag)
     if weights is not None:
         square = square @ weights
     return per_matrix(np.sqrt(square))

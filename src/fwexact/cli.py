@@ -122,6 +122,25 @@ def _exactly(value: Any, key: str, kind: type) -> Any:
     return value
 
 
+def _check_keys(raw: dict) -> None:
+    """Raise UsageError for a section that is not a mapping or a key no
+    section knows (the keys are those :meth:`RunConfig.echo` writes),
+    naming the key and the keys its section knows."""
+    known = RunConfig(ModelSpec("free_dirac")).echo()
+    for section, value in raw.items():
+        if section not in known:
+            raise UsageError(f"unknown config key {section!r}; sections: {', '.join(known)}")
+        if not isinstance(value or {}, dict):
+            raise UsageError(f"{section} {value!r} is not a mapping")
+        keys = known[section]
+        unknown = sorted(set(value or {}) - set(keys))
+        if unknown:
+            key = f"{section}.{unknown[0]}"
+            if key == "floquet.sign":
+                key += " (not a key yet: the command line runs the quasienergy sign)"
+            raise UsageError(f"unknown config key {key}; {section} knows: {', '.join(keys)}")
+
+
 @dataclass
 class RunConfig:
     model: ModelSpec
@@ -137,9 +156,7 @@ class RunConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
-        for section in ("model", "tolerances", "output", "sweep", "floquet", "verify"):
-            if not isinstance(raw.get(section) or {}, dict):
-                raise UsageError(f"{section} {raw[section]!r} is not a mapping")
+        _check_keys(raw)
         if "name" not in (raw.get("model") or {}):
             raise UsageError("config must contain model.name")
         params = raw["model"].get("params", {})
@@ -284,7 +301,7 @@ def dump_matrix(a: BlockOperator, path: str | Path) -> Path:
     """
     path = Path(path)
     row_format = ",".join(["%.17g%+.17gj"] * a.side) + "\n"
-    interleaved = np.ascontiguousarray(a.data).view(np.float64)
+    interleaved = np.ascontiguousarray(a.data, dtype=complex).view(np.float64)
     with path.open("w", encoding="utf-8") as out:
         out.write(
             f"# rows={a.side} cols={a.side} internal_dim={a.internal_dim} "
@@ -393,7 +410,9 @@ def _run(
         )
     else:
         structural = built.check(tol.tol_struct)
-        result = transform_stationary(built, tol.gap_tol, tol.eps_clamp, routes=config.routes)
+        result = transform_stationary(
+            built, tol.gap_tol, tol.eps_clamp, routes=config.routes, tol_struct=tol.tol_struct
+        )
     timings["transform_ms"] += (time.perf_counter() - start) * 1e3
     return {**structural, **result.diagnostics}, built.metric, result
 

@@ -42,8 +42,10 @@ form A's argument squared).
 
 H is gathered once into its sector layout (:mod:`fwexact.matfun`), in
 which the whole chain runs at sector size on the distinct sectors
-(``dirac_1d``: one block of side 2N for its two equal sectors); the
-result's operators are assembled dense only when read (:class:`FWResult`).
+(``dirac_1d``: one block of side 2N for its two equal sectors), in float64
+when the layout holds H real (``dirac_1d`` in its grid-parity basis, see
+:mod:`fwexact.blockop`); the result's operators are assembled dense, in
+the basis H was given in, only when read (:class:`FWResult`).
 
 lambda^2 is formed once, blockwise, for the involution pre-check,
 ``lambda_sq_defect`` and ``sign_products_commute_defect``.  Every
@@ -78,7 +80,6 @@ from .blockop import (
 )
 from .expgen import (
     LAMBDA_SQ_TOL,
-    OddSquare,
     denominator_decomposition,
     exp_blocks,
     exp_defect,
@@ -87,7 +88,7 @@ from .expgen import (
     trig_defects,
 )
 from .matfun import EvenDecomposition, check_involution, decompose, in_sectors, sign_of
-from .tolerances import EPS_CLAMP, GAP_TOL
+from .tolerances import EPS_CLAMP, GAP_TOL, TOL_STRUCT
 from .verify import alt_form_defect, generator_routes, identity_defects
 
 
@@ -196,7 +197,7 @@ def _transform(
     # one decomposition of the denominator serves U and S (and form A)
     den = denominator_decomposition(lam, lambda_sq_tol=None)
     u = eriksen_unitary(lam, dec=den)
-    s, generator_defects = generator(lam, metric, den)
+    s, square, generator_defects = generator(lam, metric, den)
     if routes:
         generator_defects.update(generator_routes(lam, metric, eps_clamp=eps_clamp, dec=den))
     del den
@@ -204,7 +205,6 @@ def _transform(
     h_fw = h.like(u.data @ h.data @ u_inverse.data)
     # U H U^{-1} is even and metric-self-adjoint: Hermitian diagonal blocks
     after = _spectrum(np.linalg.eigvalsh(np.stack((h_fw.blocks.pp, h_fw.blocks.mm), axis=-3)), h)
-    square = OddSquare(s.blocks.pm, s.blocks.mp, s.sectored)
     result = FWResult(
         sign_op=lam,
         u=u,
@@ -239,6 +239,7 @@ def transform_stationary(
     eps_clamp: float = EPS_CLAMP,
     *,
     routes: bool = False,
+    tol_struct: float = TOL_STRUCT,
 ) -> FWResult:
     """Run the full stationary transformation H -> U H U^{-1}.
 
@@ -247,10 +248,13 @@ def transform_stationary(
     sqrt(H^2) = lambda H.  ``routes=True`` runs the cross-check routes of
     :mod:`fwexact.verify` as well: alt_form_defect (the polar form
     against U), form_agreement_defect, denominator_commutator_defect and
-    clamp_excess (the canonical arcsine, held to ``eps_clamp``).
+    clamp_excess (the canonical arcsine, held to ``eps_clamp``).  An H that
+    declares a pair map reports real_basis_defect, held to ``tol_struct``.
     """
-    h, metric = in_sectors(split_h.total), split_h.metric
+    h, metric = in_sectors(split_h.total, tol_struct), split_h.metric
     result = _transform(h, metric, gap_tol, eps_clamp, routes)
+    if h.real_basis_defect is not None:
+        result.diagnostics["real_basis_defect"] = h.real_basis_defect
     lam, u, h_fw = (result._operators[name] for name in ("sign_op", "u", "h_fw"))
     diagnostics = result.diagnostics
     diagnostics["odd_norm"] = relative_odd_norm(h_fw)

@@ -43,6 +43,10 @@ construction and ``oddness_defect`` is an exact zero; the two
 off-diagonal blocks are computed independently, so
 ``hermiticity_defect`` stays a measurement.
 
+The kernels carry iS, real when lambda is, as S = -i (iS): an odd
+operator is a known phase times its blocks (:class:`OddSquare`), so S^2,
+the doubling identities and exp(iS) run real on a real lambda.
+
 lambda may carry leading stack axes (one sign operator per point of a
 sweep) and its sector axis: every block product, decomposition and
 defect runs over both at once, and the diagnostics are arrays with the
@@ -65,6 +69,7 @@ from .blockop import (
     dagger,
     frobenius,
     hypot,
+    known_phase,
     operator_axes,
     per_matrix,
 )
@@ -111,16 +116,19 @@ _SIN2 = _OnSquare(lambda t: np.sin(2.0 * t), lambda t: np.sinh(2.0 * t), 2.0)
 
 
 class OddSquare:
-    """An odd operator X by its off-diagonal blocks, with the diagonal
-    blocks X_{+-} X_{-+} and X_{-+} X_{+-} of X^2 decomposed.
+    """An odd operator X = ``phase`` Y by the off-diagonal blocks of Y,
+    with the diagonal blocks X_{+-} X_{-+} and X_{-+} X_{+-} of X^2
+    (phase^2 Y_{+-} Y_{-+} and phase^2 Y_{-+} Y_{+-}) decomposed.
 
     Even functions are f(X) = f(X^2) (diagonal blocks); odd ones are
-    g(X) = X (g(x)/x)(X^2) (off-diagonal blocks).
+    g(X) = X (g(x)/x)(X^2), returned divided by ``phase`` (off-diagonal
+    blocks).
     """
 
-    def __init__(self, pm: np.ndarray, mp: np.ndarray, sectored: bool = False) -> None:
-        self.pm, self.mp = pm, mp
-        self.square = EvenDecomposition.of(pm @ mp, mp @ pm, sectored)
+    def __init__(self, pm: np.ndarray, mp: np.ndarray, sectored: bool = False, phase=1) -> None:
+        self.pm, self.mp, self.phase = pm, mp, phase
+        square = known_phase(phase * phase)
+        self.square = EvenDecomposition.of(square * (pm @ mp), square * (mp @ pm), sectored)
 
     def even(self, f: _OnSquare) -> tuple[np.ndarray, np.ndarray]:
         return self.square.apply(f)
@@ -172,10 +180,10 @@ def inverse_root(dec: EvenDecomposition) -> tuple[np.ndarray, np.ndarray]:
 
 def generator(
     lam: BlockOperator, metric: Metric, dec: EvenDecomposition
-) -> tuple[BlockOperator, dict[str, float | np.ndarray]]:
+) -> tuple[BlockOperator, OddSquare, dict[str, float | np.ndarray]]:
     """S from the :func:`denominator_decomposition` ``dec`` of lambda,
-    with its oddness_defect and hermiticity_defect (see
-    :func:`generator_defects`).
+    the :class:`OddSquare` of S (held as -i times iS), and S's
+    oddness_defect and hermiticity_defect (see :func:`generator_defects`).
 
     h = arcsin(sqrt z) / sqrt z at z = 1 - x^2 = w (1 - w/4) is applied
     to both blocks of the denominator (w its eigenvalues), then
@@ -184,20 +192,22 @@ def generator(
     clamp absorbs.
     """
     h_pp, h_mm = dec.apply(lambda w: _ARCSIN(w * (1.0 - w / 4.0)))
-    s_pm = -0.5j * (lam.blocks.pm @ h_mm)
-    s_mp = 0.5j * (lam.blocks.mp @ h_pp)
-    s = lam.like_blocks(None, s_pm, s_mp, None)
-    return s, generator_defects(s_pm, s_mp, metric, lam.weights)
+    t_pm = 0.5 * (lam.blocks.pm @ h_mm)
+    t_mp = -0.5 * (lam.blocks.mp @ h_pp)
+    s = lam.like_blocks(None, -1j * t_pm, -1j * t_mp, None)
+    defects = generator_defects(t_pm, t_mp, metric, lam.weights, phase=-1j)
+    return s, OddSquare(t_pm, t_mp, lam.sectored, phase=-1j), defects
 
 
 def generator_defects(
-    s_pm: np.ndarray, s_mp: np.ndarray, metric: Metric, weights: np.ndarray | None = None
+    s_pm: np.ndarray, s_mp: np.ndarray, metric: Metric, weights: np.ndarray | None = None, phase=1
 ) -> dict[str, float | np.ndarray]:
     """oddness_defect (beta S + S beta, zero by construction: S is made
     of its off-diagonal blocks) and hermiticity_defect (S - S^adj, scaled
-    by max(1, ||S||_F)) of S given by its off-diagonal blocks (in the
-    sector layout with ``weights``)."""
-    sign = adjoint_sign(metric)
+    by max(1, ||S||_F)) of S = ``phase`` times the off-diagonal blocks
+    given (in the sector layout with ``weights``)."""
+    # S_{+-} - sign S_{-+}^dag = phase (s_pm - sign (conj(phase) / phase) s_mp^dag)
+    sign = adjoint_sign(metric) * known_phase(np.conj(phase) / phase)
     s_scale = at_least(hypot(frobenius(s_pm, weights), frobenius(s_mp, weights)), 1.0)
     stack = s_pm.shape[: s_pm.ndim - 2 - (weights is not None)]
     return {
@@ -220,8 +230,10 @@ def trig_defects(sq: OddSquare, lam: BlockOperator) -> dict[str, float]:
     sin_pm, sin_mp = sq.odd(_SIN2)
     cos_pp, cos_mm = sq.even(_COS2)
     root_n = math.sqrt(lam.side)
+    # sin 2S + i (beta lambda - lambda beta) / 2, divided by the phase of S
+    k = known_phase(1j / sq.phase)
     return {
-        "sin2s_defect": hypot(norm(sin_pm + 1j * b), norm(sin_mp - 1j * c)) / root_n,
+        "sin2s_defect": hypot(norm(sin_pm + k * b), norm(sin_mp - k * c)) / root_n,
         "cos2s_defect": hypot(norm(cos_pp - a), norm(cos_mm + d)) / root_n,
     }
 
@@ -230,7 +242,8 @@ def exp_blocks(sq: OddSquare) -> tuple[np.ndarray, ...]:
     """Parity blocks of exp(iS) = cos S + i S (sin x / x)(S^2)."""
     cos_pp, cos_mm = sq.even(_COS)
     sin_pm, sin_mp = sq.odd(_SIN)
-    return cos_pp, 1j * sin_pm, 1j * sin_mp, cos_mm
+    k = known_phase(1j * sq.phase)
+    return cos_pp, k * sin_pm, k * sin_mp, cos_mm
 
 
 def exp_defect(

@@ -10,6 +10,8 @@ is unproven for the pseudo-Hermitian case.
 Output is deterministic per input: eigenvalues are sorted ascending by
 real part (stable tie-break on the imaginary part) and each eigenvector
 is rescaled so its largest-magnitude component is real and positive.
+A real input stays float64 through ``eigh``, the phase fix and the
+sign (``eig`` when numpy finds the spectrum real); complex runs the same.
 
 The transforms decompose one matrix at full size, the Hamiltonian.
 Every later kernel on the hot path is a Hermitian ``eigh`` of the
@@ -27,7 +29,8 @@ components of the pattern of exactly nonzero entries
 (:func:`find_sectors`).  :func:`in_sectors` finds them once per
 Hamiltonian (H, or the Floquet K) and gathers H once into a stack
 (..., distinct, s, s), each sector's beta = +1 components first, in which
-the whole chain stays.  A sector equal, exactly and at every point of a
+the whole chain stays, real where the layout holds H real (see
+:mod:`fwexact.blockop`).  A sector equal, exactly and at every point of a
 stack, to an earlier one is held once, with how often it occurs.  Kernels
 take the sector axis as a stack axis, one batched call at side s on the
 distinct sectors; reductions take it as part of the matrix: Frobenius
@@ -105,11 +108,11 @@ def find_sectors(a: np.ndarray) -> list[np.ndarray]:
     return sectors
 
 
-def in_sectors(a: BlockOperator) -> BlockOperator:
+def in_sectors(a: BlockOperator, tol: float = TOL_STRUCT) -> BlockOperator:
     """An operator (or stack) in its sector layout
-    (:meth:`~fwexact.blockop.BlockOperator.in_sectors`); one already in
-    it is returned as is, so the sectors are found once."""
-    return a if a.sectored else a.in_sectors(find_sectors(a.data))
+    (:meth:`~fwexact.blockop.BlockOperator.in_sectors`, held to ``tol``);
+    one already in it is returned as is, so the sectors are found once."""
+    return a if a.sectored else a.in_sectors(find_sectors(a.data), tol)
 
 
 @dataclass(frozen=True)
@@ -117,8 +120,9 @@ class SpectralDecomposition:
     """Eigendecomposition A = V diag(w) V^{-1}, of one matrix or of a
     stack of them (leading axes on every field).
 
-    ``eigenvalues`` are complex (real up to roundoff for self-adjoint
-    inputs), ascending by real part.  For the Hermitian path
+    ``eigenvalues`` are ascending by real part: real on the Hermitian
+    path, complex (real up to roundoff) on the general one unless numpy
+    returns them real.  For the Hermitian path
     ``inverse_vectors`` is exactly ``right_vectors``^dag.  ``scale`` is
     the spectral radius max |w| (||A||_2 on the Hermitian path), an
     array with one entry per matrix for a stack.  In the sector layout
@@ -163,12 +167,13 @@ def _decompose_hermitian(a: np.ndarray, sectored: bool = False) -> SpectralDecom
     w, v = np.linalg.eigh(a)
     v = _fix_phases(v)
     radius = _spectral_radius(w, sectored)
-    return SpectralDecomposition(w.astype(complex), radius, v, dagger(v), sectored)
+    return SpectralDecomposition(w, radius, v, dagger(v), sectored)
 
 
 class EvenDecomposition(NamedTuple):
     """An even operator by its two diagonal parity blocks, stacked and
-    decomposed by one batched Hermitian ``eigh`` (lower triangles read).
+    decomposed by one batched Hermitian ``eigh`` (lower triangles read),
+    real for real blocks.
 
     ``eigenvalues`` has shape (..., 2, half), is real and ascending per
     block, the leading axes those of the operator's stack (with the
@@ -294,7 +299,7 @@ def sign_of(
     if dec is None:
         dec = decompose(h, metric)
     check_gap(dec, gap_tol)
-    return h.like(dec.apply(lambda w: np.sign(w.real).astype(complex)))
+    return h.like(dec.apply(lambda w: np.sign(w.real)))
 
 
 def check_gap(dec: SpectralDecomposition, gap_tol: float = GAP_TOL) -> None:

@@ -70,16 +70,9 @@ def _column(x: Value) -> np.ndarray:
 
 def _mass(m: Value, h: np.ndarray) -> BlockOperator:
     """m 1 as the mass operator of each matrix of the stack ``h``."""
-    side = h.shape[-1]
-    scale = _column(np.broadcast_to(m, h.shape[:-2]))
-    return BlockOperator(scale * np.eye(side, dtype=complex), side, 1)
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron(a, b) of the matrix ``a`` with each matrix of the stack
-    ``b``: the same products, in the same order."""
-    out = a[:, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(*out.shape[:-4], a.shape[0] * b.shape[-2], a.shape[1] * b.shape[-1])
+    mass, diagonal = np.zeros(h.shape), np.arange(h.shape[-1])
+    mass[..., diagonal, diagonal] = np.asarray(m, dtype=float)[..., None]
+    return BlockOperator(mass, h.shape[-1], 1)
 
 
 def free_dirac(m: Value, p: tuple[Value, Value, Value]) -> SplitHamiltonian:
@@ -128,8 +121,10 @@ def dirac_1d(
     The odd part is alpha_x (x) P with P the spectral momentum matrix,
     the even part is 1_4 (x) diag(V(x_j)), and mass = m*1.  Kronecker
     order is spinor-major, so the grading is that of side 4n with the
-    grid factor folded into each spinor block.  n must be a power of
-    two >= 8.
+    grid factor folded into each spinor block; H is written block by
+    block.  n must be a power of two >= 8.  H declares grid parity
+    j -> -j mod n as its pair map (see :mod:`fwexact.blockop`): with
+    conjugation it commutes with P, and with V when V is even.
 
     m and length may be arrays (broadcast together): ``potential`` then
     gets the grid points of each length along a last axis, and may return
@@ -143,14 +138,16 @@ def dirac_1d(
     v = np.asarray(potential(x), dtype=complex)
     if np.abs(v.imag).max(initial=0.0) > 0:
         raise MetricViolationError("metric violation: potential must be real-valued")
-    diagonal = np.zeros((*v.shape, n))
-    diagonal[..., np.arange(n), np.arange(n)] = v.real
-    h = (
-        _kron(ALPHA[0], spectral_momentum(n, length))
-        + _kron(np.eye(4, dtype=complex), diagonal)
-        + _column(m) * np.kron(BETA4, np.eye(n))
-    )
-    return split(BlockOperator(h, 4 * n, 1), _mass(m, h), Metric.HERMITIAN)
+    p = spectral_momentum(n, length)
+    stack = np.broadcast_shapes(p.shape[:-2], v.shape[:-1], np.shape(m))
+    h = np.zeros((*stack, 4 * n, 4 * n), dtype=complex)
+    blocks = h.reshape(*stack, 4, n, 4, n)
+    grid = np.arange(n)
+    for a, beta in enumerate((1.0, 1.0, -1.0, -1.0)):
+        blocks[..., a, :, 3 - a, :] = p  # alpha_x couples spinor a with 3 - a
+        blocks[..., a, grid, a, grid] = v.real + beta * np.asarray(m, dtype=float)[..., None]
+    parity = (np.arange(4)[:, None] * n + (-grid) % n).ravel()
+    return split(BlockOperator(h, 4 * n, 1, pairs=parity), _mass(m, h), Metric.HERMITIAN)
 
 
 def feshbach_villars(m: Value, p: Value) -> SplitHamiltonian:

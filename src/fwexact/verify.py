@@ -314,11 +314,8 @@ def exp_i(s: BlockOperator, metric: Metric) -> BlockOperator:
             f"generator is not self-adjoint under {metric.value}: "
             f"defect {np.ravel(defect)[i]:.3e}"
         )
-    if metric is Metric.HERMITIAN:
-        dec = _decompose_hermitian(s.data, s.sectored)
-        return s.like(dec.apply(lambda w: np.exp(1j * w.real)))
-    dec = _decompose_general(s.data, s.sectored)
-    return s.like(dec.apply(lambda w: np.exp(1j * w)))
+    decompose = _decompose_hermitian if metric is Metric.HERMITIAN else _decompose_general
+    return s.like(decompose(s.data, s.sectored).apply(lambda w: np.exp(1j * w)))
 
 
 def verify_exp_equivalence(

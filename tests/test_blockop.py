@@ -57,6 +57,54 @@ class TestBetaMatrix:
             BlockOperator(np.zeros((3, 3)), 3, 1)
 
 
+class TestDtype:
+    """An operator keeps a float64 or complex128 input; blocks, joins and
+    dense assembly keep it; the sector layout holds exactly real input real."""
+
+    @pytest.mark.parametrize(
+        "given, kept",
+        [
+            (np.float64, np.float64),
+            (np.complex128, np.complex128),
+            (np.int64, np.float64),
+            (np.float32, np.float64),
+            (np.complex64, np.complex128),
+        ],
+    )
+    def test_dtype_kept_or_converted(self, given, kept):
+        data = np.diag([1, 2, -1, -2]).astype(given)
+        op = BlockOperator(data, 4)
+        assert op.data.dtype == kept
+        if given in (np.float64, np.complex128):
+            assert op.data is data
+
+    def test_blocks_and_joins_keep_real(self):
+        op = BlockOperator(np.arange(36.0).reshape(6, 6), 2, 3)
+        assert even_part(op).data.dtype == np.float64
+        assert op.like_blocks(None, op.blocks.pm, None, None).data.dtype == np.float64
+        assert op.like_blocks(1j * op.blocks.pp, None, None, None).data.dtype == np.complex128
+
+    def test_layout_holds_exactly_real_input_real(self):
+        data = np.kron(np.eye(2), [[1.0, 0.5], [0.5, -1.0]]).astype(complex)
+        layout = BlockOperator(data, 4).in_sectors([np.array([0, 1]), np.array([2, 3])])
+        assert layout.data.dtype == np.float64 and layout.real_basis_defect is None
+        assert np.array_equal(layout.dense().data, data)
+        assert layout.dense().data.dtype == np.float64
+        data[0, 1] += 1e-300j
+        data[1, 0] -= 1e-300j
+        layout = BlockOperator(data, 4).in_sectors([np.array([0, 1]), np.array([2, 3])])
+        assert layout.data.dtype == np.complex128
+
+    def test_pair_map_across_sectors_is_not_used(self):
+        # a map that sends one sector into another has no real basis per sector
+        data = np.kron([[1.0, 0.5j], [-0.5j, -1.0]], np.eye(2))  # sectors {0, 2}, {1, 3}
+        op = BlockOperator(data, 4, pairs=np.array([1, 0, 3, 2]))
+        layout = op.in_sectors([np.array([0, 2]), np.array([1, 3])])
+        assert len(layout.sectors) == 2
+        assert layout.pairs is None and layout.real_basis_defect is None
+        assert layout.data.dtype == np.complex128
+
+
 class TestBlockOperator:
     def test_side_must_match_tags(self):
         with pytest.raises(StructureError):

@@ -1,8 +1,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +45,16 @@ class TestModelsList:
         with pytest.raises(SystemExit) as excinfo:
             run(["models", "list", "--no-such-flag"])
         assert excinfo.value.code == 2
+
+    def test_runs_as_python_m_fwexact(self):
+        src = str(Path(fwexact.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, os.environ.get("PYTHONPATH", "")))}
+        done = subprocess.run(
+            [sys.executable, "-m", "fwexact", "models", "list"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "dirac_1d  [stationary]" in done.stdout
 
 
 class TestParser:
@@ -499,6 +512,64 @@ class TestConfigErrors:
         assert "'foo'" in err and "m, px, py, pz" in err
         assert not report.exists()
 
+    @pytest.mark.parametrize(
+        "command, assignment, message",
+        [
+            (
+                "floquet",
+                "floquet.sign=character",
+                "unknown config key floquet.sign (not a key yet: the command line runs "
+                "the quasienergy sign); floquet knows: nf, window",
+            ),
+            (
+                "transform",
+                "verify.bogus=1",
+                "unknown config key verify.bogus; verify knows: routes",
+            ),
+            (
+                "transform",
+                "nosuch.key=3",
+                "unknown config key 'nosuch'; sections: model, tolerances, output, "
+                "sweep, floquet, verify",
+            ),
+            (
+                "sweep",
+                "output.reprot=x",
+                "unknown config key output.reprot; output knows: report, dump, dump_dir",
+            ),
+        ],
+    )
+    def test_unknown_key_is_usage_error(self, tmp_path, capsys, command, assignment, message):
+        name = "floquet_dirac_vector" if command == "floquet" else "free_dirac"
+        report = tmp_path / "report.json"
+        code = run(
+            [command, "--set", f"model.name={name}", "--set", assignment, "--report", str(report)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["transform", "--set", "model.name=dirac_1d", "--set", "verify.routes=true"],
+            [
+                "sweep", "--set", "model.name=free_dirac",
+                "--set", "sweep.parameter=pz", "--set", "sweep.values=[0.5,1.0]",
+            ],
+            [
+                "floquet", "--set", "model.name=floquet_dirac_vector",
+                "--set", "floquet.nf=[4,8]", "--set", "floquet.window=2",
+            ],
+        ],
+        ids=["transform", "sweep", "floquet"],
+    )
+    def test_config_echo_loads_back_unchanged(self, tmp_path, argv):
+        report = tmp_path / "report.json"
+        assert run([*argv, "--report", str(report)]) == 0
+        echo = json.loads(report.read_text())["config"]
+        assert fwexact.cli.RunConfig.from_dict(echo).echo() == echo
+
     @pytest.mark.parametrize("command", ["floquet", "transform"])
     def test_empty_nf_is_usage_error(self, tmp_path, capsys, command):
         report = tmp_path / "report.json"
@@ -942,19 +1013,21 @@ class TestDecompositionCounts:
 
     DECOMPOSITIONS = ("eigh", "eig", "eigvalsh", "svd")
 
-    @classmethod
-    def count(cls, monkeypatch, argv):
+    def count(self, monkeypatch, argv):
         """Calls and matrices (the product of the leading axes) per
-        decomposition and side, and the spectral norms taken."""
+        decomposition and side, and the spectral norms taken; the dtypes
+        each decomposition was given go to ``self.dtypes``."""
         calls, matrices = Counter(), Counter()
+        self.dtypes = set()
         linalg = np.linalg
-        for name in cls.DECOMPOSITIONS:
+        for name in self.DECOMPOSITIONS:
             original = getattr(linalg, name)
 
             def counted(a, *args, _name=name, _original=original, **kwargs):
                 shape = np.shape(a)
                 calls[_name, shape[-1]] += 1
                 matrices[_name, shape[-1]] += math.prod(shape[:-2])
+                self.dtypes.add((_name, np.asarray(a).dtype.name))
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(linalg, name, counted)
@@ -1025,6 +1098,9 @@ class TestDecompositionCounts:
         assert matrices["eigh", half] == 2 * half_count
         assert matrices["eigvalsh", half] == half_count
         assert sum(calls.values()) == 4
+        # every catalog H here is real (dirac_1d in its grid-parity basis):
+        # each decomposition runs in float64
+        assert self.dtypes == {(routine, "float64"), ("eigh", "float64"), ("eigvalsh", "float64")}
 
     def test_stationary_transform(self, tmp_path, monkeypatch):
         self.check_transform(tmp_path, monkeypatch, "dirac_1d")
@@ -1227,6 +1303,32 @@ class TestMatrixDump:
         path.write_text(HEADER_2 + "1+0j,0+0j\n", encoding="utf-8")
         with pytest.raises(fwexact.cli.UsageError, match="1 body rows, header says rows=2"):
             load_matrix(path)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"name": "dirac_1d", "params": {"N": 16, "V1": 0.2}},
+            {"name": "free_dirac", "params": {"pz": 0.75}},
+        ],
+        ids=["dirac_1d", "free_dirac"],
+    )
+    def test_real_path_dumps_are_grid_basis(self, tmp_path, params):
+        # the chain ran in float64 (dirac_1d in its grid-parity basis); the
+        # dumps are the complex grid-basis operators, and u H u^dag of the
+        # model's own H is the dumped h_fw
+        spec = ModelSpec(params["name"], params["params"])
+        assert fwexact.matfun.in_sectors(spec.build().total).data.dtype == np.float64
+        argv = ["transform", "--dump", "--set", f"output.dump_dir={tmp_path / 'dumps'}"]
+        argv += ["--set", f"model.name={params['name']}"]
+        for key, value in params["params"].items():
+            argv += ["--set", f"model.params.{key}={value}"]
+        assert run([*argv, "--report", str(tmp_path / "r.json")]) == 0
+        dumps = {name: tmp_path / "dumps" / f"{name}.csv" for name in ("lambda", "u", "h_fw", "s")}
+        for path in dumps.values():
+            assert all(entry.endswith("j") for entry in path.read_text().splitlines()[1].split(","))
+        u, h_fw = (load_matrix(dumps[name]).data for name in ("u", "h_fw"))
+        h = spec.build().total.data
+        assert np.abs(u @ h @ u.conj().T - h_fw).max() <= 1e-13 * np.abs(h_fw).max()
 
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(123)

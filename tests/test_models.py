@@ -102,6 +102,44 @@ class TestDirac1D:
             np.linalg.norm(b @ sp.odd.data + sp.odd.data @ b) <= 1e-12 * scale
         )
 
+    @pytest.mark.parametrize(
+        "m, length",
+        [
+            (1.0, 2.0 * np.pi),
+            (np.array([0.5, 1.0, 2.0]), 2.0 * np.pi),
+            (1.0, np.array([4.0, 7.5])),
+        ],
+        ids=["scalar", "stacked_mass", "stacked_length"],
+    )
+    def test_written_blocks_equal_the_kronecker_sum(self, m, length):
+        # H is written block by block; the entries are those of the
+        # Kronecker build alpha_x (x) P + 1 (x) diag(V) + m beta (x) 1,
+        # bit for bit, for one point and for each point of a stack
+        n = 16
+        length = np.asarray(length)
+
+        def potential(x):
+            return 0.1 + 0.3 * np.cos(2 * np.pi * x / length[..., None])
+
+        h = dirac_1d(m, n, length, potential).total.data
+        stack = np.broadcast_shapes(np.shape(m), length.shape)
+        assert h.shape == (*stack, 4 * n, 4 * n)
+        for point in np.ndindex(stack):
+            size = np.broadcast_to(length, stack)[point]
+            v = 0.1 + 0.3 * np.cos(2 * np.pi * (np.arange(n) * (size / n)) / size)
+            reference = (
+                np.kron(ALPHA[0], spectral_momentum(n, size))
+                + np.kron(np.eye(4, dtype=complex), np.diag(v))
+                + np.broadcast_to(m, stack)[point] * np.kron(BETA4, np.eye(n))
+            )
+            assert h[point].tobytes() == reference.tobytes()
+
+    def test_declares_grid_parity(self):
+        n = 8
+        pairs = dirac_1d(1.0, n, 1.0, lambda x: np.zeros_like(x)).total.pairs
+        spinor, grid = np.divmod(np.arange(4 * n), n)
+        assert np.array_equal(pairs, spinor * n + (-grid) % n)
+
     def test_complex_potential_rejected(self):
         with pytest.raises(MetricViolationError):
             dirac_1d(1.0, 8, 1.0, lambda x: 1j * x)
