@@ -35,8 +35,8 @@ over it weighted by those counts.
 Matrices are dense float64 or complex128, kept as given.  The sector
 layout holds exactly real input as float64, and takes an operator that
 declares a pair map (``pairs``: grid parity for ``dirac_1d``) to the map's
-real basis when the imaginary part left there, ``real_basis_defect``, is
-within the structural tolerance; ``dense()`` undoes the map.
+real basis when the imaginary part left there, the real_basis_defect, is
+roundoff (:data:`REAL_BASIS_TOL`, fixed); ``dense()`` undoes the map.
 
 A split (:class:`SplitHamiltonian`) is H as the model built it plus its
 mass; its even and odd terms and its defects are read off parity
@@ -58,6 +58,10 @@ import numpy as np
 
 from .errors import MetricViolationError, StructureError
 from .tolerances import TOL_STRUCT
+
+#: Largest ||Im||_F / ||H||_F a pair map's real basis may drop, the part of H odd under
+#: the map times conjugation: roundoff (dirac_1d: 1.1e-16 to 1.7e-16), set by no config.
+REAL_BASIS_TOL = 1e-14
 
 
 class Metric(Enum):
@@ -147,10 +151,9 @@ class BlockOperator:
     ----------
     data : ndarray
         Square float64 or complex128 matrix of side ``internal_dim *
-        floquet_copies``, or a stack of them (shape (..., side, side)).
-        Such an array is kept as given, without a copy (operators are
-        never modified in place); anything else is converted to float64,
-        or to complex128 when it is complex.
+        floquet_copies``, or a stack of them (shape (..., side, side)), kept
+        as given, without a copy (operators are never modified in place);
+        anything else becomes float64, or complex128 when it is complex.
     internal_dim : int
         Dimension of one time-Fourier copy.  Always even: the upper and
         lower spinor-like blocks have ``internal_dim // 2`` components
@@ -168,8 +171,6 @@ class BlockOperator:
         A row involution that, times conjugation, the model declares to
         commute with the operator; in the sector layout, the map within a
         sector whose real basis ``data`` is held in.
-    real_basis_defect : float or ndarray, optional
-        ||Im||_F / ||H||_F in that basis, when :meth:`in_sectors` tried it.
     """
 
     data: np.ndarray
@@ -178,7 +179,6 @@ class BlockOperator:
     sectors: Optional[np.ndarray] = None
     weights: Optional[np.ndarray] = None
     pairs: Optional[np.ndarray] = None
-    real_basis_defect: Optional[float | np.ndarray] = None
 
     def __post_init__(self) -> None:
         data = np.asarray(self.data)
@@ -257,7 +257,9 @@ class BlockOperator:
         """Frobenius norm, per operator of a stack."""
         return self.frobenius(self.data)
 
-    def in_sectors(self, sectors: list[np.ndarray], tol: float = TOL_STRUCT) -> "BlockOperator":
+    def in_sectors(
+        self, sectors: list[np.ndarray]
+    ) -> tuple["BlockOperator", Optional[float | np.ndarray]]:
         """This dense operator's diagonal blocks on ``sectors`` (index arrays
         it does not couple), stacked with each sector's beta = +1 components
         first; sectors of unequal size or parity balance give one sector,
@@ -265,7 +267,9 @@ class BlockOperator:
         every point of the stack, to an earlier sector's is held once.
         Blocks are held real when their imaginary part is exactly zero, or
         in the real basis of ``pairs`` (mapping each sector onto itself
-        alike) when the real_basis_defect is within ``tol`` everywhere."""
+        alike) when the imaginary part left there, the real_basis_defect
+        ||Im||_F / ||H||_F returned beside the layout (None when no pair map
+        is tried), is within :data:`REAL_BASIS_TOL` at every point."""
         signs, size = self.signs, len(sectors[0])
         if len(sectors) == 1 or any(
             len(s) != size or 2 * np.count_nonzero(signs[s] > 0) != size for s in sectors
@@ -294,11 +298,10 @@ class BlockOperator:
                 rotated = _pair_basis(data, local)
                 imaginary = frobenius(np.ascontiguousarray(rotated.imag), weights)
                 defect = imaginary / at_least(frobenius(rotated, weights), 1e-300)
-                if np.all(defect <= tol):
+                if np.all(defect <= REAL_BASIS_TOL):
                     data, pairs = np.ascontiguousarray(rotated.real), local
-        return BlockOperator(
-            data, self.internal_dim, self.floquet_copies, index, weights, pairs, defect
-        )
+        layout = BlockOperator(data, self.internal_dim, self.floquet_copies, index, weights, pairs)
+        return layout, defect
 
     def dense(self) -> "BlockOperator":
         """The operator as one matrix: each block (back from the real basis

@@ -123,9 +123,8 @@ def _exactly(value: Any, key: str, kind: type) -> Any:
 
 
 def _check_keys(raw: dict) -> None:
-    """Raise UsageError for a section that is not a mapping or a key no
-    section knows (the keys are those :meth:`RunConfig.echo` writes),
-    naming the key and the keys its section knows."""
+    """Raise UsageError for a section that is not a mapping or a key that
+    :meth:`RunConfig.echo` does not write, naming its section's keys."""
     known = RunConfig(ModelSpec("free_dirac")).echo()
     for section, value in raw.items():
         if section not in known:
@@ -410,9 +409,7 @@ def _run(
         )
     else:
         structural = built.check(tol.tol_struct)
-        result = transform_stationary(
-            built, tol.gap_tol, tol.eps_clamp, routes=config.routes, tol_struct=tol.tol_struct
-        )
+        result = transform_stationary(built, tol.gap_tol, tol.eps_clamp, routes=config.routes)
     timings["transform_ms"] += (time.perf_counter() - start) * 1e3
     return {**structural, **result.diagnostics}, built.metric, result
 

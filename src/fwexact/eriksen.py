@@ -43,9 +43,8 @@ form A's argument squared).
 H is gathered once into its sector layout (:mod:`fwexact.matfun`), in
 which the whole chain runs at sector size on the distinct sectors
 (``dirac_1d``: one block of side 2N for its two equal sectors), in float64
-when the layout holds H real (``dirac_1d`` in its grid-parity basis, see
-:mod:`fwexact.blockop`); the result's operators are assembled dense, in
-the basis H was given in, only when read (:class:`FWResult`).
+where the layout holds H real (:mod:`fwexact.blockop`); the result's
+operators are assembled dense, in H's basis, only when read (:class:`FWResult`).
 
 lambda^2 is formed once, blockwise, for the involution pre-check,
 ``lambda_sq_defect`` and ``sign_products_commute_defect``.  Every
@@ -87,8 +86,8 @@ from .expgen import (
     inverse_root,
     trig_defects,
 )
-from .matfun import EvenDecomposition, check_involution, decompose, in_sectors, sign_of
-from .tolerances import EPS_CLAMP, GAP_TOL, TOL_STRUCT
+from .matfun import EvenDecomposition, check_involution, decompose, gather, in_sectors, sign_of
+from .tolerances import EPS_CLAMP, GAP_TOL
 from .verify import alt_form_defect, generator_routes, identity_defects
 
 
@@ -239,7 +238,6 @@ def transform_stationary(
     eps_clamp: float = EPS_CLAMP,
     *,
     routes: bool = False,
-    tol_struct: float = TOL_STRUCT,
 ) -> FWResult:
     """Run the full stationary transformation H -> U H U^{-1}.
 
@@ -248,13 +246,13 @@ def transform_stationary(
     sqrt(H^2) = lambda H.  ``routes=True`` runs the cross-check routes of
     :mod:`fwexact.verify` as well: alt_form_defect (the polar form
     against U), form_agreement_defect, denominator_commutator_defect and
-    clamp_excess (the canonical arcsine, held to ``eps_clamp``).  An H that
-    declares a pair map reports real_basis_defect, held to ``tol_struct``.
+    clamp_excess (the canonical arcsine, held to ``eps_clamp``).  An H with
+    a pair map reports real_basis_defect (see :mod:`fwexact.blockop`).
     """
-    h, metric = in_sectors(split_h.total, tol_struct), split_h.metric
+    (h, real_basis_defect), metric = gather(split_h.total), split_h.metric
     result = _transform(h, metric, gap_tol, eps_clamp, routes)
-    if h.real_basis_defect is not None:
-        result.diagnostics["real_basis_defect"] = h.real_basis_defect
+    if real_basis_defect is not None:
+        result.diagnostics["real_basis_defect"] = real_basis_defect
     lam, u, h_fw = (result._operators[name] for name in ("sign_op", "u", "h_fw"))
     diagnostics = result.diagnostics
     diagnostics["odd_norm"] = relative_odd_norm(h_fw)

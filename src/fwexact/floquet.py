@@ -341,7 +341,7 @@ def _transformed_odd_norm(
     columns of U^{-1} enter the product."""
     if naive:
         # the naive operator is taken whole, as one sector
-        u = eriksen_unitary(lam.in_sectors([np.arange(lam.side)]), lambda_sq_tol=None)
+        u = eriksen_unitary(lam.in_sectors([np.arange(lam.side)])[0], lambda_sq_tol=None)
     else:
         with _extended_errors(k, metric):
             u = eriksen_unitary(lam)

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -108,11 +108,15 @@ def find_sectors(a: np.ndarray) -> list[np.ndarray]:
     return sectors
 
 
-def in_sectors(a: BlockOperator, tol: float = TOL_STRUCT) -> BlockOperator:
-    """An operator (or stack) in its sector layout
-    (:meth:`~fwexact.blockop.BlockOperator.in_sectors`, held to ``tol``);
-    one already in it is returned as is, so the sectors are found once."""
-    return a if a.sectored else a.in_sectors(find_sectors(a.data), tol)
+def gather(a: BlockOperator) -> tuple[BlockOperator, Optional[float | np.ndarray]]:
+    """:meth:`~fwexact.blockop.BlockOperator.in_sectors` on the operator's own
+    sectors, found once: an operator already in its layout comes back as is."""
+    return (a, None) if a.sectored else a.in_sectors(find_sectors(a.data))
+
+
+def in_sectors(a: BlockOperator) -> BlockOperator:
+    """An operator (or stack) in its sector layout (see :func:`gather`)."""
+    return gather(a)[0]
 
 
 @dataclass(frozen=True)
@@ -120,14 +124,13 @@ class SpectralDecomposition:
     """Eigendecomposition A = V diag(w) V^{-1}, of one matrix or of a
     stack of them (leading axes on every field).
 
-    ``eigenvalues`` are ascending by real part: real on the Hermitian
-    path, complex (real up to roundoff) on the general one unless numpy
-    returns them real.  For the Hermitian path
-    ``inverse_vectors`` is exactly ``right_vectors``^dag.  ``scale`` is
-    the spectral radius max |w| (||A||_2 on the Hermitian path), an
-    array with one entry per matrix for a stack.  In the sector layout
-    (``sectored``) each distinct sector's eigenpairs, ascending, are on
-    the sector axis, and ``scale`` spans every sector.
+    ``eigenvalues`` ascend by real part: real on the Hermitian path,
+    complex (real to roundoff) on the general one unless numpy returns
+    them real.  For the Hermitian path ``inverse_vectors`` is exactly
+    ``right_vectors``^dag.  ``scale`` is the spectral radius max |w|
+    (||A||_2 on the Hermitian path), one entry per matrix of a stack.  In
+    the sector layout (``sectored``) each distinct sector's eigenpairs,
+    ascending, are on the sector axis, and ``scale`` spans every sector.
     """
 
     eigenvalues: np.ndarray

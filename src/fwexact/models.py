@@ -121,10 +121,9 @@ def dirac_1d(
     The odd part is alpha_x (x) P with P the spectral momentum matrix,
     the even part is 1_4 (x) diag(V(x_j)), and mass = m*1.  Kronecker
     order is spinor-major, so the grading is that of side 4n with the
-    grid factor folded into each spinor block; H is written block by
-    block.  n must be a power of two >= 8.  H declares grid parity
-    j -> -j mod n as its pair map (see :mod:`fwexact.blockop`): with
-    conjugation it commutes with P, and with V when V is even.
+    grid factor folded into each spinor block.  n must be a power of
+    two >= 8.  H declares grid parity j -> -j mod n as its pair map (see
+    :mod:`fwexact.blockop`): times conjugation it commutes with P and an even V.
 
     m and length may be arrays (broadcast together): ``potential`` then
     gets the grid points of each length along a last axis, and may return

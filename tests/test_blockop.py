@@ -86,22 +86,22 @@ class TestDtype:
 
     def test_layout_holds_exactly_real_input_real(self):
         data = np.kron(np.eye(2), [[1.0, 0.5], [0.5, -1.0]]).astype(complex)
-        layout = BlockOperator(data, 4).in_sectors([np.array([0, 1]), np.array([2, 3])])
-        assert layout.data.dtype == np.float64 and layout.real_basis_defect is None
+        layout, defect = BlockOperator(data, 4).in_sectors([np.array([0, 1]), np.array([2, 3])])
+        assert layout.data.dtype == np.float64 and defect is None
         assert np.array_equal(layout.dense().data, data)
         assert layout.dense().data.dtype == np.float64
         data[0, 1] += 1e-300j
         data[1, 0] -= 1e-300j
-        layout = BlockOperator(data, 4).in_sectors([np.array([0, 1]), np.array([2, 3])])
+        layout, _ = BlockOperator(data, 4).in_sectors([np.array([0, 1]), np.array([2, 3])])
         assert layout.data.dtype == np.complex128
 
     def test_pair_map_across_sectors_is_not_used(self):
         # a map that sends one sector into another has no real basis per sector
         data = np.kron([[1.0, 0.5j], [-0.5j, -1.0]], np.eye(2))  # sectors {0, 2}, {1, 3}
         op = BlockOperator(data, 4, pairs=np.array([1, 0, 3, 2]))
-        layout = op.in_sectors([np.array([0, 2]), np.array([1, 3])])
+        layout, defect = op.in_sectors([np.array([0, 2]), np.array([1, 3])])
         assert len(layout.sectors) == 2
-        assert layout.pairs is None and layout.real_basis_defect is None
+        assert layout.pairs is None and defect is None
         assert layout.data.dtype == np.complex128
 
 

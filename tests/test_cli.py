@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 import fwexact.cli
 import fwexact.matfun
 import fwexact.verify
-from fwexact import BlockOperator, ModelSpec, transform_stationary
+from fwexact import BlockOperator, ModelSpec, dirac_1d, transform_stationary
 from fwexact.cli import _IDENTITY_KEYS, _chunk_size, dump_matrix, load_matrix, main
 
 
@@ -1088,11 +1088,13 @@ class TestDecompositionCounts:
         assert calls["spectral_norm"] == 0
         return calls, matrices
 
-    def check_transform(self, tmp_path, monkeypatch, model):
+    def check_transform(self, tmp_path, monkeypatch, model, dtype="float64", assignments=()):
         # H (or K), then the denominator, which gives U and S, S^2 for
         # the doubling identities and exp(iS), and U H U^{-1}'s spectrum
-        assignments, (routine, side, count), (half, half_count), _ = self.TRANSFORMS[model]
-        calls, matrices = self.transform_calls(tmp_path, monkeypatch, assignments)
+        model_assignments, (routine, side, count), (half, half_count), _ = self.TRANSFORMS[model]
+        calls, matrices = self.transform_calls(
+            tmp_path, monkeypatch, [*model_assignments, *assignments]
+        )
         assert calls[routine, side] == 1 and matrices[routine, side] == count
         assert calls["eigh", half] == 2 and calls["eigvalsh", half] == 1
         assert matrices["eigh", half] == 2 * half_count
@@ -1100,7 +1102,8 @@ class TestDecompositionCounts:
         assert sum(calls.values()) == 4
         # every catalog H here is real (dirac_1d in its grid-parity basis):
         # each decomposition runs in float64
-        assert self.dtypes == {(routine, "float64"), ("eigh", "float64"), ("eigvalsh", "float64")}
+        assert self.dtypes == {(routine, dtype), ("eigh", dtype), ("eigvalsh", dtype)}
+        return json.loads((tmp_path / "report.json").read_text())
 
     def test_stationary_transform(self, tmp_path, monkeypatch):
         self.check_transform(tmp_path, monkeypatch, "dirac_1d")
@@ -1110,6 +1113,22 @@ class TestDecompositionCounts:
 
     def test_pseudo_metric_transform(self, tmp_path, monkeypatch):
         self.check_transform(tmp_path, monkeypatch, "feshbach_villars")
+
+    def test_potential_that_is_not_even_runs_complex(self, tmp_path, monkeypatch):
+        # V1 sin(2 pi x / L) is not even on the grid, so H is not real in
+        # the grid-parity basis: the complex path runs, however loose the
+        # structural tolerance, with the counts of the catalog potential
+        length = 2.0 * np.pi
+
+        def sine(self):
+            return dirac_1d(1.0, 8, length, lambda x: 0.2 * np.sin(2 * np.pi * x / length))
+
+        monkeypatch.setattr(ModelSpec, "build", sine)
+        report = self.check_transform(
+            tmp_path, monkeypatch, "dirac_1d", "complex128", ["tolerances.tol_struct=0.5"]
+        )
+        assert report["diagnostics"]["real_basis_defect"] > 1e-3
+        assert set(report["verdicts"].values()) == {"pass"}
 
     @pytest.mark.parametrize("model", sorted(TRANSFORMS))
     def test_transform_with_routes(self, tmp_path, monkeypatch, model):

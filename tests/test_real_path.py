@@ -12,18 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fwexact import (
-    BlockOperator,
-    Metric,
-    ModelSpec,
-    Tolerances,
-    dirac_1d,
-    split,
-    transform_stationary,
-)
-from fwexact.blockop import _pair_basis
-from fwexact.cli import _verdicts
-from fwexact.matfun import in_sectors
+from fwexact import BlockOperator, Metric, ModelSpec, dirac_1d, split, transform_stationary
+from fwexact.blockop import REAL_BASIS_TOL, _pair_basis
+from fwexact.matfun import gather, in_sectors
 
 OPERATORS = ("sign_op", "u", "u_inverse", "h_fw", "s")
 
@@ -113,9 +104,9 @@ def test_real_path_matches_the_gauged_complex_path(half, metric, seed):
 
 class TestDirac1DRealBasis:
     def test_layout_is_real(self):
-        h = in_sectors(ModelSpec("dirac_1d", {"N": 64, "V1": 0.2}).build().total)
+        h, defect = gather(ModelSpec("dirac_1d", {"N": 64, "V1": 0.2}).build().total)
         assert h.data.dtype == np.float64 and h.pairs is not None
-        assert 0.0 < h.real_basis_defect <= 1e-15
+        assert 0.0 < defect <= 1e-15
 
     @pytest.mark.parametrize("n", [8, 32])
     def test_real_basis_matches_the_grid_basis(self, n):
@@ -131,28 +122,17 @@ class TestDirac1DRealBasis:
             assert ours.dtype == np.complex128
             assert np.abs(ours - getattr(plain, name).data).max() <= 1e-13, name
 
-    def test_potential_that_is_not_even_runs_complex(self, monkeypatch):
-        n, length = 16, 2.0 * np.pi
-        sp = dirac_1d(1.0, n, length, lambda x: 0.2 * np.sin(2 * np.pi * x / length))
-        seen = []
-        for name in ("eigh", "eigvalsh"):
-            original = getattr(np.linalg, name)
-
-            def recorded(a, *args, _original=original, **kwargs):
-                seen.append(np.asarray(a).dtype)
-                return _original(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, recorded)
-        result = transform_stationary(sp)
-        assert len(seen) == 4 and set(seen) == {np.dtype(np.complex128)}
-        assert result.diagnostics["real_basis_defect"] > 1e-3
-        verdicts = _verdicts(result.diagnostics, Tolerances(), Metric.HERMITIAN)
-        assert set(verdicts.values()) == {"pass"}
-
-    def test_tolerance_decides_the_basis(self):
-        # a defect of ~1e-16 passes the default 1e-12 but not a bound below it
-        sp = ModelSpec("dirac_1d", {"N": 16, "V1": 0.2}).build()
-        assert in_sectors(sp.total, 1e-12).data.dtype == np.float64
-        strict = in_sectors(sp.total, 1e-20)
-        assert strict.data.dtype == np.complex128 and strict.pairs is None
-        assert strict.real_basis_defect > 1e-20
+    @pytest.mark.parametrize("odd", [1e-14, 1e-13, 0.2])
+    def test_real_basis_drops_roundoff_only(self, odd):
+        # a sine part makes V not even: its imaginary part in the real basis
+        # is the part of H that dropping it would remove, so above roundoff
+        # (REAL_BASIS_TOL) the complex path runs, whatever the tolerances
+        length = 2.0 * np.pi
+        sp = dirac_1d(
+            1.0, 16, length,
+            lambda x: 0.2 * np.cos(2 * np.pi * x / length) + odd * np.sin(2 * np.pi * x / length),
+        )
+        h, defect = gather(sp.total)
+        assert (defect <= REAL_BASIS_TOL) == (odd < 1e-13)
+        assert h.data.dtype == (np.float64 if odd < 1e-13 else np.complex128)
+        assert (h.pairs is not None) == (odd < 1e-13)
