@@ -507,8 +507,9 @@ class SplitHamiltonian:
     ) -> dict[str, float | np.ndarray]:
         """Raise for the first matrix whose norm ``scale`` is not finite or
         with a defect that is not within ``tol``."""
-        values = np.array(list(defects.values())).reshape(len(defects), -1)
-        norms = np.broadcast_to(scale, values.shape[1:])
+        values = np.array(list(defects.values()))
+        norms = np.broadcast_to(scale, values.shape[1:]).ravel()
+        values = values.reshape(len(defects), -1)
         i = first_failing(~np.isfinite(norms) | ~(values <= tol).all(axis=0))
         if i is None:
             return defects

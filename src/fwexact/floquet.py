@@ -24,9 +24,13 @@ even, and the demonstration below measures exactly that.
 
 The extended-space kernels are batched: K and the naive operator are
 assembled from their stacked bands by one strided copy, the naive
-operator's time samples H(t) go to one stacked decomposition (every
-sample still checked), and its bands come from one contraction of the
-sampled signs with the Fourier phases.
+operator's time samples H(t) go to one stacked decomposition in the
+sector layout they share (every sample still checked), and its bands
+come from one contraction of the sampled signs with the Fourier phases,
+exactly zero between sectors.  When every Fourier mode is real,
+H(-t) = H(t)^*, so the bands are real and are kept as float64.  The
+naive operator is gathered by its own sectors, as K is, before its
+unitary is built (in real arithmetic for real bands).
 
 Odd-part norms are measured on a central window of Fourier copies; the
 edge copies of the truncated ladder are excluded as truncation
@@ -281,11 +285,13 @@ def lambda_naive(
     samples over one period (oversampled Nyquist for the bands kept) and
     assembled into the block-Toeplitz extended operator with bands
     lambda_q for |q| <= 2*nf.  The samples H(t) come from one contraction
-    of the stacked Fourier modes with their phases and go to one stacked
-    decomposition, which holds each sample to the checks of
-    :func:`~fwexact.matfun.sign_of` (a gap failure names the first
-    failing time); the bands come from one contraction of the signs with
-    the Fourier phases.  The result squares to one only up to the
+    of the stacked Fourier modes with their phases and go, in the sector
+    layout of the whole stack, to one stacked decomposition, which holds
+    each sample to the checks of :func:`~fwexact.matfun.sign_of` (a gap
+    failure names the first failing time); the bands come from one
+    contraction of the signs with the Fourier phases and are exactly
+    zero between sectors.  Real modes give real bands (float64), since
+    H(-t) = H(t)^*.  The result squares to one only up to the
     truncation error, which is the point of keeping it.
     """
     if nf < 1:
@@ -298,7 +304,8 @@ def lambda_naive(
     orders, modes = model.mode_stack
     phases = np.exp(-1j * model.omega * np.outer(times, orders))
     h_t = (phases @ modes.reshape(len(orders), d * d)).reshape(samples, d, d)
-    dec = decompose(BlockOperator(h_t, d), model.metric)
+    layout = in_sectors(BlockOperator(h_t, d))
+    dec = decompose(layout, model.metric)
     try:
         check_gap(dec, gap_tol)
     except SpectralGapError as exc:
@@ -306,11 +313,14 @@ def lambda_naive(
             f"adiabatic sign undefined: instantaneous spectrum closes at "
             f"t = {times[exc.index]:.6g} ({exc})"
         ) from exc
-    signs = dec.apply(lambda w: np.sign(w.real).astype(complex))
+    signs = dec.apply(lambda w: np.sign(w.real))
     q = np.arange(-2 * nf, 2 * nf + 1)
     fourier = np.exp(1j * model.omega * np.outer(q, times))
-    bands = (fourier @ signs.reshape(samples, d * d)).reshape(len(q), d, d) / samples
-    return BlockOperator(_block_toeplitz(bands), d, copies)
+    bands = (fourier @ signs.reshape(samples, -1)).reshape(len(q), *signs.shape[1:]) / samples
+    if not modes.imag.any():
+        # H(-t) = H(t)^*: the samples at t_k and t_{S-k} are conjugates
+        bands = bands.real
+    return BlockOperator(_block_toeplitz(layout.like(bands).dense().data), d, copies)
 
 
 def _window_bounds(a: BlockOperator, window: int) -> tuple[int, int]:
@@ -337,11 +347,12 @@ def _transformed_odd_norm(
     k: ExtendedOperator, lam: BlockOperator, metric: Metric, window: int, naive: bool
 ) -> float:
     """Central-window odd norm of U K U^{-1}, U the exact unitary of
-    ``lam``.  Only the window is measured, so only its rows of U and its
-    columns of U^{-1} enter the product."""
+    ``lam``: Lambda in the sector layout of K, or the dense naive
+    operator, which :func:`~fwexact.eriksen.eriksen_unitary` gathers by
+    its own sectors.  Only the window is measured, so only its rows of U
+    and its columns of U^{-1} enter the product."""
     if naive:
-        # the naive operator is taken whole, as one sector
-        u = eriksen_unitary(lam.in_sectors([np.arange(lam.side)])[0], lambda_sq_tol=None)
+        u = eriksen_unitary(lam, lambda_sq_tol=None)
     else:
         with _extended_errors(k, metric):
             u = eriksen_unitary(lam)

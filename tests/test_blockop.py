@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,6 +260,16 @@ class TestSplit:
         assert noisy.check(1e-6)["self_adjoint_defect"] == 1e-9
         with pytest.raises(MetricViolationError, match="not self-adjoint"):
             noisy.check(1e-12)
+
+    def test_two_axis_stack_reports_the_failing_point(self):
+        # a (2, 2) stack of diag(1, -1) with one point not self-adjoint:
+        # ||H - H^dag||_F / ||H||_F = sqrt(2) * 0.5 / 1.5 there
+        h = np.broadcast_to(np.diag([1.0, -1.0]), (2, 2, 2, 2)).copy()
+        h[1, 0, 0, 1] = 0.5
+        mass = BlockOperator(np.broadcast_to(np.eye(2), (2, 2, 2, 2)), 2, 1)
+        expected = f"{math.sqrt(2.0) * 0.5 / 1.5:.3e}"
+        with pytest.raises(MetricViolationError, match=f"defect {expected}"):
+            split(BlockOperator(h, 2, 1), mass, Metric.HERMITIAN)
 
     def test_check_validates_a_split_assembled_by_hand(self):
         from fwexact import SplitHamiltonian

@@ -956,7 +956,9 @@ class TestSectorSearch:
     """The sectors of each decomposed Hamiltonian are found once: H for a
     stationary transform (with the cross-check routes and the dumps,
     which take U, S and lambda in the same layout), K for a Floquet
-    transform, and each K of a Floquet run's decay table."""
+    transform, and each K of a Floquet run's decay table; a Floquet run
+    also finds those of the naive operator's time samples and of the
+    naive operator itself, at the largest nf."""
 
     @staticmethod
     def searched(monkeypatch, tmp_path, command, assignments):
@@ -999,7 +1001,8 @@ class TestSectorSearch:
     def test_floquet_run(self, tmp_path, monkeypatch):
         assignments = [*self.VECTOR_DRIVE, "floquet.nf=[4,6,8]", "floquet.window=2"]
         sides = self.searched(monkeypatch, tmp_path, "floquet", assignments)
-        assert sorted(sides) == [36, 52, 68]
+        # the (samples, 4, 4) stack, each K once, the naive operator at nf = 8
+        assert sorted(sides) == [4, 36, 52, 68, 68]
 
 
 class TestDecompositionCounts:
@@ -1015,10 +1018,10 @@ class TestDecompositionCounts:
 
     def count(self, monkeypatch, argv):
         """Calls and matrices (the product of the leading axes) per
-        decomposition and side, and the spectral norms taken; the dtypes
-        each decomposition was given go to ``self.dtypes``."""
+        decomposition and side, and the spectral norms taken; each
+        decomposition's (routine, dtype, side) goes to ``self.inputs``."""
         calls, matrices = Counter(), Counter()
-        self.dtypes = set()
+        self.inputs = set()
         linalg = np.linalg
         for name in self.DECOMPOSITIONS:
             original = getattr(linalg, name)
@@ -1027,7 +1030,7 @@ class TestDecompositionCounts:
                 shape = np.shape(a)
                 calls[_name, shape[-1]] += 1
                 matrices[_name, shape[-1]] += math.prod(shape[:-2])
-                self.dtypes.add((_name, np.asarray(a).dtype.name))
+                self.inputs.add((_name, np.asarray(a).dtype.name, shape[-1]))
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(linalg, name, counted)
@@ -1102,7 +1105,8 @@ class TestDecompositionCounts:
         assert sum(calls.values()) == 4
         # every catalog H here is real (dirac_1d in its grid-parity basis):
         # each decomposition runs in float64
-        assert self.dtypes == {(routine, dtype), ("eigh", dtype), ("eigvalsh", dtype)}
+        dtypes = {(name, dtype_name) for name, dtype_name, _ in self.inputs}
+        assert dtypes == {(routine, dtype), ("eigh", dtype), ("eigvalsh", dtype)}
         return json.loads((tmp_path / "report.json").read_text())
 
     def test_stationary_transform(self, tmp_path, monkeypatch):
@@ -1140,6 +1144,19 @@ class TestDecompositionCounts:
         assert full == 1
         assert 3 < half_calls <= parent_half
         assert sum(calls.values()) == full + half_calls
+
+    def test_floquet_run_decomposes_complex_only_at_sample_size(self, tmp_path, monkeypatch):
+        # the vector drive at p = (0, 0, pz) has real modes: K, Lambda and the
+        # naive operator are real, and only the 4x4 samples H(t) may be complex
+        argv = ["floquet", "--report", str(tmp_path / "floquet.json")]
+        for assignment in [*TestSectorSearch.VECTOR_DRIVE, "floquet.nf=[4,6,8]"]:
+            argv += ["--set", assignment]
+        calls, _ = self.count(monkeypatch, argv)
+        assert calls["spectral_norm"] == 0
+        complex_sides = [side for _, dtype, side in self.inputs if dtype == "complex128"]
+        assert max(complex_sides, default=0) <= 4
+        # the two sectors of each K, in float64
+        assert {("eigh", "float64", side) for side in (18, 26, 34)} <= self.inputs
 
     def test_sweep_takes_no_spectral_norm(self, tmp_path, monkeypatch):
         calls, matrices = self.count(

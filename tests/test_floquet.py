@@ -371,6 +371,85 @@ class TestBatchedKernels:
         assert calls == Counter(eigh=1)
 
 
+def pseudo_declared_model():
+    """The reference drive's Hermitian modes declared beta-pseudo."""
+    vector = reference_model()
+    return TimePeriodicHamiltonian(
+        vector.modes, vector.omega, vector.internal_dim, Metric.BETA_PSEUDO
+    )
+
+
+#: drives whose Fourier modes are all exactly real (alpha_x, alpha_z, beta)
+REAL_MODE_DRIVES = {
+    "vector": floquet_dirac_vector(1.0, (0, 0, 0.5), 0.2, 0.03),
+    "vector_px": floquet_dirac_vector(1.0, (0.3, 0, 0.5), 0.2, 0.03),
+    "scalar": floquet_dirac_scalar(1.0, (0, 0, 0.5), 0.2, 0.03),
+    "scalar_px": floquet_dirac_scalar(1.0, (0.3, 0, 0.5), 0.2, 0.03),
+}
+
+
+class TestNaiveSectorRoute:
+    """The naive operator in its samples' sector layout, real for real
+    modes, against the complex route that takes it whole, as one sector."""
+
+    @staticmethod
+    def one_sector_odd_norm(model, nf, window):
+        """odd_norm_lambda_naive from the per-sample complex lambda, gathered
+        as one sector, with U K U^{-1} formed in full."""
+        lam = BlockOperator(naive_by_samples(model, nf), model.internal_dim, 2 * nf + 1)
+        whole = lam.in_sectors([np.arange(lam.side)])[0]
+        assert whole.data.dtype == np.complex128 and len(whole.sectors) == 1
+        u = eriksen_unitary(whole, lambda_sq_tol=None).dense()
+        k = build_extended(model, nf)
+        full = u.data @ k.op.data @ adjoint_m(u, model.metric).data
+        return central_odd_norm(k.op.like(full), window)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            floquet_dirac_vector(1.0, (0, 0, 0.5), 0.2, 0.03),
+            floquet_dirac_vector(1.0, (0, 0.3, 0.5), 0.2, 0.03),
+            phased_vector_drive(),
+            pseudo_declared_model(),
+            floquet_dirac_scalar(1.0, (0, 0, 0.5), 0.2, 0.03),
+        ],
+        ids=["vector", "vector_py", "phased", "pseudo", "scalar"],
+    )
+    def test_odd_norm_matches_one_sector_complex_route(self, model):
+        nf, window = 8, 4
+        expected = self.one_sector_odd_norm(model, nf, window)
+        measured = demonstrate_nonevenness(model, nf, window).odd_norm_lambda_naive
+        # the uniform scalar drive's odd norm is itself roundoff
+        assert measured == pytest.approx(expected, rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("name", sorted(REAL_MODE_DRIVES))
+    def test_real_modes_give_float64_bands(self, name):
+        model, nf = REAL_MODE_DRIVES[name], 8
+        lam = lambda_naive(model, nf)
+        assert lam.data.dtype == np.float64
+        # the imaginary part the complex route leaves, which is dropped
+        complex_route = naive_by_samples(model, nf)
+        dropped = np.linalg.norm(complex_route.imag) / np.linalg.norm(complex_route)
+        assert dropped <= 1e-14
+        assert np.abs(lam.data - complex_route.real).max() <= 1e-14
+
+    @pytest.mark.parametrize(
+        "model",
+        [floquet_dirac_vector(1.0, (0, 0.3, 0.5), 0.2, 0.03), phased_vector_drive()],
+        ids=["vector_py", "phased"],
+    )
+    def test_complex_modes_give_complex_bands(self, model):
+        assert lambda_naive(model, 4).data.dtype == np.complex128
+
+    def test_exact_zeros_off_the_samples_sectors(self):
+        # alpha_z and beta couple spinor components {0, 2} and {1, 3}
+        model, nf = REAL_MODE_DRIVES["vector"], 8
+        lam = lambda_naive(model, nf).data
+        sector = np.arange(lam.shape[-1]) % 4 % 2
+        assert not lam[sector[:, None] != sector[None, :]].any()
+        assert len(fwexact.matfun.find_sectors(lam)) == 2
+
+
 class TestDemonstrateNonevenness:
     def test_static_model_both_clean(self):
         model = floquet_dirac_scalar(1.0, (0, 0, 0.5), 0.0, 0.1)

@@ -134,6 +134,22 @@ class TestDirac1D:
             )
             assert h[point].tobytes() == reference.tobytes()
 
+    def test_two_axis_stack_has_a_defect_per_point(self):
+        # m (2, 1) and length (2,) broadcast to a (2, 2) stack of splits,
+        # each point's defects those of its own build
+        m, length = np.array([[1.0], [2.0]]), np.array([5.0, 6.0])
+
+        def potential(x):
+            return 0.2 * np.cos(x)
+
+        sp = dirac_1d(m, 16, length, potential)
+        assert sp.total.data.shape == (2, 2, 64, 64)
+        for point in np.ndindex(2, 2):
+            single = dirac_1d(m[point[0], 0], 16, length[point[1]], potential)
+            for key, defects in sp.defects.items():
+                assert np.shape(defects) == (2, 2), key
+                assert defects[point] == single.defects[key], key
+
     def test_declares_grid_parity(self):
         n = 8
         pairs = dirac_1d(1.0, n, 1.0, lambda x: np.zeros_like(x)).total.pairs
