@@ -27,29 +27,27 @@ they come back as arrays with the stack's shape, and as floats when
 there is no stack (:func:`per_matrix`).
 
 An operator can be held in its sector layout
-(:meth:`BlockOperator.in_sectors`): the stack (..., distinct, s, s) of
-its distinct diagonal blocks on decoupled sectors, with how many sectors
-hold each.  The sector axis is part of the operator: Frobenius norms sum
-over it weighted by those counts.
+(:meth:`BlockOperator.in_sectors`, or written so by its model): the
+stack (..., distinct, s, s) of its distinct diagonal blocks on decoupled
+sectors, with how many sectors hold each, Frobenius norms weighted by
+those counts.  Matrices are float64 or complex128, kept as given; a
+layout holds exactly real input as float64, or is held in the real basis
+of a map within each sector (``pairs``: grid parity for ``dirac_1d``,
+whose model keeps that basis only when the imaginary part it drops, the
+real_basis_defect, is roundoff, :data:`REAL_BASIS_TOL`); ``dense()``
+undoes the map.
 
-Matrices are dense float64 or complex128, kept as given.  The sector
-layout holds exactly real input as float64, and takes an operator that
-declares a pair map (``pairs``: grid parity for ``dirac_1d``) to the map's
-real basis when the imaginary part left there, the real_basis_defect, is
-roundoff (:data:`REAL_BASIS_TOL`, fixed); ``dense()`` undoes the map.
-
-A split (:class:`SplitHamiltonian`) is H as the model built it plus its
-mass; its even and odd terms and its defects are read off parity
-blocks, and its ``odd_defect`` is an exact zero by construction.
+A split (:class:`SplitHamiltonian`) is H as the model built it, dense or
+in its layout, plus its mass; its defects are read off that layout's
+parity blocks, and its ``odd_defect`` is an exact zero by construction.
 
 Everything here is a pure function of immutable inputs.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, lru_cache, reduce
 from typing import NamedTuple, Optional
@@ -59,8 +57,8 @@ import numpy as np
 from .errors import MetricViolationError, StructureError
 from .tolerances import TOL_STRUCT
 
-#: Largest ||Im||_F / ||H||_F a pair map's real basis may drop, the part of H odd under
-#: the map times conjugation: roundoff (dirac_1d: 1.1e-16 to 1.7e-16), set by no config.
+#: Largest ||Im||_F / ||H||_F a real basis of a pair map may drop, the part of H odd under
+#: the map times conjugation: roundoff (dirac_1d: at most 2e-17), set by no config.
 REAL_BASIS_TOL = 1e-14
 
 
@@ -124,16 +122,14 @@ def _parity(internal_dim: int, floquet_copies: int) -> _Parity:
     return _Parity(signs)
 
 
-def _pair_basis(x: np.ndarray, pairs: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Q^dag x Q (per matrix), or Q x Q^dag when ``inverse``, Q the real
-    basis of the involution ``pairs``: e_i at a fixed point, (e_i + e_j)/sqrt2
-    and i(e_i - e_j)/sqrt2 for a pair i < j.  A row of Q^dag (or Q) has two
-    entries, d at the diagonal and e at the partner: O(n^2), in place."""
+def _from_pair_basis(x: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Q x Q^dag (per matrix), Q the real basis of the involution ``pairs``:
+    e_i at a fixed point, (e_i + e_j)/sqrt2 and i(e_i - e_j)/sqrt2 for a
+    pair i < j.  A row of Q has two entries, d at the diagonal and e at the
+    partner: O(n^2)."""
     k, r = np.arange(len(pairs)), math.sqrt(0.5)
-    d = np.where(pairs == k, 1.0, np.where(k < pairs, r, 1j * r))
-    e = np.where(pairs == k, 0.0, np.where(k < pairs, r, -1j * r))
-    if inverse:
-        d, e = d.conj(), e[pairs].conj()
+    d = np.where(pairs == k, 1.0, np.where(k < pairs, r, -1j * r))
+    e = np.where(pairs == k, 0.0, np.where(k < pairs, 1j * r, r))
     rows = e[:, None] * x[..., pairs, :]
     rows += d[:, None] * x
     out = rows.take(pairs, axis=-1)
@@ -168,9 +164,8 @@ class BlockOperator:
     weights : ndarray, optional
         In the sector layout, how many sectors hold each block of ``data``.
     pairs : ndarray, optional
-        A row involution that, times conjugation, the model declares to
-        commute with the operator; in the sector layout, the map within a
-        sector whose real basis ``data`` is held in.
+        In the sector layout, a row involution within a sector (the same
+        for every sector) whose real basis ``data`` is held in.
     """
 
     data: np.ndarray
@@ -257,19 +252,13 @@ class BlockOperator:
         """Frobenius norm, per operator of a stack."""
         return self.frobenius(self.data)
 
-    def in_sectors(
-        self, sectors: list[np.ndarray]
-    ) -> tuple["BlockOperator", Optional[float | np.ndarray]]:
+    def in_sectors(self, sectors: list[np.ndarray]) -> "BlockOperator":
         """This dense operator's diagonal blocks on ``sectors`` (index arrays
         it does not couple), stacked with each sector's beta = +1 components
         first; sectors of unequal size or parity balance give one sector,
         the whole matrix in its own order.  A block equal, exactly and at
         every point of the stack, to an earlier sector's is held once.
-        Blocks are held real when their imaginary part is exactly zero, or
-        in the real basis of ``pairs`` (mapping each sector onto itself
-        alike) when the imaginary part left there, the real_basis_defect
-        ||Im||_F / ||H||_F returned beside the layout (None when no pair map
-        is tried), is within :data:`REAL_BASIS_TOL` at every point."""
+        Blocks are held real when their imaginary part is exactly zero."""
         signs, size = self.signs, len(sectors[0])
         if len(sectors) == 1 or any(
             len(s) != size or 2 * np.count_nonzero(signs[s] > 0) != size for s in sectors
@@ -287,21 +276,11 @@ class BlockOperator:
         owner = [firsts.index(f) for f in first]
         if len(firsts) < len(index):
             data, index = data[..., firsts, :, :], index[np.argsort(owner, kind="stable")]
-        weights, pairs, defect = np.bincount(owner), None, None
         if np.iscomplexobj(data) and not data.imag.any():
             data = np.ascontiguousarray(data.real)
-        elif self.pairs is not None:
-            position = np.zeros(self.side, dtype=int)
-            position[index] = np.arange(index.shape[1])
-            local = position[self.pairs[index[0]]]
-            if np.array_equal(index[:, local], self.pairs[index]):  # each sector alike
-                rotated = _pair_basis(data, local)
-                imaginary = frobenius(np.ascontiguousarray(rotated.imag), weights)
-                defect = imaginary / at_least(frobenius(rotated, weights), 1e-300)
-                if np.all(defect <= REAL_BASIS_TOL):
-                    data, pairs = np.ascontiguousarray(rotated.real), local
-        layout = BlockOperator(data, self.internal_dim, self.floquet_copies, index, weights, pairs)
-        return layout, defect
+        return BlockOperator(
+            data, self.internal_dim, self.floquet_copies, index, np.bincount(owner)
+        )
 
     def dense(self) -> "BlockOperator":
         """The operator as one matrix: each block (back from the real basis
@@ -310,7 +289,7 @@ class BlockOperator:
             return self
         index, data = self.sectors, self.data
         if self.pairs is not None:
-            data = _pair_basis(data, self.pairs, inverse=True)
+            data = _from_pair_basis(data, self.pairs)
         if len(index) == 1:
             data = data[..., 0, :, :]
         else:
@@ -401,14 +380,6 @@ def adjoint_sign(metric: Metric) -> float:
     return 1.0 if metric is Metric.HERMITIAN else -1.0
 
 
-def _check_same_shape(a: BlockOperator, b: BlockOperator) -> None:
-    if (a.internal_dim, a.floquet_copies) != (b.internal_dim, b.floquet_copies):
-        raise StructureError(
-            f"block structure mismatch: ({a.internal_dim}, {a.floquet_copies}) "
-            f"vs ({b.internal_dim}, {b.floquet_copies})"
-        )
-
-
 def even_part(a: BlockOperator) -> BlockOperator:
     """Projection onto the beta-commuting part, (A + beta A beta) / 2: the
     diagonal parity blocks, with exact zeros in the off-diagonal ones, so
@@ -434,29 +405,41 @@ def adjoint_m(a: BlockOperator, metric: Metric) -> BlockOperator:
 class SplitHamiltonian:
     """Hamiltonian H = beta*mass + even + odd, held as H and its mass.
 
-    ``total`` is H as the model built it, self-adjoint under ``metric``;
-    ``mass`` is the even operator multiplying beta (declared by the
-    model; the split of the even content between beta*mass and the even
-    term is not unique when mass is a nonconstant operator, so it is
-    never inferred).  ``even`` (commutes with beta) and ``odd``
-    (anticommutes) are read off H's parity blocks when read.  ``defects``
-    holds the structural defect norms measured by :func:`split` (empty
-    for a split assembled by hand).
+    ``h`` is H as the model built it, self-adjoint under ``metric``, dense
+    or in its sector layout; ``mass``, in the same layout, is the even
+    operator multiplying beta (declared by the model; the split of the
+    even content between beta*mass and the even term is not unique when
+    mass is a nonconstant operator, so it is never inferred).  ``total``
+    is the dense H, assembled when first read, and ``even`` (commutes with
+    beta) and ``odd`` (anticommutes) are read off it.  ``defects`` holds
+    the defect norms :func:`split` measured (empty for a split assembled
+    by hand); ``real_basis_defect`` is what a model's real basis dropped
+    (None when it tried none).
     """
 
-    total: BlockOperator
+    h: BlockOperator
     mass: BlockOperator
     metric: Metric
-    defects: dict[str, float] = dataclasses.field(default_factory=dict, compare=False)
+    defects: dict[str, float] = field(default_factory=dict, compare=False)
+    real_basis_defect: Optional[float | np.ndarray] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        _check_same_shape(self.mass, self.total)
+        shapes = [(a.internal_dim, a.floquet_copies, a.sectored) for a in (self.mass, self.h)]
+        if shapes[0] != shapes[1] or self.h.sectored and not np.array_equal(
+            self.h.sectors, self.mass.sectors
+        ):
+            raise StructureError(f"block structure mismatch: mass {shapes[0]} vs H {shapes[1]}")
+
+    @cached_property
+    def total(self) -> BlockOperator:
+        """H as one dense matrix (or stack)."""
+        return self.h.dense()
 
     @property
     def even(self) -> BlockOperator:
         """even_part(H) - beta*mass."""
         h_pp, _, _, h_mm = self.total.blocks
-        m_pp, m_pm, m_mp, m_mm = self.mass.blocks
+        m_pp, m_pm, m_mp, m_mm = self.mass.dense().blocks
         # beta*mass has blocks m_pp, m_pm, -m_mp, -m_mm
         return self.total.like_blocks(h_pp - m_pp, -m_pm, m_mp, h_mm + m_mm)
 
@@ -467,30 +450,29 @@ class SplitHamiltonian:
 
     def validate(self, tol: float = TOL_STRUCT) -> dict[str, float | np.ndarray]:
         """Relative defect norms of the structural invariants (per matrix
-        of a stack), from the parity blocks of H and the mass: beta X - X
-        beta is twice the odd blocks of X (with signs), beta X + X beta
-        twice the diagonal ones.  The even term's odd blocks are the mass's;
-        the odd term has no diagonal blocks, so ``odd_defect`` is exactly 0.
+        of a stack), from the parity blocks of H and the mass in their
+        layout (sector blocks weighted by their counts): beta X - X beta is
+        twice the odd blocks of X (with signs), beta X + X beta twice the
+        diagonal ones.  The even term's odd blocks are the mass's; the odd
+        term has no diagonal blocks, so ``odd_defect`` is exactly 0.
 
         Raises StructureError for a matrix whose ||H||_F is not finite
         (every relative defect would read 0 beside it), and StructureError
         / MetricViolationError when any defect exceeds ``tol``.
         """
-        total, mass = self.total, self.mass
-        scale = np.maximum(total.norm(), 1e-300)
-        pp, pm, mp, mm = total.blocks
+        h, mass, norm = self.h, self.mass, self.h.frobenius
+        scale = np.maximum(h.norm(), 1e-300)
+        pp, pm, mp, mm = h.blocks
         m_pp, m_pm, m_mp, m_mm = mass.blocks
-        mass_odd = hypot(frobenius(m_pm), frobenius(m_mp))
-        even_norm = hypot(frobenius(pp - m_pp), mass_odd, frobenius(mm + m_mm))
+        mass_odd = hypot(norm(m_pm), norm(m_mp))
+        even_norm = hypot(norm(pp - m_pp), mass_odd, norm(mm + m_mm))
         # (H - H^adj)_{-+} is the metric adjoint of (H - H^adj)_{+-}, up to sign
-        off_diagonal = math.sqrt(2.0) * frobenius(pm - adjoint_sign(self.metric) * dagger(mp))
+        off_diagonal = math.sqrt(2.0) * norm(pm - adjoint_sign(self.metric) * dagger(mp))
         defects = {
             "mass_even_defect": 2.0 * mass_odd / np.maximum(mass.norm(), 1e-300),
             "even_defect": 2.0 * mass_odd / np.maximum(even_norm, np.maximum(scale * tol, 1e-300)),
-            "odd_defect": np.zeros(total.stack_shape),
-            "self_adjoint_defect": hypot(
-                frobenius(pp - dagger(pp)), off_diagonal, frobenius(mm - dagger(mm))
-            )
+            "odd_defect": np.zeros(h.stack_shape),
+            "self_adjoint_defect": hypot(norm(pp - dagger(pp)), off_diagonal, norm(mm - dagger(mm)))
             / scale,
         }
         return self._check({k: per_matrix(v) for k, v in defects.items()}, tol, scale)
@@ -549,11 +531,11 @@ def check_finite_norm(x: np.ndarray) -> None:
 def split(
     h: BlockOperator, mass: BlockOperator, metric: Metric, tol: float = TOL_STRUCT
 ) -> SplitHamiltonian:
-    """Split a self-adjoint H into beta*mass + even + odd: the split holds
-    H itself and the declared mass, and reads even_part(H) - beta*mass and
-    odd_part(H) off H's parity blocks.  :meth:`SplitHamiltonian.validate`
-    checks to ``tol`` that the mass commutes with beta and H is self-adjoint
-    under ``metric`` (``odd_defect`` is an exact zero); the defects are kept.
+    """Split a self-adjoint H (dense or in its sector layout) into
+    beta*mass + even + odd: the split holds H itself and the declared
+    mass, in H's layout.  :meth:`SplitHamiltonian.validate` checks to
+    ``tol`` that the mass commutes with beta and H is self-adjoint under
+    ``metric`` (``odd_defect`` is an exact zero); the defects are kept.
     """
     result = SplitHamiltonian(h, mass, metric)
-    return dataclasses.replace(result, defects=result.validate(tol))
+    return replace(result, defects=result.validate(tol))

@@ -40,11 +40,10 @@ metrics, and there are three:
 their kernels (the polar Gram matrix, the canonical arcsine's M^2 and
 form A's argument squared).
 
-H is gathered once into its sector layout (:mod:`fwexact.matfun`), in
-which the whole chain runs at sector size on the distinct sectors
-(``dirac_1d``: one block of side 2N for its two equal sectors), in float64
-where the layout holds H real (:mod:`fwexact.blockop`); the result's
-operators are assembled dense, in H's basis, only when read (:class:`FWResult`).
+The chain runs in H's sector layout (:mod:`fwexact.matfun`), as its
+model wrote it (``dirac_1d``) or gathered once, at sector size on the
+distinct sectors and in float64 where the layout holds H real; the
+result's operators are made dense, in H's basis, only when read.
 
 lambda^2 is formed once, blockwise, for the involution pre-check,
 ``lambda_sq_defect`` and ``sign_products_commute_defect``.  Every
@@ -53,12 +52,9 @@ held beyond the outputs.  ``anticommutator_even_defect`` is an exact
 zero: beta (beta lambda + lambda beta) and (beta lambda + lambda beta) beta
 are both lambda + beta lambda beta, and sign flips are exact.
 
-H may carry leading stack axes, shape (..., n, n): a stack of
-Hamiltonians of one block structure and metric (the points of a sweep)
-then runs through the same code as one transform, one stacked kernel
-call per step.  Every check holds each Hamiltonian to its own scale, and
-every diagnostic, ``h_fw_norm`` and ``s_norm`` come back as arrays with
-the stack's shape (floats without a stack).
+H may carry leading stack axes (the points of a sweep): the stack runs
+as one transform, each Hamiltonian held to its own scale, and every
+diagnostic, ``h_fw_norm`` and ``s_norm`` has the stack's shape.
 """
 
 from __future__ import annotations
@@ -86,7 +82,7 @@ from .expgen import (
     inverse_root,
     trig_defects,
 )
-from .matfun import EvenDecomposition, check_involution, decompose, gather, in_sectors, sign_of
+from .matfun import EvenDecomposition, check_involution, decompose, in_sectors, sign_of
 from .tolerances import EPS_CLAMP, GAP_TOL
 from .verify import alt_form_defect, generator_routes, identity_defects
 
@@ -246,13 +242,14 @@ def transform_stationary(
     sqrt(H^2) = lambda H.  ``routes=True`` runs the cross-check routes of
     :mod:`fwexact.verify` as well: alt_form_defect (the polar form
     against U), form_agreement_defect, denominator_commutator_defect and
-    clamp_excess (the canonical arcsine, held to ``eps_clamp``).  An H with
-    a pair map reports real_basis_defect (see :mod:`fwexact.blockop`).
+    clamp_excess (the canonical arcsine, held to ``eps_clamp``).  A split
+    whose model tried a real basis reports its real_basis_defect (see
+    :mod:`fwexact.blockop`).
     """
-    (h, real_basis_defect), metric = gather(split_h.total), split_h.metric
+    h, metric = in_sectors(split_h.h), split_h.metric
     result = _transform(h, metric, gap_tol, eps_clamp, routes)
-    if real_basis_defect is not None:
-        result.diagnostics["real_basis_defect"] = real_basis_defect
+    if split_h.real_basis_defect is not None:
+        result.diagnostics["real_basis_defect"] = split_h.real_basis_defect
     lam, u, h_fw = (result._operators[name] for name in ("sign_op", "u", "h_fw"))
     diagnostics = result.diagnostics
     diagnostics["odd_norm"] = relative_odd_norm(h_fw)

@@ -27,10 +27,8 @@ assembled from their stacked bands by one strided copy, the naive
 operator's time samples H(t) go to one stacked decomposition in the
 sector layout they share (every sample still checked), and its bands
 come from one contraction of the sampled signs with the Fourier phases,
-exactly zero between sectors.  When every Fourier mode is real,
-H(-t) = H(t)^*, so the bands are real and are kept as float64.  The
-naive operator is gathered by its own sectors, as K is, before its
-unitary is built (in real arithmetic for real bands).
+exactly zero between sectors.  Real modes keep K, and the naive bands
+(H(-t) = H(t)^*), in float64, and the samples too when H_-n = H_n.
 
 Odd-part norms are measured on a central window of Fourier copies; the
 edge copies of the truncated ladder are excluded as truncation
@@ -151,7 +149,7 @@ def build_extended(model: TimePeriodicHamiltonian, nf: int) -> ExtendedOperator:
         )
     d = model.internal_dim
     orders, modes = model.mode_stack
-    bands = np.zeros((4 * nf + 1, d, d), dtype=complex)
+    bands = np.zeros((4 * nf + 1, d, d), dtype=modes.dtype)
     bands[orders + 2 * nf] = modes
     data = _block_toeplitz(bands)
     data[np.diag_indices_from(data)] -= np.repeat(np.arange(-nf, nf + 1) * model.omega, d)
@@ -302,8 +300,11 @@ def lambda_naive(
     period = 2.0 * np.pi / model.omega
     times = np.arange(samples) * (period / samples)
     orders, modes = model.mode_stack
-    phases = np.exp(-1j * model.omega * np.outer(times, orders))
-    h_t = (phases @ modes.reshape(len(orders), d * d)).reshape(samples, d, d)
+    angles, flat = model.omega * np.outer(times, orders), modes.reshape(len(orders), d * d)
+    # H(t) = sum_n H_n cos(n w t) - (i/2) sum_n (H_n - H_-n) sin(n w t), H_-n at
+    # flat[::-1]: exactly real when every H_-n equals H_n
+    h_t = np.cos(angles) @ flat - 0.5j * (np.sin(angles) @ (flat - flat[::-1]))
+    h_t = h_t.reshape(samples, d, d)
     layout = in_sectors(BlockOperator(h_t, d))
     dec = decompose(layout, model.metric)
     try:

@@ -24,37 +24,30 @@ batched call.  The full-size exp(iS) of the cross-checks lives in
 :mod:`fwexact.verify`.
 
 beta is diagonal, so lambda, the denominator, U, S, S^2 and U H U^{-1}
-are functions of H and beta: direct sums over H's sectors, the connected
-components of the pattern of exactly nonzero entries
-(:func:`find_sectors`).  :func:`in_sectors` finds them once per
-Hamiltonian (H, or the Floquet K) and gathers H once into a stack
-(..., distinct, s, s), each sector's beta = +1 components first, in which
-the whole chain stays, real where the layout holds H real (see
-:mod:`fwexact.blockop`).  A sector equal, exactly and at every point of a
-stack, to an earlier one is held once, with how often it occurs.  Kernels
-take the sector axis as a stack axis, one batched call at side s on the
-distinct sectors; reductions take it as part of the matrix: Frobenius
-norms sum over it weighted by those counts, spectra are repeated by them,
-concatenated and sorted, scales and checks take the extreme over it.
-``dirac_1d``'s side-4N H (alpha_x couples spinor components {0, 3} and
-{1, 2}) is two equal sectors of side 2N, held as one; the vector-drive
-Floquet K splits the same way into two that differ.  Sectors of unequal
-size or parity balance leave H one sector, in its own order.
+are direct sums over H's sectors, the connected components of the
+pattern of exactly nonzero entries (:func:`find_sectors`).
+:func:`in_sectors` gathers a dense H (or the Floquet K) once into its
+sector layout (:mod:`fwexact.blockop`; ``dirac_1d`` writes its own), in
+which the whole chain stays.  Kernels take the sector axis as a stack
+axis, one batched call at side s on the distinct sectors; reductions
+take it as part of the matrix: Frobenius norms weight it by the sector
+counts, spectra are repeated by them, scales and checks take the
+extreme over it.  ``dirac_1d``'s H is two equal sectors of side 2N, held
+once; the vector-drive Floquet K splits into two that differ.
 
 Every kernel takes operators with leading stack axes (the points of a
 sweep, the instantaneous H(t) samples of a Floquet drive) to one stacked
-call, so a stack of 4x4 or 2x2 models pays the Python overhead of one
-call per kernel, not one per matrix.  Every check (Hermiticity, the gap,
-a real spectrum, cond(V), positive definiteness, lambda^2 = 1) holds
-each matrix of a stack to its own scale and reports the first one that
-fails; diagnostics reduce per matrix (see :mod:`fwexact.blockop`).
+call.  Every check (Hermiticity, the gap, a real spectrum, cond(V),
+positive definiteness, lambda^2 = 1) holds each matrix of a stack to
+its own scale and reports the first one that fails; diagnostics reduce
+per matrix (see :mod:`fwexact.blockop`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -108,15 +101,11 @@ def find_sectors(a: np.ndarray) -> list[np.ndarray]:
     return sectors
 
 
-def gather(a: BlockOperator) -> tuple[BlockOperator, Optional[float | np.ndarray]]:
-    """:meth:`~fwexact.blockop.BlockOperator.in_sectors` on the operator's own
-    sectors, found once: an operator already in its layout comes back as is."""
-    return (a, None) if a.sectored else a.in_sectors(find_sectors(a.data))
-
-
 def in_sectors(a: BlockOperator) -> BlockOperator:
-    """An operator (or stack) in its sector layout (see :func:`gather`)."""
-    return gather(a)[0]
+    """An operator (or stack) in its sector layout: as given when it is
+    held in one already, else gathered on the sectors :func:`find_sectors`
+    finds (:meth:`~fwexact.blockop.BlockOperator.in_sectors`)."""
+    return a if a.sectored else a.in_sectors(find_sectors(a.data))
 
 
 @dataclass(frozen=True)
@@ -144,9 +133,6 @@ class SpectralDecomposition:
         stack, in the layout of the decomposed operator)."""
         w = f(self.eigenvalues)
         return (self.right_vectors * w[..., None, :]) @ self.inverse_vectors
-
-    def reconstruct(self) -> np.ndarray:
-        return self.apply(lambda w: w)
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -205,15 +191,18 @@ class EvenDecomposition(NamedTuple):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Apply f to both blocks, whose joint spectrum must be positive;
         the threshold is relative to the largest |eigenvalue| of the two
-        blocks (of every sector) of the same operator."""
+        blocks (of every sector) of the same operator.  The error names the
+        lowest eigenvalue only below -threshold: within it, its digits are
+        roundoff that equivalent arithmetic would change."""
         w, axes = self.eigenvalues, operator_axes(2, self.sectored)
         lowest = w.min(axis=axes)
         threshold = 1e-12 * np.maximum(np.abs(w).max(axis=axes), 1e-300)
         i = first_failing(lowest <= threshold)
         if i is not None:
+            low, bound = np.ravel(lowest)[i], np.ravel(threshold)[i]
+            found = f"{low:.3e}" if low < -bound else "within the threshold of zero"
             raise DomainError(
-                f"not positive definite: min eigenvalue {np.ravel(lowest)[i]:.3e} "
-                f"(threshold {np.ravel(threshold)[i]:.3e})"
+                f"not positive definite: min eigenvalue {found} (threshold {bound:.3e})"
             )
         return self.apply(f)
 

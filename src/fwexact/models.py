@@ -15,18 +15,21 @@ Natural units (hbar = c = 1) throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .blockop import (
+    REAL_BASIS_TOL,
     BlockOperator,
     Metric,
     SplitHamiltonian,
     check_finite_norm,
     first_failing,
+    per_matrix,
     split,
 )
 from .errors import MetricViolationError, StructureError
@@ -49,11 +52,6 @@ TAU1, TAU2, TAU3 = SIGMA  # Pauli-like matrices of the two-component boson form
 #: A numeric model parameter: one value, or an array of values for which
 #: a stationary builder returns the stack of the models at each value.
 Value = float | np.ndarray
-
-
-def _check_grid_size(n: int) -> None:
-    if n < 8 or (n & (n - 1)) != 0:
-        raise StructureError(f"grid size must be a power of two >= 8, got {n}")
 
 
 def _check_mass(m: Value) -> None:
@@ -113,6 +111,28 @@ def grid_momenta(n: int, length: Value) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
 
 
+def _momentum_in_parity_basis(n: int) -> np.ndarray:
+    """The spectral momentum over [0, 2 pi), real in the basis of grid
+    parity j -> -j mod n (see :func:`fwexact.blockop._from_pair_basis`).
+
+    P[j, l] = c(j - l) with c(d) = -(-1)^d / 2 + i s(d) and s odd, c the
+    inverse FFT of the momenta.  The first term, from the unpaired
+    momentum -n/2, is -w w^T / 2 on the even vectors, w_j = (-1)^j sqrt2;
+    i s couples even vector j only with odd vector l (at n - l), by
+    s(j + l) - s(j - l); both over sqrt2 at a fixed point j.
+    """
+    half = n // 2
+    s = np.fft.ifft(np.fft.fftfreq(n) * n).imag
+    even, odd = np.arange(half + 1), n - np.arange(half + 1, n)
+    scale = np.where((even == 0) | (even == half), math.sqrt(0.5), 1.0)
+    w = np.where(even % 2, -scale, scale)
+    p = np.zeros((n, n))
+    p[: half + 1, : half + 1] = -np.outer(w, w)
+    coupling = (s[(even[:, None] + odd) % n] - s[even[:, None] - odd]) * scale[:, None]
+    p[: half + 1, half + 1 :], p[half + 1 :, : half + 1] = coupling, coupling.T
+    return p
+
+
 def dirac_1d(
     m: Value, n: int, length: Value, potential: Callable[[np.ndarray], np.ndarray]
 ) -> SplitHamiltonian:
@@ -122,8 +142,18 @@ def dirac_1d(
     the even part is 1_4 (x) diag(V(x_j)), and mass = m*1.  Kronecker
     order is spinor-major, so the grading is that of side 4n with the
     grid factor folded into each spinor block.  n must be a power of
-    two >= 8.  H declares grid parity j -> -j mod n as its pair map (see
-    :mod:`fwexact.blockop`): times conjugation it commutes with P and an even V.
+    two >= 8.
+
+    H is written in its sector layout (:mod:`fwexact.blockop`), with no
+    dense H: alpha_x couples spinor a only with 3 - a, so H is two equal
+    sectors, spinors {0, 3} and {1, 2}, held once as [[V + m, P], [P,
+    V - m]].  Times conjugation, grid parity commutes with P, and with V
+    where V is even.  The block is written real, in the parity basis
+    (``pairs``), with V_j taken as (V_j + V_-j) / 2, when what that drops
+    (the couplings +-i (V_j - V_-j) / 2 of each pair), relative to ||H||_F,
+    is within REAL_BASIS_TOL at every point; else complex, in the grid
+    basis.  That ratio is the split's ``real_basis_defect``, from V and
+    the momenta in O(n).
 
     m and length may be arrays (broadcast together): ``potential`` then
     gets the grid points of each length along a last axis, and may return
@@ -131,22 +161,30 @@ def dirac_1d(
     splits.
     """
     _check_mass(m)
-    _check_grid_size(n)
-    length = np.asarray(length, dtype=float)
-    x = np.arange(n) * (length[..., None] / n)
-    v = np.asarray(potential(x), dtype=complex)
+    if n < 8 or (n & (n - 1)) != 0:
+        raise StructureError(f"grid size must be a power of two >= 8, got {n}")
+    m, length = np.asarray(m, dtype=float)[..., None], np.asarray(length, dtype=float)
+    v = np.asarray(potential(np.arange(n) * (length[..., None] / n)), dtype=complex)
     if np.abs(v.imag).max(initial=0.0) > 0:
         raise MetricViolationError("metric violation: potential must be real-valued")
-    p = spectral_momentum(n, length)
-    stack = np.broadcast_shapes(p.shape[:-2], v.shape[:-1], np.shape(m))
-    h = np.zeros((*stack, 4 * n, 4 * n), dtype=complex)
-    blocks = h.reshape(*stack, 4, n, 4, n)
-    grid = np.arange(n)
-    for a, beta in enumerate((1.0, 1.0, -1.0, -1.0)):
-        blocks[..., a, :, 3 - a, :] = p  # alpha_x couples spinor a with 3 - a
-        blocks[..., a, grid, a, grid] = v.real + beta * np.asarray(m, dtype=float)[..., None]
-    parity = (np.arange(4)[:, None] * n + (-grid) % n).ravel()
-    return split(BlockOperator(h, 4 * n, 1, pairs=parity), _mass(m, h), Metric.HERMITIAN)
+    v, parity = v.real, (-np.arange(n)) % n
+    odd = v - v[..., parity]
+    norm_sq = (v + m) ** 2 + (v - m) ** 2 + 2.0 * grid_momenta(n, length[..., None]) ** 2
+    defect = per_matrix(np.sqrt(0.5 * (odd * odd).sum(axis=-1) / norm_sq.sum(axis=-1)))
+    if np.all(defect <= REAL_BASIS_TOL):
+        p = (2.0 * np.pi / length)[..., None, None] * _momentum_in_parity_basis(n)
+        v, pairs = 0.5 * (v + v[..., parity]), np.r_[parity, parity + n]
+    else:
+        p, pairs = spectral_momentum(n, length), None
+    h = np.zeros((*np.shape(defect), 1, 2 * n, 2 * n), dtype=p.dtype)
+    h[..., 0, :n, n:] = h[..., 0, n:, :n] = p
+    diagonal = np.arange(2 * n)
+    h[..., 0, diagonal, diagonal] = np.concatenate((v + m, v - m), axis=-1)
+    mass = np.broadcast_to(m[..., None, None] * np.eye(2 * n), h.shape)
+    sectors = (np.arange(n) + n * np.array([[0], [3], [1], [2]])).reshape(2, 2 * n)
+    layout = (4 * n, 1, sectors, np.array([2]))
+    result = split(BlockOperator(h, *layout, pairs), BlockOperator(mass, *layout), Metric.HERMITIAN)
+    return replace(result, real_basis_defect=defect)
 
 
 def feshbach_villars(m: Value, p: Value) -> SplitHamiltonian:
@@ -217,9 +255,10 @@ class TimePeriodicHamiltonian:
 
     @cached_property
     def mode_stack(self) -> tuple[np.ndarray, np.ndarray]:
-        """The Fourier orders n and the modes H_n stacked along axis 0."""
-        orders = np.array([n for n, _ in self.modes])
-        return orders, np.stack([h for _, h in self.modes])
+        """The ascending Fourier orders n and the modes H_n stacked along
+        axis 0, float64 when every mode is real."""
+        orders, modes = np.array([n for n, _ in self.modes]), np.stack([h for _, h in self.modes])
+        return orders, modes if modes.imag.any() else modes.real.copy()
 
     def mode(self, n: int) -> np.ndarray:
         for k, h in self.modes:
@@ -424,17 +463,9 @@ class ModelSpec:
         if self.name == "free_dirac":
             return free_dirac(m, self._momentum())
         if self.name == "dirac_1d":
-
-            def column(key: str) -> np.ndarray:
-                return np.asarray(self.value(key), dtype=float)[..., None]
-
-            length, v0, v1 = column("L"), column("V0"), column("V1")
-            return dirac_1d(
-                m,
-                int(self.value("N")),
-                self.value("L"),
-                lambda x: v0 + v1 * np.cos(2.0 * np.pi * x / length),
-            )
+            length, v0, v1 = (_column(self.value(k))[..., 0] for k in ("L", "V0", "V1"))
+            n, box = int(self.value("N")), self.value("L")
+            return dirac_1d(m, n, box, lambda x: v0 + v1 * np.cos(2.0 * np.pi * x / length))
         if self.name == "feshbach_villars":
             return feshbach_villars(m, self.value("p"))
         if self.name == "floquet_dirac_scalar":

@@ -953,12 +953,13 @@ class TestMalformedConfigValues:
 
 
 class TestSectorSearch:
-    """The sectors of each decomposed Hamiltonian are found once: H for a
-    stationary transform (with the cross-check routes and the dumps,
-    which take U, S and lambda in the same layout), K for a Floquet
-    transform, and each K of a Floquet run's decay table; a Floquet run
-    also finds those of the naive operator's time samples and of the
-    naive operator itself, at the largest nf."""
+    """The sectors of each decomposed Hamiltonian are found once: K for a
+    Floquet transform, and each K of a Floquet run's decay table; a
+    Floquet run also finds those of the naive operator's time samples and
+    of the naive operator itself, at the largest nf.  dirac_1d writes H in
+    its sector layout, so its transform searches none (with the
+    cross-check routes and the dumps, which take U, S and lambda in the
+    same layout, and with a potential that is not even)."""
 
     @staticmethod
     def searched(monkeypatch, tmp_path, command, assignments):
@@ -992,7 +993,17 @@ class TestSectorSearch:
             "output.dump=true",
             f"output.dump_dir={tmp_path / 'dumps'}",
         ]
-        assert self.searched(monkeypatch, tmp_path, "transform", assignments) == [32]
+        assert self.searched(monkeypatch, tmp_path, "transform", assignments) == []
+
+    def test_stationary_transform_of_a_potential_that_is_not_even(self, tmp_path, monkeypatch):
+        length = 2.0 * np.pi
+
+        def sine(self):
+            return dirac_1d(1.0, 8, length, lambda x: 0.2 * np.sin(2 * np.pi * x / length))
+
+        monkeypatch.setattr(ModelSpec, "build", sine)
+        assignments = ["model.name=dirac_1d", "model.params.N=8"]
+        assert self.searched(monkeypatch, tmp_path, "transform", assignments) == []
 
     def test_floquet_transform(self, tmp_path, monkeypatch):
         assignments = [*self.VECTOR_DRIVE, "floquet.nf=[4]", "verify.routes=true"]
@@ -1353,7 +1364,7 @@ class TestMatrixDump:
         # dumps are the complex grid-basis operators, and u H u^dag of the
         # model's own H is the dumped h_fw
         spec = ModelSpec(params["name"], params["params"])
-        assert fwexact.matfun.in_sectors(spec.build().total).data.dtype == np.float64
+        assert fwexact.matfun.in_sectors(spec.build().h).data.dtype == np.float64
         argv = ["transform", "--dump", "--set", f"output.dump_dir={tmp_path / 'dumps'}"]
         argv += ["--set", f"model.name={params['name']}"]
         for key, value in params["params"].items():

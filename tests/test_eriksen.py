@@ -184,7 +184,7 @@ class TestTransformStationary:
                 abs_h = (v * np.abs(w.real)) @ np.linalg.inv(v)
                 wd, vd = np.linalg.eig(d)
                 d_inv_half = (vd * (1 / np.sqrt(wd.real))) @ np.linalg.inv(vd)
-            even_content = 2 * (b @ sp.mass.data + sp.even.data)
+            even_content = 2 * (b @ sp.mass.dense().data + sp.even.data)
             closed = d_inv_half @ (even_content + b @ abs_h + abs_h @ b) @ d_inv_half
             assert np.linalg.norm(closed - res.h_fw.data) <= 1e-11 * max(
                 np.linalg.norm(res.h_fw.data), 1.0

@@ -379,6 +379,16 @@ def pseudo_declared_model():
     )
 
 
+def transposed_drive():
+    """Real modes with H_-1 = H_1^T = -H_1 (H_1 = 0.1 alpha_x beta): H(t) =
+    H_0 - 0.2i alpha_x beta sin(w t) is complex, so dropping the sine part
+    of the samples shows."""
+    h1 = 0.1 * ALPHA[0] @ BETA4
+    return TimePeriodicHamiltonian(
+        ((0, reference_model().mode(0)), (1, h1), (-1, h1.T)), 0.03, 4
+    )
+
+
 #: drives whose Fourier modes are all exactly real (alpha_x, alpha_z, beta)
 REAL_MODE_DRIVES = {
     "vector": floquet_dirac_vector(1.0, (0, 0, 0.5), 0.2, 0.03),
@@ -397,7 +407,7 @@ class TestNaiveSectorRoute:
         """odd_norm_lambda_naive from the per-sample complex lambda, gathered
         as one sector, with U K U^{-1} formed in full."""
         lam = BlockOperator(naive_by_samples(model, nf), model.internal_dim, 2 * nf + 1)
-        whole = lam.in_sectors([np.arange(lam.side)])[0]
+        whole = lam.in_sectors([np.arange(lam.side)])
         assert whole.data.dtype == np.complex128 and len(whole.sectors) == 1
         u = eriksen_unitary(whole, lambda_sq_tol=None).dense()
         k = build_extended(model, nf)
@@ -412,8 +422,9 @@ class TestNaiveSectorRoute:
             phased_vector_drive(),
             pseudo_declared_model(),
             floquet_dirac_scalar(1.0, (0, 0, 0.5), 0.2, 0.03),
+            transposed_drive(),
         ],
-        ids=["vector", "vector_py", "phased", "pseudo", "scalar"],
+        ids=["vector", "vector_py", "phased", "pseudo", "scalar", "transposed"],
     )
     def test_odd_norm_matches_one_sector_complex_route(self, model):
         nf, window = 8, 4
@@ -448,6 +459,33 @@ class TestNaiveSectorRoute:
         sector = np.arange(lam.shape[-1]) % 4 % 2
         assert not lam[sector[:, None] != sector[None, :]].any()
         assert len(fwexact.matfun.find_sectors(lam)) == 2
+
+
+class TestRealModes:
+    """A drive whose modes are real and equal in pairs (H_-n = H_n) runs
+    every extended-space decomposition in float64: K is built real, and
+    the naive operator's samples are exactly real."""
+
+    def test_decay_table_decomposes_only_float64(self, monkeypatch):
+        model = REAL_MODE_DRIVES["vector"]
+        assert build_extended(model, 8).op.data.dtype == np.float64
+        inputs = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def recorded(a, *args, _original=original, **kwargs):
+                inputs.append(np.asarray(a).dtype)
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        demonstrate_nonevenness(model, 16, 6, decay_nfs=[8, 12, 16])
+        assert inputs and set(inputs) == {np.dtype(np.float64)}
+
+    def test_transposed_real_modes_keep_complex_samples(self):
+        model = transposed_drive()
+        assert build_extended(model, 4).op.data.dtype == np.float64
+        lam = lambda_naive(model, 4)
+        assert np.abs(lam.data - naive_by_samples(model, 4)).max() <= 1e-13
 
 
 class TestDemonstrateNonevenness:

@@ -22,7 +22,7 @@ from fwexact import (
     transform_nonstationary,
     transform_stationary,
 )
-from fwexact.blockop import split
+from fwexact.blockop import SplitHamiltonian, split
 from fwexact.matfun import (
     EvenDecomposition,
     _fix_phases,
@@ -64,7 +64,7 @@ class TestDecompose:
     def test_reconstruction(self):
         a = hermitian_operator(5)
         dec = decompose(a, Metric.HERMITIAN)
-        assert np.linalg.norm(dec.reconstruct() - a.data) <= 1e-11 * np.linalg.norm(
+        assert np.linalg.norm(dec.apply(lambda w: w) - a.data) <= 1e-11 * np.linalg.norm(
             a.data
         )
         assert_allclose(dec.inverse_vectors, dec.right_vectors.conj().T, atol=0)
@@ -224,27 +224,35 @@ class TestSectors:
 
 
 class TestOneSectorTransforms:
-    """A transform decomposed as one sector agrees with the sector-wise one."""
+    """A transform decomposed as one sector agrees with the sector-wise one;
+    dirac_1d, which writes its own layout, is forced to one sector through
+    its dense H."""
 
     CASES = {
-        "dirac_1d_8": lambda routes: transform_stationary(
-            ModelSpec("dirac_1d", {"N": 8, "V1": 0.2}).build(), routes=routes
+        "dirac_1d_8": lambda routes, dense: transform_stationary(
+            dense(ModelSpec("dirac_1d", {"N": 8, "V1": 0.2}).build()), routes=routes
         ),
-        "dirac_1d_32": lambda routes: transform_stationary(
-            ModelSpec("dirac_1d", {"N": 32, "V1": 0.2}).build(), routes=routes
+        "dirac_1d_32": lambda routes, dense: transform_stationary(
+            dense(ModelSpec("dirac_1d", {"N": 32, "V1": 0.2}).build()), routes=routes
         ),
-        "vector_drive": lambda routes: transform_nonstationary(
+        "vector_drive": lambda routes, dense: transform_nonstationary(
             floquet_dirac_vector(1.0, (0.0, 0.0, 0.5), 0.2, 0.08), 4, routes=routes
         ),
     }
 
+    @staticmethod
+    def dense_split(sp):
+        return SplitHamiltonian(
+            sp.total, sp.mass.dense(), sp.metric, real_basis_defect=sp.real_basis_defect
+        )
+
     @pytest.mark.parametrize("routes", [False, True])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_same_result_as_one_sector(self, monkeypatch, case, routes):
-        sectored = self.CASES[case](routes)
+        sectored = self.CASES[case](routes, lambda sp: sp)
         assert len(find_sectors(sectored.u.data)) == 2
         monkeypatch.setattr(fwexact.matfun, "find_sectors", lambda a: [np.arange(a.shape[-1])])
-        whole = self.CASES[case](routes)
+        whole = self.CASES[case](routes, self.dense_split)
         assert len(find_sectors(whole.u.data)) == 1
         assert sectored.diagnostics.keys() == whole.diagnostics.keys()
         for key, value in whole.diagnostics.items():

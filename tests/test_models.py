@@ -25,6 +25,16 @@ from fwexact import (
 from fwexact.models import ALPHA, BETA4, MODEL_CATALOG, TAU3
 
 
+def kronecker_sum(m, n, length, v):
+    """dirac_1d's H at one point as the dense Kronecker build
+    alpha_x (x) P + 1 (x) diag(V) + m beta (x) 1 in the grid basis."""
+    return (
+        np.kron(ALPHA[0], spectral_momentum(n, length))
+        + np.kron(np.eye(4, dtype=complex), np.diag(v))
+        + m * np.kron(BETA4, np.eye(n))
+    )
+
+
 class TestFreeDirac:
     def test_at_rest(self):
         sp = free_dirac(1.0, (0.0, 0.0, 0.0))
@@ -112,27 +122,40 @@ class TestDirac1D:
         ids=["scalar", "stacked_mass", "stacked_length"],
     )
     def test_written_blocks_equal_the_kronecker_sum(self, m, length):
-        # H is written block by block; the entries are those of the
-        # Kronecker build alpha_x (x) P + 1 (x) diag(V) + m beta (x) 1,
-        # bit for bit, for one point and for each point of a stack
+        # H is written block by block in the grid-parity basis; assembled
+        # dense it is the Kronecker build alpha_x (x) P + 1 (x) diag(V) +
+        # m beta (x) 1 to roundoff, with the same exact zeros, for one
+        # point and for each point of a stack
         n = 16
         length = np.asarray(length)
 
         def potential(x):
             return 0.1 + 0.3 * np.cos(2 * np.pi * x / length[..., None])
 
-        h = dirac_1d(m, n, length, potential).total.data
+        sp = dirac_1d(m, n, length, potential)
+        assert sp.h.pairs is not None
+        h = sp.total.data
         stack = np.broadcast_shapes(np.shape(m), length.shape)
         assert h.shape == (*stack, 4 * n, 4 * n)
         for point in np.ndindex(stack):
             size = np.broadcast_to(length, stack)[point]
             v = 0.1 + 0.3 * np.cos(2 * np.pi * (np.arange(n) * (size / n)) / size)
-            reference = (
-                np.kron(ALPHA[0], spectral_momentum(n, size))
-                + np.kron(np.eye(4, dtype=complex), np.diag(v))
-                + np.broadcast_to(m, stack)[point] * np.kron(BETA4, np.eye(n))
-            )
-            assert h[point].tobytes() == reference.tobytes()
+            reference = kronecker_sum(np.broadcast_to(m, stack)[point], n, size, v)
+            assert np.abs(h[point] - reference).max() <= 1e-14 * np.abs(reference).max()
+            assert np.array_equal(h[point] == 0, reference == 0)
+
+    def test_grid_basis_blocks_equal_the_kronecker_sum_bit_for_bit(self):
+        # a potential that is not even is written in the grid basis, complex,
+        # and assembles to the Kronecker build bit for bit
+        n, length = 16, 2.0 * np.pi
+
+        def potential(x):
+            return 0.1 + 0.3 * np.sin(2 * np.pi * x / length)
+
+        sp = dirac_1d(1.5, n, length, potential)
+        assert sp.h.pairs is None and sp.h.data.dtype == np.complex128
+        reference = kronecker_sum(1.5, n, length, potential(np.arange(n) * (length / n)))
+        assert sp.total.data.tobytes() == reference.tobytes()
 
     def test_two_axis_stack_has_a_defect_per_point(self):
         # m (2, 1) and length (2,) broadcast to a (2, 2) stack of splits,
@@ -150,11 +173,16 @@ class TestDirac1D:
                 assert np.shape(defects) == (2, 2), key
                 assert defects[point] == single.defects[key], key
 
-    def test_declares_grid_parity(self):
+    def test_writes_two_equal_sectors_in_grid_parity(self):
+        # spinors {0, 3} and {1, 2}, beta = +1 rows first, held once; the
+        # pair map sends each row to the same spinor at grid point -j mod n
         n = 8
-        pairs = dirac_1d(1.0, n, 1.0, lambda x: np.zeros_like(x)).total.pairs
-        spinor, grid = np.divmod(np.arange(4 * n), n)
-        assert np.array_equal(pairs, spinor * n + (-grid) % n)
+        h = dirac_1d(1.0, n, 1.0, lambda x: np.zeros_like(x)).h
+        grid = np.arange(n)
+        assert np.array_equal(h.sectors, [np.r_[grid, grid + 3 * n], np.r_[grid + n, grid + 2 * n]])
+        assert np.array_equal(h.weights, [2]) and h.data.shape == (1, 2 * n, 2 * n)
+        spinor, point = np.divmod(np.arange(2 * n), n)
+        assert np.array_equal(h.pairs, spinor * n + (-point) % n)
 
     def test_complex_potential_rejected(self):
         with pytest.raises(MetricViolationError):

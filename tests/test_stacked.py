@@ -70,10 +70,10 @@ def test_stacked_validate_holds_each_split_to_its_scale():
     # relative), not beside the small one
     anti_hermitian = np.array([1e-9j, 0])[:, None, None] * np.eye(4)
     h = stacked.total
-    broken = dataclasses.replace(stacked, total=h.like(h.data + anti_hermitian))
+    broken = dataclasses.replace(stacked, h=h.like(h.data + anti_hermitian))
     with pytest.raises(MetricViolationError, match="not self-adjoint"):
         broken.validate()
-    dataclasses.replace(stacked, total=h.like(h.data + anti_hermitian[::-1])).validate()
+    dataclasses.replace(stacked, h=h.like(h.data + anti_hermitian[::-1])).validate()
 
 
 def random_hermitian(seed, side, scale=1.0):
@@ -116,6 +116,17 @@ class TestChecksPerMatrix:
         dec = EvenDecomposition.of(blocks[:, 0] + 0j, blocks[:, 1] + 0j)
         with pytest.raises(DomainError, match="min eigenvalue -1.000e-07"):
             dec.positive(np.sqrt)
+        # within the threshold (1e-12 at that point) the eigenvalue is
+        # roundoff: the message states the threshold, not its digits
+        for low in (-1e-13, 0.0, 1e-13):
+            blocks[0, 1, 1, 1] = low
+            dec = EvenDecomposition.of(blocks[:, 0] + 0j, blocks[:, 1] + 0j)
+            with pytest.raises(DomainError) as info:
+                dec.positive(np.sqrt)
+            assert str(info.value) == (
+                "not positive definite: min eigenvalue within the threshold of zero "
+                "(threshold 1.000e-12)"
+            )
 
     def test_arcsine_clamp(self):
         pm = np.zeros((3, 1, 1), dtype=complex)
