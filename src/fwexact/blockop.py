@@ -39,7 +39,8 @@ undoes the map.
 
 A split (:class:`SplitHamiltonian`) is H as the model built it, dense or
 in its layout, plus its mass; its defects are read off that layout's
-parity blocks, and its ``odd_defect`` is an exact zero by construction.
+parity blocks.  Its odd term is :func:`odd_part` of H, odd by
+construction, so no defect of it is measured.
 
 Everything here is a pure function of immutable inputs.
 """
@@ -454,7 +455,7 @@ class SplitHamiltonian:
         layout (sector blocks weighted by their counts): beta X - X beta is
         twice the odd blocks of X (with signs), beta X + X beta twice the
         diagonal ones.  The even term's odd blocks are the mass's; the odd
-        term has no diagonal blocks, so ``odd_defect`` is exactly 0.
+        term is :func:`odd_part` of H, with no diagonal blocks to measure.
 
         Raises StructureError for a matrix whose ||H||_F is not finite
         (every relative defect would read 0 beside it), and StructureError
@@ -471,7 +472,6 @@ class SplitHamiltonian:
         defects = {
             "mass_even_defect": 2.0 * mass_odd / np.maximum(mass.norm(), 1e-300),
             "even_defect": 2.0 * mass_odd / np.maximum(even_norm, np.maximum(scale * tol, 1e-300)),
-            "odd_defect": np.zeros(h.stack_shape),
             "self_adjoint_defect": hypot(norm(pp - dagger(pp)), off_diagonal, norm(mm - dagger(mm)))
             / scale,
         }
@@ -502,10 +502,9 @@ class SplitHamiltonian:
             raise StructureError(
                 f"mass operator is not even: defect {failing['mass_even_defect']:.3e}"
             )
-        if not (failing["even_defect"] <= tol and failing["odd_defect"] <= tol):
+        if not failing["even_defect"] <= tol:
             raise StructureError(
-                "even/odd split violates the beta grading: "
-                f"even {failing['even_defect']:.3e}, odd {failing['odd_defect']:.3e}"
+                f"even/odd split violates the beta grading: even {failing['even_defect']:.3e}"
             )
         raise MetricViolationError(
             "metric violation: total Hamiltonian is not self-adjoint "
@@ -535,7 +534,7 @@ def split(
     beta*mass + even + odd: the split holds H itself and the declared
     mass, in H's layout.  :meth:`SplitHamiltonian.validate` checks to
     ``tol`` that the mass commutes with beta and H is self-adjoint under
-    ``metric`` (``odd_defect`` is an exact zero); the defects are kept.
+    ``metric``; the defects are kept.
     """
     result = SplitHamiltonian(h, mass, metric)
     return replace(result, defects=result.validate(tol))

@@ -15,8 +15,11 @@ dotted-path overrides and ``--report <path>``.  ``--dump`` (or
 usage error for the other commands.  ``verify.routes`` (a JSON bool,
 default false) makes ``transform`` and ``sweep`` run the cross-check
 routes of :mod:`fwexact.verify` and report their diagnostics.  Reports
-are JSON with schema_version "2" and are byte-identical across reruns
-of the same configuration except for the timings block.  Exit codes:
+are JSON with schema_version "3" and are byte-identical across reruns
+of the same configuration except for the timings block.  Identities
+that hold by construction are not reported: the split's odd term is
+``odd_part(H)``, S is made of its off-diagonal blocks, and beta commutes
+with beta lambda + lambda beta by exact sign flips.  Exit codes:
 0 all verdicts pass, 2 usage/config error, 3 spectral gap violation,
 4 invariant or tolerance failure, 5 I/O failure.
 """
@@ -36,7 +39,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .blockop import BlockOperator, Metric
+from .blockop import BlockOperator
 from .eriksen import FWResult, transform_stationary
 from .errors import FwExactError, SpectralGapError, StructureError
 from .floquet import demonstrate_nonevenness, transform_nonstationary
@@ -48,11 +51,10 @@ from .models import (
 )
 from .tolerances import Tolerances
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
-#: Which tolerance bounds each diagnostic.  Keys absent here (or mapped
-#: to None for the active metric) are informational: reported, verdict
-#: always "pass".
+#: Which tolerance bounds each diagnostic, in both metrics.  Keys absent
+#: here are informational: reported, verdict always "pass".
 _BOUND_BY_DIAGNOSTIC = {
     "odd_norm": "tol_identity",
     "unitarity_defect": "tol_identity",
@@ -60,10 +62,8 @@ _BOUND_BY_DIAGNOSTIC = {
     "eriksen_defect": "tol_identity",
     "lambda_sq_defect": "tol_identity",
     "sign_products_commute_defect": "tol_identity",
-    "anticommutator_even_defect": "tol_identity",
     "alt_form_defect": "tol_identity",
     "spectrum_defect": "tol_identity",
-    "oddness_defect": "tol_identity",
     "hermiticity_defect": "tol_identity",
     "sin2s_defect": "tol_identity",
     "cos2s_defect": "tol_identity",
@@ -73,7 +73,6 @@ _BOUND_BY_DIAGNOSTIC = {
     "clamp_excess": "eps_clamp",
     "mass_even_defect": "tol_struct",
     "even_defect": "tol_struct",
-    "odd_defect": "tol_struct",
     "self_adjoint_defect": "tol_struct",
 }
 
@@ -349,18 +348,11 @@ def load_matrix(path: str | Path) -> BlockOperator:
 # report assembly
 
 
-def _verdicts(
-    diagnostics: dict[str, float], tolerances: Tolerances, metric: Metric
-) -> dict[str, str]:
+def _verdicts(diagnostics: dict[str, float], tolerances: Tolerances) -> dict[str, str]:
     out = {}
     for name in sorted(diagnostics):
         bound_name = _BOUND_BY_DIAGNOSTIC.get(name)
         if bound_name is None:
-            out[name] = "pass"
-            continue
-        if name == "eriksen_defect" and metric is Metric.BETA_PSEUDO:
-            # beta U = U^dag beta holds only for the Hermitian metric;
-            # the bosonic analogue is pseudo_unitarity_defect.
             out[name] = "pass"
             continue
         bound = getattr(tolerances, bound_name)
@@ -384,13 +376,13 @@ def _print_verdicts(diagnostics: dict[str, float], verdicts: dict[str, str]) -> 
 
 def _run(
     config: RunConfig, spec: ModelSpec, timings: dict[str, float]
-) -> tuple[dict[str, float | np.ndarray], Metric, FWResult]:
+) -> tuple[dict[str, float | np.ndarray], FWResult]:
     """Build ``spec`` (one model, or a stack of models when parameters are
     arrays), read the structural defects of a stationary split (measured
     when it was built, held here to the configured tolerance) and
     transform it in one call.  Returns the diagnostics (arrays over a
-    stack), the metric and the transform bundle; the build and transform
-    times (ms) are added to ``timings``."""
+    stack) and the transform bundle; the build and transform times (ms)
+    are added to ``timings``."""
     tol = config.tolerances
     start = time.perf_counter()
     built = spec.build()
@@ -411,7 +403,7 @@ def _run(
         structural = built.check(tol.tol_struct)
         result = transform_stationary(built, tol.gap_tol, tol.eps_clamp, routes=config.routes)
     timings["transform_ms"] += (time.perf_counter() - start) * 1e3
-    return {**structural, **result.diagnostics}, built.metric, result
+    return {**structural, **result.diagnostics}, result
 
 
 def _dump_operators(config: RunConfig, result: FWResult) -> list[str]:
@@ -450,9 +442,9 @@ def cmd_transform(args: argparse.Namespace) -> int:
     if args.dump:
         config.dump = True
     timings = {"build_ms": 0.0, "transform_ms": 0.0}
-    diagnostics, metric, result = _run(config, config.model, timings)
+    diagnostics, result = _run(config, config.model, timings)
     diagnostics = {k: float(v) for k, v in diagnostics.items()}
-    verdicts = _verdicts(diagnostics, config.tolerances, metric)
+    verdicts = _verdicts(diagnostics, config.tolerances)
     dumps = _dump_operators(config, result)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -517,9 +509,9 @@ _PointResult = tuple[dict[str, float], float, float]
 
 def _sweep(
     config: RunConfig, parameter: str, values: tuple[float, ...], timings: dict[str, float]
-) -> tuple[list[_PointResult], Metric]:
+) -> list[_PointResult]:
     """Per sweep point, in value order, its diagnostics, ||S||_2 and
-    ||H_FW||_2; and the metric of the points.
+    ||H_FW||_2.
 
     The points run in chunks of consecutive values, each built only when
     it runs: :func:`_chunk_size` points as one stack when the model
@@ -532,10 +524,10 @@ def _sweep(
 
     points: list[_PointResult] = []
 
-    def run(chunk: tuple[float, ...]) -> Metric:
+    def run(chunk: tuple[float, ...]) -> None:
         value = chunk[0] if len(chunk) == 1 else np.array(chunk)
         point = ModelSpec(spec.name, {**spec.params, parameter: value}) if parameter else spec
-        diagnostics, metric, result = _run(config, point, timings)
+        diagnostics, result = _run(config, point, timings)
         timings["transform_calls"] += 1
         columns = {k: np.ravel(v).tolist() for k, v in diagnostics.items()}
         s_norms, h_fw_norms = np.ravel(result.s_norm).tolist(), np.ravel(result.h_fw_norm).tolist()
@@ -543,18 +535,17 @@ def _sweep(
             ({k: column[j] for k, column in columns.items()}, s_norms[j], h_fw_norms[j])
             for j in range(len(chunk))
         )
-        return metric
 
     for k in range(0, len(values), size):
         chunk = values[k : k + size]
         try:
-            metric = run(chunk)
+            run(chunk)
         except FwExactError:
             if len(chunk) == 1:
                 raise
             for value in chunk:
-                metric = run((value,))
-    return points, metric
+                run((value,))
+    return points
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -566,7 +557,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     parameter = config.sweep_parameter or ""
     values = config.sweep_values or (float(spec.value(parameter)) if parameter else 0.0,)
     timings = {"build_ms": 0.0, "transform_ms": 0.0, "transform_calls": 0}
-    outcomes, metric = _sweep(config, parameter, values, timings)
+    outcomes = _sweep(config, parameter, values, timings)
 
     rows = []
     worst: dict[str, float] = {}
@@ -589,7 +580,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             else float("nan"),
         }
         rows.append(row)
-    verdicts = _verdicts(worst, config.tolerances, metric)
+    verdicts = _verdicts(worst, config.tolerances)
     report_path = Path(config.report_path or "sweep_report.json")
     csv_path = report_path.with_suffix(".csv")
     header = [

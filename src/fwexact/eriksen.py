@@ -6,8 +6,8 @@ Hamiltonian, the Eriksen unitary
     U = (1 + beta lambda) / sqrt(2 + beta lambda + lambda beta)
 
 maps H to an even (block-diagonal) operator in one step.  Numerator and
-denominator commute, U is metric-unitary, and beta U = U^dag beta in the
-Hermitian metric.  The equivalent polar-decomposition form
+denominator commute, U is metric-unitary, and beta U = U^adj beta with
+U^adj the metric adjoint.  The equivalent polar-decomposition form
 
     U = (1 + beta lambda) / sqrt((1 + beta lambda)^adj (1 + beta lambda))
 
@@ -48,9 +48,8 @@ result's operators are made dense, in H's basis, only when read.
 lambda^2 is formed once, blockwise, for the involution pre-check,
 ``lambda_sq_defect`` and ``sign_products_commute_defect``.  Every
 diagnostic is a Frobenius sum over blocks; no full-size temporary is
-held beyond the outputs.  ``anticommutator_even_defect`` is an exact
-zero: beta (beta lambda + lambda beta) and (beta lambda + lambda beta) beta
-are both lambda + beta lambda beta, and sign flips are exact.
+held beyond the outputs.  That beta commutes with beta lambda + lambda
+beta holds by exact sign flips and is not measured (:mod:`fwexact.verify`).
 
 H may carry leading stack axes (the points of a sweep): the stack runs
 as one transform, each Hamiltonian held to its own scale, and every
@@ -84,7 +83,7 @@ from .expgen import (
 )
 from .matfun import EvenDecomposition, check_involution, decompose, in_sectors, sign_of
 from .tolerances import EPS_CLAMP, GAP_TOL
-from .verify import alt_form_defect, generator_routes, identity_defects
+from .verify import alt_form_defect, generator_routes, unitary_defects
 
 
 def _dense_on_read(name: str) -> property:
@@ -152,8 +151,10 @@ def eriksen_unitary(
     Raises "eriksen denominator degenerate" when the operator under the
     square root is not positive definite, which happens exactly when a
     sign eigenvector is orthogonal to the upper-block subspace.  The
-    formula is the same in both metrics.  U is built in lambda's sector
-    layout, as the transforms build it (dense out for a dense lambda).
+    formula is the same in both metrics, and so is beta U = U^adj beta
+    (U^adj = beta U^dag beta for the beta-pseudo metric): beta U is a
+    function of beta + lambda, which is self-adjoint under the metric.
+    U is built in lambda's sector layout (dense out for a dense lambda).
     """
     op = in_sectors(lam)
     if dec is None:
@@ -198,26 +199,33 @@ def _transform(
     del den
     u_inverse = adjoint_m(u, metric)
     h_fw = h.like(u.data @ h.data @ u_inverse.data)
-    # U H U^{-1} is even and metric-self-adjoint: Hermitian diagonal blocks
-    after = _spectrum(np.linalg.eigvalsh(np.stack((h_fw.blocks.pp, h_fw.blocks.mm), axis=-3)), h)
+    spectrum_defect, after = _spectrum_defect(before, h_fw, scale)
     result = FWResult(
         sign_op=lam,
         u=u,
         u_inverse=u_inverse,
         h_fw=h_fw,
-        diagnostics=identity_defects(involution, u, metric),
+        diagnostics={**involution, **unitary_defects(u, metric)},
         s=s,
         h_fw_norm=per_matrix(np.abs(after).max(axis=-1, initial=0.0)),
         s_norm=square.norm_2(),
     )
-    result.diagnostics["spectrum_defect"] = per_matrix(
-        np.abs(before - after).max(axis=-1) / scale
-    )
+    result.diagnostics["spectrum_defect"] = spectrum_defect
     result.diagnostics.update(generator_defects)
     # one square of S serves sin 2S, cos 2S and exp(iS)
     result.diagnostics.update(trig_defects(square, lam))
     result.diagnostics["exp_equivalence_defect"] = exp_defect(exp_blocks(square), u)
     return result
+
+
+def _spectrum_defect(
+    before: np.ndarray, h_fw: BlockOperator, scale: float | np.ndarray
+) -> tuple[float | np.ndarray, np.ndarray]:
+    """spectrum_defect, the largest shift of H's sorted spectrum ``before``
+    relative to ``scale``, and the spectrum of U H U^{-1} (``h_fw``, in the
+    sector layout): even and metric-self-adjoint, Hermitian diagonal blocks."""
+    after = _spectrum(np.linalg.eigvalsh(np.stack((h_fw.blocks.pp, h_fw.blocks.mm), axis=-3)), h_fw)
+    return per_matrix(np.abs(before - after).max(axis=-1) / scale), after
 
 
 def _spectrum(w: np.ndarray, h: BlockOperator) -> np.ndarray:

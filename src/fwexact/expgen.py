@@ -38,9 +38,10 @@ diagonal blocks of S^2, computed from S's own blocks: a route
 independent of the one that made S.  The arcsine of M itself, form A
 and the full-size exp(iS) are cross-checks in :mod:`fwexact.verify`.
 
-S is assembled from its off-diagonal blocks alone, so it is odd by
-construction and ``oddness_defect`` is an exact zero; the two
-off-diagonal blocks are computed independently, so
+S is assembled from its off-diagonal blocks alone (the
+``like_blocks(None, ..., None)`` in :func:`generator`), so it
+anticommutes with beta by construction and no oddness defect is
+measured; the two off-diagonal blocks are computed independently, so
 ``hermiticity_defect`` stays a measurement.
 
 The kernels carry iS, real when lambda is, as S = -i (iS): an odd
@@ -183,7 +184,7 @@ def generator(
 ) -> tuple[BlockOperator, OddSquare, dict[str, float | np.ndarray]]:
     """S from the :func:`denominator_decomposition` ``dec`` of lambda,
     the :class:`OddSquare` of S (held as -i times iS), and S's
-    oddness_defect and hermiticity_defect (see :func:`generator_defects`).
+    hermiticity_defect (see :func:`generator_defects`).
 
     h = arcsin(sqrt z) / sqrt z at z = 1 - x^2 = w (1 - w/4) is applied
     to both blocks of the denominator (w its eigenvalues), then
@@ -202,16 +203,13 @@ def generator(
 def generator_defects(
     s_pm: np.ndarray, s_mp: np.ndarray, metric: Metric, weights: np.ndarray | None = None, phase=1
 ) -> dict[str, float | np.ndarray]:
-    """oddness_defect (beta S + S beta, zero by construction: S is made
-    of its off-diagonal blocks) and hermiticity_defect (S - S^adj, scaled
-    by max(1, ||S||_F)) of S = ``phase`` times the off-diagonal blocks
-    given (in the sector layout with ``weights``)."""
+    """hermiticity_defect (S - S^adj, scaled by max(1, ||S||_F)) of S =
+    ``phase`` times the off-diagonal blocks given (in the sector layout
+    with ``weights``).  S is odd by construction: it has no other blocks."""
     # S_{+-} - sign S_{-+}^dag = phase (s_pm - sign (conj(phase) / phase) s_mp^dag)
     sign = adjoint_sign(metric) * known_phase(np.conj(phase) / phase)
     s_scale = at_least(hypot(frobenius(s_pm, weights), frobenius(s_mp, weights)), 1.0)
-    stack = s_pm.shape[: s_pm.ndim - 2 - (weights is not None)]
     return {
-        "oddness_defect": per_matrix(np.zeros(stack)),
         "hermiticity_defect": hypot(
             frobenius(s_pm - sign * dagger(s_mp), weights),
             frobenius(s_mp - sign * dagger(s_pm), weights),

@@ -95,20 +95,26 @@ def _free_dirac_matrix(m: Value, p: tuple[Value, Value, Value]) -> np.ndarray:
 def spectral_momentum(n: int, length: Value) -> np.ndarray:
     """-i d/dx on a uniform periodic grid of n points over [0, length).
 
-    Built in Fourier space, so plane waves exp(i k x) with grid momenta
-    k = 2 pi j / length are exact eigenvectors.  Hermitian.  An array of
-    lengths gives the stack of the operators.
+    Diagonal in Fourier space, so plane waves exp(i k x) with grid momenta
+    k = 2 pi j / length are exact eigenvectors.  Hermitian: the circulant
+    c((j - l) mod n) of :func:`_momentum_series`.  An array of lengths gives
+    the stack of the operators.
     """
     if n < 2 or n % 2 != 0:
         raise StructureError(f"grid size must be even and >= 2, got {n}")
-    f = np.fft.fft(np.eye(n), axis=0) / np.sqrt(n)
-    k = grid_momenta(n, np.asarray(length, dtype=float)[..., None])
-    return f.conj().T @ (k[..., :, None] * f)
+    scale = 2.0 * np.pi / np.asarray(length, dtype=float)
+    shift = (np.arange(n)[:, None] - np.arange(n)) % n
+    return scale[..., None, None] * _momentum_series(n)[shift]
 
 
 def grid_momenta(n: int, length: Value) -> np.ndarray:
     """Grid momenta 2 pi j / length in FFT ordering."""
     return 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
+
+
+def _momentum_series(n: int) -> np.ndarray:
+    """c(d), the inverse FFT of the grid momenta over [0, 2 pi): P[j, l] = c(j - l)."""
+    return np.fft.ifft(np.fft.fftfreq(n) * n)
 
 
 def _momentum_in_parity_basis(n: int) -> np.ndarray:
@@ -122,7 +128,7 @@ def _momentum_in_parity_basis(n: int) -> np.ndarray:
     s(j + l) - s(j - l); both over sqrt2 at a fixed point j.
     """
     half = n // 2
-    s = np.fft.ifft(np.fft.fftfreq(n) * n).imag
+    s = _momentum_series(n).imag
     even, odd = np.arange(half + 1), n - np.arange(half + 1, n)
     scale = np.where((even == 0) | (even == half), math.sqrt(0.5), 1.0)
     w = np.where(even % 2, -scale, scale)

@@ -23,7 +23,10 @@ called with ``routes=True`` (the config key ``verify.routes``): the
 report then carries ``alt_form_defect`` (stationary only),
 ``form_agreement_defect``, ``denominator_commutator_defect`` and
 ``clamp_excess``.  The identity defects of lambda and U that every
-transform reports are measured here too (:func:`identity_defects`).
+transform reports are measured here too (:func:`unitary_defects`).
+That beta commutes with beta lambda + lambda beta holds by construction
+(both products are lambda + beta lambda beta, made by exact sign flips)
+and is not measured.
 """
 
 from __future__ import annotations
@@ -77,9 +80,9 @@ if TYPE_CHECKING:  # eriksen imports this module
 # identity defects of lambda and U
 
 
-def _unitary_defects(u: BlockOperator, metric: Metric) -> dict[str, float | np.ndarray]:
-    """eriksen_defect, unitarity_defect and (beta-pseudo metric)
-    pseudo_unitarity_defect from the parity blocks of U; the adjoint's
+def unitary_defects(u: BlockOperator, metric: Metric) -> dict[str, float | np.ndarray]:
+    """eriksen_defect (beta U - U^adj beta), unitarity_defect and (beta-pseudo
+    metric) pseudo_unitarity_defect from the parity blocks of U; the adjoint's
     off-diagonal blocks carry :func:`~fwexact.blockop.adjoint_sign`."""
     pp, pm, mp, mm = u.blocks
     sign = adjoint_sign(metric)
@@ -88,7 +91,7 @@ def _unitary_defects(u: BlockOperator, metric: Metric) -> dict[str, float | np.n
 
     out = {
         "eriksen_defect": hypot(
-            norm(pp - h(pp)), norm(pm + h(mp)), norm(mp + h(pm)), norm(mm - h(mm))
+            norm(pp - h(pp)), norm(pm + sign * h(mp)), norm(mp + sign * h(pm)), norm(mm - h(mm))
         )
         / root_n,
         "unitarity_defect": hypot(
@@ -109,30 +112,16 @@ def _unitary_defects(u: BlockOperator, metric: Metric) -> dict[str, float | np.n
     return out
 
 
-def identity_defects(
-    involution: dict[str, float | np.ndarray], u: BlockOperator, metric: Metric
-) -> dict[str, float | np.ndarray]:
-    """The involution defects of lambda with those of U
-    (see :func:`verify_eriksen_identities`)."""
-    return {
-        **involution,
-        "anticommutator_even_defect": per_matrix(np.zeros(u.stack_shape)),
-        **_unitary_defects(u, metric),
-    }
-
-
 def verify_eriksen_identities(result: FWResult, metric: Metric) -> dict[str, float]:
     """Defect norms of the defining identities; reports, never raises.
 
     Keys: lambda_sq_defect, sign_products_commute_defect (commutator of
-    beta*lambda with lambda*beta), anticommutator_even_defect
-    (commutator of beta with the anticommutator; zero by construction),
-    eriksen_defect (beta U - U^dag beta), unitarity_defect (U U^adj - 1)
-    and, for the beta-pseudo metric, pseudo_unitarity_defect.  The raw
-    beta U - U^dag beta defect is always reported even though it has no
-    reason to vanish for bosons.
+    beta*lambda with lambda*beta), eriksen_defect (beta U - U^adj beta),
+    unitarity_defect (U U^adj - 1) and, for the beta-pseudo metric,
+    pseudo_unitarity_defect.  beta U = U^adj beta holds in both metrics
+    (see :func:`~fwexact.eriksen.eriksen_unitary`).
     """
-    return identity_defects(involution_defects(result.sign_op), result.u, metric)
+    return {**involution_defects(result.sign_op), **unitary_defects(result.u, metric)}
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +212,8 @@ def generator_from_lambda(
     checking that lambda squares to one within ``LAMBDA_SQ_TOL``.  S is
     made in lambda's sector layout (dense out for a dense lambda).
 
-    Diagnostics: oddness_defect and hermiticity_defect of the canonical
-    S (see :func:`~fwexact.expgen.generator_defects`),
+    Diagnostics: hermiticity_defect of the canonical S (see
+    :func:`~fwexact.expgen.generator_defects`),
     form_agreement_defect (disagreement of the two forms, scaled by
     max(1, ||S||_F)), denominator_commutator_defect (form A
     symmetrization assumption) and clamp_excess (how far a real

@@ -99,7 +99,7 @@ class TestTransform:
         )
         assert code == 0
         report = json.loads(report_path.read_text())
-        assert report["schema_version"] == "2"
+        assert report["schema_version"] == "3"
         assert set(report["verdicts"].values()) == {"pass"}
         assert report["diagnostics"]["odd_norm"] <= 1e-10
         h_fw = load_matrix(tmp_path / "dumps" / "h_fw.csv")
@@ -150,7 +150,22 @@ class TestTransform:
         assert run(["transform", "--config", str(config)]) == 0
         report = json.loads((tmp_path / "fv.json").read_text())
         assert report["diagnostics"]["pseudo_unitarity_defect"] <= 1e-9
-        assert report["verdicts"]["eriksen_defect"] == "pass"  # informational for bosons
+        # beta U = U^adj beta, measured in the metric form and bounded for bosons too
+        assert report["diagnostics"]["eriksen_defect"] <= 1e-14
+        assert report["verdicts"]["eriksen_defect"] == "pass"
+
+    @pytest.mark.parametrize("momentum", [0.3, 0.75, 2.0, 3.0])
+    def test_boson_eriksen_identity_is_measured_in_the_metric_form(self, tmp_path, momentum):
+        # beta U = U^adj beta with U^adj = beta U^dag beta: the plain-adjoint
+        # form read 0.04 to 1.2 here and was passed regardless
+        report_path = tmp_path / "fv.json"
+        argv = ["transform", "--set", "model.name=feshbach_villars"]
+        argv += ["--set", f"model.params.p={momentum}", "--report", str(report_path)]
+        assert run(argv) == 0
+        report = json.loads(report_path.read_text())
+        assert fwexact.cli._BOUND_BY_DIAGNOSTIC["eriksen_defect"] == "tol_identity"
+        assert report["diagnostics"]["eriksen_defect"] <= 1e-14
+        assert report["verdicts"]["eriksen_defect"] == "pass"
 
     def test_unknown_model_usage_error(self, tmp_path):
         code = run(
@@ -273,6 +288,24 @@ class TestSweep:
         assert code == 0
         rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert len(rows) == 2 and rows[1].startswith("pz,0.5,")
+
+    def test_boson_identity_column_is_roundoff(self, tmp_path):
+        # max_identity_defect takes every tol_identity key, eriksen_defect
+        # included, in both metrics
+        code = run(
+            [
+                "sweep",
+                "--set", "model.name=feshbach_villars",
+                "--set", "sweep.parameter=p",
+                "--set", "sweep.values=[0.3,0.75,2.0]",
+                "--report", str(tmp_path / "sweep.json"),
+            ]
+        )
+        assert code == 0
+        with open(tmp_path / "sweep.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [float(row["value"]) for row in rows] == [0.3, 0.75, 2.0]
+        assert all(float(row["max_identity_defect"]) <= 1e-12 for row in rows), rows
 
     def test_pseudo_metric_past_unit_doubling_norm_passes(self, tmp_path):
         # the feshbach_villars doubling argument is non-normal with an

@@ -98,7 +98,6 @@ class TestGenerator:
         b = BETA4.data
         assert np.linalg.norm(b @ g.s.data + g.s.data @ b) <= 1e-10
         assert np.linalg.norm(g.s.data - g.s.data.conj().T) <= 1e-10
-        assert g.diagnostics["oddness_defect"] <= 1e-10
         assert g.diagnostics["hermiticity_defect"] <= 1e-10
 
     def test_three_forms_agree(self):
@@ -116,7 +115,6 @@ class TestGenerator:
         lam = sign_of(sp.total, sp.metric)
         g = generator_from_lambda(lam, sp.metric)
         assert g.diagnostics["form_agreement_defect"] <= 1e-9
-        assert g.diagnostics["oddness_defect"] <= 1e-10
 
 
 class TestSharedDenominator:
@@ -148,7 +146,6 @@ class TestBosonGenerator:
         lam = sign_of(sp.total, sp.metric)
         g = generator_from_lambda(lam, sp.metric)
         assert g.diagnostics["form_agreement_defect"] <= 1e-9
-        assert g.diagnostics["oddness_defect"] <= 1e-10
         assert g.diagnostics["hermiticity_defect"] <= 1e-10
         # bosonic generator is pseudo-self-adjoint but anti-Hermitian in
         # the plain sense: its spectrum is imaginary

@@ -581,7 +581,6 @@ class TestTransformNonstationary:
         assert diag["exp_equivalence_defect"] <= 1e-9
         assert diag["form_agreement_defect"] <= 1e-9
         assert res.s is not None
-        assert diag["oddness_defect"] <= 1e-10
         assert diag["hermiticity_defect"] <= 1e-10
 
     def test_central_window_restriction(self):

@@ -74,6 +74,18 @@ class TestSpectralMomentum:
         p = spectral_momentum(16, 5.0)
         assert np.linalg.norm(p - p.conj().T) <= 1e-13 * np.linalg.norm(p)
 
+    @pytest.mark.parametrize("n", [8, 16, 64, 256, 512])
+    @pytest.mark.parametrize("length", [2.0 * np.pi, 7.3, np.array([1.0, 3.0, 9.5])])
+    def test_circulant_is_the_fourier_product(self, n, length):
+        # reference: F^dag diag(k) F, the unitary DFT F of the identity
+        f = np.fft.fft(np.eye(n), axis=0) / np.sqrt(n)
+        k = grid_momenta(n, np.asarray(length)[..., None])
+        reference = f.conj().T @ (k[..., :, None] * f)
+        p = spectral_momentum(n, length)
+        assert p.shape == reference.shape
+        scale = np.abs(reference).max()
+        assert np.abs(p - reference).max() <= 16 * np.finfo(float).eps * scale
+
 
 class TestDirac1D:
     def test_free_grid_dispersion(self):

@@ -138,7 +138,7 @@ def test_default_report_lacks_exactly_the_route_keys(tmp_path, case):
     command, assignments, route_keys = CLI_CASES[case]
     default = run_report(tmp_path, command, assignments, False)
     routed = run_report(tmp_path, command, assignments, True)
-    assert default["schema_version"] == routed["schema_version"] == "2"
+    assert default["schema_version"] == routed["schema_version"] == "3"
     for section in ("diagnostics", "verdicts"):
         assert set(routed[section]) - set(default[section]) == route_keys
         assert set(default[section]) <= set(routed[section])
