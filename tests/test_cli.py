@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -16,6 +17,7 @@ import fwexact.matfun
 import fwexact.verify
 from fwexact import BlockOperator, ModelSpec, dirac_1d, transform_stationary
 from fwexact.cli import _IDENTITY_KEYS, _chunk_size, dump_matrix, load_matrix, main
+from fwexact.errors import SpectralGapError
 
 
 def run(argv):
@@ -1437,3 +1439,71 @@ class TestDeterminism:
             content.pop("timings")
             serialized.append(json.dumps(content, sort_keys=True))
         assert serialized[0] == serialized[1]
+
+
+class TestExitCodes:
+    """One planted failure per documented exit code: each is typed, maps
+    to its code, and names the key, path or diagnostic that tripped it,
+    with the number that tripped it where there is one."""
+
+    FREE = ["--set", "model.name=free_dirac", "--set", "model.params.pz=0.75"]
+
+    def test_unknown_key_exits_2_and_names_it(self, tmp_path, capsys):
+        assignments = ["model.name=free_dirac", "output.reprot=r.json"]
+        with pytest.raises(fwexact.cli.UsageError):
+            fwexact.cli.load_config(None, assignments)
+        report = tmp_path / "r.json"
+        argv = ["transform", "--report", str(report)]
+        for assignment in assignments:
+            argv += ["--set", assignment]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown config key output.reprot;")
+        assert not report.exists()
+
+    def test_gap_exits_3_with_the_number_that_tripped_it(self, tmp_path, capsys):
+        # V0 = -1 drags the k = 0 upper branch of m = 1 to zero energy
+        assignments = ["model.name=dirac_1d", "model.params.N=8", "model.params.V0=-1"]
+        config = fwexact.cli.load_config(None, assignments)
+        timings = {"build_ms": 0.0, "transform_ms": 0.0}
+        with pytest.raises(SpectralGapError) as raised:
+            fwexact.cli._run(config, config.model, timings)
+        report = tmp_path / "r.json"
+        argv = ["transform", "--report", str(report)]
+        for assignment in assignments:
+            argv += ["--set", assignment]
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {raised.value}\n"
+        found = re.search(r"min \|eigenvalue\| = (\S+) <= .* = (\S+);", err)
+        assert found is not None
+        min_abs, bound = (float(g) for g in found.groups())
+        assert min_abs <= bound
+        assert not report.exists()
+
+    def test_tolerance_exits_4_and_prints_the_reported_defect(self, tmp_path, capsys):
+        report_path = tmp_path / "r.json"
+        argv = ["transform", *self.FREE, "--set", "tolerances.tol_identity=1e-30"]
+        assert run([*argv, "--report", str(report_path)]) == 4
+        out = capsys.readouterr().out
+        report = json.loads(report_path.read_text())
+        value = report["diagnostics"]["cos2s_defect"]
+        assert value > 1e-30
+        assert report["verdicts"]["cos2s_defect"] == "fail"
+        assert f"FAIL cos2s_defect = {value:.6e}\n" in out
+        failing = {line.split()[1] for line in out.splitlines() if line.startswith("FAIL ")}
+        assert failing == {k for k, v in report["verdicts"].items() if v == "fail"}
+
+    def test_unwritable_dump_exits_5_and_names_the_path(self, tmp_path, capsys):
+        # the dumps go out before the report: a directory where h_fw.csv
+        # belongs stops the run with no report written
+        blocked = tmp_path / "dumps" / "h_fw.csv"
+        blocked.mkdir(parents=True)
+        report = tmp_path / "r.json"
+        argv = ["transform", *self.FREE, "--dump"]
+        argv += ["--set", f"output.dump_dir={tmp_path / 'dumps'}", "--report", str(report)]
+        assert run(argv) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(blocked) in err
+        assert not report.exists()
+        assert sorted(p.name for p in (tmp_path / "dumps").iterdir()) == ["h_fw.csv"]
