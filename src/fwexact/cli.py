@@ -10,13 +10,15 @@ sweep         transform per parameter value, in chunks of consecutive
 floquet       compare the naive and extended sign operators
 
 Each run command takes ``--config <json>``, repeated ``--set key=value``
-dotted-path overrides and ``--report <path>``.  ``--dump`` (or
-``output.dump``) writes the operator matrices of ``transform`` and is a
-usage error for the other commands.  ``verify.routes`` (a JSON bool,
-default false) makes ``transform`` and ``sweep`` run the cross-check
-routes of :mod:`fwexact.verify` and report their diagnostics.  Reports
-are JSON with schema_version "3" and are byte-identical across reruns
-of the same configuration except for the timings block.  Identities
+dotted-path overrides (a section set to null is left out) and
+``--report <path>``, by default ``<command>_report.json``; ``sweep``
+writes its CSV table beside the report.  ``--dump`` (or ``output.dump``)
+writes the operator matrices of ``transform`` and is a usage error for
+the other commands.  ``verify.routes`` (a JSON bool, default false) makes
+``transform`` and ``sweep`` run the cross-check routes of
+:mod:`fwexact.verify` and report their diagnostics.  Reports are JSON
+with schema_version "3" and are byte-identical across reruns of the
+same configuration except for the timings block.  Identities
 that hold by construction are not reported: the split's odd term is
 ``odd_part(H)``, S is made of its off-diagonal blocks, and beta commutes
 with beta lambda + lambda beta by exact sign flips.  Exit codes:
@@ -122,13 +124,13 @@ def _exactly(value: Any, key: str, kind: type) -> Any:
 
 
 def _check_keys(raw: dict) -> None:
-    """Raise UsageError for a section that is not a mapping or a key that
-    :meth:`RunConfig.echo` does not write, naming its section's keys."""
+    """Raise UsageError for a section that is neither a mapping nor null
+    or a key that :meth:`RunConfig.echo` does not write, naming its keys."""
     known = RunConfig(ModelSpec("free_dirac")).echo()
     for section, value in raw.items():
         if section not in known:
             raise UsageError(f"unknown config key {section!r}; sections: {', '.join(known)}")
-        if not isinstance(value or {}, dict):
+        if value is not None and not isinstance(value, dict):
             raise UsageError(f"{section} {value!r} is not a mapping")
         keys = known[section]
         unknown = sorted(set(value or {}) - set(keys))
@@ -406,18 +408,53 @@ def _verdicts(diagnostics: dict[str, float], tolerances: Tolerances) -> dict[str
     return out
 
 
-def _write_report(report: dict, path: Path) -> None:
+def _exit_code(verdicts: dict[str, str]) -> int:
+    """0 when every verdict passes, else 4."""
+    return 0 if all(v == "pass" for v in verdicts.values()) else 4
+
+
+def _report_path(command: str, config: RunConfig) -> Path:
+    """``output.report``, or ``<command>_report.json`` when it is unset."""
+    return Path(config.report_path or f"{command}_report.json")
+
+
+def _report(
+    command: str, config: RunConfig, diagnostics: dict[str, float], verdicts: dict[str, str],
+    timings: dict[str, float], **sections: Any
+) -> Path:
+    """Write the schema-"3" report of a ``command`` run to its
+    :func:`_report_path`, with the command's own top-level ``sections``."""
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "config": config.echo(),
+        "diagnostics": diagnostics,
+        "verdicts": verdicts,
+        "timings": timings,
+        "matrix_dumps": [],
+        **sections,
+    }
+    path = _report_path(command, config)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
+    return path
 
 
-def _print_verdicts(diagnostics: dict[str, float], verdicts: dict[str, str]) -> None:
-    for name in sorted(verdicts):
-        value = diagnostics.get(name)
-        shown = f"{value:.6e}" if isinstance(value, float) else "-"
-        print(f"{verdicts[name].upper():4s} {name} = {shown}")
+def _load(args: argparse.Namespace) -> RunConfig:
+    """The run's config: ``--config`` with the ``--set`` overrides, then
+    ``--report`` and ``--dump``.  A dump is a usage error for every
+    command but ``transform``."""
+    config = load_config(args.config, args.set or [])
+    if args.report:
+        config.report_path = args.report
+    config.dump = config.dump or args.dump
+    if config.dump and args.command != "transform":
+        raise UsageError(
+            f"--dump / output.dump: the {args.command} command writes no "
+            "matrix dumps (only transform does)"
+        )
+    return config
 
 
 def _run(
@@ -482,29 +519,17 @@ def cmd_models_list(args: argparse.Namespace) -> int:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    config = load_config(args.config, args.set or [])
-    if args.report:
-        config.report_path = args.report
-    if args.dump:
-        config.dump = True
+    config = _load(args)
     timings = {"build_ms": 0.0, "transform_ms": 0.0}
     diagnostics, result = _run(config, config.model, timings)
     diagnostics = {k: float(v) for k, v in diagnostics.items()}
     verdicts = _verdicts(diagnostics, config.tolerances)
     dumps = _dump_operators(config, result)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "config": config.echo(),
-        "diagnostics": diagnostics,
-        "verdicts": verdicts,
-        "timings": timings,
-        "matrix_dumps": dumps,
-    }
-    path = Path(config.report_path or "transform_report.json")
-    _write_report(report, path)
-    _print_verdicts(diagnostics, verdicts)
+    path = _report("transform", config, diagnostics, verdicts, timings, matrix_dumps=dumps)
+    for name in sorted(verdicts):
+        print(f"{verdicts[name].upper():4s} {name} = {diagnostics[name]:.6e}")
     print(f"report written to {path}")
-    return 0 if all(v == "pass" for v in verdicts.values()) else 4
+    return _exit_code(verdicts)
 
 
 def _dispersion(spec: ModelSpec, parameter: str, value: float) -> Optional[float]:
@@ -529,14 +554,6 @@ _IDENTITY_KEYS = tuple(
     for name, bound in _BOUND_BY_DIAGNOSTIC.items()
     if bound == "tol_identity"
 )
-
-
-def _reject_dump(args: argparse.Namespace, config: RunConfig) -> None:
-    if args.dump or config.dump:
-        raise UsageError(
-            f"--dump / output.dump: the {args.command} command writes no "
-            "matrix dumps (only transform does)"
-        )
 
 
 #: Matrix elements one stacked sweep transform may hold: those of one
@@ -595,98 +612,55 @@ def _sweep(
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = load_config(args.config, args.set or [])
-    _reject_dump(args, config)
-    if args.report:
-        config.report_path = args.report
+    config = _load(args)
     spec = config.model
     parameter = config.sweep_parameter or ""
     values = config.sweep_values or (float(spec.value(parameter)) if parameter else 0.0,)
     timings = {"build_ms": 0.0, "transform_ms": 0.0, "transform_calls": 0}
     outcomes = _sweep(config, parameter, values, timings)
 
-    rows = []
+    csv_lines = [
+        "parameter,value,max_identity_defect,odd_norm,s_norm_2,dispersion,dispersion_error"
+    ]
     worst: dict[str, float] = {}
     for value, (diagnostics, s_norm, measured) in zip(values, outcomes):
         for key, v in diagnostics.items():
             worst[key] = max(worst.get(key, 0.0), v)
         dispersion = _dispersion(spec, parameter, value)
-        row = {
-            "parameter": parameter,
-            "value": value,
-            "max_identity_defect": max(
-                (diagnostics[k] for k in _IDENTITY_KEYS if k in diagnostics),
-                default=0.0,
-            ),
-            "odd_norm": diagnostics.get("odd_norm", float("nan")),
-            "s_norm_2": s_norm,
-            "dispersion": measured if dispersion is not None else float("nan"),
-            "dispersion_error": abs(measured - dispersion)
-            if dispersion is not None
-            else float("nan"),
-        }
-        rows.append(row)
+        identity = max((diagnostics[k] for k in _IDENTITY_KEYS if k in diagnostics), default=0.0)
+        if dispersion is None:
+            measured = error = math.nan
+        else:
+            error = abs(measured - dispersion)
+        numbers = (value, identity, diagnostics.get("odd_norm", math.nan), s_norm, measured, error)
+        csv_lines.append(",".join([parameter, *(f"{x:.17g}" for x in numbers)]))
     verdicts = _verdicts(worst, config.tolerances)
-    report_path = Path(config.report_path or "sweep_report.json")
-    csv_path = report_path.with_suffix(".csv")
-    header = [
-        "parameter",
-        "value",
-        "max_identity_defect",
-        "odd_norm",
-        "s_norm_2",
-        "dispersion",
-        "dispersion_error",
-    ]
-    csv_lines = [",".join(header)]
-    for row in rows:
-        csv_lines.append(
-            ",".join(
-                row["parameter"]
-                if key == "parameter"
-                else f"{row[key]:.17g}"
-                for key in header
-            )
-        )
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "config": config.echo(),
-        "diagnostics": worst,
-        "verdicts": verdicts,
-        "timings": timings,
-        "matrix_dumps": [],
-        "tables": [str(csv_path)],
-    }
+    csv_path = _report_path("sweep", config).with_suffix(".csv")
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     csv_path.write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
-    _write_report(report, report_path)
+    path = _report("sweep", config, worst, verdicts, timings, tables=[str(csv_path)])
     print("\n".join(csv_lines))
-    print(f"report written to {report_path}; table written to {csv_path}")
-    return 0 if all(v == "pass" for v in verdicts.values()) else 4
+    print(f"report written to {path}; table written to {csv_path}")
+    return _exit_code(verdicts)
 
 
 def cmd_floquet(args: argparse.Namespace) -> int:
-    config = load_config(args.config, args.set or [])
-    _reject_dump(args, config)
-    if args.report:
-        config.report_path = args.report
+    config = _load(args)
     if config.model.kind != "floquet":
         raise UsageError(
             f"model {config.model.name!r} is stationary; the floquet command "
             "needs a time-periodic model"
         )
     model = config.model.build()
-    nf = max(config.floquet_nf)
-    window = config.floquet_window if config.floquet_window is not None else max(nf // 2, 1)
     start = time.perf_counter()
     rep = demonstrate_nonevenness(
         model,
-        nf,
-        window,
+        max(config.floquet_nf),
+        config.floquet_window,
         config.tolerances.gap_tol,
         decay_nfs=config.floquet_nf,
     )
-    elapsed = (time.perf_counter() - start) * 1e3
+    timings = {"floquet_ms": (time.perf_counter() - start) * 1e3}
     tol = config.tolerances.tol_identity
     both_clean = (
         rep.odd_norm_lambda_naive <= tol and rep.odd_norm_lambda <= tol
@@ -704,23 +678,13 @@ def cmd_floquet(args: argparse.Namespace) -> int:
         "odd_norm_lambda": "pass" if rep.odd_norm_lambda <= tol else "fail",
         "odd_norm_lambda_naive": "pass",
     }
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "config": config.echo(),
-        "diagnostics": diagnostics,
-        "verdicts": verdicts,
-        "timings": {"floquet_ms": elapsed},
-        "matrix_dumps": [],
-        "floquet": {
-            "odd_norm_lambda_naive": rep.odd_norm_lambda_naive,
-            "odd_norm_lambda": rep.odd_norm_lambda,
-            "window": rep.window,
-            "decay_table": [[n, v] for n, v in rep.decay_table],
-            "notes": list(rep.notes),
-        },
+    floquet = {
+        **diagnostics,
+        "window": rep.window,
+        "decay_table": [[n, v] for n, v in rep.decay_table],
+        "notes": list(rep.notes),
     }
-    path = Path(config.report_path or "floquet_report.json")
-    _write_report(report, path)
+    path = _report("floquet", config, diagnostics, verdicts, timings, floquet=floquet)
     for note in rep.notes:
         print(f"warning: {note}")
     print(
@@ -730,7 +694,7 @@ def cmd_floquet(args: argparse.Namespace) -> int:
     for n, v in rep.decay_table:
         print(f"  nf={n:3d}  odd_norm_lambda = {v:.6e}")
     print(f"ordering: {ordering}; report written to {path}")
-    return 0 if all(v == "pass" for v in verdicts.values()) else 4
+    return _exit_code(verdicts)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -775,22 +739,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    # the exit code of each failure kind; the first kind that matches wins
+    exit_codes = ((UsageError, 2), (SpectralGapError, 3), (FwExactError, 4), (OSError, 5))
     args = _parser().parse_args(argv)
     try:
         # looked up by name on each call, so a replaced cmd_* is the one run
         return globals()[args.handler](args)
-    except UsageError as exc:
+    except tuple(kind for kind, _ in exit_codes) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SpectralGapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except FwExactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return next(code for kind, code in exit_codes if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

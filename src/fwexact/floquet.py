@@ -378,7 +378,7 @@ def _extended_odd_norm(
 def demonstrate_nonevenness(
     model: TimePeriodicHamiltonian,
     nf: int,
-    window: int,
+    window: Optional[int] = None,
     gap_tol: float = GAP_TOL,
     decay_nfs: Optional[Iterable[int]] = None,
     sign: str = "quasienergy",
@@ -390,7 +390,8 @@ def demonstrate_nonevenness(
     pre-check is disabled on the naive branch: its failure to square to
     one is part of what is being demonstrated.  ``decay_nfs`` adds a
     table of Lambda-branch odd norms over extra truncation orders (the
-    window is clamped to each order).
+    window, by default max(nf // 2, 1) as in :func:`transform_nonstationary`,
+    is clamped to each order).
 
     ``sign`` chooses the extended operator as in :func:`lambda_capital`:
     the paper's K / sqrt(K^2) by default, for which a ladder folded past
@@ -399,6 +400,8 @@ def demonstrate_nonevenness(
     fold.  PAPER.md does not settle which is meant past the fold.
     """
     notes: list[str] = []
+    if window is None:
+        window = max(nf // 2, 1)
     w = min(window, nf)
     if w != window:
         notes.append(f"window {window} clamped to truncation order {nf}")

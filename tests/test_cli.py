@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -836,6 +837,11 @@ class TestMalformedConfigValues:
             ("sweep", "tolerances.eps_clamp=true"),
             ("transform", "model.name=[1]"),
             ("sweep", "sweep.parameter=[1]"),
+            # a falsy section is not an empty one
+            ("transform", "verify=false"),
+            ("transform", "tolerances=0"),
+            ("transform", "output=[]"),
+            ("transform", 'sweep=""'),
         ],
     )
     def test_usage_error(self, tmp_path, capsys, command, assignment):
@@ -1507,3 +1513,60 @@ class TestExitCodes:
         assert err.startswith("error: ") and str(blocked) in err
         assert not report.exists()
         assert sorted(p.name for p in (tmp_path / "dumps").iterdir()) == ["h_fw.csv"]
+
+
+class TestReportWriter:
+    """Every run command writes its report through one writer: the same
+    six top-level keys plus the command's own, to ``<command>_report.json``
+    unless ``--report`` or ``output.report`` names another path."""
+
+    MODELS = {"transform": "free_dirac", "sweep": "free_dirac", "floquet": "floquet_dirac_vector"}
+    SHARED = {"schema_version", "config", "diagnostics", "verdicts", "timings", "matrix_dumps"}
+
+    @pytest.mark.parametrize(
+        "command, own, written",
+        [
+            ("transform", set(), ["transform_report.json"]),
+            ("sweep", {"tables"}, ["sweep_report.csv", "sweep_report.json"]),
+            ("floquet", {"floquet"}, ["floquet_report.json"]),
+        ],
+    )
+    def test_default_report_path_and_keys(
+        self, tmp_path, monkeypatch, capsys, command, own, written
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert run([command, "--set", f"model.name={self.MODELS[command]}"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == written
+        assert f"report written to {command}_report.json" in capsys.readouterr().out
+        report = json.loads((tmp_path / f"{command}_report.json").read_text())
+        assert set(report) == self.SHARED | own
+        assert report["schema_version"] == "3"
+        assert report["config"]["output"]["report"] is None
+
+    def test_sweep_csv_header(self, tmp_path):
+        argv = ["sweep", "--set", "model.name=free_dirac", "--set", "sweep.parameter=pz"]
+        argv += ["--set", "sweep.values=[0.25,0.5]", "--report", str(tmp_path / "s.json")]
+        assert run(argv) == 0
+        header, *rows = (tmp_path / "s.csv").read_text().splitlines()
+        assert header == (
+            "parameter,value,max_identity_defect,odd_norm,s_norm_2,dispersion,dispersion_error"
+        )
+        assert [row.split(",")[:2] for row in rows] == [["pz", "0.25"], ["pz", "0.5"]]
+
+    def test_null_section_is_left_out(self, tmp_path):
+        report = tmp_path / "r.json"
+        argv = ["transform", "--set", "model.name=free_dirac", "--set", "verify=null"]
+        argv += ["--set", "tolerances=null", "--report", str(report)]
+        assert run(argv) == 0
+        config = json.loads(report.read_text())["config"]
+        assert config["verify"] == {"routes": False}
+        assert config["tolerances"] == asdict(fwexact.cli.Tolerances())
+
+    @pytest.mark.parametrize("command", ["transform", "sweep", "floquet"])
+    def test_unwritable_report_exits_5_and_names_the_path(self, tmp_path, capsys, command):
+        report = tmp_path / "report.json"
+        report.mkdir()
+        argv = [command, "--set", f"model.name={self.MODELS[command]}"]
+        assert run([*argv, "--report", str(report)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(report) in err

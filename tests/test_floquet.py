@@ -508,6 +508,14 @@ class TestDemonstrateNonevenness:
         assert [n for n, _ in rep.decay_table] == [4, 6, 8]
         assert all(v <= FROZEN_ODD_LAMBDA_BOUND for _, v in rep.decay_table)
 
+    @pytest.mark.parametrize("nf, window", [(1, 1), (3, 1), (8, 4)])
+    def test_default_window_is_the_transforms(self, nf, window):
+        # the default of transform_nonstationary: max(nf // 2, 1)
+        model = floquet_dirac_scalar(1.0, (0, 0, 0.5), 0.0, 0.1)
+        rep = demonstrate_nonevenness(model, nf, decay_nfs=[1, nf])
+        assert rep == demonstrate_nonevenness(model, nf, window, decay_nfs=[1, nf])
+        assert rep.window == window
+
     def test_window_equals_truncation_warns(self):
         model = floquet_dirac_scalar(1.0, (0, 0, 0.5), 0.0, 0.1)
         rep = demonstrate_nonevenness(model, nf=1, window=1)
