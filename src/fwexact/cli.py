@@ -10,15 +10,16 @@ sweep         transform per parameter value, in chunks of consecutive
 floquet       compare the naive and extended sign operators
 
 Each run command takes ``--config <json>``, repeated ``--set key=value``
-dotted-path overrides (a section set to null is left out) and
+dotted-path overrides (a section or model.params set to null is left out) and
 ``--report <path>``, by default ``<command>_report.json``; ``sweep``
 writes its CSV table beside the report.  ``--dump`` (or ``output.dump``)
 writes the operator matrices of ``transform`` and is a usage error for
 the other commands.  ``verify.routes`` (a JSON bool, default false) makes
 ``transform`` and ``sweep`` run the cross-check routes of
 :mod:`fwexact.verify` and report their diagnostics.  Reports are JSON
-with schema_version "3" and are byte-identical across reruns of the
-same configuration except for the timings block.  Identities
+with schema_version "3"; reruns of one configuration with the same
+numpy, BLAS library and BLAS thread count on the same CPU give
+byte-identical reports except for the timings block.  Identities
 that hold by construction are not reported: the split's odd term is
 ``odd_part(H)``, S is made of its off-diagonal blocks, and beta commutes
 with beta lambda + lambda beta by exact sign flips.  Exit codes:
@@ -159,7 +160,7 @@ class RunConfig:
         _check_keys(raw)
         if "name" not in (raw.get("model") or {}):
             raise UsageError("config must contain model.name")
-        params = raw["model"].get("params", {})
+        params = {} if raw["model"].get("params") is None else raw["model"]["params"]
         if not isinstance(params, dict):
             raise UsageError(f"model.params {params!r} is not a mapping")
         for key, v in params.items():
@@ -638,7 +639,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     csv_path = _report_path("sweep", config).with_suffix(".csv")
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     csv_path.write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
-    path = _report("sweep", config, worst, verdicts, timings, tables=[str(csv_path)])
+    try:
+        path = _report("sweep", config, worst, verdicts, timings, tables=[str(csv_path)])
+    except OSError:
+        csv_path.unlink()  # no report lists the table
+        raise
     print("\n".join(csv_lines))
     print(f"report written to {path}; table written to {csv_path}")
     return _exit_code(verdicts)

@@ -20,8 +20,8 @@ precision and a violation of size eps shows up as roughly eps.
 The stationary H and the Floquet operator K = H(t) - i d/dt, which is
 static on the extended space, share one pipeline with one decomposition
 of the whole operator: that of H, which gives lambda, the spectrum and
-the gap check.  Everything after it is even or odd under beta and is
-evaluated on lambda's parity blocks lambda_{++}, lambda_{+-},
+the gap check.  Every later kernel acts on an even or odd operator of
+the chain, built from lambda's parity blocks lambda_{++}, lambda_{+-},
 lambda_{-+}, lambda_{--} (:attr:`~fwexact.blockop.BlockOperator.blocks`),
 with the paper's formulas as the objects computed.  For an operator
 self-adjoint under either metric the diagonal blocks are Hermitian, so
@@ -45,11 +45,14 @@ model wrote it (``dirac_1d``) or gathered once, at sector size on the
 distinct sectors and in float64 where the layout holds H real; the
 result's operators are made dense, in H's basis, only when read.
 
-lambda^2 is formed once, blockwise, for the involution pre-check,
-``lambda_sq_defect`` and ``sign_products_commute_defect``.  Every
-diagnostic is a Frobenius sum over blocks; no full-size temporary is
-held beyond the outputs.  That beta commutes with beta lambda + lambda
-beta holds by exact sign flips and is not measured (:mod:`fwexact.verify`).
+Parity blocks are used only where an operand is even or odd, so that a
+zero block saves work (the denominator, S, S^2, H_FW's diagonal blocks,
+odd norms).  Each other check is one whole product in the layout: U U^adj
+(U^adj U for bosons), beta U - U^adj beta, lambda H, and lambda^2, made
+once for the involution pre-check, ``lambda_sq_defect`` and (its odd
+blocks) ``sign_products_commute_defect``; the unitary checks run before
+H_FW is formed.  That beta commutes with beta lambda + lambda beta holds
+by exact sign flips and is not measured (:mod:`fwexact.verify`).
 
 H may carry leading stack axes (the points of a sweep): the stack runs
 as one transform, each Hamiltonian held to its own scale, and every
@@ -68,7 +71,6 @@ from .blockop import (
     SplitHamiltonian,
     adjoint_m,
     at_least,
-    hypot,
     per_matrix,
     relative_odd_norm,
 )
@@ -197,6 +199,7 @@ def _transform(
     if routes:
         generator_defects.update(generator_routes(lam, metric, eps_clamp=eps_clamp, dec=den))
     del den
+    unitary = unitary_defects(u, metric)
     u_inverse = adjoint_m(u, metric)
     h_fw = h.like(u.data @ h.data @ u_inverse.data)
     spectrum_defect, after = _spectrum_defect(before, h_fw, scale)
@@ -205,7 +208,7 @@ def _transform(
         u=u,
         u_inverse=u_inverse,
         h_fw=h_fw,
-        diagnostics={**involution, **unitary_defects(u, metric)},
+        diagnostics={**involution, **unitary},
         s=s,
         h_fw_norm=per_matrix(np.abs(after).max(axis=-1, initial=0.0)),
         s_norm=square.norm_2(),
@@ -270,10 +273,5 @@ def transform_stationary(
 
 
 def _sqrt_h2_odd_norm(lam: BlockOperator, h: BlockOperator) -> float:
-    """Relative odd norm of sqrt(H^2) = lambda H, one block at a time."""
-    a, b, c, d = lam.blocks
-    h_pp, h_pm, h_mp, h_mm = h.blocks
-    norm = lam.frobenius
-    odd = hypot(norm(a @ h_pm + b @ h_mm), norm(c @ h_pp + d @ h_mp))
-    even = hypot(norm(a @ h_pp + b @ h_mp), norm(c @ h_pm + d @ h_mm))
-    return odd / at_least(hypot(odd, even), 1e-300)
+    """Relative odd norm of sqrt(H^2) = lambda H, from one whole product."""
+    return relative_odd_norm(lam.like(lam.data @ h.data))

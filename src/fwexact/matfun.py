@@ -317,17 +317,14 @@ def check_gap(dec: SpectralDecomposition, gap_tol: float = GAP_TOL) -> None:
 def involution_defects(lam: BlockOperator) -> dict[str, float | np.ndarray]:
     """lambda_sq_defect, ||lambda^2 - 1|| / sqrt(n), and
     sign_products_commute_defect, ||[beta lambda, lambda beta]|| / sqrt(n),
-    from one blockwise lambda^2: the commutator is beta lambda^2 beta -
+    from one whole lambda^2: the commutator is beta lambda^2 beta -
     lambda^2, minus twice the odd part of lambda^2."""
-    a, b, c, d = lam.blocks
-    norm = lam.frobenius
-    diagonal = hypot(
-        norm(add_identity(a @ a + b @ c, -1.0)), norm(add_identity(c @ b + d @ d, -1.0))
-    )
-    odd = hypot(norm(a @ b + b @ d), norm(c @ a + d @ c))
+    square = lam.like(lam.data @ lam.data)
+    _, pm, mp, _ = square.blocks
+    odd = hypot(lam.frobenius(pm), lam.frobenius(mp))
     root_n = math.sqrt(lam.side)
     return {
-        "lambda_sq_defect": hypot(diagonal, odd) / root_n,
+        "lambda_sq_defect": lam.frobenius(add_identity(square.data, -1.0)) / root_n,
         "sign_products_commute_defect": 2.0 * odd / root_n,
     }
 

@@ -81,34 +81,17 @@ if TYPE_CHECKING:  # eriksen imports this module
 
 
 def unitary_defects(u: BlockOperator, metric: Metric) -> dict[str, float | np.ndarray]:
-    """eriksen_defect (beta U - U^adj beta), unitarity_defect and (beta-pseudo
-    metric) pseudo_unitarity_defect from the parity blocks of U; the adjoint's
-    off-diagonal blocks carry :func:`~fwexact.blockop.adjoint_sign`."""
-    pp, pm, mp, mm = u.blocks
-    sign = adjoint_sign(metric)
+    """eriksen_defect (beta U - U^adj beta), unitarity_defect (U U^adj - 1)
+    and (beta-pseudo metric) pseudo_unitarity_defect (U^adj U - 1), each
+    from one whole product of U and its metric adjoint in U's layout."""
+    adj, signs = adjoint_m(u, metric).data, u.signs
     root_n = math.sqrt(u.side)
-    h, norm = dagger, u.frobenius
-
     out = {
-        "eriksen_defect": hypot(
-            norm(pp - h(pp)), norm(pm + sign * h(mp)), norm(mp + sign * h(pm)), norm(mm - h(mm))
-        )
-        / root_n,
-        "unitarity_defect": hypot(
-            norm(add_identity(pp @ h(pp) + sign * (pm @ h(pm)), -1.0)),
-            norm(sign * (pp @ h(mp)) + pm @ h(mm)),
-            norm(mp @ h(pp) + sign * (mm @ h(pm))),
-            norm(add_identity(sign * (mp @ h(mp)) + mm @ h(mm), -1.0)),
-        )
-        / root_n,
+        "eriksen_defect": u.frobenius(signs[:, None] * u.data - adj * signs) / root_n,
+        "unitarity_defect": u.frobenius(add_identity(u.data @ adj, -1.0)) / root_n,
     }
     if metric is Metric.BETA_PSEUDO:
-        out["pseudo_unitarity_defect"] = hypot(
-            norm(add_identity(h(pp) @ pp + sign * (h(mp) @ mp), -1.0)),
-            norm(h(pp) @ pm + sign * (h(mp) @ mm)),
-            norm(sign * (h(pm) @ pp) + h(mm) @ mp),
-            norm(add_identity(sign * (h(pm) @ pm) + h(mm) @ mm, -1.0)),
-        ) / root_n
+        out["pseudo_unitarity_defect"] = u.frobenius(add_identity(adj @ u.data, -1.0)) / root_n
     return out
 
 

@@ -842,6 +842,9 @@ class TestMalformedConfigValues:
             ("transform", "tolerances=0"),
             ("transform", "output=[]"),
             ("transform", 'sweep=""'),
+            # nor is falsy model.params
+            ("transform", "model.params=false"),
+            ("transform", "model.params=[]"),
         ],
     )
     def test_usage_error(self, tmp_path, capsys, command, assignment):
@@ -1562,6 +1565,12 @@ class TestReportWriter:
         assert config["verify"] == {"routes": False}
         assert config["tolerances"] == asdict(fwexact.cli.Tolerances())
 
+    def test_null_model_params_is_left_out(self, tmp_path):
+        report = tmp_path / "r.json"
+        argv = ["transform", "--set", "model.name=free_dirac", "--set", "model.params=null"]
+        assert run([*argv, "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["config"]["model"]["params"] == {}
+
     @pytest.mark.parametrize("command", ["transform", "sweep", "floquet"])
     def test_unwritable_report_exits_5_and_names_the_path(self, tmp_path, capsys, command):
         report = tmp_path / "report.json"
@@ -1570,3 +1579,9 @@ class TestReportWriter:
         assert run([*argv, "--report", str(report)]) == 5
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(report) in err
+
+    def test_unwritable_sweep_report_leaves_no_table(self, tmp_path):
+        report = tmp_path / "rdir"
+        report.mkdir()
+        assert run(["sweep", "--set", "model.name=free_dirac", "--report", str(report)]) == 5
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rdir"]

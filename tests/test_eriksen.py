@@ -200,6 +200,50 @@ class TestTransformStationary:
         )
         assert grid.diagnostics["sqrt_h2_odd_norm"] > 1e-6
 
+    @pytest.mark.parametrize(
+        "build, layout",
+        [
+            # the real pair basis, one block held for the two sectors
+            pytest.param(
+                lambda: dirac_1d(1.0, 16, 2 * np.pi, lambda x: 0.3 * np.cos(x)), "pairs",
+                id="dirac_1d-even-v",
+            ),
+            pytest.param(
+                lambda: dirac_1d(1.0, 16, 2 * np.pi, lambda x: 0.2 * np.cos(x) + 0.1 * np.sin(x)),
+                "grid",
+                id="dirac_1d-grid-basis",
+            ),
+            pytest.param(
+                lambda: dirac_1d(np.array([1.0, 2.0]), 8, 2 * np.pi, lambda x: 0.3 * np.cos(x)),
+                "pairs",
+                id="dirac_1d-stack-over-m",
+            ),
+            pytest.param(lambda: free_dirac(1.0, (0.6, -0.8, 1.0)), "dense", id="free_dirac"),
+            pytest.param(lambda: feshbach_villars(1.0, 2.0), "dense", id="feshbach_villars"),
+        ],
+    )
+    def test_sqrt_h2_odd_norm_against_abs_h(self, build, layout):
+        # |H| = V |E| V^{-1} from a decomposition of the dense H, an
+        # independent route to sqrt(H^2) = lambda H
+        sp = build()
+        kind = "dense" if not sp.h.sectored else "grid" if sp.h.pairs is None else "pairs"
+        assert kind == layout
+        if layout == "pairs":
+            assert sp.h.weights.tolist() == [2]
+        total = sp.total
+        odd = total.signs[:, None] != total.signs
+        expected = []
+        for h in total.data.reshape(-1, total.side, total.side):
+            if sp.metric is Metric.HERMITIAN:
+                w, v = np.linalg.eigh(h)
+                abs_h = (v * np.abs(w)) @ v.conj().T
+            else:
+                w, v = np.linalg.eig(h)
+                abs_h = (v * np.abs(w.real)) @ np.linalg.inv(v)
+            expected.append(np.linalg.norm(abs_h[odd]) / np.linalg.norm(abs_h))
+        measured = transform_stationary(sp).diagnostics["sqrt_h2_odd_norm"]
+        assert_allclose(measured, np.reshape(expected, total.stack_shape), rtol=0, atol=1e-14)
+
     def test_spectrum_counts_each_sector_as_often_as_it_occurs(self):
         # sectors {0, 3} and {1, 4} hold one block, {2, 5} another: the
         # sorted spectrum is that of the dense matrix, so the sorted
