@@ -16,8 +16,8 @@ odd, so they work on its four parity blocks (upper-upper, upper-lower,
 lower-upper, lower-lower): :attr:`BlockOperator.blocks` gives them and
 :meth:`BlockOperator.like_blocks` puts blocks back in the original
 layout.  Only this module knows that layout: the blocks are contiguous
-slices when beta is block-ordered (stationary) and one stable gather
-when the signs interleave per Fourier copy (Floquet).
+slices when beta is block-ordered (stationary, or several sectors) and
+one stable gather when the signs interleave per Fourier copy (Floquet).
 
 An operator's data may carry leading stack axes, shape (..., n, n): a
 stack of operators of one block structure, such as the points of a
@@ -29,8 +29,9 @@ there is no stack (:func:`per_matrix`).
 An operator can be held in its sector layout
 (:meth:`BlockOperator.in_sectors`, or written so by its model): the
 stack (..., distinct, s, s) of its distinct diagonal blocks on decoupled
-sectors, with how many sectors hold each, Frobenius norms weighted by
-those counts.  Matrices are float64 or complex128, kept as given; a
+sectors, with how many sectors hold each, as B or as its beta image
+beta B beta (only ``dense()`` tells them apart), Frobenius norms weighted
+by those counts.  Matrices are float64 or complex128, kept as given; a
 layout holds exactly real input as float64, or is held in the real basis
 of a map within each sector (``pairs``: grid parity for ``dirac_1d``,
 whose model keeps that basis only when the imaginary part it drops, the
@@ -167,6 +168,9 @@ class BlockOperator:
     pairs : ndarray, optional
         In the sector layout, a row involution within a sector (the same
         for every sector) whose real basis ``data`` is held in.
+    images : ndarray, optional
+        In the sector layout, True for a sector that holds the beta image
+        beta B beta of its block B of ``data``.
     """
 
     data: np.ndarray
@@ -175,6 +179,7 @@ class BlockOperator:
     sectors: Optional[np.ndarray] = None
     weights: Optional[np.ndarray] = None
     pairs: Optional[np.ndarray] = None
+    images: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         data = np.asarray(self.data)
@@ -210,9 +215,8 @@ class BlockOperator:
 
     def like(self, data: np.ndarray) -> "BlockOperator":
         """New operator with the same block tags and layout."""
-        return BlockOperator(
-            data, self.internal_dim, self.floquet_copies, self.sectors, self.weights, self.pairs
-        )
+        tags = (self.sectors, self.weights, self.pairs, self.images)
+        return BlockOperator(data, self.internal_dim, self.floquet_copies, *tags)
 
     @cached_property
     def _layout(self) -> _Parity:
@@ -225,13 +229,13 @@ class BlockOperator:
     def signs(self) -> np.ndarray:
         """beta as its read-only +-1 diagonal: +1 on the upper and -1 on
         the lower block of every Fourier copy (of one sector, upper
-        first, in the sector layout)."""
+        first, in a layout of several sectors)."""
         return self._layout.signs
 
     @cached_property
     def blocks(self) -> Blocks:
         """The parity blocks: views of ``data`` when beta is block-ordered
-        (always in the sector layout), copies gathered once otherwise."""
+        (in a layout of several sectors too), copies gathered once otherwise."""
         return self._layout.split(self.data)
 
     def like_blocks(
@@ -258,8 +262,10 @@ class BlockOperator:
         it does not couple), stacked with each sector's beta = +1 components
         first; sectors of unequal size or parity balance give one sector,
         the whole matrix in its own order.  A block equal, exactly and at
-        every point of the stack, to an earlier sector's is held once.
-        Blocks are held real when their imaginary part is exactly zero."""
+        every point of the stack, to an earlier sector's block B, or else to
+        its beta image beta B beta, is held once (``images`` flags the
+        second kind).  Blocks are held real when their imaginary part is
+        exactly zero."""
         signs, size = self.signs, len(sectors[0])
         if len(sectors) == 1 or any(
             len(s) != size or 2 * np.count_nonzero(signs[s] > 0) != size for s in sectors
@@ -269,23 +275,30 @@ class BlockOperator:
         else:
             index = np.stack([np.concatenate((s[signs[s] > 0], s[signs[s] < 0])) for s in sectors])
             data = self.data[..., index[:, :, None], index[:, None, :]]
-        blocks = np.moveaxis(data, -3, 0)
-        # the first sector equal to each, exactly and at every point of the stack
-        first = [next((j for j in range(k) if np.array_equal(blocks[j], b)), k)
-                 for k, b in enumerate(blocks)]
-        firsts = sorted(set(first))
-        owner = [firsts.index(f) for f in first]
+        blocks, beta = np.moveaxis(data, -3, 0), signs[index[0]]  # beta in a sector's order
+        firsts, owner = [], []  # owner: (image, distinct block) of each sector
+        for k, b in enumerate(blocks):
+            # the first distinct block equal to b, else to its beta image
+            found = [(image, i) for image, x in enumerate((b, beta[:, None] * b * beta))
+                     for i, j in enumerate(firsts) if np.array_equal(blocks[j], x)]
+            owner.append((found or [(0, len(firsts))])[0])
+            if owner[-1][1] == len(firsts):
+                firsts.append(k)
+        images, owner = np.array(owner).T
+        order = np.argsort(owner, kind="stable")
         if len(firsts) < len(index):
-            data, index = data[..., firsts, :, :], index[np.argsort(owner, kind="stable")]
+            data, index = data[..., firsts, :, :], index[order]
         if np.iscomplexobj(data) and not data.imag.any():
             data = np.ascontiguousarray(data.real)
+        images = images.astype(bool)[order] if images.any() else None
         return BlockOperator(
-            data, self.internal_dim, self.floquet_copies, index, np.bincount(owner)
+            data, self.internal_dim, self.floquet_copies, index, np.bincount(owner), images=images
         )
 
     def dense(self) -> "BlockOperator":
         """The operator as one matrix: each block (back from the real basis
-        of ``pairs``, complex) at every sector that holds it, in zeros."""
+        of ``pairs``, complex) at every sector that holds it, its odd
+        blocks negated where that is its beta image, in zeros."""
         if not self.sectored:
             return self
         index, data = self.sectors, self.data
@@ -295,6 +308,10 @@ class BlockOperator:
             data = data[..., 0, :, :]
         else:
             blocks = np.repeat(data, self.weights, axis=-3)
+            if self.images is not None:
+                image, odd = blocks[..., self.images, :, :], self.signs[:, None] != self.signs
+                # a subtraction from zero negates without making a -0
+                blocks[..., self.images, :, :] = np.where(odd, 0.0 - image, image)
             data = np.zeros((*self.stack_shape, self.side, self.side), dtype=data.dtype)
             data[..., index[:, :, None], index[:, None, :]] = blocks
         return BlockOperator(data, self.internal_dim, self.floquet_copies)
@@ -426,8 +443,8 @@ class SplitHamiltonian:
 
     def __post_init__(self) -> None:
         shapes = [(a.internal_dim, a.floquet_copies, a.sectored) for a in (self.mass, self.h)]
-        if shapes[0] != shapes[1] or self.h.sectored and not np.array_equal(
-            self.h.sectors, self.mass.sectors
+        if shapes[0] != shapes[1] or self.h.sectored and not all(
+            np.array_equal(getattr(self.h, f), getattr(self.mass, f)) for f in ("sectors", "images")
         ):
             raise StructureError(f"block structure mismatch: mass {shapes[0]} vs H {shapes[1]}")
 

@@ -40,9 +40,9 @@ metrics, and there are three:
 their kernels (the polar Gram matrix, the canonical arcsine's M^2 and
 form A's argument squared).
 
-The chain runs in H's sector layout (:mod:`fwexact.matfun`), as its
-model wrote it (``dirac_1d``) or gathered once, at sector size on the
-distinct sectors and in float64 where the layout holds H real; the
+The chain runs in H's sector layout (:mod:`fwexact.matfun`), as it was
+written (``dirac_1d``, the Floquet K) or gathered once, at sector size on
+the distinct sectors and in float64 where the layout holds H real; the
 result's operators are made dense, in H's basis, only when read.
 
 Parity blocks are used only where an operand is even or odd, so that a

@@ -22,13 +22,13 @@ from Lambda produces an even operator; with the naive operator the
 time-derivative picks up terms proportional to d(lambda)/dt that are not
 even, and the demonstration below measures exactly that.
 
-The extended-space kernels are batched: K and the naive operator are
-assembled from their stacked bands by one strided copy, the naive
-operator's time samples H(t) go to one stacked decomposition in the
-sector layout they share (every sample still checked), and its bands
-come from one contraction of the sampled signs with the Fourier phases,
-exactly zero between sectors.  Real modes keep K, and the naive bands
-(H(-t) = H(t)^*), in float64, and the samples too when H_-n = H_n.
+K and the naive operator are written in the sector layout of the modes
+(the ladder is diagonal), each distinct block one strided copy of its
+bands: the naive operator's time samples H(t) go to one stacked
+decomposition (every sample still checked), and its bands come from one
+contraction of the sampled signs with the Fourier phases.  Real modes
+keep K, and the naive bands (H(-t) = H(t)^*), in float64, and the
+samples too when H_-n = H_n.
 
 Odd-part norms are measured on a central window of Fourier copies; the
 edge copies of the truncated ladder are excluded as truncation
@@ -56,7 +56,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -85,20 +85,22 @@ _EIGENSPACE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ExtendedOperator:
-    """H(t) - i d/dt truncated to 2*nf + 1 Fourier copies."""
+    """H(t) - i d/dt truncated to 2*nf + 1 Fourier copies, ``held`` dense
+    or in its sector layout (as :func:`build_extended` writes it)."""
 
-    op: BlockOperator
+    held: BlockOperator
     omega: float
     nf: int
 
-    @property
-    def internal_dim(self) -> int:
-        return self.op.internal_dim
-
     @cached_property
     def layout(self) -> BlockOperator:
-        """K in its sector layout, found on first use."""
-        return in_sectors(self.op)
+        """K in its sector layout, found on first use when held dense."""
+        return in_sectors(self.held)
+
+    @cached_property
+    def op(self) -> BlockOperator:
+        """K as one dense matrix, assembled when first read."""
+        return self.held.dense()
 
 
 @dataclass(frozen=True)
@@ -124,22 +126,28 @@ class FloquetReport:
             raise StructureError("decay table truncation orders must strictly increase")
 
 
-def _block_toeplitz(bands: np.ndarray) -> np.ndarray:
-    """Extended-space matrix whose (m, n) block is band m - n, from the
-    bands q = -2 nf ... 2 nf stacked along axis 0.
-
-    Block row i (copy m = i - nf) lists the bands i - j for j = 0 ...
-    2 nf, a window of the reversed bands; the windows are a strided
-    view, so the matrix is one copy of it.
-    """
-    copies = (len(bands) + 1) // 2
-    d = bands.shape[-1]
+def _block_toeplitz(modes: BlockOperator, bands: np.ndarray) -> BlockOperator:
+    """The extended-space operator whose (m, n) block is band m - n (bands
+    q = -2 nf ... 2 nf on axis 0, in the modes' layout ``modes``), in its
+    sector layout: each sector of the modes over every copy, the upper
+    components of every copy first (copy by copy for a single sector).
+    Block row i lists the bands i - j, j = 0 ... 2 nf: a window of the
+    reversed bands, so each block is one copy of a strided view."""
+    copies, d, (count, s) = (len(bands) + 1) // 2, modes.internal_dim, modes.sectors.shape
+    parts = 1 if count == 1 else 2
     rows = sliding_window_view(bands[::-1], copies, axis=0)[::-1]
-    return rows.transpose(0, 1, 3, 2).reshape(copies * d, copies * d)
+    # (i, sector, part, a, part', b, j) -> (sector, part, i, a, part', j, b)
+    rows = rows.reshape(copies, -1, parts, s // parts, parts, s // parts, copies)
+    data = np.moveaxis(rows, (0, -1), (2, 5)).reshape(-1, copies * s, copies * s)
+    index = modes.sectors[:, None, :] + d * np.arange(copies)[:, None]
+    index = index.reshape(count, copies, parts, s // parts).swapaxes(1, 2).reshape(count, -1)
+    return BlockOperator(data, d, copies, index, modes.weights, images=modes.images)
 
 
 def build_extended(model: TimePeriodicHamiltonian, nf: int) -> ExtendedOperator:
-    """Assemble the truncated extended-space matrix of H(t) - i d/dt."""
+    """Write the truncated extended-space operator of H(t) - i d/dt in its
+    sector layout: each distinct block is the block-Toeplitz of its
+    sector's bands plus the ladder."""
     if nf < 1:
         raise StructureError(f"truncation order must be >= 1, got {nf}")
     if model.max_mode > 2 * nf:
@@ -147,14 +155,14 @@ def build_extended(model: TimePeriodicHamiltonian, nf: int) -> ExtendedOperator:
             f"truncation too small: model has Fourier mode {model.max_mode}, "
             f"representable range is |n| <= {2 * nf}"
         )
-    d = model.internal_dim
-    orders, modes = model.mode_stack
-    bands = np.zeros((4 * nf + 1, d, d), dtype=modes.dtype)
-    bands[orders + 2 * nf] = modes
-    data = _block_toeplitz(bands)
-    data[np.diag_indices_from(data)] -= np.repeat(np.arange(-nf, nf + 1) * model.omega, d)
-    check_finite_norm(data)
-    return ExtendedOperator(BlockOperator(data, d, 2 * nf + 1), model.omega, nf)
+    modes = in_sectors(BlockOperator(model.mode_stack[1], model.internal_dim))
+    bands = np.zeros((4 * nf + 1, *modes.data.shape[1:]), dtype=modes.data.dtype)
+    bands[model.mode_stack[0] + 2 * nf] = modes.data
+    k = _block_toeplitz(modes, bands)
+    diagonal = np.arange(k.data.shape[-1])  # the ladder -m w, on K's fresh blocks
+    k.data[..., diagonal, diagonal] -= (k.sectors[0] // model.internal_dim - nf) * model.omega
+    check_finite_norm(k.data)
+    return ExtendedOperator(k, model.omega, nf)
 
 
 def _beta_characters(
@@ -198,14 +206,13 @@ def _fold_diagnosis(k: ExtendedOperator) -> str:
     opposite = np.sign(dec.eigenvalues.real) != np.sign(chars)
     # per distinct sector of K, counted as often as the sector occurs
     flipped = int(np.count_nonzero(opposite, axis=-1) @ k.layout.weights)
-    d, centre = k.internal_dim, k.nf * k.internal_dim
-    h0 = k.op.data[centre : centre + d, centre : centre + d]
+    h0 = central_window(k.layout, 0).dense().data  # K's copy m = 0
     gap = float(np.abs(np.linalg.eigvalsh(h0)).min())
     shift = k.nf * k.omega
     return (
         f"Floquet ladder fold: nf*omega = {shift:.4g} "
         f"{'>' if shift > gap else '<='} gap min|E(H_0)| = {gap:.4g}; "
-        f"{flipped} of {k.op.side} eigenvectors have a quasienergy sign "
+        f"{flipped} of {k.layout.side} eigenvectors have a quasienergy sign "
         "opposite to their beta-character (sign='character' assigns by character)"
     )
 
@@ -282,31 +289,33 @@ def lambda_naive(
     lambda(t) = H(t)/sqrt(H(t)^2) is evaluated on 4*(2*nf+1) uniform
     samples over one period (oversampled Nyquist for the bands kept) and
     assembled into the block-Toeplitz extended operator with bands
-    lambda_q for |q| <= 2*nf.  The samples H(t) come from one contraction
-    of the stacked Fourier modes with their phases and go, in the sector
-    layout of the whole stack, to one stacked decomposition, which holds
-    each sample to the checks of :func:`~fwexact.matfun.sign_of` (a gap
-    failure names the first failing time); the bands come from one
-    contraction of the signs with the Fourier phases and are exactly
-    zero between sectors.  Real modes give real bands (float64), since
-    H(-t) = H(t)^*.  The result squares to one only up to the
-    truncation error, which is the point of keeping it.
+    lambda_q for |q| <= 2*nf.  The samples H(t), from one contraction of
+    the modes' distinct sector blocks with their phases, go to one stacked
+    decomposition, which holds each to the checks of
+    :func:`~fwexact.matfun.sign_of` (a gap failure names the first failing
+    time); the bands, exactly zero between sectors, come from one
+    contraction of the signs with the Fourier phases, real (float64) for
+    real modes, since H(-t) = H(t)^*.  The result squares to one only up
+    to the truncation error, which is the point of keeping it.
     """
+    return _naive_layout(model, nf, gap_tol).dense()
+
+
+def _naive_layout(model: TimePeriodicHamiltonian, nf: int, gap_tol: float) -> BlockOperator:
+    """:func:`lambda_naive` in the sector layout :func:`build_extended` writes K in."""
     if nf < 1:
         raise StructureError(f"truncation order must be >= 1, got {nf}")
-    d = model.internal_dim
-    copies = 2 * nf + 1
-    samples = 4 * copies
-    period = 2.0 * np.pi / model.omega
-    times = np.arange(samples) * (period / samples)
-    orders, modes = model.mode_stack
-    angles, flat = model.omega * np.outer(times, orders), modes.reshape(len(orders), d * d)
+    samples = 4 * (2 * nf + 1)
+    times = np.arange(samples) * (2.0 * np.pi / model.omega / samples)
+    orders = model.mode_stack[0]
+    modes = in_sectors(BlockOperator(model.mode_stack[1], model.internal_dim))
+    angles, flat = model.omega * np.outer(times, orders), modes.data.reshape(len(orders), -1)
     # H(t) = sum_n H_n cos(n w t) - (i/2) sum_n (H_n - H_-n) sin(n w t), H_-n at
     # flat[::-1]: exactly real when every H_-n equals H_n
     h_t = np.cos(angles) @ flat - 0.5j * (np.sin(angles) @ (flat - flat[::-1]))
-    h_t = h_t.reshape(samples, d, d)
-    layout = in_sectors(BlockOperator(h_t, d))
-    dec = decompose(layout, model.metric)
+    if not h_t.imag.any():
+        h_t = np.ascontiguousarray(h_t.real)
+    dec = decompose(modes.like(h_t.reshape(samples, *modes.data.shape[1:])), model.metric)
     try:
         check_gap(dec, gap_tol)
     except SpectralGapError as exc:
@@ -318,24 +327,32 @@ def lambda_naive(
     q = np.arange(-2 * nf, 2 * nf + 1)
     fourier = np.exp(1j * model.omega * np.outer(q, times))
     bands = (fourier @ signs.reshape(samples, -1)).reshape(len(q), *signs.shape[1:]) / samples
-    if not modes.imag.any():
+    if not modes.data.imag.any():
         # H(-t) = H(t)^*: the samples at t_k and t_{S-k} are conjugates
         bands = bands.real
-    return BlockOperator(_block_toeplitz(layout.like(bands).dense().data), d, copies)
+    return _block_toeplitz(modes, bands)
 
 
-def _window_bounds(a: BlockOperator, window: int) -> tuple[int, int]:
-    """Index range of the |m| <= window Fourier copies of ``a``."""
+def _in_window(
+    a: BlockOperator, window: int, block: Callable[[np.ndarray], np.ndarray]
+) -> BlockOperator:
+    """The |m| <= window Fourier copies of ``a`` in its sector layout:
+    ``block(rows)`` from the positions ``rows`` they hold in every sector."""
     nf = (a.floquet_copies - 1) // 2
     if window < 0 or window > nf:
         raise StructureError(f"window must be in [0, {nf}], got {window}")
-    return (nf - window) * a.internal_dim, (nf + window + 1) * a.internal_dim
+    lo, hi = (nf - window) * a.internal_dim, (nf + window + 1) * a.internal_dim
+    rows = np.flatnonzero((a.sectors[0] >= lo) & (a.sectors[0] < hi))
+    tags = (a.sectors[:, rows] - lo, a.weights, None, a.images)
+    return BlockOperator(block(rows), a.internal_dim, 2 * window + 1, *tags)
 
 
 def central_window(a: BlockOperator, window: int) -> BlockOperator:
-    """Restriction to the |m| <= window Fourier copies."""
-    lo, hi = _window_bounds(a, window)
-    return BlockOperator(a.data[lo:hi, lo:hi], a.internal_dim, 2 * window + 1)
+    """Restriction to the |m| <= window Fourier copies, in ``a``'s sector
+    layout (a dense ``a`` as one sector in its own order)."""
+    if not a.sectored:
+        a = a.in_sectors([np.arange(a.side)])
+    return _in_window(a, window, lambda rows: a.data[..., rows[:, None], rows])
 
 
 def central_odd_norm(a: BlockOperator, window: int) -> float:
@@ -345,34 +362,24 @@ def central_odd_norm(a: BlockOperator, window: int) -> float:
 
 
 def _transformed_odd_norm(
-    k: ExtendedOperator, lam: BlockOperator, metric: Metric, window: int, naive: bool
+    model: TimePeriodicHamiltonian, k: ExtendedOperator, window: int, gap_tol: float, sign: str,
+    naive: Optional[BlockOperator] = None,
 ) -> float:
-    """Central-window odd norm of U K U^{-1}, U the exact unitary of
-    ``lam``: Lambda in the sector layout of K, or the dense naive
-    operator, which :func:`~fwexact.eriksen.eriksen_unitary` gathers by
-    its own sectors.  Only the window is measured, so only its rows of U
-    and its columns of U^{-1} enter the product."""
-    if naive:
-        u = eriksen_unitary(lam, lambda_sq_tol=None)
+    """Central-window odd norm of U K U^{-1}, U the exact unitary of the
+    naive operator ``naive`` (in K's sector layout) when given, else of
+    Lambda.  Only the window is measured, so only its rows of U and its
+    columns of U^{-1}, in each distinct sector, enter the product."""
+    if naive is not None:
+        u = eriksen_unitary(naive, lambda_sq_tol=None)
     else:
-        with _extended_errors(k, metric):
+        lam = _sign_of_k(k, gap_tol, model.metric, sign)
+        with _extended_errors(k, model.metric):
             u = eriksen_unitary(lam)
-    u = u.dense()
-    lo, hi = _window_bounds(k.op, window)
-    u_inv = adjoint_m(u, metric).data
-    windowed = (u.data[lo:hi] @ k.op.data) @ u_inv[:, lo:hi]
-    return relative_odd_norm(BlockOperator(windowed, k.internal_dim, 2 * window + 1))
-
-
-def _extended_odd_norm(
-    model: TimePeriodicHamiltonian,
-    k: ExtendedOperator,
-    window: int,
-    gap_tol: float,
-    sign: str,
-) -> float:
-    lam = _sign_of_k(k, gap_tol, model.metric, sign)
-    return _transformed_odd_norm(k, lam, model.metric, window, naive=False)
+    u_inv = adjoint_m(u, model.metric).data
+    windowed = _in_window(
+        u, window, lambda rows: (u.data[..., rows, :] @ k.layout.data) @ u_inv[..., :, rows]
+    )
+    return relative_odd_norm(windowed)
 
 
 def demonstrate_nonevenness(
@@ -410,18 +417,16 @@ def demonstrate_nonevenness(
     k = build_extended(model, nf)
     # the naive operator is a temporary, freed before Lambda is built
     odd_naive = _transformed_odd_norm(
-        k, lambda_naive(model, nf, gap_tol), model.metric, w, naive=True
+        model, k, w, gap_tol, sign, _naive_layout(model, nf, gap_tol)
     )
-    odd_lam = _extended_odd_norm(model, k, w, gap_tol, sign)
+    odd_lam = _transformed_odd_norm(model, k, w, gap_tol, sign)
     orders = sorted(set(decay_nfs)) if decay_nfs is not None else [nf]
-    table = []
-    for order in orders:
-        w_i = min(window, order)
-        if order == nf and w_i == w:
-            table.append((order, odd_lam))
-        else:
-            k_i = build_extended(model, order)
-            table.append((order, _extended_odd_norm(model, k_i, w_i, gap_tol, sign)))
+
+    def odd_at(order: int) -> float:
+        k_i = build_extended(model, order)
+        return _transformed_odd_norm(model, k_i, min(window, order), gap_tol, sign)
+
+    table = [(order, odd_lam if order == nf else odd_at(order)) for order in orders]
     return FloquetReport(
         odd_norm_lambda_naive=odd_naive,
         odd_norm_lambda=odd_lam,
@@ -456,5 +461,5 @@ def transform_nonstationary(
     k = build_extended(model, nf)
     with _extended_errors(k, model.metric):
         result = _transform(k.layout, model.metric, gap_tol, eps_clamp, routes)
-    result.diagnostics["odd_norm"] = central_odd_norm(result.h_fw, window)
+    result.diagnostics["odd_norm"] = central_odd_norm(result._operators["h_fw"], window)
     return result

@@ -25,15 +25,16 @@ batched call.  The full-size exp(iS) of the cross-checks lives in
 
 beta is diagonal, so lambda, the denominator, U, S, S^2 and U H U^{-1}
 are direct sums over H's sectors, the connected components of the
-pattern of exactly nonzero entries (:func:`find_sectors`).
-:func:`in_sectors` gathers a dense H (or the Floquet K) once into its
-sector layout (:mod:`fwexact.blockop`; ``dirac_1d`` writes its own), in
-which the whole chain stays.  Kernels take the sector axis as a stack
-axis, one batched call at side s on the distinct sectors; reductions
-take it as part of the matrix: Frobenius norms weight it by the sector
-counts, spectra are repeated by them, scales and checks take the
-extreme over it.  ``dirac_1d``'s H is two equal sectors of side 2N, held
-once; the vector-drive Floquet K splits into two that differ.
+pattern of exactly nonzero entries (:func:`find_sectors`), and f(beta H
+beta) = beta f(H) beta.  :func:`in_sectors` gathers a dense H once into
+its sector layout (:mod:`fwexact.blockop`; ``dirac_1d`` and the Floquet K
+are written in theirs), in which the whole chain stays.  Kernels take
+the sector axis as a stack axis, one batched call at side s on the
+distinct sectors; reductions take it as part of the matrix: Frobenius
+norms weight it by the sector counts, spectra are repeated by them,
+scales and checks take the extreme over it.  ``dirac_1d``'s two sectors
+are equal, those of the vector-drive K (and of ``free_dirac`` along z)
+beta images of each other: one sector each is decomposed.
 
 Every kernel takes operators with leading stack axes (the points of a
 sweep, the instantaneous H(t) samples of a Floquet drive) to one stacked
@@ -82,23 +83,17 @@ def find_sectors(a: np.ndarray) -> list[np.ndarray]:
 
     No entry joins two sectors, so A is exactly a direct sum over them
     and every matrix function of A is too.  Exact zeros only: an entry
-    of 1e-300 joins its row and column.  A breadth-first search reads
-    each row of the pattern once.
+    of 1e-300 joins its row and column.  The pattern (with the diagonal)
+    is squared until it stops growing, when it links each index to its
+    whole sector; the first index linked names the sector.
     """
     n = a.shape[-1]
     linked = (a != 0).reshape(-1, n, n).any(axis=0)
-    linked |= linked.T
-    unseen = np.ones(n, dtype=bool)
-    sectors = []
-    while unseen.any():
-        frontier = np.flatnonzero(unseen)[:1]
-        members = [frontier]
-        while frontier.size:
-            unseen[frontier] = False
-            frontier = np.flatnonzero(linked[frontier].any(axis=0) & unseen)
-            members.append(frontier)
-        sectors.append(np.sort(np.concatenate(members)))
-    return sectors
+    reach = (linked | linked.T | np.eye(n, dtype=bool)).astype(float)
+    while not np.array_equal(reach, grown := (reach @ reach > 0).astype(float)):
+        reach = grown
+    first = reach.argmax(axis=0)
+    return [np.flatnonzero(first == f) for f in np.flatnonzero(first == np.arange(n))]
 
 
 def in_sectors(a: BlockOperator) -> BlockOperator:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import fwexact.matfun
 from fwexact import (
     BlockOperator,
     Metric,
@@ -17,6 +18,7 @@ from fwexact import (
     free_dirac,
     odd_part,
     split,
+    transform_stationary,
 )
 
 
@@ -362,3 +364,91 @@ class TestParityBlocks:
         assert_array_equal(
             a.like_blocks(a.blocks.pp, None, None, a.blocks.mm).data, (a.data + flipped) / 2
         )
+
+
+def gapped_block(seed, stack=()):
+    """A 4x4 Hermitian block held upper first, beta plus a small random
+    Hermitian coupling: gapped, with nonzero odd blocks."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(*stack, 4, 4)) + 1j * rng.normal(size=(*stack, 4, 4))
+    return np.diag([1.0, 1.0, -1.0, -1.0]) + 0.1 * (z + z.conj().swapaxes(-1, -2))
+
+
+def image(block):
+    """beta B beta for a block held upper first."""
+    beta = np.array([1.0, 1.0, -1.0, -1.0])
+    return beta[:, None] * block * beta
+
+
+def direct_sum(blocks):
+    """The dense operator with each block (held upper first) on its own
+    sector: sector j takes upper components 2j, 2j + 1 and lower
+    components half + 2j, half + 2j + 1; a stack on leading axes."""
+    half = 2 * len(blocks)
+    data = np.zeros((*blocks[0].shape[:-2], 2 * half, 2 * half), dtype=complex)
+    for j, b in enumerate(blocks):
+        index = np.array([2 * j, 2 * j + 1, half + 2 * j, half + 2 * j + 1])
+        data[..., index[:, None], index] = b
+    return BlockOperator(data, 2 * half)
+
+
+class TestBetaImageSectors:
+    """A sector whose block is exactly beta B beta of an earlier block B,
+    at every point of a stack, is held once, and dense() gives it back."""
+
+    @staticmethod
+    def layout(blocks):
+        a = direct_sum(blocks)
+        return a, a.in_sectors(fwexact.matfun.find_sectors(a.data))
+
+    @pytest.mark.parametrize("pattern", [("a", "image"), ("a", "a", "image")])
+    def test_image_is_held_once(self, pattern):
+        a = gapped_block(1)
+        blocks = [image(a) if p == "image" else a for p in pattern]
+        dense, held = self.layout(blocks)
+        assert held.data.shape == (1, 4, 4) and np.array_equal(held.data[0], a)
+        assert held.weights.tolist() == [len(pattern)]
+        assert held.images.tolist() == [p == "image" for p in pattern]
+        assert np.array_equal(held.dense().data, dense.data)
+
+    def test_stack_merges_only_when_every_point_is_an_image(self):
+        a = gapped_block(2, (3,))
+        dense, held = self.layout([a, image(a)])
+        assert held.weights.tolist() == [2]
+        assert np.array_equal(held.dense().data, dense.data)
+        broken = image(a)
+        broken[1] = gapped_block(3)
+        dense, held = self.layout([a, broken])
+        assert held.weights.tolist() == [1, 1] and held.images is None
+        assert np.array_equal(held.dense().data, dense.data)
+
+    def test_one_ulp_is_not_an_image(self):
+        a = gapped_block(4)
+        nudged = image(a)
+        nudged[0, 2] = np.nextafter(nudged[0, 2].real, np.inf) + 1j * nudged[0, 2].imag
+        dense, held = self.layout([a, nudged])
+        assert held.weights.tolist() == [1, 1] and held.images is None
+        assert np.array_equal(held.dense().data, dense.data)
+
+    @staticmethod
+    def transform(h):
+        mass = BlockOperator(np.eye(h.side), h.internal_dim)
+        return transform_stationary(split(h, mass, Metric.HERMITIAN), routes=True)
+
+    def test_transform_matches_one_sector(self, monkeypatch):
+        a = gapped_block(5)
+        h = direct_sum([a, image(a)])
+        held = self.transform(h)
+        monkeypatch.setattr(fwexact.matfun, "find_sectors", lambda x: [np.arange(x.shape[-1])])
+        whole = self.transform(h)
+        assert held.diagnostics.keys() == whole.diagnostics.keys()
+        for key, value in held.diagnostics.items():
+            assert abs(value - whole.diagnostics[key]) <= 1e-15, key
+
+    def test_s_scatters_to_minus_s_on_the_image(self):
+        a = gapped_block(6)
+        s = self.transform(direct_sum([a, image(a)])).s.data
+        first, second = np.array([0, 1, 4, 5]), np.array([2, 3, 6, 7])
+        assert np.abs(s[np.ix_(first, first)]).max() > 0.01
+        # S is odd, so beta S beta = -S
+        assert np.array_equal(s[np.ix_(second, second)], -s[np.ix_(first, first)])

@@ -997,13 +997,15 @@ class TestMalformedConfigValues:
 
 
 class TestSectorSearch:
-    """The sectors of each decomposed Hamiltonian are found once: K for a
-    Floquet transform, and each K of a Floquet run's decay table; a
-    Floquet run also finds those of the naive operator's time samples and
-    of the naive operator itself, at the largest nf.  dirac_1d writes H in
-    its sector layout, so its transform searches none (with the
-    cross-check routes and the dumps, which take U, S and lambda in the
-    same layout, and with a potential that is not even)."""
+    """The sectors of each decomposed Hamiltonian are found once.  K is
+    written in the sector layout of its Fourier modes, so a Floquet
+    transform searches only the d x d mode stack, and a Floquet run that
+    stack once per K of its decay table and once for the naive operator,
+    whose time samples and bands share K's layout; no search runs at the
+    extended side.  dirac_1d writes H in its sector layout, so its
+    transform searches none (with the cross-check routes and the dumps,
+    which take U, S and lambda in the same layout, and with a potential
+    that is not even)."""
 
     @staticmethod
     def searched(monkeypatch, tmp_path, command, assignments):
@@ -1051,13 +1053,13 @@ class TestSectorSearch:
 
     def test_floquet_transform(self, tmp_path, monkeypatch):
         assignments = [*self.VECTOR_DRIVE, "floquet.nf=[4]", "verify.routes=true"]
-        assert self.searched(monkeypatch, tmp_path, "transform", assignments) == [36]
+        assert self.searched(monkeypatch, tmp_path, "transform", assignments) == [4]
 
     def test_floquet_run(self, tmp_path, monkeypatch):
         assignments = [*self.VECTOR_DRIVE, "floquet.nf=[4,6,8]", "floquet.window=2"]
         sides = self.searched(monkeypatch, tmp_path, "floquet", assignments)
-        # the (samples, 4, 4) stack, each K once, the naive operator at nf = 8
-        assert sorted(sides) == [4, 36, 52, 68, 68]
+        # the (3, 4, 4) mode stack for each K and for the naive operator at nf = 8
+        assert sides == [4, 4, 4, 4]
 
 
 class TestDecompositionCounts:
@@ -1109,7 +1111,8 @@ class TestDecompositionCounts:
     #: each half-size block kernel; the half-size calls of the parent's
     #: default with every cross-check route.  dirac_1d (side 32) and the
     #: vector drive (side 36) split in two sectors, whose parity blocks
-    #: split in two again; dirac_1d's two sectors are equal and decomposed
+    #: split in two again; dirac_1d's two sectors are equal, the vector
+    #: drive's are beta images of each other, and each pair is decomposed
     #: once.  feshbach_villars (side 2) is one sector.
     TRANSFORMS = {
         "dirac_1d": (
@@ -1126,8 +1129,8 @@ class TestDecompositionCounts:
                 "model.params.omega=0.08",
                 "floquet.nf=[4]",
             ],
-            ("eigh", 18, 2),
-            (9, 4),
+            ("eigh", 18, 1),
+            (9, 2),
             5,
         ),
         "feshbach_villars": (
@@ -1210,7 +1213,7 @@ class TestDecompositionCounts:
         assert calls["spectral_norm"] == 0
         complex_sides = [side for _, dtype, side in self.inputs if dtype == "complex128"]
         assert max(complex_sides, default=0) <= 4
-        # the two sectors of each K, in float64
+        # the one distinct sector of each K, in float64
         assert {("eigh", "float64", side) for side in (18, 26, 34)} <= self.inputs
 
     def test_sweep_takes_no_spectral_norm(self, tmp_path, monkeypatch):
@@ -1234,8 +1237,10 @@ class TestDecompositionCounts:
 
 class TestDenseAssembly:
     """The transforms build their operators in H's sector layout, and a
-    result operator is assembled dense only when it is read: by a dump,
-    or by the Floquet transform's central-window odd norm of h_fw."""
+    result operator is assembled dense only when it is read, by a dump.
+    A Floquet run and a Floquet transform assemble nothing: K and the
+    naive operator are written in their layout, and the central-window
+    odd norms take the window's rows and columns in each sector."""
 
     DIRAC = ["--set", "model.name=dirac_1d", "--set", "model.params.N=8"]
 
@@ -1286,12 +1291,13 @@ class TestDenseAssembly:
         # sign_op is dumped as lambda; u_inverse is not dumped
         assert self.assemblies(monkeypatch, argv) == {"sign_op": 1, "u": 1, "h_fw": 1, "s": 1}
 
-    def test_floquet_transform_assembles_h_fw(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["transform", "floquet"])
+    def test_floquet_assembles_nothing(self, tmp_path, monkeypatch, command):
         assignments, *_ = TestDecompositionCounts.TRANSFORMS["floquet_dirac_vector"]
-        argv = ["transform", "--report", str(tmp_path / "r.json")]
-        for assignment in assignments:
+        argv = [command, "--report", str(tmp_path / "r.json")]
+        for assignment in [*assignments, "floquet.nf=[4,6]"]:
             argv += ["--set", assignment]
-        assert self.assemblies(monkeypatch, argv) == {"h_fw": 1}
+        assert self.assemblies(monkeypatch, argv) == {}
 
 
 class TestBuildCounts:
@@ -1448,6 +1454,44 @@ class TestDeterminism:
             content.pop("timings")
             serialized.append(json.dumps(content, sort_keys=True))
         assert serialized[0] == serialized[1]
+
+
+class TestBlasThreadCounts:
+    """A dirac_1d N = 128 transform (side 512) run at 1 and at 2 OpenBLAS
+    threads: the same verdicts and keys, and every diagnostic within a
+    band.  Measured on a 2-core OpenBLAS host: the diagnostics at
+    roundoff (about 3e-15) differ by at most 3.3e-16 (spectrum_defect),
+    and sqrt_h2_odd_norm (3.76e-3) by 3.5e-15 relative."""
+
+    ABSOLUTE, RELATIVE = 1e-15, 1e-12
+
+    @staticmethod
+    def report(tmp_path, threads):
+        src = str(Path(fwexact.__file__).resolve().parent.parent)
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join((src, os.environ.get("PYTHONPATH", ""))),
+            "OPENBLAS_NUM_THREADS": str(threads),
+        }
+        path = tmp_path / f"threads{threads}.json"
+        argv = ["transform", "--report", str(path)]
+        for assignment in ["model.name=dirac_1d", "model.params.N=128", "model.params.V1=0.2"]:
+            argv += ["--set", assignment]
+        done = subprocess.run(
+            [sys.executable, "-m", "fwexact", *argv],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        return json.loads(path.read_text())
+
+    def test_one_and_two_threads_agree_within_the_band(self, tmp_path):
+        one, two = (self.report(tmp_path, threads) for threads in (1, 2))
+        assert one["verdicts"] == two["verdicts"]
+        assert one.keys() == two.keys()
+        assert one["diagnostics"].keys() == two["diagnostics"].keys()
+        for key, a in one["diagnostics"].items():
+            b = two["diagnostics"][key]
+            assert abs(a - b) <= self.ABSOLUTE + self.RELATIVE * max(abs(a), abs(b)), key
 
 
 class TestExitCodes:

@@ -25,9 +25,10 @@ from fwexact import (
 )
 from fwexact.blockop import BlockOperator, adjoint_m
 from fwexact.eriksen import eriksen_unitary
-from fwexact.floquet import _beta_characters, _fold_diagnosis
+from fwexact.floquet import _beta_characters, _fold_diagnosis, _naive_layout
 from fwexact.matfun import decompose
 from fwexact.models import ALPHA, BETA4
+from fwexact.tolerances import GAP_TOL
 
 # reference drive for the naive-vs-extended comparison: an odd (vector)
 # drive at a frequency low enough that no ladder copy crosses the gap
@@ -307,6 +308,9 @@ class TestBatchedKernels:
         assert np.array_equal(build_extended(model, nf).op.data, expected)
 
     def test_windowed_odd_norms_equal_full_product(self):
+        # the full product in K's sector layout: the windowed one sums the
+        # same terms in the same order, so even Lambda's roundoff-level
+        # norm agrees (a dense product orders the sums differently)
         model, nf, window = reference_model(), 8, 4
         rep = demonstrate_nonevenness(model, nf, window)
         k = build_extended(model, nf)
@@ -314,9 +318,9 @@ class TestBatchedKernels:
             (lambda_naive(model, nf), rep.odd_norm_lambda_naive),
             (lambda_capital(k), rep.odd_norm_lambda),
         ):
-            u = eriksen_unitary(lam, lambda_sq_tol=None)
-            full = u.data @ k.op.data @ adjoint_m(u, model.metric).data
-            expected = central_odd_norm(k.op.like(full), window)
+            u = eriksen_unitary(lam.in_sectors(k.layout.sectors), lambda_sq_tol=None)
+            full = u.data @ k.layout.data @ adjoint_m(u, model.metric).data
+            expected = central_odd_norm(k.layout.like(full), window)
             assert measured == pytest.approx(expected, rel=1e-13, abs=1e-300)
 
     @pytest.mark.parametrize(
@@ -461,6 +465,86 @@ class TestNaiveSectorRoute:
         assert len(fwexact.matfun.find_sectors(lam)) == 2
 
 
+#: drives whose K is written from the sector layout of their modes
+MODE_LAYOUT_DRIVES = {
+    "vector": floquet_dirac_vector(1.0, (0, 0, 0.5), 0.2, 0.03),
+    "vector_px": floquet_dirac_vector(1.0, (0.3, 0, 0.5), 0.2, 0.03),
+    "scalar": floquet_dirac_scalar(1.0, (0, 0, 0.5), 0.2, 0.03),
+    "phased": phased_vector_drive(),
+    "p0": floquet_dirac_vector(1.0, (0, 0, 0), 0.2, 0.03),
+}
+
+
+class TestKFromModes:
+    """build_extended writes K in the sector layout of its modes, each
+    sector of the modes over every copy, with no extended-side search; the
+    naive operator is held in the same layout."""
+
+    @pytest.mark.parametrize("nf", [2, 8])
+    @pytest.mark.parametrize("name", sorted(MODE_LAYOUT_DRIVES))
+    def test_dense_k_equals_block_loop(self, monkeypatch, name, nf):
+        model = MODE_LAYOUT_DRIVES[name]
+        expected = toeplitz_by_blocks(lambda n: model.mode(n), 4, nf)
+        expected[np.diag_indices_from(expected)] -= np.repeat(
+            np.arange(-nf, nf + 1) * model.omega, 4
+        )
+        sides = []
+        find_sectors = fwexact.matfun.find_sectors
+        monkeypatch.setattr(
+            fwexact.matfun, "find_sectors", lambda a: sides.append(a.shape) or find_sectors(a)
+        )
+        k = build_extended(model, nf)
+        assert sides == [(len(model.modes), 4, 4)] and k.held.sectored
+        assert np.array_equal(k.op.data, expected)
+
+    @pytest.mark.parametrize(
+        "name, weights, images",
+        [
+            ("vector", [2], [False, True]),
+            ("vector_px", [1], None),
+            ("scalar", [2], [False, True]),
+            ("phased", [2], [False, True]),
+            ("p0", [2], [False, True]),
+        ],
+    )
+    def test_layout_is_the_modes_sectors_over_the_copies(self, name, weights, images):
+        model, nf = MODE_LAYOUT_DRIVES[name], 4
+        layout = build_extended(model, nf).layout
+        assert layout.weights.tolist() == weights
+        assert (None if layout.images is None else layout.images.tolist()) == images
+        # every sector is one set of spinor components over all 2 nf + 1 copies
+        components = layout.sectors % 4
+        assert layout.sectors.shape[1] == (2 * nf + 1) * 4 // len(layout.sectors)
+        assert all(len(set(row)) == 4 // len(layout.sectors) for row in components)
+        naive = _naive_layout(model, nf, GAP_TOL)
+        assert np.array_equal(naive.sectors, layout.sectors)
+        assert np.array_equal(naive.weights, layout.weights)
+
+    def test_zero_momentum_layout_is_coarser_than_k(self):
+        # at p = 0 only H_+-1 couples a mode sector: K's finest components
+        # split each mode sector by the parity of copy and component, and
+        # the layout is still an exact direct sum
+        k = build_extended(MODE_LAYOUT_DRIVES["p0"], 4)
+        assert len(fwexact.matfun.find_sectors(k.op.data)) == 4
+        assert len(k.layout.sectors) == 2
+
+    @pytest.mark.parametrize("name", sorted(MODE_LAYOUT_DRIVES))
+    def test_windowed_odd_norms_against_dense_full_product(self, name):
+        model, nf, window = MODE_LAYOUT_DRIVES[name], 8, 4
+        rep = demonstrate_nonevenness(model, nf, window)
+        k = build_extended(model, nf)
+        for lam, measured in (
+            (lambda_naive(model, nf), rep.odd_norm_lambda_naive),
+            (lambda_capital(k), rep.odd_norm_lambda),
+        ):
+            u = eriksen_unitary(lam, lambda_sq_tol=None)
+            full = u.data @ k.op.data @ adjoint_m(u, model.metric).data
+            expected = central_odd_norm(k.op.like(full), window)
+            # Lambda's norm (and the uniform scalar drive's naive one) is
+            # roundoff, which the dense product sums in another order
+            assert measured == pytest.approx(expected, rel=1e-13, abs=1e-15)
+
+
 class TestRealModes:
     """A drive whose modes are real and equal in pairs (H_-n = H_n) runs
     every extended-space decomposition in float64: K is built real, and
@@ -551,14 +635,15 @@ class TestDemonstrateNonevenness:
 
     def test_fold_diagnosis_counts_repeated_sectors(self, monkeypatch):
         # two copies of the vector drive, beta's upper components first:
-        # K is the drive's two distinct sectors twice over, held once each
+        # K is the drive's two sectors, beta images of each other, twice
+        # over, held as one
         drive = reference_model()
         order = [0, 1, 4, 5, 2, 3, 6, 7]
         modes = tuple((n, np.kron(np.eye(2), h)[np.ix_(order, order)]) for n, h in drive.modes)
         doubled = TimePeriodicHamiltonian(modes, drive.omega, 8)
         k = build_extended(doubled, 16)
-        assert sorted(k.layout.weights) == [2, 2]
-        assert k.layout.data.shape[-3] == 2
+        assert sorted(k.layout.weights) == [4]
+        assert k.layout.data.shape[-3] == 1
         message = _fold_diagnosis(k)
         assert "8 of 132 eigenvectors" in _fold_diagnosis(build_extended(drive, 16))
         assert "16 of 264 eigenvectors" in message
