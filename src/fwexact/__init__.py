@@ -48,11 +48,8 @@ from .tolerances import Tolerances
 from .verify import (
     GeneratorResult,
     eriksen_unitary_alt,
-    exp_i,
     generator_from_lambda,
     verify_eriksen_identities,
-    verify_exp_equivalence,
-    verify_trig_identities,
 )
 
 __version__ = "0.1.0"
@@ -86,7 +83,6 @@ __all__ = [
     "eriksen_unitary",
     "eriksen_unitary_alt",
     "even_part",
-    "exp_i",
     "feshbach_villars",
     "free_dirac",
     "floquet_dirac_scalar",
@@ -102,6 +98,4 @@ __all__ = [
     "transform_nonstationary",
     "transform_stationary",
     "verify_eriksen_identities",
-    "verify_exp_equivalence",
-    "verify_trig_identities",
 ]

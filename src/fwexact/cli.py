@@ -523,6 +523,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
     config = _load(args)
     timings = {"build_ms": 0.0, "transform_ms": 0.0}
     diagnostics, result = _run(config, config.model, timings)
+    timings["taylor_terms"] = result.taylor_terms
     diagnostics = {k: float(v) for k, v in diagnostics.items()}
     verdicts = _verdicts(diagnostics, config.tolerances)
     dumps = _dump_operators(config, result)
@@ -568,14 +569,11 @@ def _chunk_size(side: int) -> int:
     return max(1, _CHUNK_ELEMENTS // (side * side))
 
 
-_PointResult = tuple[dict[str, float], float, float]
-
-
 def _sweep(
     config: RunConfig, parameter: str, values: tuple[float, ...], timings: dict[str, float]
-) -> list[_PointResult]:
-    """Per sweep point, in value order, its diagnostics, ||S||_2 and
-    ||H_FW||_2.
+) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
+    """Per diagnostic its column over the sweep points, in value order,
+    and the columns of ||S||_2 and ||H_FW||_2.
 
     The points run in chunks of consecutive values, each built only when
     it runs: :func:`_chunk_size` points as one stack when the model
@@ -586,19 +584,15 @@ def _sweep(
     spec = config.model
     size = _chunk_size(spec.side) if spec.stacks(parameter) else 1
 
-    points: list[_PointResult] = []
+    # per chunk: its diagnostics, ||S||_2 and ||H_FW||_2
+    chunks: list[tuple[dict[str, float | np.ndarray], float | np.ndarray, float | np.ndarray]] = []
 
     def run(chunk: tuple[float, ...]) -> None:
         value = chunk[0] if len(chunk) == 1 else np.array(chunk)
         point = ModelSpec(spec.name, {**spec.params, parameter: value}) if parameter else spec
         diagnostics, result = _run(config, point, timings)
         timings["transform_calls"] += 1
-        columns = {k: np.ravel(v).tolist() for k, v in diagnostics.items()}
-        s_norms, h_fw_norms = np.ravel(result.s_norm).tolist(), np.ravel(result.h_fw_norm).tolist()
-        points.extend(
-            ({k: column[j] for k, column in columns.items()}, s_norms[j], h_fw_norms[j])
-            for j in range(len(chunk))
-        )
+        chunks.append((diagnostics, result.s_norm, result.h_fw_norm))
 
     for k in range(0, len(values), size):
         chunk = values[k : k + size]
@@ -609,7 +603,13 @@ def _sweep(
                 raise
             for value in chunk:
                 run((value,))
-    return points
+
+    def column(parts) -> np.ndarray:
+        return np.concatenate([np.ravel(part) for part in parts])
+
+    diagnostics, s_norms, h_fw_norms = zip(*chunks)
+    columns = {key: column(d[key] for d in diagnostics) for key in diagnostics[0]}
+    return columns, column(s_norms), column(h_fw_norms)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -618,33 +618,33 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     parameter = config.sweep_parameter or ""
     values = config.sweep_values or (float(spec.value(parameter)) if parameter else 0.0,)
     timings = {"build_ms": 0.0, "transform_ms": 0.0, "transform_calls": 0}
-    outcomes = _sweep(config, parameter, values, timings)
+    columns, s_norms, measured = _sweep(config, parameter, values, timings)
 
-    csv_lines = [
-        "parameter,value,max_identity_defect,odd_norm,s_norm_2,dispersion,dispersion_error"
-    ]
-    worst: dict[str, float] = {}
-    for value, (diagnostics, s_norm, measured) in zip(values, outcomes):
-        for key, v in diagnostics.items():
-            worst[key] = max(worst.get(key, 0.0), v)
-        dispersion = _dispersion(spec, parameter, value)
-        identity = max((diagnostics[k] for k in _IDENTITY_KEYS if k in diagnostics), default=0.0)
-        if dispersion is None:
-            measured = error = math.nan
-        else:
-            error = abs(measured - dispersion)
-        numbers = (value, identity, diagnostics.get("odd_norm", math.nan), s_norm, measured, error)
-        csv_lines.append(",".join([parameter, *(f"{x:.17g}" for x in numbers)]))
+    # as max() from 0.0 point by point: a NaN never wins
+    worst = {key: float(np.fmax.reduce(column, initial=0.0)) for key, column in columns.items()}
+    identity = [columns[key] for key in _IDENTITY_KEYS if key in columns] or [np.zeros(len(values))]
+    # as max() over the keys in order: a NaN wins only as the first
+    identity = np.where(np.isnan(identity[0]), np.nan, np.fmax.reduce(identity))
+    dispersion = np.array([_dispersion(spec, parameter, value) for value in values], dtype=float)
+    error = np.abs(measured - dispersion)
+    measured = np.where(np.isnan(dispersion), np.nan, measured)
+    odd_norm = columns.get("odd_norm", np.full(len(values), np.nan))
+    table = np.column_stack((values, identity, odd_norm, s_norms, measured, error))
+    row = "%s" + ",%.17g" * table.shape[1] + "\n"
+    csv_text = (
+        "parameter,value,max_identity_defect,odd_norm,s_norm_2,dispersion,dispersion_error\n"
+        + row * len(table) % tuple(x for numbers in table.tolist() for x in (parameter, *numbers))
+    )
     verdicts = _verdicts(worst, config.tolerances)
     csv_path = _report_path("sweep", config).with_suffix(".csv")
     csv_path.parent.mkdir(parents=True, exist_ok=True)
-    csv_path.write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+    csv_path.write_text(csv_text, encoding="utf-8")
     try:
         path = _report("sweep", config, worst, verdicts, timings, tables=[str(csv_path)])
     except OSError:
         csv_path.unlink()  # no report lists the table
         raise
-    print("\n".join(csv_lines))
+    print(csv_text, end="")
     print(f"report written to {path}; table written to {csv_path}")
     return _exit_code(verdicts)
 

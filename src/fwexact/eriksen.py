@@ -26,15 +26,16 @@ lambda_{-+}, lambda_{--} (:attr:`~fwexact.blockop.BlockOperator.blocks`),
 with the paper's formulas as the objects computed.  For an operator
 self-adjoint under either metric the diagonal blocks are Hermitian, so
 every later kernel is an ``eigh`` of the two half-size blocks, in both
-metrics, and there are three:
+metrics, and there are two:
 
 * the denominator's blocks 2 + 2 lambda_{++} and 2 - 2 lambda_{--} give
-  U and S (:mod:`fwexact.expgen`): lambda^2 = 1 makes every even
+  U, S and ||S||_2 (:mod:`fwexact.expgen`): lambda^2 = 1 makes every even
   operator of the chain a function of lambda_{++} on the upper block and
   of lambda_{--} on the lower one;
-* the blocks of S^2, from S's own blocks, give sin 2S, cos 2S and
-  exp(iS), checked against lambda and U;
 * the diagonal blocks of U H U^{-1} (``eigvalsh``) give its spectrum.
+
+sin 2S, cos 2S and exp(iS) are checked against lambda and U by one
+Taylor chain of iS's blocks on probe vectors, with no decomposition.
 
 ``routes=True`` adds the cross-check routes of :mod:`fwexact.verify` and
 their kernels (the polar Gram matrix, the canonical arcsine's M^2 and
@@ -46,12 +47,13 @@ the distinct sectors and in float64 where the layout holds H real; the
 result's operators are made dense, in H's basis, only when read.
 
 Parity blocks are used only where an operand is even or odd, so that a
-zero block saves work (the denominator, S, S^2, H_FW's diagonal blocks,
-odd norms).  Each other check is one whole product in the layout: U U^adj
-(U^adj U for bosons), beta U - U^adj beta, lambda H, and lambda^2, made
-once for the involution pre-check, ``lambda_sq_defect`` and (its odd
-blocks) ``sign_products_commute_defect``; the unitary checks run before
-H_FW is formed.  That beta commutes with beta lambda + lambda beta holds
+zero block saves work (the denominator, S, the probe chain, H_FW's
+diagonal blocks, odd norms).  Each other check is one whole product in
+the layout: U U^adj (U^adj U for bosons), beta U - U^adj beta, lambda H,
+and lambda^2, made once for the involution pre-check,
+``lambda_sq_defect`` and (its odd blocks)
+``sign_products_commute_defect``; the unitary checks run before H_FW is
+formed.  That beta commutes with beta lambda + lambda beta holds
 by exact sign flips and is not measured (:mod:`fwexact.verify`).
 
 H may carry leading stack axes (the points of a sweep): the stack runs
@@ -77,11 +79,10 @@ from .blockop import (
 from .expgen import (
     LAMBDA_SQ_TOL,
     denominator_decomposition,
-    exp_blocks,
-    exp_defect,
+    exponential_defects,
     generator,
+    generator_norm,
     inverse_root,
-    trig_defects,
 )
 from .matfun import EvenDecomposition, check_involution, decompose, in_sectors, sign_of
 from .tolerances import EPS_CLAMP, GAP_TOL
@@ -107,7 +108,8 @@ class FWResult:
     ``s`` is the exponential generator; both transforms fill it, and it
     is None only in a bundle assembled by hand.  ``h_fw_norm`` and
     ``s_norm`` are the spectral norms of ``h_fw`` and ``s``, read off the
-    block decompositions the transforms make (None when assembled by
+    block decompositions the transforms make, and ``taylor_terms`` the
+    length of the chain that checks exp(iS) (each None when assembled by
     hand).  For a stacked transform the operators carry the stack axes
     and every number is an array with the stack's shape.  The transforms
     hold the operators in H's sector layout; each is made dense when
@@ -130,11 +132,13 @@ class FWResult:
         s: Optional[BlockOperator] = None,
         h_fw_norm: Optional[float | np.ndarray] = None,
         s_norm: Optional[float | np.ndarray] = None,
+        taylor_terms: Optional[int] = None,
     ) -> None:
         self._operators = {"sign_op": sign_op, "u": u, "u_inverse": u_inverse, "h_fw": h_fw, "s": s}
         self.diagnostics = diagnostics
         self.h_fw_norm = h_fw_norm
         self.s_norm = s_norm
+        self.taylor_terms = taylor_terms
 
 
 def eriksen_unitary(
@@ -176,14 +180,15 @@ def _transform(
     operator, with the diagnostics every transform shares, all in the
     sector layout of ``h`` (made dense when read, see :class:`FWResult`).
 
-    U and S come from one decomposition of the denominator.  U^{-1} is
-    the metric adjoint of U (the residual is unitarity_defect).
+    U, S and ||S||_2 come from one decomposition of the denominator.
+    U^{-1} is the metric adjoint of U (the residual is unitarity_defect).
     Diagnostics: the unitary identities, spectrum_defect (largest shift
     of the sorted spectrum under the similarity, relative to the
-    spectral radius of H), the generator defects, the doubling
-    identities and exp_equivalence_defect.  ``routes`` adds the generator
-    cross-checks of :func:`~fwexact.verify.generator_routes`, whose
-    arcsine is held to the clamp band ``eps_clamp``.  The spectra
+    spectral radius of H), the generator defects, and the doubling
+    identities and exp_equivalence_defect, estimated on probe vectors
+    (:func:`~fwexact.expgen.exponential_defects`).  ``routes`` adds the
+    generator cross-checks of :func:`~fwexact.verify.generator_routes`,
+    whose arcsine is held to the clamp band ``eps_clamp``.  The spectra
     count each sector's eigenvalues as often as the sector occurs.
     """
     dec = decompose(h, metric)
@@ -195,10 +200,14 @@ def _transform(
     # one decomposition of the denominator serves U and S (and form A)
     den = denominator_decomposition(lam, lambda_sq_tol=None)
     u = eriksen_unitary(lam, dec=den)
-    s, square, generator_defects = generator(lam, metric, den)
+    s, i_s, generator_defects = generator(lam, metric, den)
+    s_norm = generator_norm(den)
     if routes:
         generator_defects.update(generator_routes(lam, metric, eps_clamp=eps_clamp, dec=den))
     del den
+    # one Taylor chain on probe vectors serves sin 2S, cos 2S and exp(iS)
+    exponential, taylor_terms = exponential_defects(i_s, lam, u)
+    del i_s
     unitary = unitary_defects(u, metric)
     u_inverse = adjoint_m(u, metric)
     h_fw = h.like(u.data @ h.data @ u_inverse.data)
@@ -211,13 +220,12 @@ def _transform(
         diagnostics={**involution, **unitary},
         s=s,
         h_fw_norm=per_matrix(np.abs(after).max(axis=-1, initial=0.0)),
-        s_norm=square.norm_2(),
+        s_norm=s_norm,
+        taylor_terms=taylor_terms,
     )
     result.diagnostics["spectrum_defect"] = spectrum_defect
     result.diagnostics.update(generator_defects)
-    # one square of S serves sin 2S, cos 2S and exp(iS)
-    result.diagnostics.update(trig_defects(square, lam))
-    result.diagnostics["exp_equivalence_defect"] = exp_defect(exp_blocks(square), u)
+    result.diagnostics.update(exponential)
     return result
 
 

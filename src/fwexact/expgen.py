@@ -33,10 +33,15 @@ Hermitian metric z lies in [0, 1]; in the beta-pseudo metric
 lambda_{-+} = -lambda_{+-}^dag makes M^2 <= 0, the imaginary spectrum
 on which arcsin(i x) = i arcsinh(x), and z < 0 takes the arcsinh
 branch.  h is continuous at z = 0, so no clamp band is
-needed.  The doubling identities and exp(iS) = U follow from the
-diagonal blocks of S^2, computed from S's own blocks: a route
-independent of the one that made S.  The arcsine of M itself, form A
-and the full-size exp(iS) are cross-checks in :mod:`fwexact.verify`.
+needed.  ||S||_2 is read off the same eigenvalues.
+
+The doubling identities and exp(iS) = U are checked by one truncated
+Taylor chain of iS on a few probe vectors, from S's own blocks: a route
+independent of the one that made S, which decomposes nothing
+(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  The Frobenius
+norms of the defects' products with Gaussian probes estimate theirs
+(Martinsson & Tropp, Acta Numerica 29, 403 (2020)).  The arcsine of M
+itself and form A are cross-checks in :mod:`fwexact.verify`.
 
 S is assembled from its off-diagonal blocks alone (the
 ``like_blocks(None, ..., None)`` in :func:`generator`), so it
@@ -44,13 +49,12 @@ anticommutes with beta by construction and no oddness defect is
 measured; the two off-diagonal blocks are computed independently, so
 ``hermiticity_defect`` stays a measurement.
 
-The kernels carry iS, real when lambda is, as S = -i (iS): an odd
-operator is a known phase times its blocks (:class:`OddSquare`), so S^2,
-the doubling identities and exp(iS) run real on a real lambda.
+The chain carries iS, real when lambda is, as S = -i (iS), so the
+doubling identities and exp(iS) run real on a real lambda.
 
 lambda may carry leading stack axes (one sign operator per point of a
-sweep) and its sector axis: every block product, decomposition and
-defect runs over both at once, and the diagnostics are arrays with the
+sweep) and its sector axis: every block product, decomposition, chain
+and defect runs over both at once, and the diagnostics are arrays with the
 stack's shape (floats without a stack).
 """
 
@@ -110,40 +114,8 @@ class _OnSquare(NamedTuple):
 
 # the arcsine clamps its real argument at 1
 _ARCSIN = _OnSquare(lambda t: np.arcsin(np.minimum(t, 1.0)), np.arcsinh, 1.0)
-_COS = _OnSquare(np.cos, np.cosh)
-_SIN = _OnSquare(np.sin, np.sinh, 1.0)
-_COS2 = _OnSquare(lambda t: np.cos(2.0 * t), lambda t: np.cosh(2.0 * t))
-_SIN2 = _OnSquare(lambda t: np.sin(2.0 * t), lambda t: np.sinh(2.0 * t), 2.0)
-
-
-class OddSquare:
-    """An odd operator X = ``phase`` Y by the off-diagonal blocks of Y,
-    with the diagonal blocks X_{+-} X_{-+} and X_{-+} X_{+-} of X^2
-    (phase^2 Y_{+-} Y_{-+} and phase^2 Y_{-+} Y_{+-}) decomposed.
-
-    Even functions are f(X) = f(X^2) (diagonal blocks); odd ones are
-    g(X) = X (g(x)/x)(X^2), returned divided by ``phase`` (off-diagonal
-    blocks).
-    """
-
-    def __init__(self, pm: np.ndarray, mp: np.ndarray, sectored: bool = False, phase=1) -> None:
-        self.pm, self.mp, self.phase = pm, mp, phase
-        square = known_phase(phase * phase)
-        self.square = EvenDecomposition.of(square * (pm @ mp), square * (mp @ pm), sectored)
-
-    def even(self, f: _OnSquare) -> tuple[np.ndarray, np.ndarray]:
-        return self.square.apply(f)
-
-    def odd(self, g: _OnSquare) -> tuple[np.ndarray, np.ndarray]:
-        upper, lower = self.square.apply(g)
-        return self.pm @ lower, self.mp @ upper
-
-    def norm_2(self) -> float | np.ndarray:
-        """||X||_2 = sqrt(max |eig X^2|) per operator; X is normal
-        (Hermitian or skew-Hermitian) when it is metric-self-adjoint."""
-        eigenvalues = np.abs(self.square.eigenvalues)
-        axes = operator_axes(2, self.square.sectored)
-        return per_matrix(np.sqrt(eigenvalues.max(axis=axes, initial=0.0)))
+# |arcsin x|, even in x
+_ANGLE = _ARCSIN._replace(at_zero=None)
 
 
 def denominator_decomposition(
@@ -181,9 +153,9 @@ def inverse_root(dec: EvenDecomposition) -> tuple[np.ndarray, np.ndarray]:
 
 def generator(
     lam: BlockOperator, metric: Metric, dec: EvenDecomposition
-) -> tuple[BlockOperator, OddSquare, dict[str, float | np.ndarray]]:
-    """S from the :func:`denominator_decomposition` ``dec`` of lambda,
-    the :class:`OddSquare` of S (held as -i times iS), and S's
+) -> tuple[BlockOperator, tuple[np.ndarray, np.ndarray], dict[str, float | np.ndarray]]:
+    """S from the :func:`denominator_decomposition` ``dec`` of lambda, the
+    off-diagonal blocks of iS (real for a real lambda), and S's
     hermiticity_defect (see :func:`generator_defects`).
 
     h = arcsin(sqrt z) / sqrt z at z = 1 - x^2 = w (1 - w/4) is applied
@@ -196,8 +168,17 @@ def generator(
     t_pm = 0.5 * (lam.blocks.pm @ h_mm)
     t_mp = -0.5 * (lam.blocks.mp @ h_pp)
     s = lam.like_blocks(None, -1j * t_pm, -1j * t_mp, None)
-    defects = generator_defects(t_pm, t_mp, metric, lam.weights, phase=-1j)
-    return s, OddSquare(t_pm, t_mp, lam.sectored, phase=-1j), defects
+    return s, (t_pm, t_mp), generator_defects(t_pm, t_mp, metric, lam.weights, phase=-1j)
+
+
+def generator_norm(dec: EvenDecomposition) -> float | np.ndarray:
+    """||S||_2 per operator from the denominator's eigenvalues w: S is
+    normal, and its eigenvalues are -(1/2) arcsin x over the eigenvalues
+    x of M, |x| = sqrt z at z = w (1 - w/4), so ||S||_2 is half the
+    largest arcsin sqrt z (arcsinh sqrt(-z) for z < 0)."""
+    w = dec.eigenvalues
+    angles = _ANGLE(w * (1.0 - w / 4.0))
+    return per_matrix(0.5 * angles.max(axis=operator_axes(2, dec.sectored), initial=0.0))
 
 
 def generator_defects(
@@ -218,36 +199,99 @@ def generator_defects(
     }
 
 
-def trig_defects(sq: OddSquare, lam: BlockOperator) -> dict[str, float]:
-    """sin2s_defect and cos2s_defect (see
-    :func:`~fwexact.verify.verify_trig_identities`) from the square of S.
-    sin 2S and M are odd, cos 2S and (beta lambda + lambda beta)/2 are
-    even, so only those blocks enter."""
+#: Gaussian probe columns per parity, and the seed they are drawn from.
+PROBES, PROBE_SEED = 8, 2011
+
+
+def probes(half: int) -> np.ndarray:
+    """The probe block G by parity, shape (2, half, k): for each parity k
+    columns that are zero on the other one, Gaussian with variance 1/k so
+    that ||A G||_F estimates ||A||_F, or the identity when half <= k,
+    which makes the norm exact.  SplitMix64's mix of a Weyl sequence
+    (Steele, Lea & Flood, OOPSLA 2014), made Gaussian by Box-Muller, draws
+    them without loading numpy.random (6 MB and 13 ms on first use)."""
+    if half <= PROBES:
+        return np.broadcast_to(np.eye(half), (2, half, half))
+    n = 2 * half * PROBES
+    x = np.arange(PROBE_SEED, PROBE_SEED + 2 * n, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, 1)):
+        x = (x ^ (x >> np.uint64(shift))) * np.uint64(factor)
+    u = (x >> np.uint64(11)) * 2.0**-53  # uniform on [0, 1)
+    g = np.sqrt(-2.0 * np.log1p(-u[:n])) * np.cos(2.0 * math.pi * u[n:])
+    return g.reshape(2, half, PROBES) / math.sqrt(PROBES)
+
+
+def _terms(radius: float) -> int:
+    """The first m with (2 radius)^(m+1) / (m+1)! <= 2^-53: a Taylor
+    chain of exp(2iS) that stops there drops a tail below roundoff when
+    ||S||_2 <= radius.  A bound that needs more than 1000 terms (a radius
+    past about 180) raises."""
+    m, tail = 0, 1.0
+    while (tail := tail * 2.0 * radius / (m + 1)) > 2.0**-53:
+        m += 1
+        if m > 1000:
+            raise DomainError(f"over 1000 Taylor terms for exp(iS): ||S||_2 <= {radius:.3e}")
+    return m
+
+
+def exponential_defects(
+    i_s: tuple[np.ndarray, np.ndarray], lam: BlockOperator, u: BlockOperator
+) -> tuple[dict[str, float | np.ndarray], int]:
+    """sin2s_defect, cos2s_defect and exp_equivalence_defect of the S whose
+    iS has the off-diagonal blocks ``i_s``, from one Taylor chain
+    T_j = (iS)^j G / j! on the :func:`probes` G, and the chain's length.
+
+    Each column of G has one parity, which the terms of even j keep and
+    those of odd j flip, so the chain runs on the half-size blocks.
+    sum T_j = exp(iS) G is held against U G (relative to ||U||_F), and
+    sum 2^j T_j = exp(2iS) G against beta lambda G (over sqrt(n)): its
+    rows of each column's parity are cos 2S G, against
+    (beta lambda + lambda beta)/2 G, the others i sin 2S G, against
+    (beta lambda - lambda beta)/2 G.  Frobenius norms of the products
+    with G estimate those of the defects (exactly for G = 1).  The chain
+    has :func:`_terms` terms for the smaller of two bounds on ||S||_2,
+    ||S||_F and sqrt(||S||_1 ||S||_inf), the largest over a stack.
+    """
+    t_pm, t_mp = i_s
+    weights = lam.weights
+    frobenius_s = hypot(frobenius(t_pm, weights), frobenius(t_mp, weights))
+    # ||S||_1 and ||S||_inf: the largest column and row sums of its blocks
+    one = max(np.abs(t).sum(axis=-2).max(initial=0.0) for t in i_s)
+    inf = max(np.abs(t).sum(axis=-1).max(initial=0.0) for t in i_s)
+    terms = _terms(min(np.max(frobenius_s), math.sqrt(one * inf)))
+
+    g = probes(t_pm.shape[-1])
+    g = g.reshape(2, *(1,) * (t_pm.ndim - 2), *g.shape[1:])
+    # steps[j % 2] takes T_{j-1} to T_j (times j): odd j leave the column's
+    # parity (its upper-parity part goes through t_mp), even j come back
+    away = np.stack((t_mp, t_pm))
+    steps = (away[::-1], away)
+    chain = np.empty((terms + 1, 2, *t_pm.shape[:-1], g.shape[-1]), np.result_type(t_pm, g))
+    chain[0] = g
+    for j in range(1, terms + 1):
+        np.matmul(steps[j % 2], chain[j - 1], out=chain[j])
+        chain[j] /= j
+    # the own and other parity rows of exp(iS) G and of exp(2iS) G
+    j = np.arange(terms + 1)
+    parity = j % 2 == np.arange(2)[:, None]
+    sums = np.concatenate((parity, parity * 2.0**j)) @ chain.reshape(terms + 1, -1)
+    exp_own, exp_other, double_own, double_other = sums.reshape(4, *chain.shape[1:])
+
+    def columns(pp, pm, mp, mm):
+        """A G, for A with these blocks: its own and other parity rows."""
+        return np.stack((pp @ g[0], mm @ g[1])), np.stack((mp @ g[0], pm @ g[1]))
+
+    def norm(x: np.ndarray) -> float | np.ndarray:
+        return hypot(*frobenius(x, weights))
+
     a, b, c, d = lam.blocks
-    norm = lam.frobenius
-    sin_pm, sin_mp = sq.odd(_SIN2)
-    cos_pp, cos_mm = sq.even(_COS2)
+    # beta lambda has the blocks a, b, -c, -d
+    beta_own, beta_other = columns(a, b, -c, -d)
+    u_own, u_other = columns(*u.blocks)
     root_n = math.sqrt(lam.side)
-    # sin 2S + i (beta lambda - lambda beta) / 2, divided by the phase of S
-    k = known_phase(1j / sq.phase)
     return {
-        "sin2s_defect": hypot(norm(sin_pm + k * b), norm(sin_mp - k * c)) / root_n,
-        "cos2s_defect": hypot(norm(cos_pp - a), norm(cos_mm + d)) / root_n,
-    }
-
-
-def exp_blocks(sq: OddSquare) -> tuple[np.ndarray, ...]:
-    """Parity blocks of exp(iS) = cos S + i S (sin x / x)(S^2)."""
-    cos_pp, cos_mm = sq.even(_COS)
-    sin_pm, sin_mp = sq.odd(_SIN)
-    k = known_phase(1j * sq.phase)
-    return cos_pp, k * sin_pm, k * sin_mp, cos_mm
-
-
-def exp_defect(
-    exponential: tuple[np.ndarray, ...], u: BlockOperator
-) -> float | np.ndarray:
-    """||exponential - U||_F / ||U||_F, from parity blocks (also the
-    polar form against U)."""
-    defect = hypot(*(u.frobenius(x - y) for x, y in zip(exponential, u.blocks)))
-    return defect / at_least(u.norm(), 1e-300)
+        "sin2s_defect": norm(double_other - beta_other) / root_n,
+        "cos2s_defect": norm(double_own - beta_own) / root_n,
+        "exp_equivalence_defect": hypot(norm(exp_own - u_own), norm(exp_other - u_other))
+        / at_least(u.norm(), 1e-300),
+    }, terms

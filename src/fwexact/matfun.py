@@ -14,16 +14,15 @@ A real input stays float64 through ``eigh``, the phase fix and the
 sign (``eig`` when numpy finds the spectrum real); complex runs the same.
 
 The transforms decompose one matrix at full size, the Hamiltonian.
-Every later kernel on the hot path is a Hermitian ``eigh`` of the
-diagonal parity blocks of an even operator (:class:`EvenDecomposition`):
-the Eriksen denominator, which gives U and S, and S^2.  For an
+The later kernel on the hot path is a Hermitian ``eigh`` of the
+diagonal parity blocks of an even operator (:class:`EvenDecomposition`),
+the Eriksen denominator, which gives U and S.  For an
 operator A self-adjoint under either metric those blocks are Hermitian:
 A = beta A^dag beta keeps A_{++} and A_{--} and flips the sign of the
 off-diagonal pair, A_{-+} = -A_{+-}^dag.  The two blocks go to one
-batched call.  The full-size exp(iS) of the cross-checks lives in
-:mod:`fwexact.verify`.
+batched call.
 
-beta is diagonal, so lambda, the denominator, U, S, S^2 and U H U^{-1}
+beta is diagonal, so lambda, the denominator, U, S and U H U^{-1}
 are direct sums over H's sectors, the connected components of the
 pattern of exactly nonzero entries (:func:`find_sectors`), and f(beta H
 beta) = beta f(H) beta.  :func:`in_sectors` gathers a dense H once into

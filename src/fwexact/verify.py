@@ -15,8 +15,7 @@ against another formula:
   S = -arcsin(D^{-1/2} i(beta lambda - lambda beta) D^{-1/2}) with
   D = 2 sqrt(2 + beta lambda + lambda beta), evaluated symmetrically
   (numerator and denominator commute; the residual commutator is
-  recorded, not assumed);
-* exp(iS) from a full-size decomposition of S.
+  recorded, not assumed).
 
 ``transform_stationary`` and ``transform_nonstationary`` run them when
 called with ``routes=True`` (the config key ``verify.routes``): the
@@ -51,21 +50,16 @@ from .blockop import (
     operator_axes,
     per_matrix,
 )
-from .errors import DomainError, MetricViolationError
+from .errors import DomainError
 from .expgen import (
     _ARCSIN,
     LAMBDA_SQ_TOL,
-    OddSquare,
     denominator_decomposition,
-    exp_defect,
     generator_defects,
     inverse_root,
-    trig_defects,
 )
 from .matfun import (
     EvenDecomposition,
-    _decompose_general,
-    _decompose_hermitian,
     check_involution,
     in_sectors,
     involution_defects,
@@ -145,7 +139,8 @@ def eriksen_unitary_alt(lam: BlockOperator, metric: Metric) -> BlockOperator:
 def alt_form_defect(lam: BlockOperator, u: BlockOperator, metric: Metric) -> float | np.ndarray:
     """||U_polar - U||_F / ||U||_F: the polar form against the unitary
     the transform built."""
-    return exp_defect(_polar_blocks(lam, metric), u)
+    defect = hypot(*(u.frobenius(x - y) for x, y in zip(_polar_blocks(lam, metric), u.blocks)))
+    return defect / at_least(u.norm(), 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +155,8 @@ def arcsin_odd(
     the largest real |eigenvalue| sqrt(x), x >= 0 an eigenvalue of X^2,
     pokes past 1 (per operator of a stack).  An excess above
     ``eps_clamp`` raises; within it the clamp snaps the eigenvalue to 1."""
-    sq = OddSquare(pm, mp, sectored)
-    top = sq.square.eigenvalues.max(axis=operator_axes(2, sectored), initial=0.0)
+    square = EvenDecomposition.of(pm @ mp, mp @ pm, sectored)
+    top = square.eigenvalues.max(axis=operator_axes(2, sectored), initial=0.0)
     excess = np.maximum(np.sqrt(top) - 1.0, 0.0)
     i = first_failing(excess > eps_clamp)
     if i is not None:
@@ -169,7 +164,9 @@ def arcsin_odd(
             f"arcsin domain violation: |eigenvalue| exceeds 1 by {np.ravel(excess)[i]:.3e} "
             f"(clamp band {eps_clamp:.1e})"
         )
-    return (*sq.odd(_ARCSIN), per_matrix(excess))
+    # an odd function of X is X (g(x)/x)(X^2)
+    upper, lower = square.apply(_ARCSIN)
+    return pm @ lower, mp @ upper, per_matrix(excess)
 
 
 @dataclass(frozen=True)
@@ -201,8 +198,7 @@ def generator_from_lambda(
     max(1, ||S||_F)), denominator_commutator_defect (form A
     symmetrization assumption) and clamp_excess (how far a real
     eigenvalue of the doubling argument pokes past 1; positive values
-    mean the arcsine clamp was active).  The doubling identities are
-    checked by :func:`verify_trig_identities`.
+    mean the arcsine clamp was active).
     """
     given, lam = lam, in_sectors(lam)
     if dec is None:
@@ -255,45 +251,3 @@ def generator_routes(
     diagnostics = generator_from_lambda(lam, metric, eps_clamp=eps_clamp, dec=dec).diagnostics
     keys = ("form_agreement_defect", "denominator_commutator_defect", "clamp_excess")
     return {key: diagnostics[key] for key in keys}
-
-
-def verify_trig_identities(g: GeneratorResult, lam: BlockOperator) -> dict[str, float]:
-    """Recompute the doubling identities from g.s alone.
-
-    Returns sin2s_defect and cos2s_defect: norms of
-    sin 2S + i(beta lambda - lambda beta)/2 and
-    cos 2S - (beta lambda + lambda beta)/2, scaled by sqrt(n).
-    """
-    return trig_defects(OddSquare(g.s.blocks.pm, g.s.blocks.mp, g.s.sectored), lam)
-
-
-# ---------------------------------------------------------------------------
-# exp(iS) at full size
-
-
-def exp_i(s: BlockOperator, metric: Metric) -> BlockOperator:
-    """exp(iS) in the eigenbasis of S.
-
-    S must be self-adjoint under ``metric``; the result is then
-    metric-unitary.  For the beta-pseudo metric the spectrum of S may be
-    complex (bosonic generators have imaginary eigenvalues), so the
-    general decomposition is used.
-    """
-    defect = s.frobenius(s.data - adjoint_m(s, metric).data)
-    i = first_failing(defect > 1e-8 * np.maximum(s.norm(), 1.0))
-    if i is not None:
-        raise MetricViolationError(
-            f"generator is not self-adjoint under {metric.value}: "
-            f"defect {np.ravel(defect)[i]:.3e}"
-        )
-    decompose = _decompose_hermitian if metric is Metric.HERMITIAN else _decompose_general
-    return s.like(decompose(s.data, s.sectored).apply(lambda w: np.exp(1j * w)))
-
-
-def verify_exp_equivalence(
-    g: GeneratorResult, u: BlockOperator, metric: Metric
-) -> float:
-    """Relative disagreement ||exp(iS) - U||_F / ||U||_F, with exp(iS)
-    from a full-size decomposition of S (independent of the block route
-    the transforms use)."""
-    return exp_defect(exp_i(g.s, metric).blocks, u)

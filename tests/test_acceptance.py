@@ -49,10 +49,9 @@ from fwexact import (
     lambda_naive,
     sign_of,
     transform_stationary,
-    verify_exp_equivalence,
-    verify_trig_identities,
 )
 from fwexact.cli import main
+from oracles import verify_exp_equivalence, verify_trig_identities
 
 
 @contextmanager

@@ -14,6 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import fwexact.cli
+import fwexact.eriksen
 import fwexact.matfun
 import fwexact.verify
 from fwexact import BlockOperator, ModelSpec, dirac_1d, transform_stationary
@@ -1078,7 +1079,7 @@ class TestDecompositionCounts:
         decomposition and side, and the spectral norms taken; each
         decomposition's (routine, dtype, side) goes to ``self.inputs``."""
         calls, matrices = Counter(), Counter()
-        self.inputs = set()
+        self.inputs, self.eigh_inputs = set(), []
         linalg = np.linalg
         for name in self.DECOMPOSITIONS:
             original = getattr(linalg, name)
@@ -1088,6 +1089,8 @@ class TestDecompositionCounts:
                 calls[_name, shape[-1]] += 1
                 matrices[_name, shape[-1]] += math.prod(shape[:-2])
                 self.inputs.add((_name, np.asarray(a).dtype.name, shape[-1]))
+                if _name == "eigh":
+                    self.eigh_inputs.append(np.array(a))
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(linalg, name, counted)
@@ -1119,7 +1122,7 @@ class TestDecompositionCounts:
             ["model.name=dirac_1d", "model.params.N=8", "model.params.V1=0.2"],
             ("eigh", 16, 1),
             (8, 2),
-            6,
+            5,
         ),
         "floquet_dirac_vector": (
             [
@@ -1131,13 +1134,13 @@ class TestDecompositionCounts:
             ],
             ("eigh", 18, 1),
             (9, 2),
-            5,
+            4,
         ),
         "feshbach_villars": (
             ["model.name=feshbach_villars", "model.params.p=0.75"],
             ("eig", 2, 1),
             (1, 2),
-            6,
+            5,
         ),
     }
 
@@ -1150,17 +1153,31 @@ class TestDecompositionCounts:
         return calls, matrices
 
     def check_transform(self, tmp_path, monkeypatch, model, dtype="float64", assignments=()):
-        # H (or K), then the denominator, which gives U and S, S^2 for
-        # the doubling identities and exp(iS), and U H U^{-1}'s spectrum
+        # H (or K), then the denominator, which gives U and S, and U H
+        # U^{-1}'s spectrum; the doubling identities and exp(iS) run on
+        # probe vectors, with no decomposition of S^2
         model_assignments, (routine, side, count), (half, half_count), _ = self.TRANSFORMS[model]
+        generators = []
+        generator = fwexact.eriksen.generator
+
+        def spy(*args, **kwargs):
+            generators.append(generator(*args, **kwargs))
+            return generators[-1]
+
+        monkeypatch.setattr(fwexact.eriksen, "generator", spy)
         calls, matrices = self.transform_calls(
             tmp_path, monkeypatch, [*model_assignments, *assignments]
         )
         assert calls[routine, side] == 1 and matrices[routine, side] == count
-        assert calls["eigh", half] == 2 and calls["eigvalsh", half] == 1
-        assert matrices["eigh", half] == 2 * half_count
+        assert calls["eigh", half] == 1 and calls["eigvalsh", half] == 1
+        assert matrices["eigh", half] == half_count
         assert matrices["eigvalsh", half] == half_count
-        assert sum(calls.values()) == 4
+        assert sum(calls.values()) == 3
+        # the diagonal blocks of S^2 are -(iS)_{+-} (iS)_{-+} and -(iS)_{-+} (iS)_{+-}
+        ((_, (t_pm, t_mp), _),) = generators
+        square = -np.stack((t_pm @ t_mp, t_mp @ t_pm), axis=-3)
+        for a in self.eigh_inputs:
+            assert not (a.shape == square.shape and np.allclose(a, square, rtol=1e-12, atol=0))
         # every catalog H here is real (dirac_1d in its grid-parity basis):
         # each decomposition runs in float64
         dtypes = {(name, dtype_name) for name, dtype_name, _ in self.inputs}
@@ -1229,9 +1246,11 @@ class TestDecompositionCounts:
             ],
         )
         # three points of side 32, two equal sectors of side 16 each,
-        # decomposed once per point
+        # decomposed once per point; of the half-size blocks only the
+        # denominator's, never those of S^2
         assert calls["eigh", 16] == 1
         assert matrices["eigh", 16] == 3
+        assert calls["eigh", 8] == 1 and matrices["eigh", 8] == 3 * 2
         assert calls["spectral_norm"] == 0
 
 
@@ -1540,12 +1559,13 @@ class TestExitCodes:
         assert run([*argv, "--report", str(report_path)]) == 4
         out = capsys.readouterr().out
         report = json.loads(report_path.read_text())
-        value = report["diagnostics"]["cos2s_defect"]
-        assert value > 1e-30
-        assert report["verdicts"]["cos2s_defect"] == "fail"
-        assert f"FAIL cos2s_defect = {value:.6e}\n" in out
         failing = {line.split()[1] for line in out.splitlines() if line.startswith("FAIL ")}
         assert failing == {k for k, v in report["verdicts"].items() if v == "fail"}
+        # each roundoff-level defect fails unless it reads exactly 0
+        name = min(failing)
+        value = report["diagnostics"][name]
+        assert value > 1e-30
+        assert f"FAIL {name} = {value:.6e}\n" in out
 
     def test_unwritable_dump_exits_5_and_names_the_path(self, tmp_path, capsys):
         # the dumps go out before the report: a directory where h_fw.csv

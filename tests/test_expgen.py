@@ -12,17 +12,23 @@ from fwexact import (
     Metric,
     dirac_1d,
     eriksen_unitary,
-    exp_i,
     feshbach_villars,
     free_dirac,
     generator_from_lambda,
+    ModelSpec,
     sign_of,
+    transform_nonstationary,
     transform_stationary,
-    verify_exp_equivalence,
-    verify_trig_identities,
 )
-from fwexact.expgen import denominator_decomposition
+from fwexact.expgen import (
+    PROBES,
+    _terms,
+    denominator_decomposition,
+    exponential_defects,
+    probes,
+)
 from fwexact.verify import GeneratorResult, arcsin_odd
+from oracles import exp_i, oracle_defects, verify_exp_equivalence, verify_trig_identities
 
 BETA4 = BlockOperator(np.diag([1.0, 1.0, -1.0, -1.0]), 4, 1)
 
@@ -222,3 +228,79 @@ class TestExpEquivalence:
         res = transform_stationary(sp)
         u_from_s = exp_i(g.s, sp.metric)
         assert np.linalg.norm(u_from_s.data - res.u.data) <= 1e-10
+
+
+#: The catalog transforms the probe chain is held against its oracles on:
+#: (model, params, nf), nf None for a stationary model.
+CATALOG = {
+    "free_dirac": ("free_dirac", {"px": 0.3, "pz": 0.75}, None),
+    **{f"dirac_1d-N{n}": ("dirac_1d", {"N": n, "V1": 0.2}, None) for n in (8, 32, 128)},
+    **{f"feshbach_villars-p{p}": ("feshbach_villars", {"p": p}, None) for p in (0.75, 2.0, 4.0)},
+    **{
+        f"vector-nf{nf}": ("floquet_dirac_vector", {"pz": 0.5, "A1": 0.2, "omega": 0.03}, nf)
+        for nf in (8, 24)
+    },
+    "scalar-nf8": ("floquet_dirac_scalar", {"px": 0.1, "pz": 0.5, "V1": 0.2, "omega": 0.03}, 8),
+}
+
+
+def plant(op, size, seed, rank_one):
+    """op plus a random array of Frobenius norm ``size`` in op's layout:
+    dense, or real and of rank one."""
+    rng = np.random.default_rng(seed)
+    if rank_one:
+        x, y = rng.standard_normal((2, *op.data.shape[:-1]))
+        noise = x[..., :, None] * y[..., None, :]
+    else:
+        noise = rng.standard_normal(op.data.shape)
+    return op.like(op.data + size * noise / op.frobenius(noise))
+
+
+class TestProbeEstimates:
+    """The probe chain's three defects against full-size oracles, in the
+    sector layout the transforms run in, across the catalog: the sectors
+    of dirac_1d at N = 32 and 128 and of the drives have half sides past
+    the probe count, where Gaussian probes run.  Planted defects of 1e-8
+    in U and lambda, dense or of rank one, read within 3x of their
+    oracles; on the operators as built, where every defect is roundoff,
+    an estimate reads no more than 3x its oracle or eps."""
+
+    @staticmethod
+    def transformed(name):
+        model, params, nf = CATALOG[name]
+        built = ModelSpec(model, params).build()
+        if nf is None:
+            return transform_stationary(built), built.metric
+        return transform_nonstationary(built, nf), built.metric
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_estimates_within_3x_of_oracles(self, name):
+        result, metric = self.transformed(name)
+        lam, u, s = (result._operators[key] for key in ("sign_op", "u", "s"))
+        i_s = (1j * s.blocks.pm, 1j * s.blocks.mp)
+        estimates, _ = exponential_defects(i_s, lam, u)
+        oracles = oracle_defects(s, lam, u, metric)
+        assert estimates.keys() == oracles.keys()
+        for key, oracle in oracles.items():
+            assert estimates[key] <= 3.0 * max(oracle, np.finfo(float).eps), key
+        for seed, rank_one in ((1, False), (2, True)):
+            planted_lam = plant(lam, 1e-8 * math.sqrt(lam.side), seed, rank_one)
+            planted_u = plant(u, 1e-8 * u.norm(), seed + 10, rank_one)
+            estimates, _ = exponential_defects(i_s, planted_lam, planted_u)
+            oracles = oracle_defects(s, planted_lam, planted_u, metric)
+            for key, oracle in oracles.items():
+                assert oracle / 3.0 <= estimates[key] <= 3.0 * oracle, (key, rank_one)
+
+    def test_probes_are_gaussian_past_the_probe_count(self):
+        assert np.array_equal(probes(PROBES), np.broadcast_to(np.eye(PROBES), (2, PROBES, PROBES)))
+        g = probes(PROBES + 1)
+        assert g.shape == (2, PROBES + 1, PROBES)
+        assert np.array_equal(g, probes(PROBES + 1))  # one fixed seed
+
+    def test_term_count_drops_a_tail_below_roundoff(self):
+        for radius in (0.0, 0.1, 0.78, 3.3):
+            m, x = _terms(radius), 2.0 * radius
+            assert x ** (m + 1) / math.factorial(m + 1) <= 2.0**-53
+            assert m == 0 or x**m / math.factorial(m) > 2.0**-53
+        with pytest.raises(DomainError):
+            _terms(math.inf)

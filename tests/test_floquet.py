@@ -323,6 +323,24 @@ class TestBatchedKernels:
             expected = central_odd_norm(k.layout.like(full), window)
             assert measured == pytest.approx(expected, rel=1e-13, abs=1e-300)
 
+    @pytest.mark.parametrize("nf", [12, 16, 24, 32])
+    def test_windowed_odd_norms_near_full_product(self, nf):
+        # past nf = 8 the windowed and full layout products may sum in
+        # another order: the naive norm still agrees to rel 1e-13, and
+        # Lambda's, itself roundoff (about 5e-16), within 4 eps; at
+        # omega = 0.03 the ladder stays clear of the fold up to nf = 32
+        model, window = floquet_dirac_vector(1.0, (0.0, 0.0, 0.5), 0.2, 0.03), 4
+        rep = demonstrate_nonevenness(model, nf, window)
+        k = build_extended(model, nf)
+        for lam, measured, tolerance in (
+            (lambda_naive(model, nf), rep.odd_norm_lambda_naive, {"rel": 1e-13, "abs": 1e-300}),
+            (lambda_capital(k), rep.odd_norm_lambda, {"rel": 0, "abs": 4 * np.finfo(float).eps}),
+        ):
+            u = eriksen_unitary(lam.in_sectors(k.layout.sectors), lambda_sq_tol=None)
+            full = u.data @ k.layout.data @ adjoint_m(u, model.metric).data
+            expected = central_odd_norm(k.layout.like(full), window)
+            assert measured == pytest.approx(expected, **tolerance)
+
     @pytest.mark.parametrize(
         "k",
         [

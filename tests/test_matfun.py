@@ -14,7 +14,6 @@ from fwexact import (
     ModelSpec,
     SpectralGapError,
     decompose,
-    exp_i,
     feshbach_villars,
     floquet_dirac_vector,
     free_dirac,
@@ -30,6 +29,7 @@ from fwexact.matfun import (
     find_sectors,
     in_sectors,
 )
+from oracles import exp_i
 
 
 def hermitian_operator(seed, side=4, gap=0.5):

@@ -24,14 +24,7 @@ from fwexact import Metric, ModelSpec, feshbach_villars, free_dirac, transform_s
 from fwexact.blockop import BlockOperator, SplitHamiltonian, relative_odd_norm
 from fwexact.cli import _BOUND_BY_DIAGNOSTIC, main
 from fwexact.eriksen import _spectrum_defect
-from fwexact.expgen import (
-    OddSquare,
-    denominator_decomposition,
-    exp_blocks,
-    exp_defect,
-    generator_defects,
-    trig_defects,
-)
+from fwexact.expgen import denominator_decomposition, exponential_defects, generator_defects
 from fwexact.matfun import in_sectors, involution_defects
 from fwexact.verify import alt_form_defect, arcsin_odd, generator_from_lambda, unitary_defects
 
@@ -59,11 +52,20 @@ def transformed(metric: Metric):
 METRICS = (Metric.HERMITIAN, Metric.BETA_PSEUDO)
 
 
-def unit(op: BlockOperator, blocks: str, seed: int, antihermitian: bool = False) -> np.ndarray:
+def unit(
+    op: BlockOperator, blocks: str, seed: int, antihermitian: bool = False, rank_one: bool = False
+) -> np.ndarray:
     """A random array of ``op.data``'s shape and dtype, zero outside the
     parity ``blocks`` named (of "pp", "pm", "mp", "mm"), with unit norm
-    in ``op``'s layout; each block anti-Hermitian if asked."""
+    in ``op``'s layout; each block anti-Hermitian if asked, or the named
+    blocks of one real rank-one matrix."""
     rng = np.random.default_rng(seed)
+    if rank_one:
+        x, y = rng.standard_normal((2, *op.data.shape[:-1]))
+        outer = op.like(x[..., :, None] * y[..., None, :]).blocks
+        named = (getattr(outer, b) if b in blocks.split() else None for b in outer._fields)
+        x = op.like_blocks(*named).data
+        return x / op.frobenius(x)
     parts = {}
     for name in blocks.split():
         shape = getattr(op.blocks, name).shape
@@ -130,18 +132,46 @@ def defect_of_lambda(key):
         yield involution_defects(lam)[key], involution_defects(planted)[key]
 
 
-@case("alt_form_defect", "exp_equivalence_defect")
-def polar_form_and_exponential_against_u(key):
-    # ||U_polar - U||_F / ||U||_F, ||exp(iS) - U||_F / ||U||_F
+@case("alt_form_defect")
+def polar_form_against_u(key):
+    # ||U_polar - U||_F / ||U||_F
     for metric in METRICS:
         _, result = transformed(metric)
-        lam, u, s = result.sign_op, result.u, result.s
+        lam, u = result.sign_op, result.u
         planted = plus(u, EPS * u.norm() * unit(u, "pp pm mp mm", 4))
-        if key == "alt_form_defect":
-            yield alt_form_defect(lam, u, metric), alt_form_defect(lam, planted, metric)
-        else:
-            exponential = exp_blocks(OddSquare(s.blocks.pm, s.blocks.mp))
-            yield exp_defect(exponential, u), exp_defect(exponential, planted)
+        yield alt_form_defect(lam, u, metric), alt_form_defect(lam, planted, metric)
+
+
+@cache
+def grid_transform():
+    """dirac_1d at N = 32 (side 128), whose half side passes the probe
+    count: the chain runs on Gaussian probes."""
+    return transform_stationary(ModelSpec("dirac_1d", {"N": 32, "V1": 0.2}).build())
+
+
+def chain_plants():
+    """(result, rank_one) per plant of the probe chain's cases: a dense
+    plant in each metric's transform (2x2 blocks, identity probes), a
+    dense and a rank-one plant in the grid model's."""
+    for metric in METRICS:
+        yield transformed(metric)[1], False
+    for rank_one in (False, True):
+        yield grid_transform(), rank_one
+
+
+def chain_readings(key, result, lam, u):
+    """``key`` from the probe chain of ``result``'s S, against ``lam`` and ``u``."""
+    s = result.s
+    return exponential_defects((1j * s.blocks.pm, 1j * s.blocks.mp), lam, u)[0][key]
+
+
+@case("exp_equivalence_defect")
+def exponential_against_u(key):
+    # ||exp(iS) - U||_F / ||U||_F, estimated on the probes
+    for result, rank_one in chain_plants():
+        lam, u = result.sign_op, result.u
+        planted = plus(u, EPS * u.norm() * unit(u, "pp pm mp mm", 4, rank_one=rank_one))
+        yield chain_readings(key, result, lam, u), chain_readings(key, result, lam, planted)
 
 
 @case("spectrum_defect")
@@ -177,14 +207,12 @@ def adjoint_of_s(key):
 def doubling_identities(key):
     # ||sin 2S + i(beta lambda - lambda beta)/2||_F / sqrt(n) watches the odd
     # blocks of lambda, ||cos 2S - (beta lambda + lambda beta)/2||_F / sqrt(n)
-    # the diagonal ones
-    for metric in METRICS:
-        _, result = transformed(metric)
-        lam, s = result.sign_op, result.s
-        square = OddSquare(s.blocks.pm, s.blocks.mp)
+    # the diagonal ones; both estimated on the probes
+    for result, rank_one in chain_plants():
+        lam, u = result.sign_op, result.u
         blocks = "pm mp" if key == "sin2s_defect" else "pp mm"
-        planted = plus(lam, EPS * math.sqrt(lam.side) * unit(lam, blocks, 6))
-        yield trig_defects(square, lam)[key], trig_defects(square, planted)[key]
+        planted = plus(lam, EPS * math.sqrt(lam.side) * unit(lam, blocks, 6, rank_one=rank_one))
+        yield chain_readings(key, result, lam, u), chain_readings(key, result, planted, u)
 
 
 @case("form_agreement_defect", "denominator_commutator_defect")
@@ -209,7 +237,7 @@ def doubling_argument_past_one(key):
     # a real spectrum has one, so the Hermitian metric
     lam = transformed(Metric.HERMITIAN)[1].sign_op
     pm, mp = 1j * lam.blocks.pm, -1j * lam.blocks.mp
-    radius = OddSquare(pm, mp).norm_2()
+    radius = math.sqrt(np.linalg.eigvalsh(pm @ mp).max())
     scale = (1.0 + EPS) / radius
     yield (
         arcsin_odd(pm, mp, 10 * EPS)[2],
