@@ -15,9 +15,10 @@ Every operator the transforms build after the sign operator is even or
 odd, so they work on its four parity blocks (upper-upper, upper-lower,
 lower-upper, lower-lower): :attr:`BlockOperator.blocks` gives them and
 :meth:`BlockOperator.like_blocks` puts blocks back in the original
-layout.  Only this module knows that layout: the blocks are contiguous
-slices when beta is block-ordered (stationary, or several sectors) and
-one stable gather when the signs interleave per Fourier copy (Floquet).
+layout.  Only this module knows that layout: in the sector layout each
+sector lists its beta = +1 rows first, so the blocks are contiguous
+slices, as in a dense stationary operator; only a dense Floquet
+operator, whose signs interleave per Fourier copy, is gathered.
 
 An operator's data may carry leading stack axes, shape (..., n, n): a
 stack of operators of one block structure, such as the points of a
@@ -82,37 +83,32 @@ class Blocks(NamedTuple):
 
 
 class _Parity:
-    """beta's signs (read-only) and the index sets of the upper and lower
-    components: slices when beta is block-ordered, index arrays (in
-    ascending order) otherwise."""
+    """beta's signs (read-only) and the index of each parity block, in the
+    order of :class:`Blocks`: slices when beta is block-ordered, an open
+    mesh of index arrays (in ascending order) otherwise."""
 
     def __init__(self, signs: np.ndarray) -> None:
         signs.flags.writeable = False
         self.signs = signs
         upper, lower = np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)
-        self.half = len(upper)
-        if np.array_equal(upper, np.arange(self.half)):
-            self.upper, self.lower = slice(0, self.half), slice(self.half, len(signs))
-        else:
-            self.upper, self.lower = upper, lower
-
-    def _index(self, rows, cols):
-        if isinstance(rows, slice):
-            return ..., rows, cols
-        return (..., *np.ix_(rows, cols))
+        if np.array_equal(upper, np.arange(len(upper))):
+            upper, lower = slice(0, len(upper)), slice(len(upper), len(signs))
+        self.index = [
+            (..., r, c) if isinstance(r, slice) else (..., *np.ix_(r, c))
+            for r in (upper, lower)
+            for c in (upper, lower)
+        ]
 
     def split(self, x: np.ndarray) -> Blocks:
-        up, dn = self.upper, self.lower
-        return Blocks(*(x[self._index(r, c)] for r in (up, dn) for c in (up, dn)))
+        return Blocks(*(x[index] for index in self.index))
 
     def join(self, blocks: tuple[Optional[np.ndarray], ...]) -> np.ndarray:
-        side = 2 * self.half
+        side = len(self.signs)
         stack = next(b.shape[:-2] for b in blocks if b is not None)
         out = np.zeros((*stack, side, side), np.result_type(*(b for b in blocks if b is not None)))
-        up, dn = self.upper, self.lower
-        for (r, c), block in zip(((up, up), (up, dn), (dn, up), (dn, dn)), blocks):
+        for index, block in zip(self.index, blocks):
             if block is not None:
-                out[self._index(r, c)] = block
+                out[index] = block
         return out
 
 
@@ -221,7 +217,7 @@ class BlockOperator:
     @cached_property
     def _layout(self) -> _Parity:
         """The parity of the last two axes of ``data``."""
-        if self.sectors is None or len(self.sectors) == 1:
+        if self.sectors is None:
             return _parity(self.internal_dim, self.floquet_copies)
         return _parity(self.sectors.shape[1], 1)
 
@@ -229,13 +225,13 @@ class BlockOperator:
     def signs(self) -> np.ndarray:
         """beta as its read-only +-1 diagonal: +1 on the upper and -1 on
         the lower block of every Fourier copy (of one sector, upper
-        first, in a layout of several sectors)."""
+        first, in the sector layout)."""
         return self._layout.signs
 
     @cached_property
     def blocks(self) -> Blocks:
         """The parity blocks: views of ``data`` when beta is block-ordered
-        (in a layout of several sectors too), copies gathered once otherwise."""
+        (in the sector layout too), copies gathered once otherwise."""
         return self._layout.split(self.data)
 
     def like_blocks(
@@ -261,20 +257,16 @@ class BlockOperator:
         """This dense operator's diagonal blocks on ``sectors`` (index arrays
         it does not couple), stacked with each sector's beta = +1 components
         first; sectors of unequal size or parity balance give one sector,
-        the whole matrix in its own order.  A block equal, exactly and at
+        the whole matrix, ordered the same way.  A block equal, exactly and at
         every point of the stack, to an earlier sector's block B, or else to
         its beta image beta B beta, is held once (``images`` flags the
         second kind).  Blocks are held real when their imaginary part is
         exactly zero."""
         signs, size = self.signs, len(sectors[0])
-        if len(sectors) == 1 or any(
-            len(s) != size or 2 * np.count_nonzero(signs[s] > 0) != size for s in sectors
-        ):
-            index = np.arange(self.side)[None]
-            data = self.data[..., None, :, :]
-        else:
-            index = np.stack([np.concatenate((s[signs[s] > 0], s[signs[s] < 0])) for s in sectors])
-            data = self.data[..., index[:, :, None], index[:, None, :]]
+        if any(len(s) != size or 2 * np.count_nonzero(signs[s] > 0) != size for s in sectors):
+            sectors = [np.arange(self.side)]
+        index = np.stack([np.concatenate((s[signs[s] > 0], s[signs[s] < 0])) for s in sectors])
+        data = self.data[..., index[:, :, None], index[:, None, :]]
         blocks, beta = np.moveaxis(data, -3, 0), signs[index[0]]  # beta in a sector's order
         firsts, owner = [], []  # owner: (image, distinct block) of each sector
         for k, b in enumerate(blocks):
@@ -297,23 +289,21 @@ class BlockOperator:
 
     def dense(self) -> "BlockOperator":
         """The operator as one matrix: each block (back from the real basis
-        of ``pairs``, complex) at every sector that holds it, its odd
-        blocks negated where that is its beta image, in zeros."""
+        of ``pairs``, complex) scattered to the rows and columns of every
+        sector that holds it, its odd blocks negated where that is its
+        beta image, in zeros."""
         if not self.sectored:
             return self
         index, data = self.sectors, self.data
         if self.pairs is not None:
             data = _from_pair_basis(data, self.pairs)
-        if len(index) == 1:
-            data = data[..., 0, :, :]
-        else:
-            blocks = np.repeat(data, self.weights, axis=-3)
-            if self.images is not None:
-                image, odd = blocks[..., self.images, :, :], self.signs[:, None] != self.signs
-                # a subtraction from zero negates without making a -0
-                blocks[..., self.images, :, :] = np.where(odd, 0.0 - image, image)
-            data = np.zeros((*self.stack_shape, self.side, self.side), dtype=data.dtype)
-            data[..., index[:, :, None], index[:, None, :]] = blocks
+        blocks = np.repeat(data, self.weights, axis=-3)
+        if self.images is not None:
+            image, odd = blocks[..., self.images, :, :], self.signs[:, None] != self.signs
+            # a subtraction from zero negates without making a -0
+            blocks[..., self.images, :, :] = np.where(odd, 0.0 - image, image)
+        data = np.zeros((*self.stack_shape, self.side, self.side), dtype=data.dtype)
+        data[..., index[:, :, None], index[:, None, :]] = blocks
         return BlockOperator(data, self.internal_dim, self.floquet_copies)
 
 

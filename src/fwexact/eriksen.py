@@ -81,7 +81,7 @@ from .expgen import (
     denominator_decomposition,
     exponential_defects,
     generator,
-    generator_norm,
+    generator_defects,
     inverse_root,
 )
 from .matfun import EvenDecomposition, check_involution, decompose, in_sectors, sign_of
@@ -200,16 +200,16 @@ def _transform(
     # one decomposition of the denominator serves U and S (and form A)
     den = denominator_decomposition(lam, lambda_sq_tol=None)
     u = eriksen_unitary(lam, dec=den)
-    s, i_s, generator_defects = generator(lam, metric, den)
-    s_norm = generator_norm(den)
+    s, i_s, s_norm = generator(lam, metric, den)
+    defects = generator_defects(*i_s, metric, lam.weights, phase=-1j)
     if routes:
-        generator_defects.update(generator_routes(lam, metric, eps_clamp=eps_clamp, dec=den))
+        defects.update(generator_routes(lam, metric, eps_clamp=eps_clamp, dec=den))
     del den
     # one Taylor chain on probe vectors serves sin 2S, cos 2S and exp(iS)
     exponential, taylor_terms = exponential_defects(i_s, lam, u)
     del i_s
-    unitary = unitary_defects(u, metric)
     u_inverse = adjoint_m(u, metric)
+    unitary = unitary_defects(u, u_inverse, metric)
     h_fw = h.like(u.data @ h.data @ u_inverse.data)
     spectrum_defect, after = _spectrum_defect(before, h_fw, scale)
     result = FWResult(
@@ -224,7 +224,7 @@ def _transform(
         taylor_terms=taylor_terms,
     )
     result.diagnostics["spectrum_defect"] = spectrum_defect
-    result.diagnostics.update(generator_defects)
+    result.diagnostics.update(defects)
     result.diagnostics.update(exponential)
     return result
 

@@ -18,22 +18,21 @@ lambda_{+-} lambda_{-+} = 1 - lambda_{++}^2 and lambda_{-+} lambda_{+-}
 = 1 - lambda_{--}^2, by lambda^2 = 1.  Those are functions of the
 diagonal blocks 2 + 2 lambda_{++} and 2 - 2 lambda_{--} of the Eriksen
 denominator 2 + beta lambda + lambda beta (its off-diagonal blocks
-cancel exactly): with w an eigenvalue of either block, 1 - x^2 =
-w (1 - w/4).  So the one decomposition of the denominator that gives U
-gives S as well,
+cancel exactly), so the one decomposition of the denominator that gives
+U gives S as well,
 
     S_{+-} = -(i/2) lambda_{+-} h_{--},    S_{-+} = (i/2) lambda_{-+} h_{++},
 
-h = arcsin(sqrt z) / sqrt z at z = w (1 - w/4), the principal angles of
-beta's upper subspace and the positive-energy subspace read off the
-denominator (Davis & Kahan's direct rotation).  The blocks are Hermitian
-in both metrics (see :mod:`fwexact.matfun`), so the kernel is one
-batched ``eigh`` of the two half-size blocks of every sector.  In the
-Hermitian metric z lies in [0, 1]; in the beta-pseudo metric
-lambda_{-+} = -lambda_{+-}^dag makes M^2 <= 0, the imaginary spectrum
-on which arcsin(i x) = i arcsinh(x), and z < 0 takes the arcsinh
-branch.  h is continuous at z = 0, so no clamp band is
-needed.  ||S||_2 is read off the same eigenvalues.
+h = arcsin(sqrt z) / sqrt z at z = 1 - x^2 (see :func:`generator`), the
+principal angles of beta's upper subspace and the positive-energy
+subspace read off the denominator (Davis & Kahan's direct rotation).
+The blocks are Hermitian in both metrics (see :mod:`fwexact.matfun`),
+so the kernel is one batched ``eigh`` of the two half-size blocks of
+every sector.  In the Hermitian metric z lies in [0, 1]; in the
+beta-pseudo metric lambda_{-+} = -lambda_{+-}^dag makes M^2 <= 0, the
+imaginary spectrum on which arcsin(i x) = i arcsinh(x), and z < 0 takes
+the arcsinh branch.  h is continuous at z = 0, so no clamp band is
+needed.  ||S||_2 is read off the same z.
 
 The doubling identities and exp(iS) = U are checked by one truncated
 Taylor chain of iS on a few probe vectors, from S's own blocks: a route
@@ -153,32 +152,34 @@ def inverse_root(dec: EvenDecomposition) -> tuple[np.ndarray, np.ndarray]:
 
 def generator(
     lam: BlockOperator, metric: Metric, dec: EvenDecomposition
-) -> tuple[BlockOperator, tuple[np.ndarray, np.ndarray], dict[str, float | np.ndarray]]:
+) -> tuple[BlockOperator, tuple[np.ndarray, np.ndarray], float | np.ndarray]:
     """S from the :func:`denominator_decomposition` ``dec`` of lambda, the
-    off-diagonal blocks of iS (real for a real lambda), and S's
-    hermiticity_defect (see :func:`generator_defects`).
+    off-diagonal blocks of iS (real for a real lambda), and ||S||_2 per
+    operator.
 
-    h = arcsin(sqrt z) / sqrt z at z = 1 - x^2 = w (1 - w/4) is applied
-    to both blocks of the denominator (w its eigenvalues), then
-    S_{+-} = -(i/2) lambda_{+-} h_{--} and S_{-+} = (i/2) lambda_{-+} h_{++}.
-    z = 1 - (w - 2)^2 / 4 passes 1 only by rounding, which the arcsine's
-    clamp absorbs.
+    S_{-+} = (i/2) (lambda_{-+} V_+) h(z) V_+^dag over the eigenvectors V_+
+    of the upper block (S_{+-} likewise), h(z) = arcsin(sqrt z) / sqrt z
+    at z = 1 - x^2.  With w their eigenvalues z = w (1 - w/4), which
+    cancels at small z (w near 4); there z is taken, exact to roundoff
+    relative to itself, as the square norm of each column of
+    lambda_{-+} V_+ (negated in the beta-pseudo metric), by lambda^2 = 1.
+    That norm's roundoff is absolute, which the arcsine's slope amplifies
+    near z = 1, so z >= 1/2 comes from w.  z passes 1 only by rounding,
+    which the clamp absorbs.  S is normal, with eigenvalues -(1/2) arcsin x
+    over the eigenvalues x of M, |x| = sqrt z, so ||S||_2 is half the
+    largest arcsin sqrt z (arcsinh sqrt(-z) for z < 0).
     """
-    h_pp, h_mm = dec.apply(lambda w: _ARCSIN(w * (1.0 - w / 4.0)))
-    t_pm = 0.5 * (lam.blocks.pm @ h_mm)
-    t_mp = -0.5 * (lam.blocks.mp @ h_pp)
+    v_pp, v_mm = dec.vectors[..., 0, :, :], dec.vectors[..., 1, :, :]
+    mp_v, pm_v = lam.blocks.mp @ v_pp, lam.blocks.pm @ v_mm
+    norms = np.stack([np.einsum("...ij,...ij->...j", x.conj(), x).real for x in (mp_v, pm_v)], -2)
+    z = dec.eigenvalues * (1.0 - dec.eigenvalues / 4.0)
+    z = np.where(z >= 0.5, z, adjoint_sign(metric) * norms)
+    h = _ARCSIN(z)
+    t_pm = 0.5 * ((pm_v * h[..., 1, None, :]) @ dagger(v_mm))
+    t_mp = -0.5 * ((mp_v * h[..., 0, None, :]) @ dagger(v_pp))
     s = lam.like_blocks(None, -1j * t_pm, -1j * t_mp, None)
-    return s, (t_pm, t_mp), generator_defects(t_pm, t_mp, metric, lam.weights, phase=-1j)
-
-
-def generator_norm(dec: EvenDecomposition) -> float | np.ndarray:
-    """||S||_2 per operator from the denominator's eigenvalues w: S is
-    normal, and its eigenvalues are -(1/2) arcsin x over the eigenvalues
-    x of M, |x| = sqrt z at z = w (1 - w/4), so ||S||_2 is half the
-    largest arcsin sqrt z (arcsinh sqrt(-z) for z < 0)."""
-    w = dec.eigenvalues
-    angles = _ANGLE(w * (1.0 - w / 4.0))
-    return per_matrix(0.5 * angles.max(axis=operator_axes(2, dec.sectored), initial=0.0))
+    s_norm = 0.5 * _ANGLE(z).max(axis=operator_axes(2, dec.sectored), initial=0.0)
+    return s, (t_pm, t_mp), per_matrix(s_norm)
 
 
 def generator_defects(

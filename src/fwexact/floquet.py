@@ -23,12 +23,16 @@ time-derivative picks up terms proportional to d(lambda)/dt that are not
 even, and the demonstration below measures exactly that.
 
 K and the naive operator are written in the sector layout of the modes
-(the ladder is diagonal), each distinct block one strided copy of its
-bands: the naive operator's time samples H(t) go to one stacked
-decomposition (every sample still checked), and its bands come from one
-contraction of the sampled signs with the Fourier phases.  Real modes
-keep K, and the naive bands (H(-t) = H(t)^*), in float64, and the
-samples too when H_-n = H_n.
+(the ladder is diagonal), searched once per model
+(:attr:`~fwexact.models.TimePeriodicHamiltonian.mode_layout`): each
+sector of the modes over every copy, the upper components of every copy
+first, so K's parity blocks are slices.  Each distinct block is one
+strided copy of its bands: the naive operator's time samples H(t) go to
+one stacked decomposition (every sample still checked), and its bands
+come from one contraction of the sampled signs with the Fourier phases.
+Real modes keep K, and the naive bands (H(-t) = H(t)^*), in float64,
+and the samples too when H_-n = H_n.  K carries its model's metric, so
+the functions of K take none.
 
 Odd-part norms are measured on a central window of Fourier copies; the
 edge copies of the truncated ladder are excluded as truncation
@@ -86,11 +90,13 @@ _EIGENSPACE_TOL = 1e-12
 @dataclass(frozen=True)
 class ExtendedOperator:
     """H(t) - i d/dt truncated to 2*nf + 1 Fourier copies, ``held`` dense
-    or in its sector layout (as :func:`build_extended` writes it)."""
+    or in its sector layout (as :func:`build_extended` writes it), and
+    self-adjoint under its model's ``metric``."""
 
     held: BlockOperator
     omega: float
     nf: int
+    metric: Metric = Metric.HERMITIAN
 
     @cached_property
     def layout(self) -> BlockOperator:
@@ -130,17 +136,16 @@ def _block_toeplitz(modes: BlockOperator, bands: np.ndarray) -> BlockOperator:
     """The extended-space operator whose (m, n) block is band m - n (bands
     q = -2 nf ... 2 nf on axis 0, in the modes' layout ``modes``), in its
     sector layout: each sector of the modes over every copy, the upper
-    components of every copy first (copy by copy for a single sector).
-    Block row i lists the bands i - j, j = 0 ... 2 nf: a window of the
-    reversed bands, so each block is one copy of a strided view."""
+    components of every copy first.  Block row i lists the bands i - j,
+    j = 0 ... 2 nf: a window of the reversed bands, so each block is one
+    copy of a strided view."""
     copies, d, (count, s) = (len(bands) + 1) // 2, modes.internal_dim, modes.sectors.shape
-    parts = 1 if count == 1 else 2
     rows = sliding_window_view(bands[::-1], copies, axis=0)[::-1]
     # (i, sector, part, a, part', b, j) -> (sector, part, i, a, part', j, b)
-    rows = rows.reshape(copies, -1, parts, s // parts, parts, s // parts, copies)
+    rows = rows.reshape(copies, -1, 2, s // 2, 2, s // 2, copies)
     data = np.moveaxis(rows, (0, -1), (2, 5)).reshape(-1, copies * s, copies * s)
     index = modes.sectors[:, None, :] + d * np.arange(copies)[:, None]
-    index = index.reshape(count, copies, parts, s // parts).swapaxes(1, 2).reshape(count, -1)
+    index = index.reshape(count, copies, 2, s // 2).swapaxes(1, 2).reshape(count, -1)
     return BlockOperator(data, d, copies, index, modes.weights, images=modes.images)
 
 
@@ -155,14 +160,14 @@ def build_extended(model: TimePeriodicHamiltonian, nf: int) -> ExtendedOperator:
             f"truncation too small: model has Fourier mode {model.max_mode}, "
             f"representable range is |n| <= {2 * nf}"
         )
-    modes = in_sectors(BlockOperator(model.mode_stack[1], model.internal_dim))
+    modes = model.mode_layout
     bands = np.zeros((4 * nf + 1, *modes.data.shape[1:]), dtype=modes.data.dtype)
     bands[model.mode_stack[0] + 2 * nf] = modes.data
     k = _block_toeplitz(modes, bands)
     diagonal = np.arange(k.data.shape[-1])  # the ladder -m w, on K's fresh blocks
     k.data[..., diagonal, diagonal] -= (k.sectors[0] // model.internal_dim - nf) * model.omega
     check_finite_norm(k.data)
-    return ExtendedOperator(k, model.omega, nf)
+    return ExtendedOperator(k, model.omega, nf, model.metric)
 
 
 def _beta_characters(
@@ -218,7 +223,7 @@ def _fold_diagnosis(k: ExtendedOperator) -> str:
 
 
 @contextmanager
-def _extended_errors(k: ExtendedOperator, metric: Metric) -> Iterator[None]:
+def _extended_errors(k: ExtendedOperator) -> Iterator[None]:
     """Name the failures of the extended operator for what they are: a gap
     violation is a quasienergy resonance, and a degenerate denominator of
     the exact unitary is set against the ladder fold (diagnosed from a
@@ -230,18 +235,15 @@ def _extended_errors(k: ExtendedOperator, metric: Metric) -> Iterator[None]:
             f"{exc} [quasienergy resonance: adjust omega or add detuning]"
         ) from exc
     except DomainError as exc:
-        if metric is not Metric.HERMITIAN or not str(exc).startswith(DEGENERATE):
+        if k.metric is not Metric.HERMITIAN or not str(exc).startswith(DEGENERATE):
             raise
         raise DomainError(f"{exc} [{_fold_diagnosis(k)}]") from exc
 
 
 def lambda_capital(
-    k: ExtendedOperator,
-    gap_tol: float = GAP_TOL,
-    metric: Metric = Metric.HERMITIAN,
-    sign: str = "quasienergy",
+    k: ExtendedOperator, gap_tol: float = GAP_TOL, sign: str = "quasienergy"
 ) -> BlockOperator:
-    """Sign operator of the extended operator.
+    """Sign operator of the extended operator, under K's metric.
 
     ``sign="quasienergy"`` (the default) is the paper's Lambda =
     K / sqrt(K^2).  ``sign="character"`` is Lambda_chi = V sign(<v|beta|v>)
@@ -253,22 +255,22 @@ def lambda_capital(
     PAPER.md does not settle which assignment is meant there.  A
     character at or below ``gap_tol`` raises DomainError.
     """
-    return _sign_of_k(k, gap_tol, metric, sign).dense()
+    return _sign_of_k(k, gap_tol, sign).dense()
 
 
-def _sign_of_k(k: ExtendedOperator, gap_tol: float, metric: Metric, sign: str) -> BlockOperator:
+def _sign_of_k(k: ExtendedOperator, gap_tol: float, sign: str) -> BlockOperator:
     """:func:`lambda_capital` in the sector layout of K."""
     if sign not in _SIGN_CHOICES:
         raise ValueError(f"sign must be one of {_SIGN_CHOICES}, got {sign!r}")
-    if sign == "character" and metric is not Metric.HERMITIAN:
+    if sign == "character" and k.metric is not Metric.HERMITIAN:
         raise ValueError(
             "the beta-character sign is implemented for the Hermitian metric only"
         )
     op = k.layout
-    with _extended_errors(k, metric):
-        dec = decompose(op, metric)
+    with _extended_errors(k):
+        dec = decompose(op, k.metric)
         if sign == "quasienergy":
-            return sign_of(op, metric, gap_tol, dec)
+            return sign_of(op, k.metric, gap_tol, dec)
         check_gap(dec, gap_tol)
     v, chars = _beta_characters(dec, op.signs)
     smallest = float(np.abs(chars).min())
@@ -307,8 +309,7 @@ def _naive_layout(model: TimePeriodicHamiltonian, nf: int, gap_tol: float) -> Bl
         raise StructureError(f"truncation order must be >= 1, got {nf}")
     samples = 4 * (2 * nf + 1)
     times = np.arange(samples) * (2.0 * np.pi / model.omega / samples)
-    orders = model.mode_stack[0]
-    modes = in_sectors(BlockOperator(model.mode_stack[1], model.internal_dim))
+    orders, modes = model.mode_stack[0], model.mode_layout
     angles, flat = model.omega * np.outer(times, orders), modes.data.reshape(len(orders), -1)
     # H(t) = sum_n H_n cos(n w t) - (i/2) sum_n (H_n - H_-n) sin(n w t), H_-n at
     # flat[::-1]: exactly real when every H_-n equals H_n
@@ -349,7 +350,7 @@ def _in_window(
 
 def central_window(a: BlockOperator, window: int) -> BlockOperator:
     """Restriction to the |m| <= window Fourier copies, in ``a``'s sector
-    layout (a dense ``a`` as one sector in its own order)."""
+    layout (a dense ``a`` as one sector)."""
     if not a.sectored:
         a = a.in_sectors([np.arange(a.side)])
     return _in_window(a, window, lambda rows: a.data[..., rows[:, None], rows])
@@ -362,8 +363,7 @@ def central_odd_norm(a: BlockOperator, window: int) -> float:
 
 
 def _transformed_odd_norm(
-    model: TimePeriodicHamiltonian, k: ExtendedOperator, window: int, gap_tol: float, sign: str,
-    naive: Optional[BlockOperator] = None,
+    k: ExtendedOperator, window: int, gap_tol: float, sign: str, naive: BlockOperator | None = None
 ) -> float:
     """Central-window odd norm of U K U^{-1}, U the exact unitary of the
     naive operator ``naive`` (in K's sector layout) when given, else of
@@ -372,10 +372,10 @@ def _transformed_odd_norm(
     if naive is not None:
         u = eriksen_unitary(naive, lambda_sq_tol=None)
     else:
-        lam = _sign_of_k(k, gap_tol, model.metric, sign)
-        with _extended_errors(k, model.metric):
+        lam = _sign_of_k(k, gap_tol, sign)
+        with _extended_errors(k):
             u = eriksen_unitary(lam)
-    u_inv = adjoint_m(u, model.metric).data
+    u_inv = adjoint_m(u, k.metric).data
     windowed = _in_window(
         u, window, lambda rows: (u.data[..., rows, :] @ k.layout.data) @ u_inv[..., :, rows]
     )
@@ -416,15 +416,13 @@ def demonstrate_nonevenness(
         notes.append("window equals truncation; edge effects dominate")
     k = build_extended(model, nf)
     # the naive operator is a temporary, freed before Lambda is built
-    odd_naive = _transformed_odd_norm(
-        model, k, w, gap_tol, sign, _naive_layout(model, nf, gap_tol)
-    )
-    odd_lam = _transformed_odd_norm(model, k, w, gap_tol, sign)
+    odd_naive = _transformed_odd_norm(k, w, gap_tol, sign, _naive_layout(model, nf, gap_tol))
+    odd_lam = _transformed_odd_norm(k, w, gap_tol, sign)
     orders = sorted(set(decay_nfs)) if decay_nfs is not None else [nf]
 
     def odd_at(order: int) -> float:
         k_i = build_extended(model, order)
-        return _transformed_odd_norm(model, k_i, min(window, order), gap_tol, sign)
+        return _transformed_odd_norm(k_i, min(window, order), gap_tol, sign)
 
     table = [(order, odd_lam if order == nf else odd_at(order)) for order in orders]
     return FloquetReport(
@@ -459,7 +457,7 @@ def transform_nonstationary(
         window = max(nf // 2, 1)
     window = min(window, nf)
     k = build_extended(model, nf)
-    with _extended_errors(k, model.metric):
-        result = _transform(k.layout, model.metric, gap_tol, eps_clamp, routes)
+    with _extended_errors(k):
+        result = _transform(k.layout, k.metric, gap_tol, eps_clamp, routes)
     result.diagnostics["odd_norm"] = central_odd_norm(result._operators["h_fw"], window)
     return result

@@ -33,6 +33,7 @@ from .blockop import (
     split,
 )
 from .errors import MetricViolationError, StructureError
+from .matfun import in_sectors
 
 SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -266,11 +267,11 @@ class TimePeriodicHamiltonian:
         orders, modes = np.array([n for n, _ in self.modes]), np.stack([h for _, h in self.modes])
         return orders, modes if modes.imag.any() else modes.real.copy()
 
-    def mode(self, n: int) -> np.ndarray:
-        for k, h in self.modes:
-            if k == n:
-                return h
-        return np.zeros((self.internal_dim, self.internal_dim), dtype=complex)
+    @cached_property
+    def mode_layout(self) -> BlockOperator:
+        """The modes of :attr:`mode_stack` in the sector layout of their
+        joint pattern (:func:`~fwexact.matfun.in_sectors`), searched once."""
+        return in_sectors(BlockOperator(self.mode_stack[1], self.internal_dim))
 
     def at_time(self, t: float) -> np.ndarray:
         """Reconstruct H(t) from the modes."""

@@ -74,11 +74,13 @@ if TYPE_CHECKING:  # eriksen imports this module
 # identity defects of lambda and U
 
 
-def unitary_defects(u: BlockOperator, metric: Metric) -> dict[str, float | np.ndarray]:
+def unitary_defects(
+    u: BlockOperator, u_adj: BlockOperator, metric: Metric
+) -> dict[str, float | np.ndarray]:
     """eriksen_defect (beta U - U^adj beta), unitarity_defect (U U^adj - 1)
     and (beta-pseudo metric) pseudo_unitarity_defect (U^adj U - 1), each
-    from one whole product of U and its metric adjoint in U's layout."""
-    adj, signs = adjoint_m(u, metric).data, u.signs
+    from one whole product of U and its metric adjoint ``u_adj``."""
+    adj, signs = u_adj.data, u.signs
     root_n = math.sqrt(u.side)
     out = {
         "eriksen_defect": u.frobenius(signs[:, None] * u.data - adj * signs) / root_n,
@@ -98,7 +100,8 @@ def verify_eriksen_identities(result: FWResult, metric: Metric) -> dict[str, flo
     pseudo_unitarity_defect.  beta U = U^adj beta holds in both metrics
     (see :func:`~fwexact.eriksen.eriksen_unitary`).
     """
-    return {**involution_defects(result.sign_op), **unitary_defects(result.u, metric)}
+    lam, u = result.sign_op, result.u
+    return {**involution_defects(lam), **unitary_defects(u, adjoint_m(u, metric), metric)}
 
 
 # ---------------------------------------------------------------------------

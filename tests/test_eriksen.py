@@ -349,6 +349,55 @@ def _reference(h, signs, hermitian):
     return u, s, u @ h @ u_inv
 
 
+class TestBlockOrder:
+    """Every sector layout lists each sector's beta = +1 rows first, a
+    single sector too, so the parity blocks of every operator on a
+    transform's chain are slices of it: no np.ix_ gather runs."""
+
+    @staticmethod
+    def transformed(name):
+        """H (K for the drive) in its sector layout, and the transform's
+        operators, held in the same layout."""
+        from fwexact import floquet_dirac_vector, transform_nonstationary
+        from fwexact.floquet import build_extended
+
+        if name == "vector_drive":
+            model = floquet_dirac_vector(1.0, (0.3, 0.0, 0.5), 0.2, 0.03)
+            h, result = build_extended(model, 8).layout, transform_nonstationary(model, 8)
+        else:
+            sp = free_dirac(1.0, (0.3, 0.0, 0.5)) if name == "free_dirac" else (
+                feshbach_villars(1.0, 0.3)
+            )
+            h, result = in_sectors(sp.h), transform_stationary(sp)
+        return h, result._operators
+
+    @pytest.mark.parametrize("name", ["vector_drive", "free_dirac", "feshbach_villars"])
+    def test_each_sector_lists_its_upper_rows_first(self, name):
+        h, operators = self.transformed(name)
+        assert set(operators) == {"sign_op", "u", "u_inverse", "s", "h_fw"}
+        for op in (h, *operators.values()):
+            half = op.sectors.shape[1] // 2
+            # beta's diagonal on the dense operator, read at each sector's rows
+            beta = np.tile(np.repeat([1.0, -1.0], op.internal_dim // 2), op.floquet_copies)
+            assert (beta[op.sectors] == np.repeat([1.0, -1.0], half)).all()
+            assert np.array_equal(op.signs, np.repeat([1.0, -1.0], half))
+            assert np.shares_memory(op.blocks.pp, op.data)
+
+    def test_no_gather_in_a_transform_or_floquet_run(self, tmp_path, monkeypatch):
+        import fwexact.cli
+
+        calls, ix = [], np.ix_
+        monkeypatch.setattr(np, "ix_", lambda *args: calls.append(args) or ix(*args))
+        drive = ["model.name=floquet_dirac_vector", "model.params.px=0.3", "model.params.pz=0.5",
+                 "model.params.A1=0.2", "model.params.omega=0.03"]
+        for command, nf in (("transform", "[8]"), ("floquet", "[4,6,8]")):
+            argv = [command, "--report", str(tmp_path / f"{command}.json")]
+            for assignment in [*drive, f"floquet.nf={nf}"]:
+                argv += ["--set", assignment]
+            assert fwexact.cli.main(argv) == 0
+        assert calls == []
+
+
 class TestParityRoute:
     """The block evaluation against a test-local full-size one, on a
     beta-pseudo Hamiltonian and on the interleaved Floquet layout."""
@@ -375,11 +424,13 @@ class TestParityRoute:
                     "exp_equivalence_defect", "sin2s_defect", "cos2s_defect"):
             assert res.diagnostics[key] <= 1e-10, key
 
-    def test_interleaved_floquet_layout(self):
+    # along z, K is two sectors, beta images of each other; at px != 0, one
+    @pytest.mark.parametrize("p", [(0.0, 0.0, 0.5), (0.3, 0.0, 0.5)], ids=["images", "one"])
+    def test_interleaved_floquet_layout(self, p):
         from fwexact import floquet_dirac_vector, transform_nonstationary
         from fwexact.floquet import build_extended
 
-        model = floquet_dirac_vector(1.0, (0.0, 0.0, 0.5), 0.2, 0.08)
+        model = floquet_dirac_vector(1.0, p, 0.2, 0.08)
         res = transform_nonstationary(model, 4)
         k = build_extended(model, 4)
         u, s, h_fw = _reference(k.op.data, k.op.signs, hermitian=True)

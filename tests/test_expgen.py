@@ -111,6 +111,24 @@ class TestGenerator:
         assert g.diagnostics["form_agreement_defect"] <= 1e-9
         assert np.linalg.norm(g.s_form_a.data - g.s.data) <= 1e-9
 
+    SMALL_TO_LARGE = np.array([1e-3, 0.05, 0.75, 2.0])
+
+    @pytest.mark.parametrize(
+        "build, exact",
+        [
+            (lambda p: free_dirac(1.0, (0.0, 0.0, p)), lambda p: 0.5 * np.arctan(p)),
+            (lambda p: feshbach_villars(1.0, p), lambda p: 0.5 * np.arctanh(p * p / (2.0 + p * p))),
+        ],
+        ids=["free_dirac", "feshbach_villars"],
+    )
+    def test_s_norm_matches_the_closed_form(self, build, exact):
+        # at small p, ||S||_2 is read where w (1 - w/4) would cancel
+        p = self.SMALL_TO_LARGE
+        single = np.array([transform_stationary(build(x)).s_norm for x in p])
+        stacked = transform_stationary(build(p)).s_norm
+        for s_norm in (single, stacked):
+            assert_allclose(s_norm, exact(p), rtol=1e-14, atol=0)
+
     def test_non_involution_rejected(self):
         bad = BlockOperator(2.0 * np.diag([1.0, -1.0]), 2, 1)
         with pytest.raises(DomainError, match="involution"):

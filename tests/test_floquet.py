@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ class TestBuildExtended:
     def test_static_model_is_block_diagonal_ladder(self):
         model = floquet_dirac_scalar(1.0, (0, 0, 0.5), 0.0, 0.3)
         k = build_extended(model, 1)
-        h0 = model.mode(0)
+        h0 = dict(model.modes)[0]
         d = 4
         assert_allclose(block(k.op.data, d, 0, 0), h0 + 0.3 * np.eye(4), atol=1e-15)
         assert_allclose(block(k.op.data, d, 1, 1), h0, atol=1e-15)
@@ -134,7 +135,7 @@ class TestLambdaCapital:
         model = floquet_dirac_scalar(m, (0, 0, pz), 0.0, omega)
         k = build_extended(model, nf)
         lam = lambda_capital(k)
-        h0 = model.mode(0)
+        h0 = dict(model.modes)[0]
         d = 4
         for i, copy in enumerate(range(-nf, nf + 1)):
             shifted = BlockOperator(h0 - copy * omega * np.eye(4), 4, 1)
@@ -192,7 +193,7 @@ class TestLambdaNaive:
         model = floquet_dirac_scalar(1.0, (0, 0, 0.5), 0.0, 0.3)
         nf = 3
         lam = lambda_naive(model, nf)
-        lam0 = sign_of(BlockOperator(model.mode(0), 4, 1), Metric.HERMITIAN).data
+        lam0 = sign_of(BlockOperator(dict(model.modes)[0], 4, 1), Metric.HERMITIAN).data
         expected = np.kron(np.eye(2 * nf + 1), lam0)
         assert_allclose(lam.data, expected, atol=1e-13)
 
@@ -233,7 +234,7 @@ def phased_vector_drive(omega=0.03):
     -alpha_z A_z) and a mass modulation 0.1 beta sin(2 w t): H_q and H_-q
     differ and H(t) is not even in t, so a transposed band or a
     conjugated phase shows."""
-    h0 = reference_model().mode(0)
+    h0 = dict(reference_model().modes)[0]
     h1 = -0.1 * np.exp(0.7j) * ALPHA[2]
     h2 = 0.05j * BETA4
     modes = ((0, h0), (1, h1), (-1, h1.conj().T), (2, h2), (-2, h2.conj().T))
@@ -301,7 +302,7 @@ class TestBatchedKernels:
         ids=["scalar", "vector", "phased"],
     )
     def test_build_extended_equals_block_loop(self, model, nf):
-        expected = toeplitz_by_blocks(lambda n: model.mode(n), 4, nf)
+        expected = toeplitz_by_blocks(lambda n: dict(model.modes).get(n, 0), 4, nf)
         expected[np.diag_indices_from(expected)] -= np.repeat(
             np.arange(-nf, nf + 1) * model.omega, 4
         )
@@ -407,7 +408,7 @@ def transposed_drive():
     of the samples shows."""
     h1 = 0.1 * ALPHA[0] @ BETA4
     return TimePeriodicHamiltonian(
-        ((0, reference_model().mode(0)), (1, h1), (-1, h1.T)), 0.03, 4
+        ((0, dict(reference_model().modes)[0]), (1, h1), (-1, h1.T)), 0.03, 4
     )
 
 
@@ -501,8 +502,9 @@ class TestKFromModes:
     @pytest.mark.parametrize("nf", [2, 8])
     @pytest.mark.parametrize("name", sorted(MODE_LAYOUT_DRIVES))
     def test_dense_k_equals_block_loop(self, monkeypatch, name, nf):
-        model = MODE_LAYOUT_DRIVES[name]
-        expected = toeplitz_by_blocks(lambda n: model.mode(n), 4, nf)
+        # a fresh model: the mode layout is searched once per model and kept
+        model = replace(MODE_LAYOUT_DRIVES[name])
+        expected = toeplitz_by_blocks(lambda n: dict(model.modes).get(n, 0), 4, nf)
         expected[np.diag_indices_from(expected)] -= np.repeat(
             np.arange(-nf, nf + 1) * model.omega, 4
         )
@@ -666,7 +668,7 @@ class TestDemonstrateNonevenness:
         assert "8 of 132 eigenvectors" in _fold_diagnosis(build_extended(drive, 16))
         assert "16 of 264 eigenvectors" in message
         monkeypatch.setattr(fwexact.matfun, "find_sectors", lambda a: [np.arange(a.shape[-1])])
-        whole = build_extended(doubled, 16)
+        whole = build_extended(TimePeriodicHamiltonian(modes, drive.omega, 8), 16)
         assert whole.layout.weights.tolist() == [1]
         assert _fold_diagnosis(whole) == message
 

@@ -235,7 +235,7 @@ class TestFloquetModels:
     def test_scalar_mode_content(self):
         model = floquet_dirac_scalar(1.0, (0, 0, 0.5), 0.2, 0.3)
         assert [n for n, _ in model.modes] == [-1, 0, 1]
-        assert_allclose(model.mode(1), 0.1 * np.eye(4), atol=0)
+        assert_allclose(dict(model.modes)[1], 0.1 * np.eye(4), atol=0)
 
     def test_scalar_reconstruction_at_zero(self):
         model = floquet_dirac_scalar(1.0, (0, 0, 0.5), 0.2, 0.3)
@@ -248,8 +248,8 @@ class TestFloquetModels:
 
     def test_vector_mode_content(self):
         model = floquet_dirac_vector(1.0, (0, 0, 0.5), 0.2, 0.3)
-        assert_allclose(model.mode(1), -0.1 * ALPHA[2], atol=0)
-        assert_allclose(model.mode(-1), -0.1 * ALPHA[2], atol=0)
+        assert_allclose(dict(model.modes)[1], -0.1 * ALPHA[2], atol=0)
+        assert_allclose(dict(model.modes)[-1], -0.1 * ALPHA[2], atol=0)
 
     def test_vector_hermitian_at_sampled_times(self):
         model = floquet_dirac_vector(1.0, (0, 0, 0.5), 0.2, 0.3)

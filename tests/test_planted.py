@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from fwexact import Metric, ModelSpec, feshbach_villars, free_dirac, transform_stationary
-from fwexact.blockop import BlockOperator, SplitHamiltonian, relative_odd_norm
+from fwexact.blockop import BlockOperator, SplitHamiltonian, adjoint_m, relative_odd_norm
 from fwexact.cli import _BOUND_BY_DIAGNOSTIC, main
 from fwexact.eriksen import _spectrum_defect
 from fwexact.expgen import denominator_decomposition, exponential_defects, generator_defects
@@ -120,7 +120,7 @@ def defect_of_u(key):
             planted = plus(u, 0.5j * EPS * np.eye(u.side))
         else:
             planted = u.like((1.0 + 0.5 * EPS) * u.data)
-        yield unitary_defects(u, metric)[key], unitary_defects(planted, metric)[key]
+        yield tuple(unitary_defects(x, adjoint_m(x, metric), metric)[key] for x in (u, planted))
 
 
 @case("lambda_sq_defect", "sign_products_commute_defect")
